@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Dispatch benchmark: host ops/sec for each engine layer, each mode.
 
-Measures the three-layer engine (threaded dispatch, superinstruction
-fusion, inline caches) against the baseline if/elif interpreter on the
+Measures the engine's optimisation layers (superinstruction fusion,
+inline caches) over the plain threaded-code loop (``baseline``) on the
 steady-state ``sorter`` and ``server`` workloads, in plain-run, record,
 and replay modes.  Guest behavior is asserted identical across engines
 (same cycles) — the layers may only change how fast the host gets there.
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
@@ -50,8 +51,7 @@ RECORD_FLOOR = 0.8
 #: ablation layers, innermost first (each row adds one layer)
 ENGINES = {
     "baseline": EngineConfig.baseline(),
-    "threaded": EngineConfig(threaded_dispatch=True, fusion=False, inline_caches=False),
-    "fused": EngineConfig(threaded_dispatch=True, fusion=True, inline_caches=False),
+    "fused": EngineConfig(fusion=True, inline_caches=False),
     "full": EngineConfig(),
 }
 
@@ -130,6 +130,7 @@ def cmd_measure(args) -> int:
         "host": {
             "python": platform.python_version(),
             "machine": platform.machine(),
+            "cpus": os.cpu_count(),
         },
         "config": {
             "semispace_words": HEAP,

@@ -14,7 +14,7 @@ Typical use (also ``examples/quickstart.py``)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
 from pathlib import Path
@@ -28,6 +28,7 @@ from repro.vm.classfile import ClassDef
 from repro.vm.engineconfig import EngineConfig
 from repro.vm.errors import (
     CheckpointConfigMismatch,
+    CheckpointEngineMismatch,
     CheckpointError,
     TracePrefixEnd,
     VMError,
@@ -37,7 +38,6 @@ from repro.vm.machine import (
     Environment,
     VirtualMachine,
     VMConfig,
-    with_baseline_engine,
 )
 from repro.vm.scheduler_types import RunResult
 from repro.vm.timerdev import TimerSource, WallClock, slim_model_of
@@ -75,8 +75,7 @@ class GuestProgram:
 #: preset resolves to *exactly* the EngineConfig the CLI one-shot uses.
 ENGINE_PRESETS = {
     "baseline": EngineConfig.baseline(),
-    "threaded": EngineConfig(threaded_dispatch=True, fusion=False, inline_caches=False),
-    "fused": EngineConfig(threaded_dispatch=True, fusion=True, inline_caches=False),
+    "fused": EngineConfig(fusion=True, inline_caches=False),
     "full": EngineConfig(),
 }
 
@@ -192,9 +191,8 @@ def record(
         elif dejavu_kwargs.get("schedule") is not None:
             slim_fallback = "schedule-policy recording"
         else:
-            # the detector needs the unfused memory-op funnel; baseline is
-            # guest-invisible, so traces stay byte-identical regardless
-            config = with_baseline_engine(config)
+            # the detector hooks canonical memory micro-ops: unfused code
+            config = replace(config or VMConfig(), engine=EngineConfig(fusion=False))
     vm = build_vm(program, config, timer=timer, clock=clock, env=env)
     if vm_hook is not None:
         vm_hook(vm)
@@ -338,7 +336,8 @@ def resume_replay(
     replay fails falls back to the next earlier one, and when nothing
     survives the replay runs from cycle zero.  The only non-recoverable
     case is :class:`CheckpointConfigMismatch` — every checkpoint shares
-    the config, so it propagates as a typed diagnostic instead.
+    the config, so it propagates as a typed diagnostic instead — except
+    :class:`CheckpointEngineMismatch`, which goes on down the ladder.
     """
     from repro.core.checkpoint import CheckpointStore, restore_vm
 
@@ -361,6 +360,9 @@ def resume_replay(
                 vm = restore_vm(
                     snap, program, trace, config=config, symmetry=symmetry
                 )
+            except CheckpointEngineMismatch as exc:
+                attempts.append(f"checkpoint @{snap.cycles} unusable: {exc}")
+                continue
             except CheckpointConfigMismatch:
                 raise
             except VMError as exc:

@@ -834,7 +834,7 @@ def make_parser() -> argparse.ArgumentParser:
             "--engine",
             choices=sorted(ENGINE_PRESETS),
             default="full",
-            help="dispatch layers: baseline | threaded | fused | full "
+            help="optimisation layers: baseline | fused | full "
             "(guest behavior is identical under all of them)",
         )
 

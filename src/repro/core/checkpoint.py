@@ -50,9 +50,9 @@ by the prefix scan (CRC); a tampered snapshot body fails its machine
 digest and is skipped; a restore or resumed replay that errors falls
 back to the next earlier checkpoint; and when nothing survives, replay
 starts from cycle zero.  Only :class:`CheckpointConfigMismatch` refuses
-to fall back — all checkpoints share the config, and frame pcs index the
-config-compiled instruction stream, so restoring across configs would
-silently run the wrong code.
+to fall back — all checkpoints share the config, and a different heap
+or budget is a different machine — except its engine-tag variant
+(:class:`CheckpointEngineMismatch`): engine toggles are guest-invisible.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.core.tracelog import _decode_meta, _encode_meta, config_fingerprint
 from repro.vm.errors import (
     CheckpointConfigMismatch,
+    CheckpointEngineMismatch,
     CheckpointError,
     CheckpointFormatError,
 )
@@ -352,7 +353,7 @@ def restore_vm(
         )
     engine_desc = vm.config.engine.describe()
     if engine_desc != h["engine"]:
-        raise CheckpointConfigMismatch(
+        raise CheckpointEngineMismatch(
             f"checkpoint frame pcs index {h['engine']!r}-compiled code "
             f"but the restore engine is {engine_desc!r}"
         )

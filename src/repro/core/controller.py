@@ -415,14 +415,14 @@ class DejaVu:
         # -- engine fast-path gates.  With the liveclock mechanism and
         # symmetric eager stack growth both on, a *non-firing* yield
         # point reduces to a single counter bump (record: nyp += 1;
-        # replay: _replay_nyp -= 1) — the dispatch loops inline exactly
+        # replay: _replay_nyp -= 1) — the dispatch loop inlines exactly
         # that case and call at_yieldpoint() whenever any gate is off
         # (see interp.py).  Gated per-session here so ablations and
         # schedule-driven recording always take the full path.
         # A subclass overriding at_yieldpoint (e.g. the Russinovich &
         # Cogswell baseline) has different per-yield-point semantics, so
         # the inlined body would be wrong for it: gate on the method
-        # actually being the one the loops inline.
+        # actually being the one the loop inlines.
         _sym_fast = (
             type(self).at_yieldpoint is DejaVu.at_yieldpoint
             and self.symmetry_config.liveclock

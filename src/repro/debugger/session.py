@@ -10,10 +10,14 @@ Perturbation-freedom in practice: while paused, every inspection goes
 through the read-only :class:`~repro.remote.ptrace.DebugPort`; resuming
 continues the replay, and when it completes, DejaVu's END verification
 still passes — inspection left no trace in the guest.
+
+The application VM runs unfused, so breakpoints and steps address
+canonical micro-ops; the controller is consulted before every one.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.core.controller import MODE_REPLAY, DejaVu
@@ -23,7 +27,8 @@ from repro.remote.mapping import default_mappings
 from repro.remote.ptrace import DebugPort
 from repro.remote.reflector import RemoteReflector
 from repro.vm.errors import VMError
-from repro.vm.machine import VirtualMachine, VMConfig, with_baseline_engine
+from repro.vm.engineconfig import EngineConfig
+from repro.vm.machine import VirtualMachine, VMConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import GuestProgram
@@ -46,24 +51,22 @@ class ReplaySession:
 
         self.program = program
         self.trace = trace
-        #: the caller's config, pre baseline-forcing — what a rebuilt or
-        #: checkpoint-restored session must be constructed from
+        #: the caller's config, before the session picks its engine —
+        #: what a rebuilt or checkpoint-restored session is built from
         self.base_config = config
+        # breakpoints and steps address canonical micro-ops: unfused code
+        app_config = replace(config or VMConfig(), engine=EngineConfig(fusion=False))
         if resume_from is not None:
             # rehydrate mid-flight: the snapshot must have been captured
-            # by a debugger session (they all force the baseline engine)
+            # by a debugger session (they all run this same engine)
             from repro.core.checkpoint import restore_vm
 
             self.vm = restore_vm(
-                resume_from,
-                program,
-                trace,
-                config=with_baseline_engine(config),
-                symmetry=symmetry,
+                resume_from, program, trace, config=app_config, symmetry=symmetry
             )
             self.dejavu = self.vm.dejavu
         else:
-            self.vm = build_vm(program, with_baseline_engine(config))
+            self.vm = build_vm(program, app_config)
             self.dejavu = DejaVu(self.vm, MODE_REPLAY, trace=trace, symmetry=symmetry)
         self.control = DebugController()
         self.vm.engine.debug = self.control

@@ -57,16 +57,10 @@ class _CycleStop:
         self.target = target_cycles
         self.engine = engine
         self.paused = False
-        self.reason: tuple | None = None
-        self.breakpoints: set = set()  # controller protocol compatibility
-
-    def resume(self) -> None:
-        self.paused = False
 
     def check(self, thread, frame, pc) -> bool:
         if self.engine.cycles >= self.target:
             self.paused = True
-            self.reason = ("timepoint", self.engine.cycles)
             self.target = 1 << 62  # one-shot
             return True
         return False

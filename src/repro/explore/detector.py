@@ -25,9 +25,11 @@ detector allocates nothing in the guest heap, never blocks a thread, and
 never touches the logical clocks.  Attached to a *replay*, it analyses
 the recorded execution without the recorded execution being able to
 tell; attached to a *record* run it leaves the trace bit-identical to an
-undetected run (asserted by test).  It does force the baseline engine
-config — fused superinstructions would hide memory accesses — which by
-the EngineConfig determinism contract changes nothing guest-visible.
+undetected run (asserted by test).  Its memory hook is bound into the
+engine's handler tables around the memory micro-ops only; the code runs
+unfused (``EngineConfig(fusion=False)``) because a superinstruction would
+hide the accesses inside it, which by the EngineConfig determinism
+contract changes nothing guest-visible.
 
 Known blind spots, accepted and documented: memory touched only from
 inside native methods (e.g. ``System.arraycopy``) bypasses the bytecode
@@ -39,7 +41,7 @@ an edge: the join native reports them to ``on_wakeup`` directly.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.core.controller import MODE_REPLAY, DejaVu
@@ -54,7 +56,8 @@ from repro.vm.compiler import (
     M_PUTSTATIC,
 )
 from repro.vm.layout import HEADER_WORDS
-from repro.vm.machine import VMConfig, with_baseline_engine
+from repro.vm.engineconfig import EngineConfig
+from repro.vm.machine import VMConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import GuestProgram
@@ -381,7 +384,7 @@ def detect_races(
     recorded one, and the detector itself changes nothing observable."""
     from repro.api import build_vm
 
-    vm = build_vm(program, with_baseline_engine(config))
+    vm = build_vm(program, replace(config or VMConfig(), engine=EngineConfig(fusion=False)))
     DejaVu(vm, MODE_REPLAY, trace=trace, symmetry=symmetry)
     detector = RaceDetector(vm)
     result = vm.run(program.main)

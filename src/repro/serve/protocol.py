@@ -35,7 +35,7 @@ op                    direction  meaning
 * ``source`` (+ ``main``, ``name``) — inline ``.jasm`` text
 * ``seed`` — the CLI ``--seed`` knob (None: host timer/clock)
 * ``engine`` — an :data:`repro.api.ENGINE_PRESETS` name (default
-  ``full``) or a dict of engine flags (the 8-combo ablation space)
+  ``full``) or a dict of engine flags (the 4-combo ablation space)
 * ``heap`` — semispace words (default 400 000, the CLI default)
 * ``deadline`` — per-job wall-clock budget in seconds; exceeding it
   lands a typed ``JobDeadlineExceeded``, enforced cooperatively at
@@ -193,7 +193,7 @@ def validate_job(job) -> dict:
                 f"(known: {', '.join(sorted(ENGINE_PRESETS))})"
             )
     elif isinstance(engine, dict):
-        allowed = {"threaded_dispatch", "fusion", "inline_caches"}
+        allowed = {"fusion", "inline_caches"}
         bad = set(engine) - allowed
         if bad:
             raise ServeError(

@@ -6,7 +6,8 @@ parsing a sealed trace, loading a checkpoint sidecar — happens once and
 amortizes across every job that names the same content.  The pool
 caches exactly that: pure functions of content, keyed by content
 digest, so a warm hit cannot change a job's result, only its latency.
-(VMs themselves are single-run and are never cached.)
+(VMs themselves are single-run and are never cached, and neither is
+native state: every job gets its own copy of a program's natives.)
 
 Crash safety is generational: every cache entry carries the pool
 generation it was built under.  When a job dies in a way that casts
@@ -22,9 +23,11 @@ serving many distinct programs/traces stays bounded.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import pickle
 import threading
+from dataclasses import replace
 
 from repro.serve.protocol import ServeError
 
@@ -87,7 +90,12 @@ class SessionPool:
 
     def program(self, job: dict):
         """The job's :class:`~repro.api.GuestProgram` — assembled once
-        per distinct (workload, build-args) or source text."""
+        per distinct (workload, build-args) or source text, with fresh
+        copies of its never-run natives (the ``server`` network stream)."""
+        program = self._program(job)
+        return replace(program, natives=copy.deepcopy(program.natives))
+
+    def _program(self, job: dict):
         workload = job.get("workload")
         if workload:
             from repro.workloads.registry import get_workload

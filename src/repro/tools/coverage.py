@@ -4,16 +4,19 @@ Which code did the *recorded* execution actually run?  Replaying under a
 host-side observer answers exactly, without instrumenting the guest —
 coverage of a production recording, after the fact, with zero probe
 effect.  Results map to source lines through the same line tables the
-reflection interface (Figure 3) exposes.
+reflection interface (Figure 3) exposes.  The observer is a debug hook
+the engine binds into its handler tables, consulted before every op of
+the unfused code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.core.controller import MODE_REPLAY, DejaVu
-from repro.vm.machine import VMConfig, with_baseline_engine
+from repro.vm.engineconfig import EngineConfig
+from repro.vm.machine import VMConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import GuestProgram
@@ -69,14 +72,12 @@ class CoverageReport:
 
 
 class _CoverageHook:
-    def __init__(self) -> None:
-        self.paused = False
-        self.reason = None
-        self.breakpoints: set = set()
-        self.hits: dict[str, set[int]] = {}
+    """Engine debug-hook recording every executed bci; never pauses."""
 
-    def resume(self) -> None:  # pragma: no cover
-        self.paused = False
+    paused = False
+
+    def __init__(self) -> None:
+        self.hits: dict[str, set[int]] = {}
 
     def check(self, thread, frame, pc) -> bool:
         qual = frame.method.qualname
@@ -98,7 +99,7 @@ class ReplayCoverage:
     def run(self) -> CoverageReport:
         from repro.api import build_vm
 
-        vm = build_vm(self.program, with_baseline_engine(self.config))
+        vm = build_vm(self.program, replace(self.config or VMConfig(), engine=EngineConfig(fusion=False)))
         DejaVu(vm, MODE_REPLAY, trace=self.trace)
         hook = _CoverageHook()
         vm.engine.debug = hook

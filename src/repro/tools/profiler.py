@@ -7,19 +7,21 @@ because replay is accurate — the profile of run N equals the profile of
 run N+1 exactly.  That determinism is itself asserted by the tests.
 
 Implementation: the profiler attaches through the engine's debug-hook
-slot (the same host-side seam the breakpoint controller uses); its
-``check`` is called before every micro-op and attributes that cycle to
-the executing method and thread.  Switch/GC/monitor statistics come from
+slot (the same host-side seam the breakpoint controller uses), which the
+engine binds into its handler tables; on unfused code its ``check`` is
+called before every micro-op and attributes that cycle to the executing
+method and thread.  Switch/GC/monitor statistics come from
 the observer stream and the monitor table after the run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.core.controller import MODE_REPLAY, DejaVu
-from repro.vm.machine import VMConfig, with_baseline_engine
+from repro.vm.engineconfig import EngineConfig
+from repro.vm.machine import VMConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import GuestProgram
@@ -74,17 +76,13 @@ class ProfileReport:
 class _ProfilerHook:
     """Engine debug-hook that attributes every cycle; never pauses."""
 
+    paused = False
+
     def __init__(self) -> None:
-        self.paused = False  # controller protocol
-        self.reason = None
-        self.breakpoints: set = set()
         self.method_cycles: dict[str, int] = {}
         self.method_entries: dict[str, int] = {}
         self.thread_cycles: dict[int, int] = {}
         self._last_frame_id: int | None = None
-
-    def resume(self) -> None:  # pragma: no cover - protocol completeness
-        self.paused = False
 
     def check(self, thread, frame, pc) -> bool:
         qual = frame.method.qualname
@@ -107,7 +105,7 @@ class ReplayProfiler:
     def run(self) -> ProfileReport:
         from repro.api import build_vm
 
-        vm = build_vm(self.program, with_baseline_engine(self.config))
+        vm = build_vm(self.program, replace(self.config or VMConfig(), engine=EngineConfig(fusion=False)))
         DejaVu(vm, MODE_REPLAY, trace=self.trace)
         hook = _ProfilerHook()
         vm.engine.debug = hook

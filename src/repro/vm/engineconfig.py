@@ -1,12 +1,12 @@
 """Engine optimisation toggles.
 
-The execution pipeline is a three-layer optimisation stack, each layer
-independently ablatable (so determinism can be asserted across every
-combination, and perf can be attributed per layer):
+The engine has one dispatch loop — threaded code: every compiled method
+gets a table of pre-bound handler closures, with deadline/budget
+accounting batched off the per-op path.  On top of it sit two
+optimisation layers, each independently ablatable (so determinism can be
+asserted across every combination, and perf can be attributed per
+layer):
 
-* ``threaded_dispatch`` — the engine executes pre-bound handler closures
-  (one per compiled site) instead of scanning an if/elif chain per
-  micro-op, with deadline/budget accounting batched off the per-op path;
 * ``fusion`` — the compiler's peephole pass fuses hot adjacent micro-op
   pairs/triples into superinstructions that charge exactly the cycles of
   the ops they replace and never straddle a branch target or safe
@@ -17,10 +17,15 @@ combination, and perf can be attributed per layer):
   ``class_id → RuntimeMethod`` cache, invalidated by the loader whenever
   a class is linked.
 
-None of the three layers may change anything the guest (or DejaVu) can
-observe: logical clocks, ``nyp`` deltas, cycle counts, traces, and event
-streams are bit-identical for every toggle combination.  The toggles
-exist precisely so tests can assert that.
+Neither layer may change anything the guest (or DejaVu) can observe:
+logical clocks, ``nyp`` deltas, cycle counts, traces, and event streams
+are bit-identical for every toggle combination.  The toggles exist
+precisely so tests can assert that.
+
+Hook clients (debugger, time travel, profiler, coverage, the race
+detector and slim recording) ask for ``EngineConfig(fusion=False)``: a
+hook sees one call per executable op, and only unfused code makes those
+the canonical micro-ops.
 """
 
 from __future__ import annotations
@@ -32,40 +37,27 @@ from dataclasses import dataclass
 class EngineConfig:
     """Which optimisation layers the engine/compiler pair enables."""
 
-    threaded_dispatch: bool = True
     fusion: bool = True
     inline_caches: bool = True
 
     @classmethod
     def baseline(cls) -> "EngineConfig":
-        """The seed engine: if/elif dispatch, no fusion, no caches.
-
-        Debug-hook clients (profiler, coverage, debugger, time-travel)
-        and memory-hook clients (the repro.explore race detector) require
-        this — per-micro-op hooks need the unfused pc space, and a fused
-        superinstruction would hide the memory accesses inside it.
-        """
-        return cls(threaded_dispatch=False, fusion=False, inline_caches=False)
+        """The plain engine: no fusion, no inline caches."""
+        return cls(fusion=False, inline_caches=False)
 
     @classmethod
     def all_combinations(cls) -> "list[EngineConfig]":
         """Every toggle combination, baseline first (for ablation tests)."""
-        combos = []
-        for threaded in (False, True):
-            for fusion in (False, True):
-                for ic in (False, True):
-                    combos.append(
-                        cls(
-                            threaded_dispatch=threaded,
-                            fusion=fusion,
-                            inline_caches=ic,
-                        )
-                    )
-        return combos
+        return [
+            cls(fusion=fusion, inline_caches=ic)
+            for fusion in (False, True)
+            for ic in (False, True)
+        ]
 
     def describe(self) -> str:
-        parts = []
-        parts.append("threaded" if self.threaded_dispatch else "switch")
+        # "threaded" names the dispatch loop; it stays in the tag so that
+        # checkpoint headers written under the same engine keep matching
+        parts = ["threaded"]
         if self.fusion:
             parts.append("fusion")
         if self.inline_caches:

@@ -116,6 +116,12 @@ class CheckpointConfigMismatch(CheckpointError):
     diagnostic rather than falling back."""
 
 
+class CheckpointEngineMismatch(CheckpointConfigMismatch):
+    """The checkpoint's engine tag differs (e.g. the retired loop's
+    ``"switch"``): its frame pcs cannot be restored, but the trace replays
+    under any engine, so a resumed replay falls back instead."""
+
+
 class ReplayDivergenceError(VMError):
     """Replay observed state inconsistent with the recorded execution.
 

@@ -4,29 +4,36 @@ One engine drives all green threads of a VM.  The inner loop executes the
 current thread's compiled code until something requests a switch (yield
 point preemption, blocking, termination), then returns to the scheduler.
 
-The engine has three interchangeable dispatch loops, selected by the VM's
-:class:`~repro.vm.engineconfig.EngineConfig` (see DESIGN.md, "Dispatch
-architecture"):
+There is one dispatch loop, ``Engine._execute`` (see DESIGN.md, "Dispatch
+architecture"): threaded code.  Each compiled method gets a handler table
+(one pre-bound closure per executable op of ``MachineCode.xops``,
+operands baked in), so the per-op work is one indexed load and one call.
+With ``EngineConfig.fusion`` the program contains superinstructions,
+each charging exactly the cycles of the micro-ops it replaces.
 
-* ``_execute_switch`` — the classic if/elif scan over ``(mop, a, b)``
-  tuples.  Also the loop used whenever a debug controller is attached,
-  because debug hooks are specified per *canonical* micro-op.
-* ``_execute_threaded`` — threaded-code dispatch: each compiled method
-  gets a handler table (one pre-bound closure per executable op, operands
-  baked in), so the per-op work is one indexed load and one call.
-* either loop executes the *executable* program ``MachineCode.xops``,
-  which with ``fusion`` enabled contains superinstructions; each charges
-  exactly as many cycles as the micro-ops it replaces.
+Hooks are bound into the handler tables, not run on a second loop: with
+a debug controller or memory hook attached, ``Engine._bind`` wraps the
+handlers in closures that call the hook before the op — the memory hook
+around memory micro-ops only, a debug controller around every op — and
+an unhooked table holds the plain handlers.  Hook clients run unfused
+code, so the hooks see canonical micro-ops.
 
 Cycle accounting is batched: instead of comparing against the timer
-deadline and the cycle budget on every op, the loops keep a single
-``limit`` (min of both) and take a slow path only when the local cycle
+deadline and the cycle budget on every op, the loop keeps a single
+``limit`` (min of both) and takes a slow path only when the local cycle
 counter reaches it.  The slow path replays every deadline crossing the
 per-op scheme would have seen — rearming from the *old* deadline — so the
 ``preemptive_hardware_bit`` is raised at the exact same cycles, and the
 budget is tested first, so the budget trap consumes no timer interval and
 leaves ``cycles == max_cycles + 1`` (the seed engine could run one op past
 an armed deadline reset before noticing the budget).
+
+``Engine.cycles`` is the *committed* clock, stored from the loop's local
+count at calls, parks, traps and yield-point slow paths.  A debug
+controller sees it exactly as the per-micro-op seed loop exposed it
+(consulted before its op is counted; commits at every yield point and,
+held until after the check, at each deadline crossing), so
+cycle-addressed stops land where they always did.
 
 Safe-point discipline (what makes the type-accurate GC sound):
 
@@ -146,7 +153,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.vm.machine import VirtualMachine
 
 _NEVER = 1 << 62
-_NO_VALUE = object()
 
 #: canonical micro-ops that touch guest shared memory — the set the
 #: engine's ``mem_hook`` observes (repro.explore race detection)
@@ -169,6 +175,8 @@ _MEM_OPS = frozenset(
 _PARK = -1  # the current thread must stop running (handler stored frame.pc)
 _RELOAD = -2  # the frame stack changed; rebind loop state from the top frame
 _CALL = -3  # an invoke resolved its target into engine._call
+_YIELD = -4  # a hooked yield point passed its hook; the loop runs the yield
+_STOP = -5  # the debug controller paused before this op was executed
 
 
 # -- threaded-code handler factories -----------------------------------------
@@ -980,6 +988,41 @@ _FACTORIES = {
 }
 
 
+# -- hook wrappers.  ``Engine._bind`` layers these over the plain handlers
+# when hooks are attached; an unhooked table holds the plain handlers only.
+
+
+def _observe_mem(eng, hook, fn, pc, mop, a, b):
+    """Call the memory hook before the op, operands still on the stack."""
+
+    def h(stack, locals_):
+        hook(eng._thread, eng._frame, pc, mop, a, b, stack)
+        return fn(stack, locals_)
+
+    return h
+
+
+def _consult_debug(eng, check, fn, pc):
+    """Ask the debug controller before the op (``fn`` None: a yield point).
+
+    The loop counted this op's cycle before calling us, but the
+    controller must see the clock as it stood before the op: a deadline
+    crossing on this count held its clock commit (``Engine._held``) until
+    the check has run, and a stop makes the loop take the count back."""
+
+    def h(stack, locals_):
+        if check(eng._thread, eng._frame, pc):
+            return _STOP
+        held = eng._held
+        if held:
+            eng._held = 0
+            if held > eng.cycles:  # else stale: the clock moved past it
+                eng.cycles = held
+        return _YIELD if fn is None else fn(stack, locals_)
+
+    return h
+
+
 class Engine:
     def __init__(self, vm: "VirtualMachine"):
         self.vm = vm
@@ -990,44 +1033,79 @@ class Engine:
         self.switch_pending = False
         self._deadline = _NEVER
         self._timer_armed = False
-        #: optional debug controller (breakpoints / stepping); host-side
-        #: only — attaching one perturbs nothing the guest can observe.
-        #: Debug hooks are per canonical micro-op, so they require an
-        #: unfused engine (EngineConfig.baseline()).
-        self.debug = None
+        #: optional debug controller (breakpoints, stepping, time travel,
+        #: the profiler, coverage): ``check(thread, frame, pc)`` is called
+        #: before every executable op and returns True to pause; ``run``
+        #: returns while ``paused`` is set.  Host-side only — attaching
+        #: one perturbs nothing the guest can observe.  Set through the
+        #: ``debug`` property, which rebinds the handler tables.
+        self._debug = None
         #: optional shared-memory observation hook (repro.explore race
         #: detection): called before every memory micro-op executes, with
         #: the operand stack still holding the op's inputs.  Host-side and
-        #: read-only — attaching it perturbs nothing the guest can
-        #: observe.  Like debug hooks, it sees *canonical* micro-ops, so
-        #: clients force the baseline engine (with_baseline_engine).
-        self.mem_hook = None
+        #: read-only.  A superinstruction would hide the accesses inside
+        #: it, so clients run unfused code (``EngineConfig(fusion=False)``).
+        self._mem_hook = None
+        #: the codes whose handler tables this engine bound, so attaching
+        #: or detaching a hook can drop them for rebinding
+        self._bound: list = []
+        #: a deadline crossing's clock commit, held back while a debug
+        #: controller is attached until that op's check has run
+        self._held = 0
         #: optional safe-point hook (repro.core.checkpoint): called with
         #: this engine whenever the run loop finds no current thread —
         #: every frame pc and shadow bci is committed and no guest state
         #: is in flight, so the complete machine state is snapshottable.
         #: Fires *before* the scheduler picks the next thread, so a
         #: restored run re-executes schedule() (and its clock reads)
-        #: exactly as the original did.  Host-side only; works under
-        #: every dispatch config because run() itself is shared.
+        #: exactly as the original did.  Host-side only.
         self.safepoint_hook = None
         # -- engine stats (host-side observability; never guest-visible).
         #: monotonic fused execution counters: [pairs, triples].  The
-        #: loops derive pending cycle carries from deltas of these, so a
+        #: loop derives pending cycle carries from deltas of these, so a
         #: fused handler costs exactly one counter bump.
         self._fstat = [0, 0]
         #: fused yield-point groups: [executions, extra cycles charged].
         #: Tracked apart from _fstat because YP groups charge their extra
         #: cycles inline (before the yield point observes the hw bit),
-        #: never through the threaded loop's carry-fold.
+        #: never through the loop's carry-fold.
         self._ypstat = [0, 0]
         self.ic_hits = 0
         self.ic_misses = 0
-        # threaded-dispatch plumbing: the current thread/frame (for heavy
-        # handlers) and the in-flight resolved call (rm, args).
+        # dispatch plumbing: the current thread/frame (for heavy handlers
+        # and hook wrappers) and the in-flight resolved call (rm, args).
         self._thread: GreenThread | None = None
         self._frame: Frame | None = None
         self._call = None
+
+    # ------------------------------------------------------------------
+    # hooks
+
+    @property
+    def debug(self):
+        return self._debug
+
+    @debug.setter
+    def debug(self, controller) -> None:
+        if controller is not self._debug:
+            self._debug = controller
+            self._unbind()
+
+    @property
+    def mem_hook(self):
+        return self._mem_hook
+
+    @mem_hook.setter
+    def mem_hook(self, hook) -> None:
+        if hook is not self._mem_hook:
+            self._mem_hook = hook
+            self._unbind()
+
+    def _unbind(self) -> None:
+        """Drop every bound handler table; frames rebind on entry."""
+        for code in self._bound:
+            code.entries = None
+        self._bound.clear()
 
     # ------------------------------------------------------------------
     # stats
@@ -1079,6 +1157,10 @@ class Engine:
         * the deadline rearms relative to the *old* deadline, so every
           crossing the per-op scheme would have seen fires at its exact
           cycle even when a fused op advanced the counter by 2-3 at once.
+
+        With a debug controller attached the crossing's commit is held
+        until the op's check has run (``_consult_debug``); the budget
+        trap is not, so it pre-empts a stop at the budget-exhausting op.
         """
         vm = self.vm
         max_cycles = vm.config.max_cycles
@@ -1088,7 +1170,10 @@ class Engine:
         d = self._deadline
         if d <= cycles:
             self.hw_bit = True
-            self.cycles = cycles
+            if self._debug is None:
+                self.cycles = cycles
+            else:
+                self._held = cycles
             timer = vm.timer
             if self.timer_enabled and timer is not None:
                 while d <= cycles:
@@ -1143,525 +1228,7 @@ class Engine:
         vm.scheduler.on_terminate(thread)
 
     # ------------------------------------------------------------------
-
-    def _execute(self, thread: GreenThread) -> None:
-        if self.debug is not None or self.mem_hook is not None:
-            # Debug hooks fire once per *executable* op, so the debugger
-            # tools (profiler, coverage, time travel, sessions) force the
-            # baseline engine for canonical per-micro-op granularity; a
-            # directly attached controller on a fused engine still works,
-            # checking at fused-group heads.  Memory hooks likewise only
-            # see ops the switch loop dispatches one at a time.
-            self._execute_switch(thread)
-        elif self.cfg.threaded_dispatch:
-            self._execute_threaded(thread)
-        else:
-            self._execute_switch(thread)
-
-    # ------------------------------------------------------------------
-    # loop 1: if/elif dispatch (the seed loop, batched accounting)
-
-    def _execute_switch(self, thread: GreenThread) -> None:  # noqa: C901 - the dispatch loop
-        vm = self.vm
-        om = vm.om
-        loader = vm.loader
-        scheduler = vm.scheduler
-        monitors = vm.monitors
-        max_cycles = vm.config.max_cycles
-        ic_enabled = self.cfg.inline_caches
-        fstat = self._fstat
-        ypstat = self._ypstat
-
-        frame = thread.frames[-1]
-        ops = frame.code.xops
-        pc = frame.pc
-        stack = frame.stack
-        locals_ = frame.locals
-        cycles = self.cycles
-        d = self._deadline
-        limit = d if d <= max_cycles else max_cycles + 1
-
-        def park() -> None:
-            """Spill loop-local state back before returning to the scheduler."""
-            frame.pc = pc
-            self.cycles = cycles
-            scheduler.shadow_sync_bci(thread)
-
-        debug = self.debug
-        memhook = self.mem_hook
-        while True:
-            if self.switch_pending:
-                park()
-                return
-            if debug is not None and debug.check(thread, frame, pc):
-                park()
-                return
-
-            mop, a, b = ops[pc]
-            cycles += 1
-            if cycles >= limit:
-                limit = self._check_limit(cycles)
-
-            if memhook is not None and mop in _MEM_OPS:
-                # pre-execution observation: operands are still on the stack
-                memhook(thread, frame, pc, mop, a, b, stack)
-
-            if mop == M_YIELDPOINT or mop == F_YP_GROUP:
-                if b is not None:
-                    # F_YP_GROUP: run the pure prefix, charge its cycles,
-                    # and replay any deadline crossing *before* the yield
-                    # point observes the hw bit — the bit is raised at the
-                    # exact cycle the unfused program would see it at.
-                    b[0](stack, locals_)
-                    cycles += b[1]
-                    ypstat[0] += 1
-                    ypstat[1] += b[1]
-                    if cycles >= limit:
-                        limit = self._check_limit(cycles)
-                thread.yieldpoints += 1
-                dejavu = vm.dejavu
-                if dejavu is None:
-                    if self.hw_bit:
-                        self.hw_bit = False
-                        scheduler.preempt()
-                # -- inline non-firing fast paths (see DejaVu.__init__):
-                # with liveclock + eager stacks on and nothing pending,
-                # the full Figure-2 body reduces to one counter bump.
-                # The clock commit stays (this loop hosts the debug tools,
-                # whose cycle-addressed stops read ``engine.cycles``).
-                elif (
-                    dejavu._fast_record
-                    and dejavu.liveclock
-                    and not self.hw_bit
-                    and not dejavu.threadswitch_bit
-                    and thread.stack_capacity - thread.stack_used
-                    >= EAGER_STACK_HEADROOM
-                ):
-                    self.cycles = cycles
-                    dejavu.nyp += 1
-                elif (
-                    dejavu._fast_replay
-                    and dejavu.liveclock
-                    and not dejavu.threadswitch_bit
-                    and dejavu._replay_nyp is not None
-                    and dejavu._replay_nyp > 1
-                    and thread.stack_capacity - thread.stack_used
-                    >= EAGER_STACK_HEADROOM
-                ):
-                    self.cycles = cycles
-                    dejavu._replay_nyp -= 1
-                else:
-                    frame.pc = pc  # instrumentation may grow the stack (alloc)
-                    self.cycles = cycles
-                    dejavu.at_yieldpoint(thread, a)
-                pc += 1
-                continue
-
-            if mop == M_ILOAD or mop == M_ALOAD:
-                stack.append(locals_[a])
-                pc += 1
-            elif mop == M_ICONST:
-                stack.append(a)
-                pc += 1
-            elif mop == M_ISTORE or mop == M_ASTORE:
-                locals_[a] = stack.pop()
-                pc += 1
-            elif mop == M_IINC:
-                locals_[a] = words.to_i32(locals_[a] + b)
-                pc += 1
-            elif mop == M_GOTO:
-                pc = a
-            elif mop == M_IFEQ:
-                pc = a if stack.pop() == 0 else pc + 1
-            elif mop == M_IFNE:
-                pc = a if stack.pop() != 0 else pc + 1
-            elif mop == M_IFLT:
-                pc = a if stack.pop() < 0 else pc + 1
-            elif mop == M_IFLE:
-                pc = a if stack.pop() <= 0 else pc + 1
-            elif mop == M_IFGT:
-                pc = a if stack.pop() > 0 else pc + 1
-            elif mop == M_IFGE:
-                pc = a if stack.pop() >= 0 else pc + 1
-            elif mop == M_IF_ICMPEQ or mop == M_IF_ACMPEQ:
-                y = stack.pop()
-                pc = a if stack.pop() == y else pc + 1
-            elif mop == M_IF_ICMPNE or mop == M_IF_ACMPNE:
-                y = stack.pop()
-                pc = a if stack.pop() != y else pc + 1
-            elif mop == M_IF_ICMPLT:
-                y = stack.pop()
-                pc = a if stack.pop() < y else pc + 1
-            elif mop == M_IF_ICMPLE:
-                y = stack.pop()
-                pc = a if stack.pop() <= y else pc + 1
-            elif mop == M_IF_ICMPGT:
-                y = stack.pop()
-                pc = a if stack.pop() > y else pc + 1
-            elif mop == M_IF_ICMPGE:
-                y = stack.pop()
-                pc = a if stack.pop() >= y else pc + 1
-            elif mop == M_IFNULL:
-                pc = a if stack.pop() == 0 else pc + 1
-            elif mop == M_IFNONNULL:
-                pc = a if stack.pop() != 0 else pc + 1
-
-            elif mop == M_IADD:
-                y = stack.pop()
-                stack[-1] = words.iadd(stack[-1], y)
-                pc += 1
-            elif mop == M_ISUB:
-                y = stack.pop()
-                stack[-1] = words.isub(stack[-1], y)
-                pc += 1
-            elif mop == M_IMUL:
-                y = stack.pop()
-                stack[-1] = words.imul(stack[-1], y)
-                pc += 1
-            elif mop == M_IDIV:
-                y = stack.pop()
-                try:
-                    stack[-1] = words.idiv(stack[-1], y)
-                except ZeroDivisionError:
-                    raise VMTrap("ArithmeticDivByZero") from None
-                pc += 1
-            elif mop == M_IREM:
-                y = stack.pop()
-                try:
-                    stack[-1] = words.irem(stack[-1], y)
-                except ZeroDivisionError:
-                    raise VMTrap("ArithmeticDivByZero") from None
-                pc += 1
-            elif mop == M_INEG:
-                stack[-1] = words.ineg(stack[-1])
-                pc += 1
-            elif mop == M_ISHL:
-                y = stack.pop()
-                stack[-1] = words.ishl(stack[-1], y)
-                pc += 1
-            elif mop == M_ISHR:
-                y = stack.pop()
-                stack[-1] = words.ishr(stack[-1], y)
-                pc += 1
-            elif mop == M_IUSHR:
-                y = stack.pop()
-                stack[-1] = words.iushr(stack[-1], y)
-                pc += 1
-            elif mop == M_IAND:
-                y = stack.pop()
-                stack[-1] = words.iand(stack[-1], y)
-                pc += 1
-            elif mop == M_IOR:
-                y = stack.pop()
-                stack[-1] = words.ior(stack[-1], y)
-                pc += 1
-            elif mop == M_IXOR:
-                y = stack.pop()
-                stack[-1] = words.ixor(stack[-1], y)
-                pc += 1
-
-            elif mop == M_GETFIELD:
-                stack[-1] = om.get_field(stack[-1], a)
-                pc += 1
-            elif mop == M_PUTFIELD:
-                value = stack.pop()
-                om.put_field(stack.pop(), a, value)
-                pc += 1
-            elif mop == M_GETSTATIC:
-                stack.append(om.get_field(a.statics_addr, b))
-                pc += 1
-            elif mop == M_PUTSTATIC:
-                om.put_field(a.statics_addr, b, stack.pop())
-                pc += 1
-
-            elif mop == M_IALOAD or mop == M_AALOAD:
-                idx = stack.pop()
-                stack[-1] = om.array_get(stack[-1], idx)
-                pc += 1
-            elif mop == M_IASTORE or mop == M_AASTORE:
-                value = stack.pop()
-                idx = stack.pop()
-                om.array_put(stack.pop(), idx, value)
-                pc += 1
-            elif mop == M_ARRAYLENGTH:
-                stack[-1] = om.array_length(stack[-1])
-                pc += 1
-
-            elif mop == M_NEW:
-                frame.pc = pc  # safe point: allocation may collect
-                stack.append(om.new_object(a.layout))
-                pc += 1
-            elif mop == M_NEWARRAY:
-                length = stack.pop()
-                frame.pc = pc
-                stack.append(om.new_array("[I", length))
-                pc += 1
-            elif mop == M_ANEWARRAY:
-                length = stack.pop()
-                frame.pc = pc
-                stack.append(om.new_array(a, length))
-                pc += 1
-
-            elif mop == M_LDC:
-                stack.append(om.array_get(a.constants_addr, b))
-                pc += 1
-            elif mop == M_ACONST_NULL:
-                stack.append(0)
-                pc += 1
-            elif mop == M_DUP:
-                stack.append(stack[-1])
-                pc += 1
-            elif mop == M_POP:
-                stack.pop()
-                pc += 1
-            elif mop == M_SWAP:
-                stack[-1], stack[-2] = stack[-2], stack[-1]
-                pc += 1
-            elif mop == M_NOP:
-                pc += 1
-
-            elif mop == M_INSTANCEOF:
-                ref = stack.pop()
-                stack.append(1 if ref and vm.is_instance(ref, a) else 0)
-                pc += 1
-            elif mop == M_CHECKCAST:
-                ref = stack[-1]
-                if ref and not vm.is_instance(ref, a):
-                    raise VMTrap(
-                        "ClassCast",
-                        f"{om.layout_of(ref).name} is not a {a.name}",
-                    )
-                pc += 1
-
-            elif mop == M_INVOKESTATIC or mop == M_INVOKEVIRTUAL:
-                if mop == M_INVOKESTATIC:
-                    rm = a
-                    nargs = b  # precomputed arity
-                else:
-                    site = b
-                    nargs = site.nargs
-                    receiver = stack[-nargs]
-                    if receiver == 0:
-                        raise VMTrap("NullPointer", f"invokevirtual {a} on null")
-                    cid = om.memory.read(receiver)  # header word 0 = class id
-                    if ic_enabled:
-                        if cid == site.cid:
-                            rm = site.target
-                            self.ic_hits += 1
-                        else:
-                            rm = loader.vtable_lookup(cid, a)
-                            site.cid = cid
-                            site.target = rm
-                            self.ic_misses += 1
-                    else:
-                        rm = loader.vtable_lookup(cid, a)
-                if nargs:
-                    args = stack[-nargs:]
-                    del stack[-nargs:]
-                else:
-                    args = []
-                frame.pc = pc + 1  # resume after the call (also: safe point)
-                self.cycles = cycles
-                if rm.native:
-                    result = vm.call_native(thread, rm, args)
-                    if result is BLOCK:
-                        pc += 1
-                        continue  # switch_pending is set; loop top parks
-                    if isinstance(result, NativeResult):
-                        if rm.mdef.signature.ret != "V":
-                            if result.string_value is not None:
-                                # materialise the guest String here, so the
-                                # allocation happens identically in record
-                                # and replay mode (§2.5 + symmetry)
-                                stack.append(loader.make_string(result.string_value))
-                            else:
-                                stack.append(
-                                    words.to_i32(result.value if result.value is not None else 0)
-                                )
-                        for ref, up_args in reversed(result.upcalls):
-                            up_rm = loader.resolve_static_method(ref)
-                            scheduler.shadow_sync_bci(thread)
-                            scheduler.push_frame(thread, Frame(up_rm, list(up_args)))
-                        if result.upcalls:
-                            frame = thread.frames[-1]
-                            ops = frame.code.xops
-                            pc = frame.pc
-                            stack = frame.stack
-                            locals_ = frame.locals
-                            continue
-                    elif rm.mdef.signature.ret != "V":
-                        stack.append(words.to_i32(result if result is not None else 0))
-                    pc += 1
-                else:
-                    scheduler.shadow_sync_bci(thread)
-                    callee = Frame(rm, args)
-                    scheduler.push_frame(thread, callee)
-                    frame = callee
-                    ops = frame.code.xops
-                    pc = 0
-                    stack = frame.stack
-                    locals_ = frame.locals
-
-            elif mop == M_RETURN or mop == M_IRETURN or mop == M_ARETURN:
-                value = stack.pop() if mop != M_RETURN else _NO_VALUE
-                scheduler.pop_frame(thread)
-                if not thread.frames:
-                    self.cycles = cycles
-                    scheduler.on_terminate(thread)
-                    return
-                frame = thread.frames[-1]
-                ops = frame.code.xops
-                pc = frame.pc
-                stack = frame.stack
-                locals_ = frame.locals
-                if value is not _NO_VALUE:
-                    stack.append(value)
-
-            elif mop == M_MONITORENTER:
-                ref = stack.pop()
-                if ref == 0:
-                    raise VMTrap("NullPointer", "monitorenter on null")
-                if not monitors.try_enter(ref, thread):
-                    # contended: park on the entry queue; the lock is handed
-                    # to us by a future monitorexit, and we resume *after*
-                    # this instruction already owning the lock.
-                    frame.pc = pc + 1
-                    self.cycles = cycles
-                    monitors.enqueue_contender(ref, thread)
-                    scheduler.block_current(corelib.THREAD_BLOCKED)
-                    scheduler.shadow_sync_bci(thread)
-                    return
-                pc += 1
-            elif mop == M_MONITOREXIT:
-                ref = stack.pop()
-                if ref == 0:
-                    raise VMTrap("NullPointer", "monitorexit on null")
-                heir = monitors.exit(ref, thread)
-                if heir is not None:
-                    scheduler.make_ready(heir)
-                pc += 1
-
-            # -- superinstructions (fusion ablation path; the threaded loop
-            # is the production path for fused code).  Each arm charges the
-            # cycles of the micro-ops the group replaced.
-            elif mop == F_PUSH2:
-                cycles += 1
-                fstat[0] += 1
-                s1, s2 = a
-                stack.append(locals_[s1])
-                stack.append(locals_[s2])
-                pc += 1
-            elif mop == F_PUSH_LC:
-                cycles += 1
-                fstat[0] += 1
-                slot, const = a
-                stack.append(locals_[slot])
-                stack.append(const)
-                pc += 1
-            elif mop == F_CONST_STORE:
-                cycles += 1
-                fstat[0] += 1
-                const, slot = a
-                locals_[slot] = const
-                pc += 1
-            elif mop == F_MOVE:
-                cycles += 1
-                fstat[0] += 1
-                src, dst = a
-                locals_[dst] = locals_[src]
-                pc += 1
-            elif mop == F_LL_BIN:
-                cycles += 2
-                fstat[1] += 1
-                s1, s2 = a
-                stack.append(b(locals_[s1], locals_[s2]))
-                pc += 1
-            elif mop == F_LC_BIN:
-                cycles += 2
-                fstat[1] += 1
-                slot, const = a
-                stack.append(b(locals_[slot], const))
-                pc += 1
-            elif mop == F_C_BIN:
-                cycles += 1
-                fstat[0] += 1
-                stack[-1] = b(stack[-1], a)
-                pc += 1
-            elif mop == F_BIN_STORE:
-                cycles += 1
-                fstat[0] += 1
-                y = stack.pop()
-                locals_[a] = b(stack.pop(), y)
-                pc += 1
-            elif mop == F_LL_CMPBR:
-                cycles += 2
-                fstat[1] += 1
-                s1, s2 = a
-                cmp, target = b
-                pc = target if cmp(locals_[s1], locals_[s2]) else pc + 1
-            elif mop == F_LC_CMPBR:
-                cycles += 2
-                fstat[1] += 1
-                slot, const = a
-                cmp, target = b
-                pc = target if cmp(locals_[slot], const) else pc + 1
-            elif mop == F_SL_CMPBR:
-                cycles += 1
-                fstat[0] += 1
-                cmp, target = b
-                pc = target if cmp(stack.pop(), locals_[a]) else pc + 1
-            elif mop == F_SC_CMPBR:
-                cycles += 1
-                fstat[0] += 1
-                cmp, target = b
-                pc = target if cmp(stack.pop(), a) else pc + 1
-            elif mop == F_L_BR:
-                cycles += 1
-                fstat[0] += 1
-                test, target = b
-                pc = target if test(locals_[a]) else pc + 1
-            elif mop == F_AL_GETFIELD:
-                cycles += 1
-                fstat[0] += 1
-                slot, offset = a
-                stack.append(om.get_field(locals_[slot], offset))
-                pc += 1
-            elif mop == F_DUP_PUTFIELD:
-                cycles += 1
-                fstat[0] += 1
-                x = stack.pop()
-                om.put_field(x, a, x)
-                pc += 1
-            elif mop == F_ALL_PUTFIELD:
-                cycles += 2
-                fstat[1] += 1
-                objslot, valslot = a
-                om.put_field(locals_[objslot], b, locals_[valslot])
-                pc += 1
-            elif mop == F_ALC_PUTFIELD:
-                cycles += 2
-                fstat[1] += 1
-                objslot, const = a
-                om.put_field(locals_[objslot], b, const)
-                pc += 1
-            elif mop == F_ALL_ALOAD:
-                cycles += 2
-                fstat[1] += 1
-                arrslot, idxslot = a
-                stack.append(om.array_get(locals_[arrslot], locals_[idxslot]))
-                pc += 1
-            elif mop == F_IINC_BR:
-                cycles += 1
-                fstat[0] += 1
-                slot, delta = a
-                locals_[slot] = words.to_i32(locals_[slot] + delta)
-                pc = b
-
-            else:  # pragma: no cover - exhaustive over micro-ops
-                raise VMError(f"unknown micro-op {mop}")
-
-    # ------------------------------------------------------------------
-    # loop 2: threaded-code dispatch (pre-bound handler tables)
+    # the dispatch loop (threaded code: pre-bound handler tables)
 
     def _bind(self, code) -> list:
         """Bind the handler table for one compiled method.
@@ -1670,21 +1237,32 @@ class Engine:
         cycle counter), marked by a ``None`` entry; fused yield-point
         groups (F_YP_GROUP) do too — the loop tells them apart by the
         op's ``b`` operand.  Everything else becomes a pre-bound
-        closure."""
+        closure.  Attached hooks are wrapped around the closures: the
+        memory hook around the memory micro-ops, the debug controller
+        around every op, yield points included (its wrapper returns
+        ``_YIELD`` and the loop then runs the yield point inline)."""
+        memhook = self._mem_hook
+        check = self._debug.check if self._debug is not None else None
         entries: list = []
         append = entries.append
         for pc, (mop, a, b) in enumerate(code.xops):
             if mop == M_YIELDPOINT or mop == F_YP_GROUP:
-                append(None)
+                fn = None
             else:
                 factory = _FACTORIES.get(mop)
                 if factory is None:  # pragma: no cover - exhaustive
                     raise VMError(f"unknown micro-op {mop}")
-                append(factory(self, a, b, pc, pc + 1))
+                fn = factory(self, a, b, pc, pc + 1)
+                if memhook is not None and mop in _MEM_OPS:
+                    fn = _observe_mem(self, memhook, fn, pc, mop, a, b)
+            if check is not None:
+                fn = _consult_debug(self, check, fn, pc)
+            append(fn)
         code.entries = entries
+        self._bound.append(code)
         return entries
 
-    def _execute_threaded(self, thread: GreenThread) -> None:  # noqa: C901
+    def _execute(self, thread: GreenThread) -> None:  # noqa: C901 - the dispatch loop
         vm = self.vm
         loader = vm.loader
         scheduler = vm.scheduler
@@ -1711,23 +1289,135 @@ class Engine:
         d = self._deadline
         limit = d if d <= max_cycles else max_cycles + 1
 
-        while True:
-            cycles += 1
-            if cycles >= limit:
-                x = fstat[0] - ln2 + 2 * (fstat[1] - ln3)
-                if x:
-                    ln2 = fstat[0]
-                    ln3 = fstat[1]
-                    cycles += x
-                limit = self._check_limit(cycles)
+        try:
+            while True:
+                cycles += 1
+                if cycles >= limit:
+                    x = fstat[0] - ln2 + 2 * (fstat[1] - ln3)
+                    if x:
+                        ln2 = fstat[0]
+                        ln3 = fstat[1]
+                        cycles += x
+                    limit = self._check_limit(cycles)
 
-            fn = entries[pc]
-            if fn is None:
-                # -- inlined yield point (plain, or the terminal of a
-                # fused F_YP_GROUP).  Run any pure prefix and charge its
-                # cycles, fold fused carries, and process any deadline
-                # crossing *before* observing the hw bit, so the bit is
-                # exactly the per-op scheme's at this cycle.
+                fn = entries[pc]
+                if fn is not None:
+                    r = fn(stack, locals_)
+                    if r >= 0:
+                        pc = r
+                        continue
+
+                    # -- sentinel: fold fused carries, commit the clock, act.
+                    x = fstat[0] - ln2 + 2 * (fstat[1] - ln3)
+                    if x:
+                        ln2 = fstat[0]
+                        ln3 = fstat[1]
+                        cycles += x
+
+                    if r == _CALL:
+                        rm, args = self._call
+                        self._call = None
+                        frame.pc = pc + 1  # resume after the call (also: safe point)
+                        self.cycles = cycles
+                        if rm.native:
+                            result = vm.call_native(thread, rm, args)
+                            if result is BLOCK:
+                                scheduler.shadow_sync_bci(thread)
+                                return  # switch_pending is set
+                            if isinstance(result, NativeResult):
+                                if rm.mdef.signature.ret != "V":
+                                    if result.string_value is not None:
+                                        # materialise the guest String here, so
+                                        # the allocation happens identically in
+                                        # record and replay mode (§2.5 + symmetry)
+                                        stack.append(loader.make_string(result.string_value))
+                                    else:
+                                        stack.append(
+                                            words.to_i32(
+                                                result.value if result.value is not None else 0
+                                            )
+                                        )
+                                for ref, up_args in reversed(result.upcalls):
+                                    up_rm = loader.resolve_static_method(ref)
+                                    scheduler.shadow_sync_bci(thread)
+                                    scheduler.push_frame(thread, Frame(up_rm, list(up_args)))
+                                if result.upcalls:
+                                    frame = thread.frames[-1]
+                                    self._frame = frame
+                                    code = frame.code
+                                    entries = code.entries
+                                    if entries is None:
+                                        entries = self._bind(code)
+                                    xops = code.xops
+                                    pc = frame.pc
+                                    stack = frame.stack
+                                    locals_ = frame.locals
+                                    if self.switch_pending:
+                                        scheduler.shadow_sync_bci(thread)
+                                        return
+                                    continue
+                            elif rm.mdef.signature.ret != "V":
+                                stack.append(words.to_i32(result if result is not None else 0))
+                            pc += 1
+                            if self.switch_pending:
+                                frame.pc = pc
+                                scheduler.shadow_sync_bci(thread)
+                                return
+                        else:
+                            scheduler.shadow_sync_bci(thread)
+                            callee = Frame(rm, args)
+                            scheduler.push_frame(thread, callee)
+                            frame = callee
+                            self._frame = frame
+                            code = frame.code
+                            entries = code.entries
+                            if entries is None:
+                                entries = self._bind(code)
+                            xops = code.xops
+                            pc = 0
+                            stack = frame.stack
+                            locals_ = frame.locals
+                        continue
+
+                    if r == _RELOAD:
+                        # a return handler popped back into the caller frame
+                        # (no clock commit: nothing reads it before the next
+                        # commit, and a debugger must not see one here)
+                        frame = thread.frames[-1]
+                        self._frame = frame
+                        code = frame.code
+                        entries = code.entries
+                        if entries is None:
+                            entries = self._bind(code)
+                        xops = code.xops
+                        pc = frame.pc
+                        stack = frame.stack
+                        locals_ = frame.locals
+                        continue
+
+                    if r == _PARK:  # the handler stored frame.pc (or emptied frames)
+                        self.cycles = cycles
+                        scheduler.shadow_sync_bci(thread)
+                        return
+
+                    if r == _STOP:
+                        # the debugger paused before this op: take back its count
+                        frame.pc = pc
+                        self.cycles = cycles - 1
+                        scheduler.shadow_sync_bci(thread)
+                        return
+
+                    # _YIELD: a debugged yield point.  The clock is committed
+                    # at every yield point (a fused group's prefix cycles
+                    # included) for the cycle-addressed stops that read it.
+                    bb = xops[pc][2]
+                    self.cycles = cycles if bb is None else cycles + bb[1]
+
+                # -- inlined yield point (plain, or the terminal of a fused
+                # F_YP_GROUP).  Run any pure prefix and charge its cycles,
+                # fold fused carries, and process any deadline crossing
+                # *before* observing the hw bit, so the bit is exactly the
+                # per-op scheme's at this cycle.
                 _, tag, bb = xops[pc]
                 if bb is not None:
                     bb[0](stack, locals_)
@@ -1779,97 +1469,7 @@ class Engine:
                     self.cycles = cycles
                     scheduler.shadow_sync_bci(thread)
                     return
-                continue
-
-            r = fn(stack, locals_)
-            if r >= 0:
-                pc = r
-                continue
-
-            # -- sentinel: fold fused carries, commit the clock, act.
-            x = fstat[0] - ln2 + 2 * (fstat[1] - ln3)
-            if x:
-                ln2 = fstat[0]
-                ln3 = fstat[1]
-                cycles += x
-
-            if r == _CALL:
-                rm, args = self._call
-                self._call = None
-                frame.pc = pc + 1  # resume after the call (also: safe point)
-                self.cycles = cycles
-                if rm.native:
-                    result = vm.call_native(thread, rm, args)
-                    if result is BLOCK:
-                        scheduler.shadow_sync_bci(thread)
-                        return  # switch_pending is set
-                    if isinstance(result, NativeResult):
-                        if rm.mdef.signature.ret != "V":
-                            if result.string_value is not None:
-                                # materialise the guest String here, so the
-                                # allocation happens identically in record
-                                # and replay mode (§2.5 + symmetry)
-                                stack.append(loader.make_string(result.string_value))
-                            else:
-                                stack.append(
-                                    words.to_i32(result.value if result.value is not None else 0)
-                                )
-                        for ref, up_args in reversed(result.upcalls):
-                            up_rm = loader.resolve_static_method(ref)
-                            scheduler.shadow_sync_bci(thread)
-                            scheduler.push_frame(thread, Frame(up_rm, list(up_args)))
-                        if result.upcalls:
-                            frame = thread.frames[-1]
-                            self._frame = frame
-                            code = frame.code
-                            entries = code.entries
-                            if entries is None:
-                                entries = self._bind(code)
-                            xops = code.xops
-                            pc = frame.pc
-                            stack = frame.stack
-                            locals_ = frame.locals
-                            if self.switch_pending:
-                                scheduler.shadow_sync_bci(thread)
-                                return
-                            continue
-                    elif rm.mdef.signature.ret != "V":
-                        stack.append(words.to_i32(result if result is not None else 0))
-                    pc += 1
-                    if self.switch_pending:
-                        frame.pc = pc
-                        scheduler.shadow_sync_bci(thread)
-                        return
-                else:
-                    scheduler.shadow_sync_bci(thread)
-                    callee = Frame(rm, args)
-                    scheduler.push_frame(thread, callee)
-                    frame = callee
-                    self._frame = frame
-                    code = frame.code
-                    entries = code.entries
-                    if entries is None:
-                        entries = self._bind(code)
-                    xops = code.xops
-                    pc = 0
-                    stack = frame.stack
-                    locals_ = frame.locals
-
-            elif r == _RELOAD:
-                # a return handler popped back into the caller frame
-                self.cycles = cycles
-                frame = thread.frames[-1]
-                self._frame = frame
-                code = frame.code
-                entries = code.entries
-                if entries is None:
-                    entries = self._bind(code)
-                xops = code.xops
-                pc = frame.pc
-                stack = frame.stack
-                locals_ = frame.locals
-
-            else:  # _PARK: the handler stored frame.pc (or emptied frames)
-                self.cycles = cycles
-                scheduler.shadow_sync_bci(thread)
-                return
+        except VMTrap:
+            # the trapping op (and every op before it) has been counted
+            self.cycles = cycles + fstat[0] - ln2 + 2 * (fstat[1] - ln3)
+            raise

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.vm.classfile import ClassDef
@@ -54,17 +54,6 @@ class VMConfig:
     #: combination produces bit-identical guest behavior (traces, clocks,
     #: heap digests) — only host-side speed differs
     engine: EngineConfig = field(default_factory=EngineConfig)
-
-
-def with_baseline_engine(config: VMConfig | None) -> VMConfig:
-    """A copy of *config* running the unfused if/elif engine.
-
-    Debug-hook clients (profiler, coverage, breakpoints, time travel)
-    hook every *canonical* micro-op, which only the baseline engine
-    dispatches one at a time.  Forcing it here changes nothing the guest
-    can observe — that is the EngineConfig determinism contract."""
-    base = config or VMConfig()
-    return replace(base, engine=EngineConfig.baseline())
 
 
 class Environment:

@@ -21,6 +21,7 @@ from repro.core.checkpoint import (
     CheckpointStore,
     CheckpointWriter,
     Snapshot,
+    _digest_of,
     restore_vm,
     sidecar_path,
 )
@@ -99,11 +100,11 @@ class TestCaptureRestore:
             assert result.cycles == clean.cycles
 
     def test_boundaries_identical_across_all_engine_combos(self, recorded):
-        """Cycle counting is deterministic under every dispatch config,
-        so all 8 combos snapshot at identical boundaries — and each
+        """Cycle counting is deterministic under every engine config,
+        so all 4 combos snapshot at identical boundaries — and each
         combo's restore reproduces its own later digests exactly.  (The
         digests themselves are per-combo: the snapshot header carries
-        engine statistics, which differ by dispatch configuration.)"""
+        engine statistics, which differ by engine configuration.)"""
         reference_cycles = None
         for combo in EngineConfig.all_combinations():
             cfg = VMConfig(semispace_words=60_000, engine=combo)
@@ -337,6 +338,35 @@ class TestResumeReplay:
         baseline = VMConfig(semispace_words=60_000, engine=EngineConfig.baseline())
         with pytest.raises(CheckpointConfigMismatch):
             restore_vm(snap, racy_bank(), TraceLog.load(sealed), config=baseline)
+
+    def test_retired_switch_engine_sidecar_falls_back_to_zero(
+        self, recorded, sealed, tmp_path
+    ):
+        """A sidecar tagged with the retired per-micro-op loop's engine
+        ("switch") is refused at restore with the typed mismatch, and a
+        resumed replay walks down the ladder instead of restoring it."""
+        store = CheckpointStore.load(sidecar_path(sealed))
+        trace_path = tmp_path / "old.djv"
+        recorded.trace.save(trace_path)
+        writer = CheckpointWriter(sidecar_path(trace_path))
+        for snap in store.snapshots:
+            header = dict(snap.header, engine="switch")
+            header["digest"] = _digest_of(header, snap.words_blob())
+            writer.add(Snapshot(header, snap.words))
+        writer.seal(dict(store.meta, engine="switch"))
+        old = CheckpointStore.load(sidecar_path(trace_path))
+        assert len(old.snapshots) == len(store.snapshots) > 1 and not old.skipped
+        with pytest.raises(CheckpointConfigMismatch, match="'switch'"):
+            restore_vm(old.snapshots[0], racy_bank(), TraceLog.load(trace_path), config=CFG)
+        resumed = resume_replay(
+            racy_bank(), TraceLog.load(trace_path),
+            checkpoints=sidecar_path(trace_path), config=CFG,
+        )
+        assert resumed.from_zero
+        unusable = [a for a in resumed.attempts if "unusable" in a]
+        assert len(unusable) == len(old.snapshots)
+        assert resumed.attempts[-1] == "replayed from cycle zero"
+        self._assert_matches_clean(resumed, recorded)
 
 
 class TestCheckpointFaultCampaign:

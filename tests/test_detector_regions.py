@@ -19,10 +19,13 @@ races whose earlier access lived in an older window) is what
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.api import build_vm, record
 from repro.core.controller import MODE_RECORD, DejaVu, slim_partition
 from repro.explore.detector import RaceDetector, detect_races
-from repro.vm.machine import VMConfig, with_baseline_engine
+from repro.vm.engineconfig import EngineConfig
+from repro.vm.machine import VMConfig
 from repro.vm.timerdev import slim_model_of
 from repro.workloads import racy_bank, readers_writers, synced_bank
 
@@ -35,7 +38,7 @@ CFG = VMConfig(semispace_words=60_000)
 def _record_with_detector(factory):
     """Mirror api.record(slim=True) but keep a handle on the detector."""
     program = factory()
-    vm = build_vm(program, with_baseline_engine(CFG), **jitter_knobs(SEED))
+    vm = build_vm(program, replace(CFG, engine=EngineConfig(fusion=False)), **jitter_knobs(SEED))
     detector = RaceDetector(vm)
     dv = DejaVu(
         vm, MODE_RECORD, slim_spec=slim_model_of(vm.timer), slim_detector=detector

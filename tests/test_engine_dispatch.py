@@ -1,7 +1,6 @@
 """The engine's optimization layers are invisible to the guest.
 
-Threaded dispatch, superinstruction fusion, and inline caches are pure
-host-side speed: every :class:`EngineConfig` combination must produce the
+Superinstruction fusion and inline caches are pure host-side speed: every :class:`EngineConfig` combination must produce the
 same cycles, events, heap digests, and trace bytes — and a trace recorded
 under one engine must replay under any other.  These tests pin that
 contract, plus the batched cycle-accounting semantics (budget before
@@ -22,6 +21,7 @@ from repro.vm.compiler import (
     YP_PROLOGUE,
 )
 from repro.vm.engineconfig import EngineConfig
+from repro.vm.interp import _MEM_OPS
 from repro.vm.errors import VMError
 from repro.vm.machine import VMConfig
 from repro.workloads import racy_bank, server, synced_bank
@@ -325,18 +325,6 @@ class TestYieldPointFusion:
         vm_base, _ = _run_bank(EngineConfig.baseline())
         assert vm_base.engine.cycles == engine.cycles
 
-    def test_switch_and_threaded_agree_on_fused_code(self):
-        switch_only = EngineConfig(
-            threaded_dispatch=False, fusion=True, inline_caches=False
-        )
-        threaded = EngineConfig(
-            threaded_dispatch=True, fusion=True, inline_caches=False
-        )
-        _, a = _run_bank(switch_only)
-        _, b = _run_bank(threaded)
-        assert a.heap_digest == b.heap_digest
-        assert a.cycles == b.cycles
-
 
 # ---------------------------------------------------------------------------
 # inline caches
@@ -352,12 +340,120 @@ class TestInlineCaches:
         assert stats["ic_invalidations"] > 0  # class loads flushed caches
 
     def test_disabled_caches_never_consulted(self):
-        engine = EngineConfig(threaded_dispatch=True, fusion=True, inline_caches=False)
+        engine = EngineConfig(fusion=True, inline_caches=False)
         vm, _ = _run_bank(engine, factory=lambda: server(seed=11))
         stats = vm.engine_stats()
         assert stats["ic_hits"] == 0 and stats["ic_misses"] == 0
         # sites still exist (compiled in), they are just not used
         assert stats["ic_sites"] > 0
+
+
+# ---------------------------------------------------------------------------
+# hooks bound into the handler tables
+
+
+class _Watcher:
+    """A debug controller that never pauses, counting its checks."""
+
+    paused = False
+
+    def __init__(self):
+        self.checks = 0
+
+    def check(self, thread, frame, pc) -> bool:
+        self.checks += 1
+        return False
+
+
+def _kinds(vm) -> list:
+    """(mop, handler kind) for every op of every bound table."""
+    out = []
+    for rm in vm.loader.method_by_id:
+        code = rm.code
+        if code is None or code.entries is None:
+            continue
+        for (mop, _, _), fn in zip(code.xops, code.entries):
+            out.append((mop, None if fn is None else fn.__qualname__.split(".")[0]))
+    return out
+
+
+class TestHookBinding:
+    def test_unhooked_tables_hold_plain_handlers(self):
+        vm, _ = _run_bank(EngineConfig.baseline())
+        kinds = _kinds(vm)
+        assert kinds
+        for mop, kind in kinds:
+            if mop == M_YIELDPOINT:
+                assert kind is None
+            else:
+                assert kind not in ("_observe_mem", "_consult_debug")
+
+    def test_mem_hook_wraps_only_memory_ops(self):
+        _, plain = _run_bank(EngineConfig.baseline())
+        vm = build_vm(racy_bank(), _cfg(EngineConfig.baseline()), **jitter_knobs(11))
+        seen = []
+        vm.engine.mem_hook = lambda thread, frame, pc, mop, a, b, stack: seen.append(mop)
+        hooked = vm.run("Main.main()V")
+        assert hooked.behavior_key() == plain.behavior_key()
+        assert hooked.cycles == plain.cycles
+        assert set(seen) <= _MEM_OPS and seen
+        for mop, kind in _kinds(vm):
+            assert (kind == "_observe_mem") == (mop in _MEM_OPS)
+
+    def test_debug_wraps_every_op_including_yield_points(self):
+        _, plain = _run_bank(EngineConfig.baseline())
+        vm = build_vm(racy_bank(), _cfg(EngineConfig.baseline()), **jitter_knobs(11))
+        watcher = _Watcher()
+        vm.engine.debug = watcher
+        hooked = vm.run("Main.main()V")
+        assert hooked.behavior_key() == plain.behavior_key()
+        # one check per executed op: every cycle is an unfused dispatch
+        assert watcher.checks == hooked.cycles
+        assert all(kind == "_consult_debug" for _, kind in _kinds(vm))
+
+    def test_attaching_or_detaching_a_hook_drops_bound_tables(self):
+        vm, _ = _run_bank(EngineConfig.baseline())
+        assert _kinds(vm)
+        vm.engine.debug = _Watcher()
+        assert _kinds(vm) == []
+        main = vm.loader.resolve_method_any("Main.main()V").code
+        vm.engine._bind(main)
+        vm.engine.debug = _Watcher()  # a different controller rebinds too
+        assert _kinds(vm) == []
+        vm.engine._bind(main)
+        vm.engine.debug = None
+        assert _kinds(vm) == []
+
+    @pytest.mark.parametrize(
+        "engine", ALL_ENGINES, ids=[e.describe() for e in ALL_ENGINES]
+    )
+    def test_trap_counts_every_executed_op(self, engine):
+        """A trapped thread's ops all count, wherever the clock was last
+        committed, so a profiler replay (hooked) of an unhooked recording
+        ends on the recorded cycle count."""
+        program = GuestProgram.from_source(_TRAP_AFTER_RETURN)
+        recorded = record(program, config=_cfg(engine))
+        assert recorded.result.traps and recorded.result.cycles == 9
+        report = ReplayProfiler(program, recorded.trace).run()
+        assert report.total_cycles == 9
+
+
+_TRAP_AFTER_RETURN = """
+.class Main
+.method static f ()I
+    iconst 3
+    iconst 4
+    iadd
+    ireturn
+.end
+.method static main ()V
+    invokestatic Main.f()I
+    iconst 0
+    idiv
+    pop
+    return
+.end
+"""
 
 
 # ---------------------------------------------------------------------------
@@ -397,4 +493,14 @@ done:
         path = tmp_path / "p.jasm"
         path.write_text(".class Main\n.method static main ()V\n    return\n.end\n")
         assert main(["engine-stats", str(path), "--seed", "3", "--engine", "baseline"]) == 0
-        assert "engine: switch" in capsys.readouterr().out
+        assert "-- engine: threaded\n" in capsys.readouterr().out
+
+    def test_removed_threaded_preset_is_a_usage_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "p.jasm"
+        path.write_text(".class Main\n.method static main ()V\n    return\n.end\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(path), "--engine", "threaded"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'threaded'" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """``repro.explore``: schedule policies, systematic exploration,
 happens-before race detection, and schedule minimization."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import build_vm, record, replay
@@ -15,8 +17,9 @@ from repro.explore import (
     explore,
     positions_from_deltas,
 )
+from repro.vm.engineconfig import EngineConfig
 from repro.vm.errors import VMError
-from repro.vm.machine import Environment, VMConfig, with_baseline_engine
+from repro.vm.machine import Environment, VMConfig
 from repro.vm.timerdev import FixedClock, NeverTimer
 from repro.workloads import get_workload, racy_bank, server, synced_bank
 from tests.conftest import TEST_CONFIG
@@ -274,7 +277,7 @@ class TestPerturbationFreedom:
 
     @staticmethod
     def _record_bank(with_detector: bool):
-        config = with_baseline_engine(CFG)  # mem hooks need canonical ops
+        config = replace(CFG, engine=EngineConfig(fusion=False))  # mem hooks need canonical ops
         program = racy_bank(tellers=2, deposits=6)
         vm = build_vm(
             program,

@@ -57,16 +57,17 @@ def _seek_sequence(rec, checkpoint_every):
             target = max(1, min(end - 1, tt.now + rng.randrange(-300, 300)))
         p = tt.goto_cycles(target)
         landed.append((target, p.cycles, p.tid, p.method, p.bci))
-    return landed
+    return landed, tt.restores
 
 
 def test_timetravel_landings(sorter_rec):
-    landed = _seek_sequence(sorter_rec, None)
+    landed, _ = _seek_sequence(sorter_rec, None)
     assert _sha(landed) == PINS["timetravel"], landed[:5]
 
 
 def test_timetravel_landings_with_checkpoints(sorter_rec):
-    landed = _seek_sequence(sorter_rec, 20_000)
+    landed, restores = _seek_sequence(sorter_rec, 50_000)
+    assert restores > 0
     assert _sha(landed) == PINS["timetravel"], landed[:5]
 
 

@@ -4,7 +4,7 @@ The daemon's contract has three load-bearing claims, each pinned here:
 
 * **Byte-identity**: a job served from the warm daemon returns stdout
   (and, for record, trace bytes) byte-identical to the CLI one-shot —
-  across every engine preset and all 8 dispatch-flag combinations, and
+  across every engine preset and all 4 engine-flag combinations, and
   identically warm or cold.  Warm sessions may change latency, never
   results.
 * **Robustness envelope**: typed validation (poison jobs answer with a
@@ -51,7 +51,7 @@ from repro.serve.supervisor import CancelToken
 from repro.vm.engineconfig import EngineConfig
 
 ALL_ENGINES = EngineConfig.all_combinations()
-PRESETS = ("baseline", "threaded", "fused", "full")
+PRESETS = ("baseline", "fused", "full")
 
 #: an infinite guest loop that still reaches engine safe points: the
 #: loop *body* executes the backedge yield point every iteration (a bare
@@ -158,6 +158,13 @@ class TestValidateJob:
         with pytest.raises(ServeError, match="preset name or a flag dict"):
             validate_job(record_job(engine=3))
 
+    def test_removed_engine_options_are_rejected(self):
+        # one dispatch loop: the old dispatch toggle and its preset are gone
+        with pytest.raises(ServeError, match="unknown engine flag"):
+            validate_job(record_job(engine={"threaded_dispatch": True}))
+        with pytest.raises(ServeError, match="unknown engine preset"):
+            validate_job(record_job(engine="threaded"))
+
     def test_defaults_are_filled(self):
         job = validate_job({"kind": "record", "workload": "bank"})
         assert job["engine"] == "full"
@@ -183,7 +190,8 @@ class TestSessionPool:
         }
         a = pool.program(implicit)
         b = pool.program(explicit)
-        assert a is b  # keyed on *resolved* kwargs, not the spelling
+        # keyed on *resolved* kwargs, not the spelling: one assembly
+        assert a.classdefs is b.classdefs
         stats = pool.stats()
         assert stats["misses"] == 1 and stats["hits"] == 1
 
@@ -193,7 +201,7 @@ class TestSessionPool:
         first = pool.program(job)
         pool.invalidate()
         second = pool.program(job)
-        assert first is not second  # a crashed session is replaced
+        assert first.classdefs is not second.classdefs  # a crashed session is replaced
         stats = pool.stats()
         assert stats["generation"] == 1
         assert stats["rebuilds"] == 1
@@ -492,16 +500,33 @@ class TestByteIdentity:
         assert result["exit"] == 0
         assert result["stdout"] == cli_stdout
 
+    def test_warm_server_program_keeps_no_native_state(
+        self, daemon, tmp_path, capsys
+    ):
+        """The ``server`` workload's network native draws from a random
+        stream: a warm program must not carry it from one job into the
+        next, so the same job twice equals the CLI one-shot twice."""
+        out = str(tmp_path / "server.djv")
+        code, cli_stdout, _ = run_cli(
+            ["record", "--workload", "server", "--seed", "7", "-o", out], capsys
+        )
+        assert code == 0
+        job = record_job(workload="server", out_name=out)
+        first = _submit(daemon, job)
+        second = _submit(daemon, job)
+        assert first["exit"] == second["exit"] == 0
+        assert first["trace"] == second["trace"] == Path(out).read_bytes()
+        assert first["stdout"] == second["stdout"] == cli_stdout
+
     @pytest.mark.parametrize(
         "engine", ALL_ENGINES, ids=[e.describe() for e in ALL_ENGINES]
     )
     def test_all_engine_combos_warm_equals_oneshot(self, daemon, engine):
-        """The 8-combo ablation space, via engine-flag dicts: a warm
+        """The 4-combo ablation space, via engine-flag dicts: a warm
         daemon run is identical to a cold one-shot executor run."""
         from repro.serve.jobs import run_job
 
         flags = {
-            "threaded_dispatch": engine.threaded_dispatch,
             "fusion": engine.fusion,
             "inline_caches": engine.inline_caches,
         }

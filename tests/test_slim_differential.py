@@ -9,7 +9,7 @@ The slimming contract has two halves, and this suite pins both:
 2. **Replay is exact** — the slim trace, with most switch deltas dropped
    and re-derived from the modelled timer plus the sync-order sidecar,
    replays to byte-identical event streams and heap digests under every
-   one of the 8 ``EngineConfig.all_combinations()`` engines, with and
+   one of the 4 ``EngineConfig.all_combinations()`` engines, with and
    without checkpointing, on sync-heavy, racy, and mixed workloads
    alike.
 

@@ -144,7 +144,7 @@ class TestEngineComboSymmetry:
             _record_to(b, config)
             assert a.read_bytes() == b.read_bytes(), engine.describe()
 
-    def test_files_identical_across_all_8_combos_and_replay(self, tmp_path):
+    def test_files_identical_across_all_combos_and_replay(self, tmp_path):
         reference = None
         for i, engine in enumerate(EngineConfig.all_combinations()):
             config = VMConfig(semispace_words=60_000, engine=engine)
