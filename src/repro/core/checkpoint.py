@@ -26,10 +26,22 @@ dispatch — including any replayed clock reads ``_wake_timed`` performs —
 exactly as the original did.  The hook is host-side and guest-invisible:
 recordings are byte-identical with checkpointing on or off.
 
+Live extent
+-----------
+Every heap word outside the boot record and the active semispace's
+allocated prefix ``[base[active], bump)`` is zero by construction:
+``Memory`` starts zeroed, bump allocation only hands out words below the
+new bump, and ``finish_flip`` zeroes the evacuated semispace.  A snapshot
+therefore stores the boot record plus that *live extent* — its size
+follows the live heap, not the semispace size — and capture refuses
+(:class:`CheckpointError`) rather than write a lossy snapshot if the
+invariant ever fails.
+
 Restore strategy
 ----------------
-Heap words are copied wholesale, so restore only needs to rebuild the
-*host-side* structures that mirror them.  The class table is replayed
+Heap words are written back wholesale (boot record plus live extent over
+a zeroed heap), so restore only needs to rebuild the *host-side*
+structures that mirror them.  The class table is replayed
 through the real loader in class-id order (ids are assigned append-only
 and supers/element-classes always precede their dependents, so this
 reproduces layouts, method ids and compiled code exactly), then every
@@ -65,13 +77,14 @@ from collections import deque
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-from repro.core.tracelog import _decode_meta, _encode_meta, config_fingerprint
+from repro.core.tracelog import config_fingerprint
 from repro.vm.errors import (
     CheckpointConfigMismatch,
     CheckpointEngineMismatch,
     CheckpointError,
     CheckpointFormatError,
 )
+from repro.vm.memory import BOOT_WORDS
 from repro.vm.threads import Frame, GreenThread
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,13 +93,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.vm.machine import VMConfig, VirtualMachine
 
 CKPT_MAGIC = b"DJVC"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 SEG_SNAPSHOT = b"C"
 SEG_CKPT_META = b"M"
 SEG_CKPT_FOOTER = b"F"
 
 _SEG_HEADER_BYTES = 1 + 4 + 4  # kind + payload length + CRC32
+_DIGEST_BYTES = 16  # raw machine digest leading each snapshot payload
 _HEADER_BYTES = len(CKPT_MAGIC) + 2
 #: sanity bound used by the prefix scan to reject garbage lengths
 MAX_SNAPSHOT_BYTES = 1 << 28
@@ -104,22 +118,46 @@ def sidecar_path(trace_path) -> Path:
 # snapshots
 
 
+def _encode_json(obj, what: str = "snapshot header") -> bytes:
+    """Canonical JSON: sorted keys, compact separators, ASCII, no NaN —
+    equal values always encode to equal bytes, which the digest needs."""
+    try:
+        return json.dumps(
+            obj, sort_keys=True, separators=(",", ":"), allow_nan=False
+        ).encode()
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{what} is not JSON-encodable: {exc}") from exc
+
+
+def _decode_json_object(blob: bytes, what: str) -> dict:
+    """A JSON object; its arrays stay lists (the digest encodes tuples and
+    lists alike, and restore converts what the VM keeps as tuples)."""
+    try:
+        obj = json.loads(blob)
+    except (ValueError, RecursionError) as exc:
+        raise CheckpointFormatError(f"undecodable {what}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise CheckpointFormatError(f"{what} is not a JSON object")
+    return obj
+
+
 class Snapshot:
     """One captured machine state: a header dict plus the heap words.
 
     The header is everything host-side (scheduler, monitors, cursors,
-    counters — see :func:`capture_snapshot`); ``words`` is the entire
-    ``Memory.words`` list.  ``header["digest"]`` is a blake2b over the
-    canonical header encoding (digest key excluded) and the canonical
-    words encoding: equal digests mean equal machine states.
+    counters — see :func:`capture_snapshot`) plus the heap frontier
+    (``semi``, ``active``, ``bump``); ``words`` is the boot record
+    followed by the live extent ``Memory.words[base[active]:bump]`` —
+    every other heap word is zero.  ``header["digest"]`` is a blake2b
+    over the canonical JSON header (digest key excluded) and the
+    canonical JSON words: equal digests mean equal machine states.
     """
 
-    __slots__ = ("header", "words", "_words_blob")
+    __slots__ = ("header", "words")
 
-    def __init__(self, header: dict, words: list, words_blob: bytes | None = None):
+    def __init__(self, header: dict, words: list):
         self.header = header
         self.words = words
-        self._words_blob = words_blob
 
     @property
     def cycles(self) -> int:
@@ -133,15 +171,8 @@ class Snapshot:
     def digest(self) -> str:
         return self.header["digest"]
 
-    def words_blob(self) -> bytes:
-        if self._words_blob is None:
-            self._words_blob = json.dumps(
-                self.words, separators=(",", ":")
-            ).encode()
-        return self._words_blob
-
     def computed_digest(self) -> str:
-        return _digest_of(self.header, self.words_blob())
+        return _digest_of(self.header, self.words)
 
     def verify(self) -> None:
         """Recompute the machine digest; raises on any mismatch (tamper
@@ -158,16 +189,45 @@ class Snapshot:
         h = self.header
         return (
             f"@cycle {h['cycles']:<10} mode={h['mode']} "
-            f"threads={len(h['threads'])} digest={h['digest'][:12]}…"
+            f"threads={len(h['threads'])} words={len(self.words)} "
+            f"digest={h['digest'][:12]}…"
         )
 
 
-def _digest_of(header: dict, words_blob: bytes) -> str:
+def _blobs(header: dict, words: list) -> tuple[bytes, bytes]:
+    """The canonical header (digest key excluded) and words encodings:
+    what the digest covers and what the sidecar stores."""
     canonical = {k: v for k, v in header.items() if k != "digest"}
-    h = hashlib.blake2b(digest_size=16)
-    h.update(_encode_meta(canonical))
+    return _encode_json(canonical), _encode_json(words, "snapshot words")
+
+
+def _digest_bytes(header_blob: bytes, words_blob: bytes) -> str:
+    h = hashlib.blake2b(digest_size=_DIGEST_BYTES)
+    h.update(header_blob)
     h.update(words_blob)
     return h.hexdigest()
+
+
+def _digest_of(header: dict, words: list) -> str:
+    return _digest_bytes(*_blobs(header, words))
+
+
+def _live_words(mem) -> list:
+    """The boot record plus the live extent of *mem*, after checking that
+    every other word is zero (a whole-list ``count`` — C speed)."""
+    words = mem.words
+    live = words[:BOOT_WORDS] + words[mem.base[mem.active] : mem.bump]
+    if words.count(0) - live.count(0) != len(words) - len(live):
+        lo, hi = mem.base[mem.active], mem.bump
+        addr = next(
+            a for a in range(BOOT_WORDS, len(words))
+            if words[a] != 0 and not lo <= a < hi
+        )
+        raise CheckpointError(
+            f"heap word {addr} = {words[addr]} lies outside the live extent "
+            f"[{lo}, {hi}) but is not zero; refusing a lossy snapshot"
+        )
+    return live
 
 
 def _pack_thread(t: GreenThread) -> tuple:
@@ -208,6 +268,12 @@ def capture_snapshot(vm: "VirtualMachine") -> Snapshot:
     point (``scheduler.current is None``, i.e. ``current == -1`` in the
     header) can be restored.
     """
+    return _capture(vm)[0]
+
+
+def _capture(vm: "VirtualMachine") -> "tuple[Snapshot, tuple[bytes, bytes]]":
+    """:func:`capture_snapshot` plus the encodings its digest covered,
+    which a :class:`CheckpointWriter` stores without encoding again."""
     dv = vm.dejavu
     if dv is None:
         raise CheckpointError(
@@ -226,7 +292,7 @@ def capture_snapshot(vm: "VirtualMachine") -> Snapshot:
         "engine": vm.config.engine.describe(),
         "cycles": engine.cycles,
         "current": sched.current.tid if sched.current is not None else -1,
-        # memory (words travel alongside the header)
+        # memory frontier (the live words travel alongside the header)
         "semi": mem.semi,
         "active": mem.active,
         "bump": mem.bump,
@@ -296,9 +362,10 @@ def capture_snapshot(vm: "VirtualMachine") -> Snapshot:
     slim_state = dv._slim_snapshot_state()
     if slim_state is not None:
         header["dv"] = tuple(sorted(header["dv"] + (("slim", slim_state),)))
-    snap = Snapshot(header, list(mem.words))
-    header["digest"] = _digest_of(header, snap.words_blob())
-    return snap
+    words = _live_words(mem)
+    blobs = _blobs(header, words)
+    header["digest"] = _digest_bytes(*blobs)
+    return Snapshot(header, words), blobs
 
 
 def machine_digest(vm: "VirtualMachine") -> str:
@@ -363,12 +430,29 @@ def restore_vm(
 
     _replay_class_table(vm.loader, h)
 
-    # -- memory: wholesale
+    # -- memory: zero the fresh VM's live words (every other word is zero
+    # already), then lay down the boot record and the snapshot's extent
     mem = vm.memory
-    mem.words[:] = snapshot.words
-    mem.active = h["active"]
-    mem.bump = h["bump"]
-    mem.limit = mem.base[mem.active] + mem.semi
+    live = snapshot.words
+    active, bump = h["active"], h["bump"]
+    lo = mem.base[active] if active in (0, 1) else -1
+    if not (
+        h["semi"] == mem.semi
+        and lo <= bump <= lo + mem.semi
+        and len(live) == BOOT_WORDS + bump - lo
+    ):
+        raise CheckpointFormatError(
+            f"snapshot frontier (semi {h['semi']}, active {active}, bump "
+            f"{bump}) does not fit its {len(live)} words or this heap"
+        )
+    words = mem.words
+    fresh_lo = mem.base[mem.active]
+    words[fresh_lo : mem.bump] = [0] * (mem.bump - fresh_lo)
+    words[:BOOT_WORDS] = live[:BOOT_WORDS]
+    words[lo:bump] = live[BOOT_WORDS:]
+    mem.active = active
+    mem.bump = bump
+    mem.limit = lo + mem.semi
 
     # -- loader heap pointers (the words were overwritten above)
     loader = vm.loader
@@ -427,9 +511,11 @@ def restore_vm(
     # -- collector / run-visible VM state
     vm.collector.collections, vm.collector.total_evacuated_words = h["gc"]
     vm.output[:] = list(h["output"])
-    vm.trap_reports[:] = [tuple(t) for t in h["traps"]]
+    vm.trap_reports[:] = map(tuple, h["traps"])
     vm.deadlocked = tuple(h["deadlocked"])
-    vm.observer.events[:] = [tuple(e) for e in h["events"]]
+    # flat rows: the one nested event ("deadlock") is emitted inside
+    # schedule(), after the last safe point, so no snapshot holds it
+    vm.observer.events[:] = map(tuple, h["events"])
 
     # -- DejaVu controller
     dv._switch_cursor = d["switch_cursor"]
@@ -554,12 +640,15 @@ class CheckpointWriter:
         f.write(payload)
         f.flush()
 
-    def add(self, snapshot: Snapshot) -> None:
-        header_blob = _encode_meta(snapshot.header)
+    def add(self, snapshot: Snapshot, blobs: "tuple[bytes, bytes] | None" = None) -> None:
+        """Append *snapshot*; *blobs* are its encodings when the caller
+        already holds them (see :func:`_capture`)."""
+        header_blob, words_blob = blobs or _blobs(snapshot.header, snapshot.words)
         payload = (
-            len(header_blob).to_bytes(4, "little")
+            bytes.fromhex(snapshot.digest)
+            + len(header_blob).to_bytes(4, "little")
             + header_blob
-            + snapshot.words_blob()
+            + words_blob
         )
         self._write_segment(SEG_SNAPSHOT, payload)
         self.n_snapshots += 1
@@ -568,9 +657,12 @@ class CheckpointWriter:
         if self._sealed:
             return
         if meta:
-            self._write_segment(SEG_CKPT_META, _encode_meta(dict(meta)))
+            self._write_segment(
+                SEG_CKPT_META, _encode_json(dict(meta), "sidecar meta")
+            )
         self._write_segment(
-            SEG_CKPT_FOOTER, _encode_meta({"n_snapshots": self.n_snapshots})
+            SEG_CKPT_FOOTER,
+            _encode_json({"n_snapshots": self.n_snapshots}, "sidecar footer"),
         )
         self._file.flush()
         os.fsync(self._file.fileno())
@@ -587,25 +679,34 @@ class CheckpointWriter:
 
 
 def _decode_snapshot_payload(payload: bytes) -> Snapshot:
-    if len(payload) < 4:
+    """``digest | u32 header length | header JSON | words JSON``.  The
+    digest is checked over the stored bytes before anything is decoded;
+    they are the canonical encodings, so this is the machine digest."""
+    start = _DIGEST_BYTES + 4
+    if len(payload) < start:
         raise CheckpointFormatError("snapshot payload shorter than its header")
-    header_len = int.from_bytes(payload[:4], "little")
-    if 4 + header_len > len(payload):
+    header_len = int.from_bytes(payload[_DIGEST_BYTES:start], "little")
+    if start + header_len > len(payload):
         raise CheckpointFormatError(
             f"snapshot header length {header_len} overruns the payload"
         )
-    try:
-        header = _decode_meta(payload[4 : 4 + header_len])
-    except Exception as exc:
-        raise CheckpointFormatError(f"undecodable snapshot header: {exc}")
-    words_blob = bytes(payload[4 + header_len :])
+    header_blob = payload[start : start + header_len]
+    words_blob = payload[start + header_len :]
+    want = payload[:_DIGEST_BYTES].hex()
+    got = _digest_bytes(header_blob, words_blob)
+    if want != got:
+        raise CheckpointFormatError(
+            f"machine digest mismatch (stored {want}, computed {got})"
+        )
+    header = _decode_json_object(header_blob, "snapshot header")
     try:
         words = json.loads(words_blob)
-    except ValueError as exc:
-        raise CheckpointFormatError(f"undecodable snapshot words: {exc}")
-    if not isinstance(words, list):
-        raise CheckpointFormatError("snapshot words are not a list")
-    return Snapshot(header, words, words_blob=words_blob)
+    except (ValueError, RecursionError) as exc:
+        raise CheckpointFormatError(f"undecodable snapshot words: {exc}") from exc
+    if not isinstance(words, list) or not all(type(w) is int for w in words):
+        raise CheckpointFormatError("snapshot words are not a list of integers")
+    header["digest"] = want
+    return Snapshot(header, words)
 
 
 class CheckpointStore:
@@ -649,7 +750,8 @@ class CheckpointStore:
         version = int.from_bytes(blob[len(CKPT_MAGIC) : _HEADER_BYTES], "little")
         if version != CKPT_VERSION:
             raise CheckpointFormatError(
-                f"{path}: unsupported checkpoint version {version}"
+                f"{path}: unsupported checkpoint version {version} (this "
+                f"build reads version {CKPT_VERSION})"
             )
         store = cls(path, source)
         pos = _HEADER_BYTES
@@ -678,21 +780,26 @@ class CheckpointStore:
             if zlib.crc32(payload) != crc:
                 store.error = f"segment CRC mismatch at byte {pos}"
                 break
+            if kind != SEG_SNAPSHOT:
+                try:
+                    obj = _decode_json_object(payload, "sidecar meta/footer")
+                except CheckpointFormatError as exc:
+                    store.error = f"{exc} at byte {pos}"
+                    break
             pos += _SEG_HEADER_BYTES + length
             if kind == SEG_SNAPSHOT:
                 n_seen += 1
                 try:
                     snap = _decode_snapshot_payload(payload)
-                    snap.verify()
                 except CheckpointError as exc:
                     store.skipped += 1
                     store.notes.append(f"snapshot #{n_seen - 1}: {exc}")
                 else:
                     store.snapshots.append(snap)
             elif kind == SEG_CKPT_META:
-                store.meta.update(_decode_meta(payload))
+                store.meta.update(obj)
             else:
-                footer = _decode_meta(payload)
+                footer = obj
         if store.error is None and footer is not None:
             if footer.get("n_snapshots") != n_seen:
                 store.error = (
@@ -774,12 +881,12 @@ class CheckpointRecorder:
         cycles = engine.cycles
         if cycles < self._next:
             return
-        snap = capture_snapshot(self.vm)
+        snap, blobs = _capture(self.vm)
         self._next = (cycles // self.every + 1) * self.every
         if self.keep:
             self.snapshots.append(snap)
         if self.writer is not None:
-            self.writer.add(snap)
+            self.writer.add(snap, blobs)
         if self.sink is not None:
             self.sink(snap)
 

@@ -37,7 +37,8 @@ classification              meaning / the fix
                             diverges: an unlogged source of nondeterminism
                             (or the wrong program) — a genuine bug
 ``corrupt-checkpoint``      the trace is fine but its ``.ckpt`` sidecar is
-                            damaged/unsealed — resume degrades gracefully;
+                            damaged, unsealed or of an older format — resume
+                            degrades gracefully;
                             regenerate the sidecar for full acceleration
 ``checkpoint-config-mismatch``  the sidecar's snapshots were captured under
                             a different VM config than the replay — they
@@ -412,8 +413,8 @@ def _checkpoint_stage(report: DoctorReport, trace: TraceLog, config) -> None:
             report.detail = (
                 f"checkpoint sidecar is unreadable ({exc}) — resume and "
                 "time-travel seeks fall back to replay-from-zero; delete "
-                "the sidecar or regenerate it with "
-                "'repro replay --checkpoint-every'"
+                "the sidecar or regenerate with --checkpoint-every "
+                "('repro replay --checkpoint-every N')"
             )
         return
     report.checks.append(f"checkpoints: {store.describe()}")

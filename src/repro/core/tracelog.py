@@ -52,6 +52,7 @@ format) traces still load, read-only.
 
 from __future__ import annotations
 
+import ast
 import heapq
 import io
 import os
@@ -572,7 +573,8 @@ def _decode_segment_payload(payload: bytes, codec: int, stream: str) -> list[int
 
 
 # ---------------------------------------------------------------------------
-# meta encoding (shared by v2 and v3: repr of sorted items, eval'd back)
+# meta encoding (shared by v2 and v3: repr of sorted items, parsed back
+# as a Python literal — never evaluated, so a planted segment runs no code)
 
 
 def _encode_meta(meta: dict) -> bytes:
@@ -581,7 +583,7 @@ def _encode_meta(meta: dict) -> bytes:
 
 def _decode_meta(blob: bytes, stream: str = "meta") -> dict:
     try:
-        return dict(eval(blob.decode()))  # noqa: S307 - own format
+        return dict(ast.literal_eval(blob.decode()))
     except Exception as exc:
         raise TraceFormatError(
             f"undecodable {stream} blob: {exc}", stream=stream, offset=0

@@ -7,6 +7,10 @@ and the identical final result, or it is refused with a typed error.  A
 damaged sidecar may cost seek acceleration, never correctness.
 """
 
+import hashlib
+import json
+import zlib
+
 import pytest
 
 from repro.api import (
@@ -16,15 +20,19 @@ from repro.api import (
     resume_replay,
 )
 from repro.core import MODE_REPLAY, DejaVu
+from repro.cli import main as cli_main
 from repro.core.checkpoint import (
+    CKPT_MAGIC,
     CheckpointRecorder,
     CheckpointStore,
     CheckpointWriter,
     Snapshot,
     _digest_of,
+    capture_snapshot,
     restore_vm,
     sidecar_path,
 )
+from repro.core.doctor import CLASS_CKPT_CORRUPT, diagnose
 from repro.core.tracelog import TraceLog
 from repro.faults import FaultPlan, run_campaign
 from repro.faults.plan import LAYER_CHECKPOINT
@@ -36,7 +44,8 @@ from repro.vm.errors import (
     CheckpointFormatError,
 )
 from repro.vm.machine import VMConfig
-from repro.workloads import racy_bank
+from repro.vm.memory import BOOT_WORDS
+from repro.workloads import REGISTRY, racy_bank
 
 CFG = VMConfig(semispace_words=60_000)
 EVERY = 700  # small enough that the short bank run crosses several boundaries
@@ -174,6 +183,25 @@ class TestCaptureRestore:
             tampered.verify()
 
 
+def _first_segment(blob: bytes) -> tuple[int, int]:
+    """(offset, payload length) of a sidecar's first segment."""
+    pos = len(CKPT_MAGIC) + 2
+    return pos, int.from_bytes(blob[pos + 1 : pos + 5], "little")
+
+
+def _with_first_payload(blob: bytes, payload: bytes) -> bytes:
+    """*blob* with its first segment's payload replaced, CRC made valid —
+    damage the segment framing cannot see."""
+    pos, length = _first_segment(blob)
+    segment = (
+        blob[pos : pos + 1]
+        + len(payload).to_bytes(4, "little")
+        + zlib.crc32(payload).to_bytes(4, "little")
+        + payload
+    )
+    return blob[:pos] + segment + blob[pos + 9 + length :]
+
+
 class TestSidecar:
     @pytest.fixture
     def sealed(self, recorded, tmp_path):
@@ -247,6 +275,82 @@ class TestSidecar:
         assert store.nearest(cycles[1]).cycles == cycles[0]
         assert store.nearest(cycles[0]) is None
         assert store.nearest(10**9).cycles == cycles[-1]
+
+    def _first_payload(self, sidecar) -> tuple[bytes, bytes, list]:
+        """(digest + header-length prefix + header JSON, words JSON, words)."""
+        blob = sidecar.read_bytes()
+        pos, length = _first_segment(blob)
+        payload = blob[pos + 9 : pos + 9 + length]
+        header_end = 20 + int.from_bytes(payload[16:20], "little")
+        return payload[:header_end], payload[header_end:], json.loads(payload[header_end:])
+
+    def test_header_is_canonical_json_with_frontier(self, sealed):
+        head, words_blob, words = self._first_payload(sidecar_path(sealed))
+        header = json.loads(head[20:])
+        assert head[20:] == json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        assert header["format"] == 2 and "digest" not in header
+        lo = BOOT_WORDS + header["active"] * header["semi"]
+        assert len(words) == BOOT_WORDS + header["bump"] - lo
+        digest = hashlib.blake2b(head[20:] + words_blob, digest_size=16).digest()
+        assert head[:16] == digest
+
+    def test_tampered_stored_word_fails_digest_at_load(self, sealed):
+        sidecar = sidecar_path(sealed)
+        n_clean = len(CheckpointStore.load(sidecar).snapshots)
+        head, _, words = self._first_payload(sidecar)
+        words[len(words) // 2] ^= 1
+        tampered = head + json.dumps(words, separators=(",", ":")).encode()
+        sidecar.write_bytes(_with_first_payload(sidecar.read_bytes(), tampered))
+        store = CheckpointStore.load(sidecar)
+        assert store.skipped == 1 and store.damaged
+        assert "digest mismatch" in store.notes[0]
+        assert len(store.snapshots) == n_clean - 1
+
+    def test_planted_code_in_header_is_data_not_code(self, sealed, tmp_path):
+        """Even under a matching digest, a header is parsed as JSON only."""
+        sidecar = sidecar_path(sealed)
+        marker = tmp_path / "ran"
+        code = f"__import__('os').system('touch {marker}')".encode()
+        _, words_blob, _ = self._first_payload(sidecar)
+        digest = hashlib.blake2b(code + words_blob, digest_size=16).digest()
+        payload = digest + len(code).to_bytes(4, "little") + code + words_blob
+        sidecar.write_bytes(_with_first_payload(sidecar.read_bytes(), payload))
+        store = CheckpointStore.load(sidecar)
+        assert store.skipped == 1
+        assert "undecodable snapshot header" in store.notes[0]
+        assert not marker.exists()
+
+    @pytest.fixture
+    def v1_sidecar(self, sealed):
+        """A sidecar whose file header says version 1 — the format that
+        stored every heap word under a Python-repr header."""
+        sidecar = sidecar_path(sealed)
+        blob = bytearray(sidecar.read_bytes())
+        blob[len(CKPT_MAGIC) : len(CKPT_MAGIC) + 2] = (1).to_bytes(2, "little")
+        sidecar.write_bytes(bytes(blob))
+        return sidecar
+
+    def test_v1_load_names_the_version(self, v1_sidecar):
+        with pytest.raises(CheckpointFormatError, match="version 1"):
+            CheckpointStore.load(v1_sidecar)
+
+    def test_v1_resume_falls_back_to_zero(self, recorded, sealed, v1_sidecar):
+        resumed = resume_replay(
+            racy_bank(), TraceLog.load(sealed), checkpoints=v1_sidecar, config=CFG
+        )
+        assert resumed.from_zero
+        assert any("version 1" in a for a in resumed.attempts)
+        assert resumed.result.heap_digest == recorded.result.heap_digest
+
+    def test_v1_cli_verify_exits_2(self, sealed, v1_sidecar, capsys):
+        assert cli_main(["checkpoint", "verify", str(sealed)]) == 2
+        assert "version 1" in capsys.readouterr().err
+
+    def test_v1_doctor_says_regenerate(self, sealed, v1_sidecar):
+        report = diagnose(sealed, program=racy_bank(), config=CFG)
+        assert report.classification == CLASS_CKPT_CORRUPT
+        assert "version 1" in report.detail
+        assert "regenerate with --checkpoint-every" in report.detail
 
 
 class TestResumeReplay:
@@ -351,7 +455,7 @@ class TestResumeReplay:
         writer = CheckpointWriter(sidecar_path(trace_path))
         for snap in store.snapshots:
             header = dict(snap.header, engine="switch")
-            header["digest"] = _digest_of(header, snap.words_blob())
+            header["digest"] = _digest_of(header, snap.words)
             writer.add(Snapshot(header, snap.words))
         writer.seal(dict(store.meta, engine="switch"))
         old = CheckpointStore.load(sidecar_path(trace_path))
@@ -367,6 +471,70 @@ class TestResumeReplay:
         assert len(unusable) == len(old.snapshots)
         assert resumed.attempts[-1] == "replayed from cycle zero"
         self._assert_matches_clean(resumed, recorded)
+
+
+class TestLiveExtent:
+    """Snapshots store the boot record plus ``words[base[active]:bump]``;
+    that is lossless only because every other heap word is zero."""
+
+    @pytest.mark.parametrize(
+        "name,heap",
+        [(name, 10_000) for name in sorted(REGISTRY)] + [("gc_churn", 6_000)],
+    )
+    def test_outside_extent_is_zero_at_every_safe_point(self, name, heap):
+        """Capture at *every* safe point of every registry workload
+        (gc_churn at 6k words also crosses semispace flips)."""
+        spec = REGISTRY[name]
+        cfg = VMConfig(semispace_words=heap)
+        recorded = record(spec.build(), config=cfg, timer=SeededJitterTimer(5, 40, 160))
+        seen = []
+
+        def attach(vm):
+            def check(snap):
+                mem = vm.memory
+                lo = mem.base[mem.active]
+                assert not any(mem.words[BOOT_WORDS:lo])
+                assert not any(mem.words[mem.bump:])
+                assert snap.words == mem.words[:BOOT_WORDS] + mem.words[lo:mem.bump]
+                seen.append(snap.cycles)
+
+            CheckpointRecorder(vm, 1, sink=check, keep=False)
+
+        result = replay(spec.build(), recorded.trace, config=cfg, vm_hook=attach)
+        assert len(seen) >= 4
+        if heap == 6_000:
+            assert result.gc_count > 0
+
+    @pytest.mark.parametrize("where", ["past_bump", "idle_semispace", "last_word"])
+    def test_stray_word_outside_extent_refuses_capture(self, recorded, where):
+        program = racy_bank()
+        vm = build_vm(program, CFG)
+        DejaVu(vm, MODE_REPLAY, trace=recorded.trace)
+        vm.start(program.main)
+        capture_snapshot(vm)  # clean machine: fine
+        mem = vm.memory
+        addr = {
+            "past_bump": mem.bump + 3,
+            "idle_semispace": mem.base[1 - mem.active] + 5,
+            "last_word": len(mem.words) - 1,
+        }[where]
+        mem.words[addr] = 7
+        with pytest.raises(CheckpointError, match=f"heap word {addr} .*live extent"):
+            capture_snapshot(vm)
+
+    def test_snapshot_size_follows_live_heap_not_semispace(self):
+        counts = {}
+        for heap in (400_000, 4_000_000):
+            box = {}
+            record(
+                racy_bank(),
+                config=VMConfig(semispace_words=heap),
+                timer=SeededJitterTimer(5, 40, 160),
+                vm_hook=lambda vm: box.setdefault("rec", CheckpointRecorder(vm, EVERY)),
+            )
+            counts[heap] = [len(s.words) for s in box["rec"].snapshots]
+        assert counts[400_000] and counts[400_000] == counts[4_000_000]
+        assert max(counts[400_000]) < 400_000 // 20
 
 
 class TestCheckpointFaultCampaign:

@@ -10,7 +10,7 @@ the fallback ladder bottoms out at replay-from-zero.
 import pytest
 
 from repro.api import record
-from repro.core.checkpoint import machine_digest
+from repro.core.checkpoint import Snapshot, machine_digest
 from repro.debugger import Debugger, ReplaySession
 from repro.debugger.timetravel import TimeTravelSession
 from repro.vm import SeededJitterTimer
@@ -68,9 +68,10 @@ class TestSeekEquivalence:
         target = end * 3 // 4
         # tamper with the snapshot the seek would restore (newest < target)
         victim_cycles = max(c for c in fast._snapshots if c < target)
-        victim = fast._snapshots[victim_cycles]
-        victim.words[len(victim.words) // 2] ^= 1
-        victim._words_blob = None  # force re-encode of the tampered words
+        words = list(fast._snapshots[victim_cycles].words)
+        words[len(words) // 2] ^= 1  # a live-extent word: digest must fail
+        victim = Snapshot(fast._snapshots[victim_cycles].header, words)
+        fast._snapshots[victim_cycles] = victim
         fast_point = fast.goto_cycles(target)
         slow_point = plain.goto_cycles(target)
         assert fast_point == slow_point

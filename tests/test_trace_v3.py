@@ -15,11 +15,13 @@ The seeded fuzz sweeps (marked ``fuzz``) run in the CI faults-smoke job.
 """
 
 import random
+import zlib
 
 import pytest
 
 from repro.api import record, replay, replay_prefix
 from repro.core.tracelog import (
+    CODEC_RAW,
     FORMAT_VERSION,
     MAGIC,
     TraceLog,
@@ -34,7 +36,7 @@ from repro.vm import SeededJitterTimer
 from repro.vm.engineconfig import EngineConfig
 from repro.vm.errors import TraceFormatError
 from repro.vm.machine import VMConfig
-from repro.workloads import racy_bank
+from repro.workloads import REGISTRY, racy_bank
 
 CFG = VMConfig(semispace_words=60_000)
 _HEADER = len(MAGIC) + 2
@@ -175,6 +177,49 @@ class TestV2Compat:
         assert loaded.switches == session.trace.switches
         result = replay(_program(), loaded, config=CFG)
         assert result.heap_digest == session.result.heap_digest
+
+
+# ---------------------------------------------------------------------------
+# meta and footer segments are parsed as literals, never evaluated
+
+
+def _with_segment_payload(blob: bytes, kind: bytes, payload: bytes) -> bytes:
+    """*blob* with every *kind* segment's payload replaced by *payload*
+    under a valid v3.1 header (raw codec, correct CRC)."""
+    starts = [_HEADER] + segment_boundaries(blob)[:-1]
+    out = bytearray(blob[:_HEADER])
+    for start, end in zip(starts, segment_boundaries(blob)):
+        if blob[start:start + 1] == kind:
+            out += kind + bytes([CODEC_RAW]) + len(payload).to_bytes(4, "little")
+            out += zlib.crc32(payload).to_bytes(4, "little") + payload
+        else:
+            out += blob[start:end]
+    return bytes(out)
+
+
+class TestMetaIsData:
+    @pytest.mark.parametrize("kind", [b"M", b"F"])
+    def test_planted_code_raises_typed_without_running(self, tmp_path, kind):
+        path = tmp_path / "t.djv"
+        _record_to(path)
+        marker = tmp_path / "ran"
+        code = f"__import__('os').system('touch {marker}')".encode()
+        path.write_bytes(_with_segment_payload(path.read_bytes(), kind, code))
+        with pytest.raises(TraceFormatError, match="undecodable"):
+            TraceLog.load(path)
+        assert not marker.exists()
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_registry_traces_load_byte_identically(self, tmp_path, name):
+        spec = REGISTRY[name]
+        path, again = tmp_path / "t.djv", tmp_path / "again.djv"
+        session = record(
+            spec.build(), config=CFG, timer=SeededJitterTimer(5, 40, 160), out=path
+        )
+        loaded = TraceLog.load(path)
+        assert loaded.meta == session.trace.meta
+        loaded.save(again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 # ---------------------------------------------------------------------------
