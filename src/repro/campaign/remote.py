@@ -421,34 +421,9 @@ def spawn_worker_process(
     first stdout line (flushed), which is the only rendezvous needed —
     no port race, no sleep-and-hope.
     """
-    import os
-    import subprocess
-    import sys
+    from repro.core.server import spawn_cli_daemon
 
-    import repro
-
-    argv = [sys.executable, "-m", "repro.cli", "worker", "--host", host, "--port", "0"]
+    args = ["worker", "--host", host, "--port", "0"]
     if sabotage:
-        argv += ["--sabotage", sabotage]
-    # the daemon must find the same `repro` the parent runs, however the
-    # parent got it onto sys.path (installed, PYTHONPATH, or a test rig)
-    env = dict(os.environ)
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env["PYTHONPATH"] = package_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    proc = subprocess.Popen(
-        argv,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
-    )
-    line = proc.stdout.readline().strip()
-    marker = "listening on "
-    if marker not in line:
-        proc.kill()
-        raise TransportError(f"worker failed to start: {line!r}")
-    addr = line.split(marker, 1)[1]
-    host_part, port_part = addr.rsplit(":", 1)
-    return proc, (host_part, int(port_part))
+        args += ["--sabotage", sabotage]
+    return spawn_cli_daemon(args, "worker")

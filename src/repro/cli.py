@@ -56,16 +56,16 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro import jobs
 from repro.api import (
     ENGINE_PRESETS,
     GuestProgram,
     build_vm,
-    record as api_record,
     replay as api_replay,
     standard_knobs,
 )
 from repro.core import TraceLog
-from repro.vm.errors import TraceFormatError, UsageError, VMError
+from repro.vm.errors import UsageError, VMError
 from repro.vm.machine import VMConfig
 
 
@@ -98,27 +98,42 @@ def _workload_overrides(args) -> dict:
     return overrides
 
 
-def _resolve_program(args, trace: "TraceLog | None" = None) -> GuestProgram:
-    """A program comes from a source path or from ``--workload``; when
-    rebuilding for a trace, the trace's recorded build kwargs win (so the
-    replayed program is the recorded one) unless overridden with -W."""
-    workload = getattr(args, "workload", None)
-    if workload is None:
-        if args.program is None:
-            raise UsageError("need a program file or --workload NAME")
-        return load_program(args.program, args.main)
-    if args.program is not None:
-        raise UsageError("give a program file or --workload, not both")
-    from repro.workloads.registry import get_workload
+def _job(args, **fields) -> dict:
+    """The job dict a command runs on: the shape `repro serve` validates."""
+    return {
+        "workload": getattr(args, "workload", None),
+        "workload_args": _workload_overrides(args),
+        "seed": args.seed,
+        "engine": args.engine,
+        "heap": args.heap,
+        **fields,
+    }
 
-    spec = get_workload(workload)
-    kwargs = dict(spec.defaults)
-    if trace is not None and trace.meta.get("workload") == spec.name:
-        kwargs.update(dict(trace.meta.get("workload_kwargs") or {}))
-    kwargs.update(_workload_overrides(args))
-    # so `record` can stamp the build into the trace meta
-    args._workload_meta = {"workload": spec.name, "workload_kwargs": kwargs}
-    return spec.build(kwargs)
+
+class _Programs:
+    """The CLI's inputs for :mod:`repro.jobs`: a program file or a
+    ``--workload`` build (with a trace's recorded build kwargs, so the
+    replayed program is the recorded one unless -W overrides them), and
+    traces read from disk."""
+
+    def __init__(self, args):
+        self.args = args
+
+    def program(self, job: dict, trace: "TraceLog | None" = None) -> "GuestProgram | None":
+        if job["workload"] is None:
+            if self.args.program is None:
+                return None
+            return load_program(self.args.program, self.args.main)
+        if self.args.program is not None:
+            raise UsageError("give a program file or --workload, not both")
+        spec, kwargs = jobs.resolve_workload(job, trace)
+        return spec.build(kwargs)
+
+    load_trace = staticmethod(TraceLog.load)
+
+
+def _resolve_program(args, trace: "TraceLog | None" = None) -> GuestProgram:
+    return jobs.require_program(_Programs(args), _job(args), trace)
 
 
 def _knobs(args) -> dict:
@@ -126,22 +141,7 @@ def _knobs(args) -> dict:
 
 
 def _config(args) -> VMConfig:
-    engine = ENGINE_PRESETS[getattr(args, "engine", "full")]
-    return VMConfig(semispace_words=args.heap, engine=engine)
-
-
-def _print_result(result, out=None) -> None:
-    out = out if out is not None else sys.stdout
-    print(result.output_text, file=out)
-    print(
-        f"-- cycles={result.cycles} switches={result.switches} "
-        f"gc={result.gc_count} threads={len(result.yieldpoints)}",
-        file=out,
-    )
-    if result.deadlocked:
-        print(f"-- DEADLOCK: threads {list(result.deadlocked)}", file=out)
-    for tid, kind, detail in result.traps:
-        print(f"-- trap in thread {tid}: {detail}", file=out)
+    return jobs.vm_config(vars(args))
 
 
 # ---------------------------------------------------------------------------
@@ -151,71 +151,26 @@ def _print_result(result, out=None) -> None:
 def cmd_run(args) -> int:
     program = _resolve_program(args)
     vm = build_vm(program, _config(args), **_knobs(args))
-    _print_result(vm.run(program.main))
+    jobs.print_result(vm.run(program.main), sys.stdout)
     return 0
 
 
 def cmd_record(args) -> int:
-    program = _resolve_program(args)
     # stream segments to <out>.tmp as the run progresses; a crash leaves
     # a salvageable prefix there instead of nothing
-    session = api_record(
-        program,
-        config=_config(args),
-        out=args.out,
-        compress=args.compress,
-        extra_meta=getattr(args, "_workload_meta", {}),
-        slim=getattr(args, "slim", False),
-        **_knobs(args),
-    )
-    _print_result(session.result)
-    print(
-        f"-- trace: {session.trace.n_switch_records} switch records, "
-        f"{session.trace.n_value_words} value words, "
-        f"{session.trace.encoded_size_bytes} bytes -> {args.out}"
-    )
-    slim_info = session.trace.slim_info
-    if slim_info is not None:
-        print(
-            f"-- slim: kept {slim_info['kept']} switch delta(s), "
-            f"dropped {slim_info['dropped']} (model "
-            f"{slim_info['model'][0]}, {slim_info['sync_total']} sync events)"
-        )
-    elif getattr(args, "slim", False):
-        reason = session.trace.meta.get("slim_fallback", "?")
-        print(f"-- slim: fell back to full recording ({reason})")
-    return 0
+    job = _job(args, out_name=args.out, slim=args.slim)
+    return jobs.record(job, sys.stdout, _Programs(args), args.out, compress=args.compress)
 
 
 def cmd_replay(args) -> int:
-    from repro.core.checkpoint import sidecar_path
-
-    trace = TraceLog.load(args.trace)
-    program = _resolve_program(args, trace)
-    if args.resume:
-        from repro.api import resume_replay
-
-        resumed = resume_replay(
-            program, trace, checkpoints=sidecar_path(args.trace), config=_config(args)
-        )
-        for step in resumed.attempts:
-            print(f"-- {step}")
-        _print_result(resumed.result)
-        print("-- replay verified against the recorded END witnesses")
-        return 0
-    checkpoint_out = sidecar_path(args.trace) if args.checkpoint_every else None
-    result = api_replay(
-        program,
-        trace,
-        config=_config(args),
-        checkpoint_every=args.checkpoint_every or None,
-        checkpoint_out=checkpoint_out,
+    return jobs.replay(
+        _job(args),
+        sys.stdout,
+        _Programs(args),
+        args.trace,
+        resume=args.resume,
+        checkpoint_every=args.checkpoint_every,
     )
-    _print_result(result)
-    print("-- replay verified against the recorded END witnesses")
-    if checkpoint_out is not None:
-        print(f"-- checkpoints -> {checkpoint_out}")
-    return 0
 
 
 def cmd_checkpoint(args) -> int:
@@ -283,33 +238,7 @@ def cmd_trace_stats(args) -> int:
 
     Exit status 0 on a readable trace; 2 when the file is not a readable
     DejaVu trace (the :class:`TraceFormatError` tier, like trace-info)."""
-    from repro.core.tracelog import trace_stats
-
-    stats = trace_stats(args.trace)
-    major, minor = divmod(stats["format_version"], 256) if stats[
-        "format_version"
-    ] >= 256 else (stats["format_version"], None)
-    version = f"{major}.{minor}" if minor is not None else str(major)
-    print(f"format version: {version}")
-    print(f"file bytes:     {stats['file_bytes']}")
-    for name in ("switch", "value", "slim"):
-        st = stats["streams"].get(name)
-        if st is None:
-            continue
-        codecs = ",".join(f"0x{c:02x}" for c in st["codecs"]) or "-"
-        print(f"{name} stream:")
-        print(f"  entries:       {st['entries']}")
-        print(f"  segments:      {st['segments']}")
-        print(f"  encoded bytes: {st['encoded_bytes']}")
-        print(f"  varint bytes:  {st['raw_bytes']}")
-        print(f"  ratio:         {st['ratio']:.3f}x (codecs {codecs})")
-    slim = stats.get("slim")
-    if slim is not None:
-        print(
-            f"slim recording: kept {slim['kept']} switch delta(s), "
-            f"dropped {slim['dropped']}"
-        )
-    return 0
+    return jobs.trace_stats({}, sys.stdout, None, args.trace)
 
 
 def cmd_engine_stats(args) -> int:
@@ -318,7 +247,7 @@ def cmd_engine_stats(args) -> int:
     program = _resolve_program(args)
     vm = build_vm(program, _config(args), **_knobs(args))
     result = vm.run(program.main)
-    _print_result(result)
+    jobs.print_result(result, sys.stdout)
     stats = vm.engine_stats()
     print(f"-- engine: {stats.pop('config')}")
     for key in (
@@ -411,10 +340,8 @@ def cmd_serve(args) -> int:
     parse).  SIGTERM drains gracefully: accepting stops, every accepted
     job finishes and delivers, then the daemon exits 0.
     """
-    from repro.core.server import install_term_handler
     from repro.serve import ServeDaemon
 
-    log = (lambda message: print(f"-- {message}", flush=True)) if args.verbose else None
     daemon = ServeDaemon(
         host=args.host,
         port=args.port,
@@ -423,19 +350,29 @@ def cmd_serve(args) -> int:
         default_deadline=args.deadline,
         drain_grace=args.drain_grace,
         warm=not args.cold,
-        log=log,
+        log=_daemon_log(args),
     )
-    install_term_handler(daemon.request_stop)
-    print(
-        f"repro serve listening on {daemon.address[0]}:{daemon.address[1]}",
-        flush=True,
-    )
+    return _serve_until_stopped(daemon, "serve")
+
+
+def _daemon_log(args):
+    return (lambda message: print(f"-- {message}", flush=True)) if args.verbose else None
+
+
+def _serve_until_stopped(server, name: str) -> int:
+    """Print ``repro NAME listening on HOST:PORT`` (the rendezvous line
+    :func:`repro.core.server.spawn_cli_daemon` and scripts parse), serve
+    until SIGTERM or Ctrl-C, then stop gracefully."""
+    from repro.core.server import install_term_handler
+
+    install_term_handler(server.request_stop)
+    print(f"repro {name} listening on {server.address[0]}:{server.address[1]}", flush=True)
     try:
-        daemon.serve_forever()
+        server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
-        daemon.stop()
+        server.stop()
     return 0
 
 
@@ -518,44 +455,10 @@ def cmd_explore(args) -> int:
     instead: the fixed work-list is evaluated exhaustively (all failures
     collected, none minimized) and failing traces stream into the corpus.
     """
-    from repro.explore import Explorer, detect_races
-    from repro.workloads.registry import get_workload
-
     if args.jobs is not None or args.corpus is not None or args.hosts:
         return _explore_campaign(args)
-    if args.workload is not None:
-        spec = get_workload(args.workload)
-        kwargs = spec.merged_kwargs(_workload_overrides(args), explore=True)
-        factory = spec.program_factory(kwargs)
-        oracle = spec.oracle(kwargs)
-        meta = {"workload": spec.name, "workload_kwargs": kwargs}
-    elif args.program is not None:
-        factory = lambda: load_program(args.program, args.main)  # noqa: E731
-        oracle = None
-        meta = {}
-    else:
-        raise UsageError("need a program file or --workload NAME")
-
-    report = Explorer(
-        factory,
-        oracle=oracle,
-        bound=args.bound,
-        budget=args.budget,
-        seed=args.seed if args.seed is not None else 0,
-        config=_config(args),
-    ).run()
-    print(report.format())
-    if report.minimized is None:
-        return 0
-
-    trace = report.minimized.trace
-    trace.meta.update(meta)
-    trace.save(args.out)
-    print(f"-- minimized failing trace -> {args.out}")
-    if not args.no_races:
-        races = detect_races(factory(), trace, config=_config(args))
-        print(races.format())
-    return 0
+    job = _job(args, bound=args.bound, budget=args.budget, out_name=args.out)
+    return jobs.explore(job, sys.stdout, _Programs(args), args.out, races=not args.no_races)
 
 
 def _explore_campaign(args) -> int:
@@ -620,30 +523,7 @@ def cmd_doctor(args) -> int:
     Exit status follows the classification: 0 clean, 1 a finding
     (truncation, corruption, mismatch, nondeterminism), 2 the file is not
     a readable trace at all."""
-    from repro.core.doctor import diagnose
-
-    program = None
-    workload_kwargs = None
-    if getattr(args, "workload", None) is not None:
-        from repro.workloads.registry import get_workload
-
-        spec = get_workload(args.workload)
-        # intended build parameters: the defaults plus explicit -W, NOT
-        # merged with the trace meta — diffing them against the recording
-        # is the doctor's job
-        workload_kwargs = dict(spec.defaults)
-        workload_kwargs.update(_workload_overrides(args))
-        program = spec.build(workload_kwargs)
-    elif args.program is not None:
-        program = load_program(args.program, args.main)
-    report = diagnose(
-        args.trace,
-        program=program,
-        config=_config(args),
-        workload_kwargs=workload_kwargs,
-    )
-    print(report.format())
-    return report.exit_code
+    return jobs.doctor(_job(args), sys.stdout, _Programs(args), args.trace)
 
 
 def cmd_faults(args) -> int:
@@ -703,27 +583,14 @@ def cmd_worker(args) -> int:
     one-shot LAYER_REMOTE fault seam — testing only.
     """
     from repro.campaign.remote import WorkerServer, parse_sabotage
-    from repro.core.server import install_term_handler
 
     sabotage = parse_sabotage(args.sabotage) if args.sabotage else None
-    log = (lambda message: print(f"-- {message}", flush=True)) if args.verbose else None
     server = WorkerServer(
-        host=args.host, port=args.port, log=log, sabotage=sabotage
+        host=args.host, port=args.port, log=_daemon_log(args), sabotage=sabotage
     )
     # SIGTERM → graceful stop: drain the live connection, join the
     # heartbeat pump, close warm runners, exit 0 (no orphaned threads)
-    install_term_handler(server.request_stop)
-    print(
-        f"repro worker listening on {server.address[0]}:{server.address[1]}",
-        flush=True,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    return 0
+    return _serve_until_stopped(server, "worker")
 
 
 def cmd_corpus(args) -> int:
@@ -1150,16 +1017,8 @@ def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TraceFormatError as exc:
-        # the input file is not a usable trace — same tier as bad usage
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except VMError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return jobs.error_exit(exc, sys.stderr)
 
 
 if __name__ == "__main__":

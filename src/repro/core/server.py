@@ -220,3 +220,38 @@ def install_term_handler(callback) -> bool:
         return False
     signal.signal(signal.SIGTERM, lambda signum, frame: callback())
     return True
+
+
+def spawn_cli_daemon(args: "list[str]", what: str):
+    """Launch ``python -m repro.cli ARGS`` (a ``serve`` or ``worker``
+    daemon) and return ``(proc, (host, port))`` once it announces its
+    ``listening on HOST:PORT`` first line — the only rendezvous needed:
+    no port race, no sleep-and-hope."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    from repro.core.framing import TransportError
+
+    # the daemon must find the same `repro` the parent runs, however the
+    # parent got it onto sys.path (installed, PYTHONPATH, or a test rig)
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = package_root + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=env,
+    )
+    line = proc.stdout.readline().strip()
+    marker = "listening on "
+    if marker not in line:
+        proc.kill()
+        raise TransportError(f"{what} failed to start: {line!r}")
+    host, _, port = line.split(marker, 1)[1].rpartition(":")
+    return proc, (host, int(port))

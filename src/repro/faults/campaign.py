@@ -156,7 +156,7 @@ class FaultRunContext:
             from repro.workloads.registry import get_workload
 
             spec = get_workload(workload)
-            kwargs = dict(spec.defaults) | kwargs
+            kwargs = spec.merged_kwargs(kwargs)
             program_factory = lambda: spec.build(kwargs)  # noqa: E731
             self.workload_name = spec.name
             self._extra_meta = {"workload": spec.name, "workload_kwargs": kwargs}

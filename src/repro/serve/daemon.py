@@ -41,7 +41,6 @@ from repro.serve.protocol import (
     FrameDecoder,
     FrameError,
     ServeError,
-    TransportError,
     decode_serve_payload,
     encode_serve_message,
     error_reply,
@@ -169,13 +168,19 @@ class ServeDaemon(SocketServer):
             return self._send(conn, self._health())
         if op == "submit":
             return self._handle_submit(conn, message)
-        if op == "drain":
-            self._send(conn, {"op": "draining"})
-            self.request_stop()
-            return False
-        if op == "shutdown":
-            self._send(conn, {"op": "bye"})
-            self.request_stop()
+        if op in ("drain", "shutdown"):
+            # stop accepting *before* replying: a client that has read
+            # the reply must find the listener closed.  The reply counts
+            # as an in-flight response, so the drain window cannot tear
+            # this connection down before it is written.
+            with self._busy_lock:
+                self._busy += 1
+            try:
+                self.request_stop()
+                self._send(conn, {"op": "draining" if op == "drain" else "bye"})
+            finally:
+                with self._busy_lock:
+                    self._busy -= 1
             return False
         return self._send(conn, {"op": "error", "detail": f"unknown op {op!r}"})
 
@@ -263,38 +268,14 @@ def spawn_serve_process(
     port))`` once the daemon announces its listening address (the same
     rendezvous discipline as :func:`repro.campaign.remote
     .spawn_worker_process`)."""
-    import subprocess
-    import sys
+    from repro.core.server import spawn_cli_daemon
 
-    import repro
-
-    argv = [
-        sys.executable, "-m", "repro.cli", "serve",
-        "--host", host, "--port", "0",
+    args = [
+        "serve", "--host", host, "--port", "0",
         "--workers", str(workers), "--queue", str(queue_limit),
     ]
     if deadline is not None:
-        argv += ["--deadline", str(deadline)]
+        args += ["--deadline", str(deadline)]
     if cold:
-        argv += ["--cold"]
-    argv += list(extra_args or [])
-    env = dict(os.environ)
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env["PYTHONPATH"] = package_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    proc = subprocess.Popen(
-        argv,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
-    )
-    line = proc.stdout.readline().strip()
-    marker = "listening on "
-    if marker not in line:
-        proc.kill()
-        raise TransportError(f"serve daemon failed to start: {line!r}")
-    addr = line.split(marker, 1)[1]
-    host_part, port_part = addr.rsplit(":", 1)
-    return proc, (host_part, int(port_part))
+        args += ["--cold"]
+    return spawn_cli_daemon(args + list(extra_args or []), "serve daemon")

@@ -27,7 +27,10 @@ op                    direction  meaning
 ``error``             ← daemon   typed in-band protocol failure
 ====================  =========  =============================================
 
-**Job schema.**  A job is a plain dict.  Common fields:
+**Job schema.**  A job is a plain dict of the fields below; any other
+key is rejected with a typed :class:`ServeError` (a misspelt ``seed``
+must not silently record with the host timer).  Ints are never bools,
+names and texts are strings.  Fields:
 
 * ``kind`` — ``record`` | ``replay`` | ``explore`` | ``doctor`` |
   ``trace-stats``
@@ -47,6 +50,7 @@ op                    direction  meaning
 * ``trace_name`` — the path label doctor output prints (the daemon
   diagnoses from a temp file; this substitutes the client's path so
   stdout matches the CLI one-shot)
+* ``slim`` — record a slim trace (the CLI ``--slim``)
 
 Results carry ``stdout`` (byte-identical to the CLI one-shot's stdout),
 ``exit`` (the CLI exit status), and for record jobs ``trace`` (sealed
@@ -89,6 +93,13 @@ MAX_SERVE_FRAME_BYTES = 64 << 20
 
 #: the job kinds the daemon executes
 JOB_KINDS = ("record", "replay", "explore", "doctor", "trace-stats")
+#: every field a job may carry (see the module docstring)
+JOB_KEYS = frozenset({
+    "kind", "workload", "workload_args", "source", "main", "name", "seed",
+    "engine", "heap", "deadline", "trace", "bound", "budget", "out_name",
+    "trace_name", "slim",
+})
+_STRING_KEYS = ("workload", "source", "main", "name", "out_name", "trace_name")
 
 
 class ServeError(VMError):
@@ -130,6 +141,10 @@ def decode_serve_payload(payload: bytes) -> dict:
     return decode_pickle_payload(payload)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_job(job) -> dict:
     """Normalize and validate one job dict; typed :class:`ServeError` on
     anything malformed (a poison payload must land in a diagnostic the
@@ -141,6 +156,12 @@ def validate_job(job) -> dict:
         raise ServeError(
             f"unknown job kind {kind!r} (known: {', '.join(JOB_KINDS)})"
         )
+    unknown = set(job) - JOB_KEYS
+    if unknown:
+        raise ServeError(
+            f"unknown job key(s) {', '.join(sorted(map(repr, unknown)))} "
+            f"(known: {', '.join(sorted(JOB_KEYS))})"
+        )
     out = dict(job)
     out.setdefault("workload_args", {})
     out.setdefault("seed", None)
@@ -148,17 +169,21 @@ def validate_job(job) -> dict:
     out.setdefault("heap", 400_000)
     out.setdefault("deadline", None)
     out.setdefault("main", "Main.main()V")
-    if out["seed"] is not None and not isinstance(out["seed"], int):
+    for key in _STRING_KEYS:
+        if key in out and not isinstance(out[key], str):
+            raise ServeError(f"job {key} must be a string, got {out[key]!r}")
+    if not isinstance(out.get("slim", False), bool):
+        raise ServeError(f"job slim must be a bool, got {out['slim']!r}")
+    if out["seed"] is not None and not _is_int(out["seed"]):
         raise ServeError(f"job seed must be an int or None, got {out['seed']!r}")
-    if not isinstance(out["heap"], int) or out["heap"] <= 0:
+    if not _is_int(out["heap"]) or out["heap"] <= 0:
         raise ServeError(f"job heap must be a positive int, got {out['heap']!r}")
-    if out["deadline"] is not None:
-        try:
-            out["deadline"] = float(out["deadline"])
-        except (TypeError, ValueError):
-            raise ServeError(f"job deadline must be seconds, got {out['deadline']!r}")
-        if out["deadline"] <= 0:
-            raise ServeError("job deadline must be positive")
+    deadline = out["deadline"]
+    if deadline is not None:
+        number = isinstance(deadline, (int, float)) and not isinstance(deadline, bool)
+        if not number or not deadline > 0:
+            raise ServeError(f"job deadline must be positive seconds, got {deadline!r}")
+        out["deadline"] = float(deadline)
     if not isinstance(out["workload_args"], dict):
         raise ServeError("job workload_args must be a dict")
     has_program = ("workload" in out and out["workload"]) or (
@@ -166,6 +191,8 @@ def validate_job(job) -> dict:
     )
     if kind in ("record", "explore") and not has_program:
         raise ServeError(f"{kind} job needs a 'workload' name or 'source' text")
+    if kind in ("record", "explore") and "trace" in out:
+        raise ServeError(f"{kind} job takes no 'trace' (it writes one)")
     if kind in ("replay", "doctor", "trace-stats"):
         blob = out.get("trace")
         if not isinstance(blob, (bytes, bytearray)) or not blob:
@@ -176,9 +203,10 @@ def validate_job(job) -> dict:
     if kind == "explore":
         out.setdefault("bound", 2)
         out.setdefault("budget", 250)
-        if not isinstance(out["bound"], int) or out["bound"] < 1:
+        out.setdefault("out_name", "failure.djv")
+        if not _is_int(out["bound"]) or out["bound"] < 1:
             raise ServeError(f"explore bound must be >= 1, got {out['bound']!r}")
-        if not isinstance(out["budget"], int) or out["budget"] < 1:
+        if not _is_int(out["budget"]) or out["budget"] < 1:
             raise ServeError(f"explore budget must be >= 1, got {out['budget']!r}")
     if kind == "record":
         out.setdefault("out_name", "run.djv")
@@ -200,6 +228,8 @@ def validate_job(job) -> dict:
                 f"unknown engine flag(s) {sorted(bad)} "
                 f"(known: {sorted(allowed)})"
             )
+        if not all(isinstance(flag, bool) for flag in engine.values()):
+            raise ServeError(f"job engine flags must be bools, got {engine!r}")
     else:
         raise ServeError(
             f"job engine must be a preset name or a flag dict, got {engine!r}"

@@ -28,8 +28,10 @@ import hashlib
 import pickle
 import threading
 from dataclasses import replace
+from pathlib import Path
 
-from repro.serve.protocol import ServeError
+from repro.api import GuestProgram, trace_from_bytes
+from repro.jobs import resolve_workload
 
 
 def _digest(obj) -> str:
@@ -88,39 +90,43 @@ class SessionPool:
     # ------------------------------------------------------------------
     # the cached artifacts
 
-    def program(self, job: dict):
-        """The job's :class:`~repro.api.GuestProgram` — assembled once
-        per distinct (workload, build-args) or source text, with fresh
-        copies of its never-run natives (the ``server`` network stream)."""
-        program = self._program(job)
-        return replace(program, natives=copy.deepcopy(program.natives))
-
-    def _program(self, job: dict):
-        workload = job.get("workload")
-        if workload:
-            from repro.workloads.registry import get_workload
-
-            spec = get_workload(workload)
-            kwargs = dict(spec.defaults)
-            kwargs.update(job["workload_args"])
+    def program(self, job: dict, trace=None):
+        """The job's :class:`~repro.api.GuestProgram` (None when it names
+        no program) — assembled once per distinct (workload, build
+        kwargs) or source text, with fresh copies of its never-run
+        natives (the ``server`` network stream).  A *trace* that
+        recorded the same workload lends its build kwargs, as for the
+        CLI (see :func:`repro.jobs.resolve_workload`)."""
+        if job.get("workload"):
+            spec, kwargs = resolve_workload(job, trace)
             # key on the *resolved* build kwargs, so explicit defaults
             # and implicit defaults share one warm entry
             key = "w:" + _digest((spec.name, sorted(kwargs.items())))
-            return self._get(
-                self._programs, key, lambda: spec.build(kwargs)
+            program = self._get(self._programs, key, lambda: spec.build(kwargs))
+        elif job.get("source"):
+            key = "s:" + _digest((job["source"], job.get("main"), job.get("name")))
+            program = self._get(
+                self._programs,
+                key,
+                lambda: GuestProgram.from_source(
+                    job["source"],
+                    main=job.get("main", "Main.main()V"),
+                    name=job.get("name", "program"),
+                ),
             )
-        source = job.get("source")
-        if not source:
-            raise ServeError("job names neither a workload nor source text")
-        key = "s:" + _digest((source, job.get("main"), job.get("name")))
-        return self._get(self._programs, key, lambda: _build_source_program(job))
+        else:
+            return None
+        return replace(program, natives=copy.deepcopy(program.natives))
 
     def trace(self, blob: bytes):
         """The parsed :class:`~repro.core.TraceLog` for sealed bytes.
         Replay cursors live in the controller, so one parsed trace is
         safe to share across concurrent jobs."""
         key = "t:" + hashlib.sha256(blob).hexdigest()[:24]
-        return self._get(self._traces, key, lambda: _parse_trace(blob))
+        return self._get(self._traces, key, lambda: trace_from_bytes(blob))
+
+    def load_trace(self, path):
+        return self.trace(Path(path).read_bytes())
 
     def stats(self) -> dict:
         with self._lock:
@@ -134,17 +140,3 @@ class SessionPool:
                 "invalidations": self.invalidations,
             }
 
-
-def _build_source_program(job: dict):
-    from repro.api import GuestProgram
-
-    return GuestProgram.from_source(
-        job["source"], main=job.get("main", "Main.main()V"),
-        name=job.get("name", "program"),
-    )
-
-
-def _parse_trace(blob: bytes):
-    from repro.api import trace_from_bytes
-
-    return trace_from_bytes(blob)

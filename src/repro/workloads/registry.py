@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from repro.vm.errors import VMError
+from repro.vm.errors import UsageError
 from repro.workloads.bank import racy_bank, synced_bank
 from repro.workloads.figure1 import figure1_ab, figure1_cd
 from repro.workloads.gc_churn import gc_churn
@@ -65,8 +65,6 @@ class WorkloadSpec:
     def _check_known(self, resolved: dict) -> None:
         unknown = set(resolved) - set(self.defaults) - set(self.explore_kwargs)
         if unknown:
-            from repro.vm.errors import UsageError
-
             raise UsageError(
                 f"workload {self.name!r} has no parameter "
                 f"{', '.join(sorted(unknown))} (known: "
@@ -242,7 +240,7 @@ def canonical_workload_key(name: str, kwargs: "dict | None" = None) -> str:
 def get_workload(name: str) -> WorkloadSpec:
     spec = REGISTRY.get(_ALIASES.get(name, name))
     if spec is None:
-        raise VMError(
+        raise UsageError(
             f"unknown workload {name!r} (have: {', '.join(workload_names())})"
         )
     return spec

@@ -139,6 +139,17 @@ class TestExitCodes:
         assert code == 1
         assert "classification: truncated-tail" in out
 
+    @pytest.mark.parametrize("command", ["record", "explore", "doctor"])
+    def test_unknown_workload_exits_2(self, command, tmp_path, capsys):
+        argv = [command, "--workload", "nosuch"]
+        if command == "doctor":
+            argv.append(str(tmp_path / "t.djv"))
+        else:
+            argv += ["-o", str(tmp_path / "x.djv")]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2  # bad usage, not a finding
+        assert err.startswith("error: unknown workload 'nosuch'")
+
     def test_unknown_workload_parameter_exits_2(self, capsys):
         code, _, err = run_cli(
             ["run", "--workload", "bank", "-W", "bogus=1"], capsys
@@ -197,3 +208,25 @@ class TestDebugRepl:
         assert code == 0
         assert "unknown command" in out
         assert "error:" in out
+
+
+class TestImportGuard:
+    def test_cli_import_loads_no_serve_module(self):
+        """The CLI routes jobs through :mod:`repro.jobs`; importing it
+        must not drag in the daemon, supervisor or frame codec."""
+        import os
+        import subprocess
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        probe = (
+            "import sys, repro.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.serve')))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        ).stdout
+        assert out.strip() == "[]"

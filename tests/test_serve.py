@@ -165,6 +165,37 @@ class TestValidateJob:
         with pytest.raises(ServeError, match="unknown engine preset"):
             validate_job(record_job(engine="threaded"))
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ({"sed": 7}, "unknown job key"),
+            ({"heap": True}, "heap"),
+            ({"seed": True}, "seed"),
+            ({"deadline": True}, "deadline"),
+            ({"workload": 3}, "workload must be a string"),
+            ({"main": None}, "main must be a string"),
+            ({"name": b"x"}, "name must be a string"),
+            ({"out_name": 1}, "out_name must be a string"),
+            ({"trace_name": 1}, "trace_name must be a string"),
+            ({"slim": 1}, "slim must be a bool"),
+            ({"engine": {"fusion": 1}}, "engine flags must be bools"),
+            ({"trace": b"DJVU"}, "takes no 'trace'"),
+        ],
+    )
+    def test_malformed_fields_are_typed(self, bad, match):
+        with pytest.raises(ServeError, match=match):
+            validate_job(record_job(**bad))
+
+    def test_malformed_source_and_explore_ints_are_typed(self):
+        with pytest.raises(ServeError, match="source must be a string"):
+            validate_job({"kind": "record", "source": 123})
+        with pytest.raises(ServeError, match="bound"):
+            validate_job({"kind": "explore", "workload": "bank", "bound": True})
+        with pytest.raises(ServeError, match="budget"):
+            validate_job({"kind": "explore", "workload": "bank", "budget": False})
+        with pytest.raises(ServeError, match="trace_name must be a string"):
+            validate_job({"kind": "doctor", "trace": b"x", "trace_name": 7})
+
     def test_defaults_are_filled(self):
         job = validate_job({"kind": "record", "workload": "bank"})
         assert job["engine"] == "full"
@@ -617,6 +648,38 @@ class TestByteIdentity:
         assert result["stdout"] == cli_stdout
 
 
+class TestExitTiers:
+    """A job's exit status and error line are the CLI's, tier for tier."""
+
+    def test_unknown_workload_exits_2_like_the_cli(self, tmp_path, capsys):
+        from repro.serve import run_job
+
+        code, _, err = run_cli(
+            ["record", "--workload", "nosuch", "-o", str(tmp_path / "x.djv")],
+            capsys,
+        )
+        job = validate_job({"kind": "record", "workload": "nosuch"})
+        result = run_job(job, None, CancelToken(None))
+        assert code == result["exit"] == 2
+        assert result["stderr"] == err
+        assert err.startswith("error: unknown workload 'nosuch'")
+
+    def test_unreadable_trace_exits_2_like_the_cli(self, tmp_path, capsys):
+        from repro.serve import run_job
+
+        junk = tmp_path / "junk.djv"
+        junk.write_bytes(b"junk")
+        code, _, err = run_cli(
+            ["replay", str(junk), "--workload", "bank"], capsys
+        )
+        job = validate_job({"kind": "replay", "workload": "bank", "trace": b"junk"})
+        result = run_job(job, None, CancelToken(None))
+        assert code == result["exit"] == 2
+        # the daemon parses a temp copy, so only the file name differs
+        assert "bad magic" in err and "bad magic" in result["stderr"]
+        assert result["stderr"].startswith("error: ")
+
+
 def _submit(daemon, job, timeout=60):
     with ServeClient(daemon.address) as client:
         return client.submit(job, timeout=timeout)
@@ -651,7 +714,7 @@ class TestRobustness:
         def blocking(job, pool, token):
             started.set()
             gate.wait(10)
-            return {"n": job.get("n")}
+            return {"n": job.get("seed")}
 
         d = ServeDaemon(workers=1, queue_limit=1, executor=blocking).start()
         try:
@@ -659,14 +722,14 @@ class TestRobustness:
             result_box = {}
             filler = threading.Thread(
                 target=lambda: result_box.update(
-                    holder.submit({**record_job(), "n": 0})
+                    holder.submit(record_job(seed=0))
                 )
             )
             filler.start()
             assert started.wait(10)
             with ServeClient(d.address) as client:
                 with pytest.raises(JobRejected) as exc:
-                    client.submit({**record_job(), "n": 1})
+                    client.submit(record_job(seed=1))
                 assert exc.value.reason == "overloaded"
                 assert exc.value.retry_after > 0
                 # retrying with the daemon's hint converges once the
@@ -679,7 +742,7 @@ class TestRobustness:
                     time.sleep(0.02)
 
                 retried = client.submit_with_retry(
-                    {**record_job(), "n": 1},
+                    record_job(seed=1),
                     policy=BackoffPolicy(
                         attempts=20, base_delay=0.01,
                         max_delay=0.05, jitter_seed=1,
@@ -750,14 +813,14 @@ class TestGracefulDrain:
 
         def slow(job, pool, token):
             release.wait(10)
-            return {"n": job["n"]}
+            return {"n": job["seed"]}
 
         d = ServeDaemon(workers=2, queue_limit=8, executor=slow).start()
         try:
             results: dict[int, dict] = {}
 
             def submit(n):
-                results[n] = _submit(d, {**record_job(), "n": n})
+                results[n] = _submit(d, record_job(seed=n))
 
             threads = [
                 threading.Thread(target=submit, args=(n,)) for n in range(4)
