@@ -445,6 +445,7 @@ def restore_vm(
             f"snapshot frontier (semi {h['semi']}, active {active}, bump "
             f"{bump}) does not fit its {len(live)} words or this heap"
         )
+    mem.grow(bump)
     words = mem.words
     fresh_lo = mem.base[mem.active]
     words[fresh_lo : mem.bump] = [0] * (mem.bump - fresh_lo)

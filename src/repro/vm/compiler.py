@@ -519,6 +519,14 @@ class InvokeSite:
         self.cid = -1
         self.target = None
 
+    def rebound(self, proto, target) -> "InvokeSite":
+        """A copy of this site (key and cache state) for another loader,
+        whose counterparts of ``proto`` and ``target`` are given."""
+        site = InvokeSite(self.key, proto)
+        site.cid = self.cid
+        site.target = target
+        return site
+
     def __repr__(self) -> str:  # pragma: no cover
         state = "empty" if self.cid < 0 else f"cid={self.cid}"
         return f"<InvokeSite {self.key} {state}>"

@@ -14,7 +14,7 @@ and replay shifts every subsequent allocation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import TYPE_CHECKING, Callable
 
 from repro.vm import memory as mem_mod
@@ -391,7 +391,11 @@ class Loader:
     # bootstrap
 
     def bootstrap(self) -> None:
-        """Load the core library and build the VM_Dictionary."""
+        """Load the core library and build the VM_Dictionary.
+
+        Runs once per boot image (see :class:`LoaderImage`): every other
+        loader of the same configuration is installed from that image.
+        """
         from repro.vm.corelib import CORE_CLASS_ORDER, core_classdefs
 
         assert self.om is not None
@@ -630,3 +634,134 @@ class Loader:
         for i, addr in enumerate(self.temp_roots):
             if addr:
                 self.temp_roots[i] = fwd(addr)
+
+
+# ----------------------------------------------------------------------
+# boot image
+
+
+def _loader_objects(loader: Loader) -> list:
+    """Every loader object a micro-op operand can hold, in a fixed order:
+    classes, then methods (by id), then invokevirtual sites."""
+    return [*loader.classes.values(), *loader.method_by_id, *loader.ic_sites]
+
+
+def _operand_patches(loader: Loader) -> dict[int, tuple]:
+    """Per compiled method id, the ops of ``ops`` (and of ``xops`` when
+    fusion made it a separate list) that hold loader objects, as
+    ``(pc, a_index, b_index)`` into :func:`_loader_objects` (-1 keeps
+    the operand).  Ops hold loader objects only as a top-level operand."""
+    index = {id(obj): i for i, obj in enumerate(_loader_objects(loader))}
+
+    def scan(ops: list) -> tuple:
+        return tuple(
+            (pc, index.get(id(a), -1), index.get(id(b), -1))
+            for pc, (_, a, b) in enumerate(ops)
+            if id(a) in index or id(b) in index
+        )
+
+    patches: dict[int, tuple] = {}
+    for rm in loader.method_by_id:
+        code = rm.code
+        if code is not None:
+            xops = None if code.xops is code.ops else scan(code.xops)
+            patches[rm.method_id] = (scan(code.ops), xops)
+    return patches
+
+
+def _patched(ops: list, patches: tuple, objs: list) -> list:
+    ops = ops.copy()
+    for pc, ai, bi in patches:
+        mop, a, b = ops[pc]
+        ops[pc] = (mop, a if ai < 0 else objs[ai], b if bi < 0 else objs[bi])
+    return ops
+
+
+def _copy_tables(src: Loader, dst: Loader, patches: dict[int, tuple]) -> None:
+    """Give *dst* a copy of *src*'s tables that shares no mutable object.
+
+    Shared (immutable once booted): ClassDef, MethodDef, CodeMaps,
+    Layout, and the pc/bci/weight tables of MachineCode.  Copied:
+    RuntimeClass, RuntimeMethod, MachineCode (with its op lists remapped
+    to *dst*'s objects and no bound handler table), InvokeSite, and
+    every dict and list of the loader.
+    """
+    rcs: dict[str, RuntimeClass] = {
+        name: RuntimeClass(
+            name=rc.name,
+            cdef=rc.cdef,
+            layout=rc.layout,
+            super_rc=None,
+            statics_layout=rc.statics_layout,
+            statics_addr=rc.statics_addr,
+            constants_addr=rc.constants_addr,
+            linked=rc.linked,
+        )
+        for name, rc in src.classes.items()
+    }
+    methods = [
+        RuntimeMethod(
+            owner=rcs[rm.owner.name], mdef=rm.mdef, method_id=rm.method_id, maps=rm.maps
+        )
+        for rm in src.method_by_id
+    ]
+    for rc in src.classes.values():
+        new = rcs[rc.name]
+        if rc.super_rc is not None:
+            new.super_rc = rcs[rc.super_rc.name]
+        new.methods = {key: methods[rm.method_id] for key, rm in rc.methods.items()}
+        new.vtable = {key: methods[rm.method_id] for key, rm in rc.vtable.items()}
+    sites = [
+        site.rebound(
+            methods[site.proto.method_id],
+            None if site.target is None else methods[site.target.method_id],
+        )
+        for site in src.ic_sites
+    ]
+    objs = [*rcs.values(), *methods, *sites]
+    for rm, new_rm in zip(src.method_by_id, methods):
+        code = rm.code
+        if code is None:
+            continue
+        ops_patches, xops_patches = patches[rm.method_id]
+        ops = _patched(code.ops, ops_patches, objs)
+        xops = ops if xops_patches is None else _patched(code.xops, xops_patches, objs)
+        new_rm.code = replace(code, ops=ops, xops=xops, entries=None)
+
+    dst.classdefs = dict(src.classdefs)
+    dst.classes = rcs
+    dst.class_table = list(src.class_table)
+    dst.rc_by_id = {cid: rcs[rc.name] for cid, rc in src.rc_by_id.items()}
+    dst.array_layouts = dict(src.array_layouts)
+    dst.method_by_id = methods
+    dst.interned = dict(src.interned)
+    dst.temp_roots = list(src.temp_roots)
+    dst.bootstrapped = src.bootstrapped
+    dst.ic_sites = sites
+    dst.ic_invalidations = src.ic_invalidations
+
+
+class LoaderImage:
+    """The loader tables of a freshly bootstrapped VM, kept pristine.
+
+    :meth:`capture` copies a just-booted loader into a detached template
+    (no object model, never linked against again); :meth:`install` copies
+    the template into a new loader.  Both are :func:`_copy_tables`, so a
+    loader installed from the image holds exactly what a fresh
+    ``bootstrap()`` would have built — and installing never mutates the
+    template, so concurrent installs need no lock.
+    """
+
+    def __init__(self, template: Loader, patches: dict[int, tuple]):
+        self.template = template
+        self.patches = patches
+
+    @classmethod
+    def capture(cls, booted: Loader) -> "LoaderImage":
+        patches = _operand_patches(booted)
+        template = Loader(compile_fn=None)  # type: ignore[arg-type] - never compiles
+        _copy_tables(booted, template, patches)
+        return cls(template, patches)
+
+    def install(self, loader: Loader) -> None:
+        _copy_tables(self.template, loader, self.patches)

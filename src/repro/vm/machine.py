@@ -2,14 +2,18 @@
 
 A VM owns memory, loader, object model, monitors, scheduler, engine,
 collector, natives, and the (optional) attached DejaVu controller.  Two
-VMs share nothing — which is what lets the tool VM of the remote-
-reflection debugger observe an application VM without perturbing it.
+VMs share no mutable state — which is what lets the tool VM of the
+remote-reflection debugger observe an application VM without perturbing
+it.  What they do share is immutable: the definitions and compiled-code
+tables of the per-process :class:`BootImage` every VM is installed from.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable
@@ -21,7 +25,7 @@ from repro.vm.errors import VMError
 from repro.vm.gc import Collector
 from repro.vm.interp import Engine
 from repro.vm.layout import ObjectModel
-from repro.vm.loader import Loader, RuntimeMethod
+from repro.vm.loader import Loader, LoaderImage, RuntimeMethod
 from repro.vm.memory import (
     BOOT_DEJAVU,
     BOOT_DICTIONARY,
@@ -85,6 +89,82 @@ class Environment:
 
 _DEFAULT = object()
 
+#: ``bytes.translate`` table: the top byte of a little-endian int64 to
+#: the ninth, sign-extension byte of its 9-byte two's-complement form
+_SIGN_BYTE = bytes(0 if b < 0x80 else 0xFF for b in range(256))
+
+
+def _le9(words: list[int]) -> bytearray:
+    """*words* as 9-byte little-endian two's-complement integers, back to
+    back — ``b"".join(w.to_bytes(9, "little", signed=True) ...)`` in one
+    pass at C speed."""
+    try:
+        packed = array("q", words)
+    except OverflowError:
+        bad = next(w for w in words if not -(1 << 63) <= w < 1 << 63)
+        raise VMError(f"heap word {bad} does not fit in 64 bits") from None
+    if sys.byteorder != "little":  # pragma: no cover - little-endian hosts
+        packed.byteswap()
+    raw = packed.tobytes()
+    out = bytearray(9 * len(words))
+    for k in range(8):
+        out[k::9] = raw[k::8]
+    out[8::9] = raw[7::8].translate(_SIGN_BYTE)
+    return out
+
+
+class BootImage:
+    """The state a fresh boot leaves behind, cloned into every later VM.
+
+    Booting (building the core library, linking and compiling it, writing
+    the reflection metadata into the heap) depends only on the semispace
+    size and the engine configuration, so each process boots once per
+    ``(semispace_words, EngineConfig)`` and keeps: the materialised word
+    prefix, the allocation count, and the loader tables
+    (:class:`LoaderImage`).  A VM installed from the image is equal to a
+    fresh boot — same heap digest, class table, interned strings, method
+    ids and engine statistics — which the boot-image tests check for
+    every engine configuration.
+    """
+
+    def __init__(self, vm: "VirtualMachine"):
+        mem = vm.memory
+        self.words = list(mem.words)
+        self.active = mem.active
+        self.bump = mem.bump
+        self.limit = mem.limit
+        self.alloc_count = vm.om.alloc_count
+        self.loader = LoaderImage.capture(vm.loader)
+
+    def install(self, vm: "VirtualMachine") -> None:
+        mem = vm.memory
+        mem.words = self.words.copy()
+        mem.active = self.active
+        mem.bump = self.bump
+        mem.limit = self.limit
+        vm.om.alloc_count = self.alloc_count
+        self.loader.install(vm.loader)
+
+
+#: one boot image per (semispace_words, EngineConfig), built by the first
+#: VM of that shape in this process (fork children inherit the parent's)
+_IMAGES: dict[tuple[int, EngineConfig], BootImage] = {}
+
+
+def _boot(vm: "VirtualMachine") -> None:
+    """Install *vm*'s boot image, booting for real (and keeping the
+    result as the image) when this process has none yet."""
+    key = (vm.config.semispace_words, vm.config.engine)
+    image = _IMAGES.get(key)
+    if image is not None:
+        image.install(vm)
+        return
+    vm.loader.bootstrap()
+    # a boot that had to collect also left GC counters and observer
+    # events behind; heaps that small are not worth an image
+    if vm.collector.collections == 0:
+        _IMAGES.setdefault(key, BootImage(vm))
+
 
 class VirtualMachine:
     def __init__(
@@ -130,7 +210,7 @@ class VirtualMachine:
         self.extra_root_visitors: list[Callable[[Callable[[int], int]], None]] = []
         self._ran = False
 
-        self.loader.bootstrap()
+        _boot(self)
 
     # ------------------------------------------------------------------
     # program setup
@@ -289,8 +369,7 @@ class VirtualMachine:
         lo = mem.base[mem.active]
         h = hashlib.blake2b(digest_size=16)
         h.update(mem.bump.to_bytes(8, "little", signed=False))
-        for w in mem.words[lo : mem.bump]:
-            h.update(w.to_bytes(9, "little", signed=True))
+        h.update(_le9(mem.words[lo : mem.bump]))
         return h.hexdigest()
 
     @property

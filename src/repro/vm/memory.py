@@ -12,6 +12,12 @@ Address map::
 
 Address 0 holds the boot magic and is never a valid object address, so the
 guest null reference is the integer 0.
+
+Only the used prefix of the address space is materialised: ``words``
+holds addresses ``[0, len(words))`` and every word past its end is zero
+by definition.  Allocation, writes and collections grow the prefix;
+reads past it return 0.  An address outside ``[0, size)`` is still a
+:class:`MemoryFault`, whatever the prefix length.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ BOOT_WORDS = 16
 
 MAGIC = 0x7EC0_11AD  # "pequeño, 11AD" — checked by the debug port
 
+#: the materialised prefix grows by at least this many words at a time
+_GROW_WORDS = 1024
+
 
 class MemoryFault(VMError):
     """Out-of-range or unmapped access (host-level bug, not a guest trap)."""
@@ -43,12 +52,24 @@ class Memory:
         if semispace_words < 64:
             raise VMError(f"semispace too small: {semispace_words}")
         self.semi = semispace_words
-        self.words: list[int] = [0] * (BOOT_WORDS + 2 * semispace_words)
+        #: words in the whole address space (boot record + both semispaces)
+        self.size = BOOT_WORDS + 2 * semispace_words
+        #: the materialised prefix of the address space
+        self.words: list[int] = [0] * BOOT_WORDS
         self.base = (BOOT_WORDS, BOOT_WORDS + semispace_words)
         self.active = 0
         self.bump = self.base[0]
         self.limit = self.base[0] + semispace_words
         self.words[BOOT_MAGIC] = MAGIC
+        self._from_end = 0
+
+    def grow(self, end: int) -> None:
+        """Materialise (as zeros) every address below *end*."""
+        words = self.words
+        have = len(words)
+        if end > have:
+            end = min(self.size, max(end, have + _GROW_WORDS))
+            words.extend([0] * (end - have))
 
     # -- raw access --------------------------------------------------------
 
@@ -58,17 +79,25 @@ class Memory:
                 raise IndexError(addr)
             return self.words[addr]
         except IndexError:
+            if 0 <= addr < self.size:
+                return 0
             raise MemoryFault(f"read out of range: {addr}") from None
 
     def write(self, addr: int, value: int) -> None:
-        if not (0 <= addr < len(self.words)):
-            raise MemoryFault(f"write out of range: {addr}")
-        self.words[addr] = value
+        words = self.words
+        if not (0 <= addr < len(words)):
+            if not (0 <= addr < self.size):
+                raise MemoryFault(f"write out of range: {addr}")
+            self.grow(addr + 1)
+        words[addr] = value
 
     def read_range(self, addr: int, count: int) -> list[int]:
-        if count < 0 or addr < 0 or addr + count > len(self.words):
+        if count < 0 or addr < 0 or addr + count > self.size:
             raise MemoryFault(f"range read out of range: {addr}+{count}")
-        return self.words[addr : addr + count]
+        got = self.words[addr : addr + count]
+        if len(got) < count:
+            got.extend([0] * (count - len(got)))
+        return got
 
     # -- boot record --------------------------------------------------------
 
@@ -91,8 +120,11 @@ class Memory:
         addr = self.bump
         if addr + nwords > self.limit:
             return None
-        self.bump = addr + nwords
-        # Fresh memory is zeroed by construction and by flip(); assert cheapness
+        self.bump = end = addr + nwords
+        # fresh memory is zero: past the prefix by definition, inside it
+        # because finish_flip() zeroes an evacuated space
+        if end > len(self.words):
+            self.grow(end)
         return addr
 
     @property
@@ -117,8 +149,15 @@ class Memory:
     # -- GC support ----------------------------------------------------------
 
     def begin_flip(self) -> int:
-        """Start a collection: return the to-space base for evacuation."""
-        return self.base[1 - self.active]
+        """Start a collection: return the to-space base for evacuation.
+
+        The to-space is materialised as far as the collection can reach:
+        survivors never take more words than the from-space has in use.
+        """
+        to_base = self.base[1 - self.active]
+        self._from_end = min(len(self.words), self.base[self.active] + self.semi)
+        self.grow(to_base + self.used_words)
+        return to_base
 
     def finish_flip(self, new_bump: int) -> None:
         """Complete a collection: to-space becomes active, old space zeroed."""
@@ -127,7 +166,15 @@ class Memory:
         lo = self.base[self.active]
         self.bump = new_bump
         self.limit = lo + self.semi
-        old_lo = self.base[old]
         # Zero the evacuated space so stale data can never leak back in
         # (and so replay divergences show up as faults, not silent reads).
-        self.words[old_lo : old_lo + self.semi] = [0] * self.semi
+        # Semispace 1 is the tail of the address space: dropping it from
+        # the prefix zeroes it.  Semispace 0 is zeroed as far as it was
+        # materialised before the flip grew the prefix into semispace 1.
+        words = self.words
+        old_lo = self.base[old]
+        if old == 1:
+            del words[old_lo:]
+        else:
+            hi = self._from_end
+            words[old_lo:hi] = [0] * (hi - old_lo)

@@ -516,9 +516,9 @@ class TestLiveExtent:
         addr = {
             "past_bump": mem.bump + 3,
             "idle_semispace": mem.base[1 - mem.active] + 5,
-            "last_word": len(mem.words) - 1,
+            "last_word": mem.size - 1,
         }[where]
-        mem.words[addr] = 7
+        mem.write(addr, 7)
         with pytest.raises(CheckpointError, match=f"heap word {addr} .*live extent"):
             capture_snapshot(vm)
 
