@@ -20,7 +20,9 @@ machine with >= 4 CPUs (the CI runners) jobs=4 must be at least 2.5x
 faster than jobs=1; on smaller hosts a 4-worker sweep cannot beat the
 serial one, so the floor degrades to an overhead-sanity check — the
 sharded run must still reach at least half the serial throughput
-(process scaffolding must not dominate the work).
+(process scaffolding must not dominate the work).  For the same reason
+a host with fewer than 4 CPUs records the speedup as not applicable
+(``null``, with the CPU count) and reports the throughput ratio instead.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ def measure(budget: int, reps: int) -> dict:
     assert digests[1] == digests[4], (
         f"sharding changed the sweep result: {digests[1]} != {digests[4]}"
     )
-    return {
+    cpus = os.cpu_count() or 1
+    row = {
         "budget": budget,
         "schedules_run": schedules,
         "report_digest": digests[1],
@@ -82,8 +85,14 @@ def measure(budget: int, reps: int) -> dict:
         "jobs4_s": round(best[4], 4),
         "jobs1_schedules_per_s": round(schedules / best[1], 1),
         "jobs4_schedules_per_s": round(schedules / best[4], 1),
-        "speedup": round(best[1] / best[4], 2),
+        "jobs4_vs_jobs1_throughput": round(best[1] / best[4], 2),
+        "speedup": round(best[1] / best[4], 2) if cpus >= 4 else None,
     }
+    if cpus < 4:
+        row["speedup_not_applicable"] = (
+            f"{cpus} CPU(s): 4 workers need >= 4 CPUs to run in parallel"
+        )
+    return row
 
 
 def _print(row: dict) -> None:
@@ -91,10 +100,16 @@ def _print(row: dict) -> None:
         f"{WORKLOAD} k={BOUND}, {row['schedules_run']} schedules "
         f"(digest {row['report_digest']})"
     )
+    speedup = (
+        f"speedup {row['speedup']:.2f}x"
+        if row["speedup"] is not None
+        else f"speedup n/a ({row['speedup_not_applicable']}); "
+        f"throughput {row['jobs4_vs_jobs1_throughput']:.2f}x of serial"
+    )
     print(
         f"  jobs=1: {row['jobs1_s']:.2f}s ({row['jobs1_schedules_per_s']:.0f}/s)  "
         f"jobs=4: {row['jobs4_s']:.2f}s ({row['jobs4_schedules_per_s']:.0f}/s)  "
-        f"speedup {row['speedup']:.2f}x"
+        + speedup
     )
 
 

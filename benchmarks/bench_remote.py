@@ -1,9 +1,10 @@
 #!/usr/bin/env python
-"""Remote campaign benchmark: loopback worker pool vs local fork.
+"""Remote campaign benchmark: loopback serve daemons vs local fork.
 
 Runs the same explore sweep (bank workload, k=2) twice — sharded across
-2 local fork workers and sharded across 2 `repro worker` daemons on
-loopback — and compares wall time and schedules/second.  The two runs
+2 local fork workers and sharded across 2 `repro serve` daemons on
+loopback, one ``campaign-item`` job per schedule — and compares wall
+time and schedules/second.  The two runs
 are asserted to produce the identical report digest first: a distributed
 backend means nothing if distribution changed the answer.
 
@@ -16,10 +17,11 @@ Usage:
 The full run writes ``BENCH_remote.json`` at the repo root.
 
 ``--check`` enforces an overhead floor: on loopback the framed protocol
-(CRC + pickle + heartbeats) must cost less than half the throughput —
-remote schedules/second must stay >= 0.5x of the local fork backend.
-Daemons are spawned once and reused across reps, so the warm-runner
-cache amortises baselines exactly as it would on a real cluster.
+(a CRC-checked round trip and a supervisor hand-off per item) must cost
+less than half the throughput — remote schedules/second must stay
+>= 0.5x of the local fork backend.  Daemons are spawned once and reused
+across reps, so the warm-runner cache amortises baselines exactly as it
+would on a real cluster.
 """
 
 from __future__ import annotations
@@ -35,12 +37,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.campaign import (  # noqa: E402
-    RemoteWorkerPool,
-    run_explore_campaign,
-    shutdown_worker,
-    spawn_worker_process,
-)
+from repro.campaign import RemoteWorkerPool, run_explore_campaign  # noqa: E402
+from repro.serve import spawn_serve_process  # noqa: E402
 from repro.vm.machine import VMConfig  # noqa: E402
 
 RESULT_PATH = REPO_ROOT / "BENCH_remote.json"
@@ -72,8 +70,8 @@ def _sweep(budget: int, backend):
 
 
 def measure(budget: int, reps: int) -> dict:
-    workers = [spawn_worker_process() for _ in range(HOSTS)]
-    addresses = [address for _, address in workers]
+    daemons = [spawn_serve_process() for _ in range(HOSTS)]
+    addresses = [address for _, address in daemons]
     try:
         best = {"local": float("inf"), "remote": float("inf")}
         digests = {}
@@ -89,10 +87,10 @@ def measure(budget: int, reps: int) -> dict:
             digests["remote"] = report.digest()
             incidents = len(report.incidents)
     finally:
-        for proc, address in workers:
-            shutdown_worker(address, timeout=2.0)
-            proc.kill()
-            proc.wait(timeout=10)
+        for proc, _ in daemons:
+            proc.terminate()  # SIGTERM: graceful drain, exit 0
+            proc.wait(timeout=30)
+            proc.stdout.close()
     assert digests["local"] == digests["remote"], (
         f"the remote backend changed the sweep result: "
         f"{digests['local']} != {digests['remote']}"

@@ -487,35 +487,3 @@ def record_and_replay(
     )
     replayed = replay(program, session.trace, config=config, symmetry=symmetry)
     return session, replayed, compare_runs(session.result, replayed)
-
-
-def worker_serve(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    background: bool = False,
-    log=None,
-):
-    """Start a remote campaign worker daemon (the `repro worker` API).
-
-    With ``background=True`` the daemon serves on a daemon thread and
-    the started :class:`~repro.campaign.remote.WorkerServer` is returned
-    immediately (``server.address`` is the bound ``(host, port)``; call
-    ``server.stop()`` when done).  Otherwise this blocks, serving until
-    interrupted.  Campaign parents reach it via ``hosts=[(host, port)]``
-    on :func:`repro.campaign.run_explore_campaign` /
-    :func:`repro.campaign.run_faults_campaign`, or ``--hosts`` on the
-    CLI.
-    """
-    from repro.campaign.remote import WorkerServer
-
-    server = WorkerServer(host=host, port=port, log=log)
-    if background:
-        return server.start()
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    return server

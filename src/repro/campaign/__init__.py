@@ -11,10 +11,9 @@ The package has three layers:
   merge into :class:`ExploreCampaignReport` / :class:`FaultsCampaignSweep`;
 * :mod:`repro.campaign.corpus` — the content-addressed failure corpus
   every sweep can stream its failing traces into;
-* :mod:`repro.campaign.remote` / :mod:`repro.campaign.pool` — the
-  multi-host rung: the `repro worker` daemon and the fault-tolerant
-  :class:`RemoteWorkerPool` backend with its remote→local degradation
-  ladder.
+* :mod:`repro.campaign.pool` — the multi-host rung: the fault-tolerant
+  :class:`RemoteWorkerPool` backend, which runs items as ``repro serve``
+  ``campaign-item`` jobs, with its remote→local degradation ladder.
 
 The load-bearing property — pinned by
 ``tests/test_campaign_differential.py`` — is that ``jobs=1`` and
@@ -30,8 +29,7 @@ from repro.campaign.jobs import (
     run_explore_campaign,
     run_faults_campaign,
 )
-from repro.campaign.pool import RemoteWorkerPool, shutdown_worker
-from repro.campaign.remote import WorkerServer, spawn_worker_process
+from repro.campaign.pool import RemoteWorkerPool
 from repro.campaign.runner import (
     Campaign,
     CampaignHarnessError,
@@ -54,10 +52,7 @@ __all__ = [
     "SweepFailure",
     "WorkerBackend",
     "WorkerIncident",
-    "WorkerServer",
     "entry_name",
     "run_explore_campaign",
     "run_faults_campaign",
-    "shutdown_worker",
-    "spawn_worker_process",
 ]

@@ -12,7 +12,13 @@ Two kinds convert the existing single-process engines onto the shared
   :class:`~repro.faults.FaultRunContext` (baseline recording, optional
   checkpoint baseline and transport server) and injects per item.
 
-Item results are plain picklable dicts; anything that should land in
+A campaign's *payload* is plain data — workload name and kwargs,
+seeds, plan parameters, ``engine`` + ``heap`` for the VM config — checked
+by :func:`repro.serve.protocol.validate_campaign`.  Every backend (inline,
+local fork, a remote ``repro serve`` daemon) builds its runner from that
+same payload through :func:`make_item_runner`.
+
+Item results are plain dicts; anything that should land in
 the corpus travels as sealed trace bytes under ``"trace"`` with its
 reproduction meta under ``"meta"`` — the parent ingests them in
 work-list order, so the corpus a sweep leaves behind is independent of
@@ -25,7 +31,7 @@ import hashlib
 import itertools
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.campaign.corpus import Corpus
 from repro.campaign.runner import Campaign, CampaignHarnessError, WorkerIncident
@@ -38,6 +44,31 @@ from repro.vm.errors import VMError
 #: campaign jobs re-record failing schedules? No — the worker already
 #: holds the trace; it ships the sealed bytes (deterministic encoding).
 from repro.api import trace_to_bytes
+
+
+# ---------------------------------------------------------------------------
+# the payload's VM config
+
+
+def config_fields(config) -> dict:
+    """*config* as campaign payload data: ``heap`` + ``engine`` flags
+    (both None for None, the platform default).  A config that varies
+    anything else cannot travel as data and is refused."""
+    if config is None:
+        return {"engine": None, "heap": None}
+    fields = {"engine": asdict(config.engine), "heap": config.semispace_words}
+    if campaign_config(fields) != config:
+        raise VMError(
+            "campaign VM configs may set only semispace_words and the engine"
+        )
+    return fields
+
+
+def campaign_config(payload: dict):
+    """The VMConfig a payload's ``engine`` + ``heap`` name (or None)."""
+    from repro.jobs import vm_config
+
+    return None if payload["heap"] is None else vm_config(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -61,12 +92,10 @@ class _ExploreRunner:
             budget=payload["budget"],
             seed=payload["seed"],
             env_seed=payload["env_seed"],
-            config=payload["config"],
+            config=campaign_config(payload),
             minimize=False,
         )
-        self.heap = (
-            payload["config"].semispace_words if payload["config"] is not None else None
-        )
+        self.heap = payload["heap"]
 
     def run(self, item) -> dict:
         evaluated = self.explorer.evaluate(tuple(item))
@@ -100,22 +129,23 @@ class _FaultsRunner:
             payload["seed"], payload["count"], layers=tuple(payload["layers"])
         )
         self.spec_by_index = {s.index: s for s in plan}
-        self.workload = payload["workload"]
-        self.workload_kwargs = dict(payload.get("workload_kwargs") or {})
-        self.heap = (
-            payload["config"].semispace_words if payload["config"] is not None else None
-        )
+        self.workload_kwargs = payload["workload_kwargs"]
+        self.heap = payload["heap"]
         self.workdir = tempfile.mkdtemp(prefix="repro-campaign-faults-")
         self.context = FaultRunContext(
             seed=payload["seed"],
             layers={s.layer for s in plan},
             workload=payload["workload"],
-            workload_kwargs=payload.get("workload_kwargs"),
-            config=payload["config"],
+            workload_kwargs=self.workload_kwargs,
+            config=campaign_config(payload),
             workdir=self.workdir,
             fault_timeout=payload["fault_timeout"],
         )
-        self.context.__enter__()
+        try:
+            self.context.__enter__()
+        except BaseException:
+            self.close()
+            raise
 
     def run(self, item) -> dict:
         spec = self.spec_by_index[int(item)]
@@ -147,10 +177,14 @@ _RUNNERS = {"explore": _ExploreRunner, "faults": _FaultsRunner}
 
 
 def make_item_runner(payload: dict):
-    kind = payload.get("kind")
-    if kind not in _RUNNERS:
-        raise CampaignHarnessError(f"unknown campaign job kind {kind!r}")
-    return _RUNNERS[kind](payload)
+    """The warm item runner for a campaign payload (validated here)."""
+    from repro.serve.protocol import ServeError, validate_campaign
+
+    try:
+        payload = validate_campaign(payload)
+    except ServeError as exc:
+        raise CampaignHarnessError(f"bad campaign payload: {exc}") from exc
+    return _RUNNERS[payload["kind"]](payload)
 
 
 def _resolve_backend(backend, hosts):
@@ -312,7 +346,7 @@ def run_explore_campaign(
         "budget": budget,
         "seed": seed,
         "env_seed": env_seed,
-        "config": config,
+        **config_fields(config),
     }
     outcome = Campaign(
         payload,
@@ -457,12 +491,12 @@ def run_faults_campaign(
     payload = {
         "kind": "faults",
         "workload": workload,
-        "workload_kwargs": workload_kwargs,
+        "workload_kwargs": dict(workload_kwargs or {}),
         "seed": plan.seed,
         "count": len(plan),
         "layers": list(plan_layers),
-        "config": config,
         "fault_timeout": fault_timeout,
+        **config_fields(config),
     }
     check = FaultPlan.generate(plan.seed, len(plan), layers=tuple(plan_layers))
     if check.specs != plan.specs:

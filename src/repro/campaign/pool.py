@@ -1,13 +1,18 @@
 """The parent side of multi-host campaigns: a fault-tolerant worker pool.
 
 :class:`RemoteWorkerPool` is a :class:`~repro.campaign.runner.WorkerBackend`
-that shards a campaign's work-list across `repro worker` daemons over
-the framed protocol of :mod:`repro.campaign.remote`.  Its design centre
-is the **graceful-degradation ladder**: work flows to the first rung
-that can take it, and a campaign always reaches 100 % coverage —
+that shards a campaign's work-list across ``repro serve`` daemons.  Each
+item travels as one ``campaign-item`` job (see
+:mod:`repro.serve.protocol`): the campaign payload as plain data plus
+the item, submitted through :class:`~repro.serve.ServeClient` one item
+at a time over a connection per shard.  The daemon keeps the warm item
+runner in its session pool, so baselines amortise across every item a
+host receives.  Its design centre is the **graceful-degradation
+ladder**: work flows to the first rung that can take it, and a campaign
+always reaches 100 % coverage —
 
 1. **remote host** — a host thread pulls shards from a shared queue and
-   streams results over a connection per shard;
+   submits their items over one connection per shard;
 2. **another remote host** — the shared queue *is* the reassignment
    mechanism: a failed shard's unfinished remainder goes back on the
    queue, where any healthy host (including the same one, reconnected)
@@ -27,35 +32,26 @@ on two hosts is wasteful at worst, never wrong.
 Failure detection feeds the existing :class:`WorkerIncident` taxonomy
 with remote-specific kinds:
 
-==================  =====================================================
-kind                meaning
-==================  =====================================================
-``remote-connect``  connect/handshake failed after the backoff budget
+====================  ===================================================
+kind                  meaning
+====================  ===================================================
+``remote-connect``    connect/handshake failed after the backoff budget
 ``remote-transport``  the connection died mid-shard (EOF, reset, send)
-``remote-hang``     no frame — item *or* heartbeat — within the watchdog
-``remote-protocol``  an unframeable/corrupt frame or an in-band error
-``quarantine``      circuit breaker opened: N consecutive incidents
-``degraded-local``  leftovers ran on the local-fork rung
-==================  =====================================================
+``remote-hang``       no reply within the campaign watchdog
+``remote-protocol``   a corrupt frame or a typed in-band daemon error
+``quarantine``        circuit breaker opened: N consecutive incidents
+``degraded-local``    leftovers ran on the local-fork rung
+====================  ===================================================
 
-Hang detection rides the campaign watchdog: the daemon pulses a
-heartbeat every ``min(1, watchdog/4)`` seconds, so a healthy-but-slow
-item keeps the connection warm while a stalled worker goes silent and
-trips the per-frame timeout.
+Hang detection is the local fork rung's rule, "no progress within the
+watchdog": the watchdog is each item's reply timeout.
 """
 
 from __future__ import annotations
 
-import socket
 import threading
 from collections import deque
 
-from repro.campaign.remote import (
-    PROTOCOL_VERSION,
-    MAX_REMOTE_FRAME_BYTES,
-    decode_payload,
-    encode_message,
-)
 from repro.campaign.runner import (
     Campaign,
     CampaignOutcome,
@@ -63,7 +59,12 @@ from repro.campaign.runner import (
     WorkerBackend,
     WorkerIncident,
 )
-from repro.core.framing import BackoffPolicy, FrameDecoder, FrameError, TransportError
+from repro.core.framing import (
+    BackoffPolicy,
+    FrameError,
+    TransportError,
+    TransportTimeout,
+)
 
 
 class _ShardFailure(Exception):
@@ -82,7 +83,6 @@ class _HostState:
         self.host_id = host_id
         self.address = address
         self.consecutive_failures = 0
-        self.shards_ok = 0
         self.quarantined = False
 
     @property
@@ -98,18 +98,16 @@ class RemoteWorkerPool(WorkerBackend):
         backoff: "BackoffPolicy | None" = None,
         hello_timeout: float = 5.0,
         breaker_threshold: int = 3,
-        heartbeat_every: "float | None" = None,
         log=None,
     ):
         if not hosts:
             raise TransportError("remote worker pool needs at least one host")
         self.hosts = list(hosts)
         #: the connect retry schedule — the same policy object the
-        #: debugger client uses, seeded so tests can assert it exactly
+        #: debugger and serve clients use, seeded so tests can assert it
         self.backoff = backoff if backoff is not None else BackoffPolicy()
         self.hello_timeout = hello_timeout
         self.breaker_threshold = breaker_threshold
-        self.heartbeat_every = heartbeat_every
         self.log = log if log is not None else (lambda message: None)
 
     # ------------------------------------------------------------------
@@ -156,7 +154,8 @@ class RemoteWorkerPool(WorkerBackend):
                     shard = shards.popleft()
                     state["in_flight"] += 1
                 try:
-                    received = self._run_shard(campaign, outcome, host, shard)
+                    self._run_shard(campaign, outcome, host, shard)
+                    host.consecutive_failures = 0
                 except _ShardFailure as failure:
                     host.consecutive_failures += 1
                     reassigned = requeue(shard)
@@ -174,32 +173,12 @@ class RemoteWorkerPool(WorkerBackend):
                             f"{host.consecutive_failures} consecutive incidents",
                             0,
                         )
-                        with cond:
-                            state["in_flight"] -= 1
-                            cond.notify_all()
-                        return
-                else:
-                    host.consecutive_failures = 0
-                    host.shards_ok += 1
-                    # drop-frame case: shard-done arrived but an item
-                    # frame never did — requeue exactly the gap
-                    missing = [
-                        (index, item)
-                        for index, item in shard
-                        if index not in outcome.results
-                    ]
-                    if missing:
-                        reassigned = requeue(shard)
-                        record(
-                            host,
-                            "remote-protocol",
-                            f"shard-done with {len(missing)} item(s) missing "
-                            f"(received {received})",
-                            reassigned,
-                        )
-                with cond:
-                    state["in_flight"] -= 1
-                    cond.notify_all()
+                finally:
+                    with cond:
+                        state["in_flight"] -= 1
+                        cond.notify_all()
+                if host.quarantined:
+                    return
 
         threads = [
             threading.Thread(target=host_loop, args=(host,), daemon=True)
@@ -217,17 +196,16 @@ class RemoteWorkerPool(WorkerBackend):
             for index in sorted(set(item_by_index) - outcome.results.keys())
         ]
         if leftovers:
-            with incidents_lock:
-                outcome.incidents.append(
-                    WorkerIncident(
-                        -1,
-                        "degraded-local",
-                        f"{len(leftovers)} item(s) degraded to local fork "
-                        f"workers (hosts: "
-                        f"{', '.join(h.name + (' quarantined' if h.quarantined else '') for h in host_states)})",
-                        len(leftovers),
-                    )
+            outcome.incidents.append(
+                WorkerIncident(
+                    -1,
+                    "degraded-local",
+                    f"{len(leftovers)} item(s) degraded to local fork "
+                    f"workers (hosts: "
+                    f"{', '.join(h.name + (' quarantined' if h.quarantined else '') for h in host_states)})",
+                    len(leftovers),
                 )
+            )
             self.log(
                 f"degrading {len(leftovers)} item(s) to local fork workers"
             )
@@ -256,155 +234,43 @@ class RemoteWorkerPool(WorkerBackend):
         outcome: CampaignOutcome,
         host: _HostState,
         shard,
-    ) -> int:
-        """Stream one shard; returns the number of item frames received.
+    ) -> None:
+        """Submit one shard's items, one at a time, over one connection.
 
         Raises :class:`_ShardFailure` with a typed kind on any failure —
-        the caller requeues whatever was not delivered.
+        the caller requeues whatever has no result yet.
         """
-        watchdog = campaign.watchdog
-        heartbeat_every = (
-            self.heartbeat_every
-            if self.heartbeat_every is not None
-            else min(1.0, max(0.05, watchdog / 4.0))
-        )
+        from repro.serve import ServeClient, ServeError
+
         try:
-            sock = self._connect(host.address)
+            client = ServeClient.connect(
+                host.address, timeout=self.hello_timeout, policy=self.backoff
+            )
         except TransportError as exc:
             raise _ShardFailure("remote-connect", str(exc)) from exc
         received = 0
-        try:
-            try:
-                sock.sendall(
-                    encode_message(
-                        {
-                            "op": "shard",
-                            "payload": campaign.payload,
-                            "items": list(shard),
-                            "heartbeat_every": heartbeat_every,
-                        }
-                    )
-                )
-            except OSError as exc:
-                raise _ShardFailure(
-                    "remote-transport", f"shard send failed: {exc}"
-                ) from exc
-            decoder = FrameDecoder(MAX_REMOTE_FRAME_BYTES)
-            # the hang detector: any frame (item, heartbeat, …) counts
-            # as liveness; silence for a whole watchdog interval means
-            # the worker stalled, however alive its process looks
-            sock.settimeout(watchdog)
-            while True:
+        with client:
+            for index, item in shard:
+                job = {"kind": "campaign-item", "campaign": campaign.payload, "item": item}
                 try:
-                    chunk = sock.recv(65536)
-                except TimeoutError as exc:
+                    result = client.submit(job, timeout=campaign.watchdog)
+                except (TransportError, ServeError) as exc:
                     raise _ShardFailure(
-                        "remote-hang",
-                        f"no frame within the {watchdog:.0f}s watchdog "
-                        f"({received} item(s) received first)",
+                        _incident_kind(exc),
+                        f"{exc} ({received} item(s) received first)",
                     ) from exc
-                except OSError as exc:
-                    raise _ShardFailure(
-                        "remote-transport", f"receive failed: {exc}"
-                    ) from exc
-                if not chunk:
-                    raise _ShardFailure(
-                        "remote-transport",
-                        f"connection closed mid-shard "
-                        f"({received} item(s) received first)",
-                    )
-                try:
-                    messages = [decode_payload(p) for p in decoder.feed(chunk)]
-                except FrameError as exc:
-                    raise _ShardFailure("remote-protocol", str(exc)) from exc
-                for message in messages:
-                    op = message.get("op")
-                    if op == "item":
-                        campaign._accept(
-                            outcome, message["index"], message["result"]
-                        )
-                        received += 1
-                    elif op == "heartbeat":
-                        continue
-                    elif op == "shard-done":
-                        return received
-                    elif op == "error":
-                        raise _ShardFailure(
-                            "remote-protocol",
-                            f"worker error: {message.get('detail')}",
-                        )
-                    else:
-                        raise _ShardFailure(
-                            "remote-protocol", f"unexpected op {op!r}"
-                        )
-        finally:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover
-                pass
-
-    # ------------------------------------------------------------------
-    # connect + handshake under the backoff policy
-
-    def _connect(self, address: "tuple[str, int]") -> socket.socket:
-        """Connect and complete the hello handshake, retrying the whole
-        sequence under the pool's :class:`BackoffPolicy` — a slow-loris
-        daemon that accepts but never answers hello is a *connect*
-        failure, not a hang."""
-
-        def attempt() -> socket.socket:
-            sock = socket.create_connection(address, timeout=self.hello_timeout)
-            try:
-                sock.sendall(
-                    encode_message({"op": "hello", "version": PROTOCOL_VERSION})
-                )
-                sock.settimeout(self.hello_timeout)
-                decoder = FrameDecoder(MAX_REMOTE_FRAME_BYTES)
-                while True:
-                    chunk = sock.recv(65536)
-                    if not chunk:
-                        raise OSError("connection closed during handshake")
-                    payloads = decoder.feed(chunk)
-                    if payloads:
-                        reply = decode_payload(payloads[0])
-                        break
-            except (FrameError, OSError):
-                sock.close()
-                raise
-            if reply.get("op") != "hello-ok":
-                sock.close()
-                raise OSError(
-                    f"handshake refused: {reply.get('detail', reply.get('op'))}"
-                )
-            return sock
-
-        return self.backoff.call(
-            attempt,
-            retry_on=(OSError, FrameError),
-            describe=f"could not connect to worker at {address[0]}:{address[1]}",
-        )
+                campaign._accept(outcome, index, result)
+                received += 1
 
 
-def shutdown_worker(
-    address: "tuple[str, int]", *, timeout: float = 5.0
-) -> bool:
-    """Ask a `repro worker` daemon to exit; True iff it said bye."""
-    try:
-        sock = socket.create_connection(address, timeout=timeout)
-    except OSError:
-        return False
-    try:
-        sock.sendall(encode_message({"op": "shutdown"}))
-        sock.settimeout(timeout)
-        decoder = FrameDecoder(MAX_REMOTE_FRAME_BYTES)
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                return False
-            payloads = decoder.feed(chunk)
-            if payloads:
-                return decode_payload(payloads[0]).get("op") == "bye"
-    except (OSError, FrameError):
-        return False
-    finally:
-        sock.close()
+def _incident_kind(exc: Exception) -> str:
+    """A failed submit's incident kind: a reply that never came within
+    the watchdog is a hang, a bad frame or a typed daemon error a
+    protocol failure, anything else (EOF, reset) a transport failure."""
+    from repro.serve import ServeError
+
+    if isinstance(exc, TransportTimeout):
+        return "remote-hang"
+    if isinstance(exc, (FrameError, ServeError)):
+        return "remote-protocol"
+    return "remote-transport"

@@ -10,7 +10,8 @@ Commands:
 * ``debug-serve program.jasm t.djv`` — TCP debugger server (Figure 4 tier 2)
 * ``serve --workers 4``           — long-lived replay service: jobs over
   the framed transport on a supervised warm-session pool (admission
-  control, per-job deadlines, SIGTERM graceful drain)
+  control, per-job deadlines, SIGTERM graceful drain); also the host
+  that ``explore --hosts`` / ``faults --hosts`` campaigns shard across
 * ``profile program.jasm t.djv``  — exact profile of a recorded execution
 * ``coverage program.jasm t.djv`` — bytecode/line coverage of a trace
 * ``disasm program.jasm``         — verify + disassemble
@@ -21,13 +22,11 @@ Commands:
   (``--jobs N`` shards the sweep across N worker processes and collects
   *every* failure; ``--corpus DIR`` streams failing traces into a
   content-addressed corpus; ``--hosts HOST:PORT`` shards across remote
-  ``repro worker`` daemons instead)
+  ``repro serve`` daemons instead)
 * ``races program.jasm t.djv``    — happens-before race detection on a trace
 * ``doctor t.djv``                — classify why a trace fails to replay
 * ``faults --seed 42 -W bank``    — run a fault-injection campaign
   (``--jobs N`` / ``--corpus DIR`` / ``--hosts`` as for explore)
-* ``worker --port 7000``          — remote campaign worker daemon: serves
-  shards to ``explore --hosts`` / ``faults --hosts`` parents
 * ``corpus list|stats|prune|replay`` — inspect, thin, or re-verify a
   campaign's failure corpus (every entry is a standard replayable trace)
 * ``checkpoint list t.djv``       — inspect/verify/prune a trace's
@@ -332,16 +331,20 @@ def cmd_debug_serve(args) -> int:
 
 def cmd_serve(args) -> int:
     """The long-lived replay service: record/replay/explore/doctor/
-    trace-stats jobs over the framed transport, on a supervised warm
-    session pool.
+    trace-stats jobs and remote campaign items over the framed
+    transport, on a supervised warm session pool.
 
     Prints ``repro serve listening on HOST:PORT`` as its first line
     (the rendezvous :func:`repro.serve.spawn_serve_process` and scripts
     parse).  SIGTERM drains gracefully: accepting stops, every accepted
-    job finishes and delivers, then the daemon exits 0.
+    job finishes and delivers, then the daemon exits 0.  ``--sabotage``
+    arms the one-shot LAYER_REMOTE fault seam — testing only.
     """
+    from repro.core.server import install_term_handler
     from repro.serve import ServeDaemon
+    from repro.serve.daemon import parse_sabotage
 
+    log = (lambda message: print(f"-- {message}", flush=True)) if args.verbose else None
     daemon = ServeDaemon(
         host=args.host,
         port=args.port,
@@ -350,29 +353,17 @@ def cmd_serve(args) -> int:
         default_deadline=args.deadline,
         drain_grace=args.drain_grace,
         warm=not args.cold,
-        log=_daemon_log(args),
+        log=log,
+        sabotage=parse_sabotage(args.sabotage) if args.sabotage else None,
     )
-    return _serve_until_stopped(daemon, "serve")
-
-
-def _daemon_log(args):
-    return (lambda message: print(f"-- {message}", flush=True)) if args.verbose else None
-
-
-def _serve_until_stopped(server, name: str) -> int:
-    """Print ``repro NAME listening on HOST:PORT`` (the rendezvous line
-    :func:`repro.core.server.spawn_cli_daemon` and scripts parse), serve
-    until SIGTERM or Ctrl-C, then stop gracefully."""
-    from repro.core.server import install_term_handler
-
-    install_term_handler(server.request_stop)
-    print(f"repro {name} listening on {server.address[0]}:{server.address[1]}", flush=True)
+    install_term_handler(daemon.request_stop)
+    print(f"repro serve listening on {daemon.address[0]}:{daemon.address[1]}", flush=True)
     try:
-        server.serve_forever()
+        daemon.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
-        server.stop()
+        daemon.stop()
     return 0
 
 
@@ -571,26 +562,6 @@ def cmd_faults(args) -> int:
         )
     print(report.format())
     return 0 if report.ok else 1
-
-
-def cmd_worker(args) -> int:
-    """Serve campaign shards to remote `explore --hosts` / `faults
-    --hosts` parents (the multi-host campaign daemon).
-
-    Prints ``repro worker listening on HOST:PORT`` as its first line (the
-    rendezvous :func:`spawn_worker_process` and scripts parse), then
-    serves until killed or told ``shutdown``.  ``--sabotage`` arms the
-    one-shot LAYER_REMOTE fault seam — testing only.
-    """
-    from repro.campaign.remote import WorkerServer, parse_sabotage
-
-    sabotage = parse_sabotage(args.sabotage) if args.sabotage else None
-    server = WorkerServer(
-        host=args.host, port=args.port, log=_daemon_log(args), sabotage=sabotage
-    )
-    # SIGTERM → graceful stop: drain the live connection, join the
-    # heartbeat pump, close warm runners, exit 0 (no orphaned threads)
-    return _serve_until_stopped(server, "worker")
 
 
 def cmd_corpus(args) -> int:
@@ -806,6 +777,14 @@ def make_parser() -> argparse.ArgumentParser:
         "state; the bench's cold baseline)",
     )
     p.add_argument(
+        "--sabotage",
+        default=None,
+        metavar="KIND[:POSITION[:EXTRA]]",
+        help="arm one one-shot LAYER_REMOTE fault (a remote-* kind of "
+        "`repro faults`) on the POSITION-th campaign-item reply, testing "
+        "only; EXTRA is the corrupt-frame bit or the slow-connect delay",
+    )
+    p.add_argument(
         "-v", "--verbose", action="store_true", help="log served connections"
     )
     p.set_defaults(fn=cmd_serve)
@@ -877,7 +856,7 @@ def make_parser() -> argparse.ArgumentParser:
         default=300.0,
         metavar="SECS",
         help="campaign hang threshold: a worker holding unfinished items "
-        "with no progress (local) or no frame (remote) for SECS seconds "
+        "with no progress (local) or no reply (remote) for SECS seconds "
         "is reassigned (default 300)",
     )
     p.add_argument(
@@ -885,7 +864,7 @@ def make_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         metavar="HOST:PORT",
-        help="shard across `repro worker` daemons instead of local forks "
+        help="shard across `repro serve` daemons instead of local forks "
         "(repeatable; implies campaign mode; degrades remote→local so "
         "coverage never depends on host health)",
     )
@@ -964,7 +943,7 @@ def make_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         metavar="HOST:PORT",
-        help="shard across `repro worker` daemons instead of local forks "
+        help="shard across `repro serve` daemons instead of local forks "
         "(repeatable; implies campaign mode)",
     )
     p.set_defaults(fn=cmd_faults)
@@ -988,24 +967,6 @@ def make_parser() -> argparse.ArgumentParser:
         "(never below 1 — the last copy of a behavior survives)",
     )
     p.set_defaults(fn=cmd_corpus)
-
-    p = sub.add_parser(
-        "worker", help="remote campaign worker daemon (multi-host sharding)"
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0)
-    p.add_argument(
-        "--sabotage",
-        default=None,
-        metavar="KIND[:FRAC[:EXTRA]]",
-        help="arm one one-shot LAYER_REMOTE fault (testing only): "
-        "remote-drop-frame, remote-truncate-frame, remote-corrupt-frame, "
-        "remote-kill-worker, remote-stall-heartbeat, remote-slow-connect",
-    )
-    p.add_argument(
-        "-v", "--verbose", action="store_true", help="log served connections"
-    )
-    p.set_defaults(fn=cmd_worker)
 
     p = sub.add_parser("workloads", help="list the registered workloads")
     p.set_defaults(fn=cmd_workloads)

@@ -6,14 +6,15 @@ prefixes make partial reads a non-event (the decoder simply waits for
 the rest) and make garbage *detectable* — random bytes parse as an
 implausible length, which is rejected up front with a bounded read, so
 the receiver never tries to buffer gigabytes on a bad prefix.  The
-remote campaign protocol (:mod:`repro.campaign.remote`) rides the same
-carrier, so the framing layer lives here, under ``repro.core``, and
-both protocols import it; :mod:`repro.debugger.protocol` re-exports
-every name for backward compatibility.
+serve protocol (:mod:`repro.serve.protocol`, which also carries remote
+campaign items) rides the same carrier, so the framing layer lives
+here, under ``repro.core``, and both protocols import it;
+:mod:`repro.debugger.protocol` re-exports every name for backward
+compatibility.
 
 This module also holds :class:`BackoffPolicy` — the capped, seeded
-exponential-backoff-with-jitter schedule both network clients (the
-debugger frontend and the remote worker pool) retry connects with.  The
+exponential-backoff-with-jitter schedule the network clients (the
+debugger frontend and the serve client) retry connects with.  The
 policy is a value object: ``delays()`` returns the *exact* schedule as
 concrete numbers, and ``call`` takes an injectable ``sleep``, so tests
 assert full backoff sequences against a fake clock without ever
@@ -31,8 +32,8 @@ from repro.vm.errors import VMError
 
 #: frames larger than this are rejected without reading the payload —
 #: debugger responses are "small packets", so 1 MiB is generous.  The
-#: remote campaign and serve protocols raise the cap per-decoder (jobs
-#: and results can carry sealed trace blobs).
+#: serve protocol raises the cap per-decoder (jobs and results can carry
+#: sealed trace blobs).
 MAX_FRAME_BYTES = 1 << 20
 #: length prefix size (u32 big-endian)
 LEN_BYTES = 4
@@ -43,6 +44,12 @@ CRC_BYTES = 4
 class TransportError(VMError):
     """A framed connection itself failed: unframeable bytes, an
     oversized length prefix, a timeout, or a peer that vanished."""
+
+
+class TransportTimeout(TransportError):
+    """A framed request got no reply within its timeout: the peer is
+    alive enough to hold the connection open but silent — a hang, as
+    opposed to the EOF or reset of a peer that is gone."""
 
 
 class FrameError(TransportError):
@@ -60,12 +67,12 @@ def frame_payload(payload: bytes, max_frame_bytes: int = MAX_FRAME_BYTES) -> byt
 def encode_pickle_message(message: dict, max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
     """One wire frame carrying a **u32-BE CRC32 + pickled message dict**.
 
-    This is the payload discipline both trusted-host protocols (the
-    remote campaign workers and the serve daemon) ride on the length
-    frames: the checksum makes a corrupted frame *deterministically
-    detectable* — a bit flipped in flight fails the CRC and the receiver
-    tears the connection down with a typed :class:`FrameError` instead of
-    unpickling garbage into a silently-wrong result.
+    This is the payload discipline the trusted-host serve protocol
+    rides on the length frames: the checksum makes a corrupted frame
+    *deterministically detectable* — a bit flipped in flight fails the
+    CRC and the receiver tears the connection down with a typed
+    :class:`FrameError` instead of unpickling garbage into a
+    silently-wrong result.
     """
     import pickle
     import zlib

@@ -1,11 +1,9 @@
 """Shared accept/serve-loop plumbing for the platform's daemons.
 
-Three daemons speak the :mod:`repro.core.framing` transport — the
-debugger server (PR 3), the `repro worker` campaign daemon (PR 7), and
-the `repro serve` replay service — and before this module each
-hand-rolled the same accept loop with the same hardening posture and
-its own copy of the error-logging idiom.  :class:`SocketServer` is that
-posture, once:
+Two daemons speak the :mod:`repro.core.framing` transport — the
+debugger server and the `repro serve` replay service, which is also the
+host of multi-host campaigns — and :class:`SocketServer` is the accept
+loop and hardening posture they share:
 
 * a hostile or vanished client tears down *its connection*, never the
   accept loop — killing the loop kills the session/state it serves;
@@ -21,9 +19,9 @@ posture, once:
   a TERM'd daemon exits with no orphaned threads.
 
 ``concurrency=1`` handles connections inline on the accept thread (the
-debugger and worker daemons serialise on one session); ``concurrency>1``
-gives each connection its own named handler thread, bounded by a
-semaphore (the serve daemon multiplexes clients).
+debugger serialises on one session); ``concurrency>1`` gives each
+connection its own named handler thread, bounded by a semaphore (the
+serve daemon multiplexes clients).
 """
 
 from __future__ import annotations
@@ -220,38 +218,3 @@ def install_term_handler(callback) -> bool:
         return False
     signal.signal(signal.SIGTERM, lambda signum, frame: callback())
     return True
-
-
-def spawn_cli_daemon(args: "list[str]", what: str):
-    """Launch ``python -m repro.cli ARGS`` (a ``serve`` or ``worker``
-    daemon) and return ``(proc, (host, port))`` once it announces its
-    ``listening on HOST:PORT`` first line — the only rendezvous needed:
-    no port race, no sleep-and-hope."""
-    import os
-    import subprocess
-    import sys
-
-    import repro
-    from repro.core.framing import TransportError
-
-    # the daemon must find the same `repro` the parent runs, however the
-    # parent got it onto sys.path (installed, PYTHONPATH, or a test rig)
-    env = dict(os.environ)
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env["PYTHONPATH"] = package_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", *args],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
-    )
-    line = proc.stdout.readline().strip()
-    marker = "listening on "
-    if marker not in line:
-        proc.kill()
-        raise TransportError(f"{what} failed to start: {line!r}")
-    host, _, port = line.split(marker, 1)[1].rpartition(":")
-    return proc, (host, int(port))

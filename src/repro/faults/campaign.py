@@ -493,21 +493,25 @@ def _run_remote_fault(
     config,
     seed: int,
 ) -> tuple[str, str]:
-    """Run the tiny loopback campaign against a daemon armed with *spec*.
+    """Run the tiny loopback campaign against a serve daemon armed with
+    *spec*.
 
     Contract: whatever the armed fault does — a dropped, truncated or
-    corrupted frame, a killed or stalled worker, a slow-loris handshake —
+    corrupted reply, a killed or stalled daemon, a slow-loris handshake —
     the pool's reassignment/degradation ladder must deliver the exact
-    reference report (``recovered``).  A diverging digest means a worker
+    reference report (``recovered``).  A diverging digest means a host
     fault leaked into merged results (``undetected``) — the one failure
     multi-host sharding must never introduce.
     """
     from repro.campaign.jobs import run_explore_campaign
     from repro.campaign.pool import RemoteWorkerPool
-    from repro.campaign.remote import spawn_worker_process
     from repro.core.framing import BackoffPolicy
+    from repro.serve import spawn_serve_process
 
-    proc, address = spawn_worker_process(remote_sabotage(spec))
+    # the one daemon answers every item of the budget-minus-baseline
+    # work list, so that is the span a reply position falls in
+    sabotage = remote_sabotage(spec, replies=_REMOTE_BUDGET - 1)
+    proc, address = spawn_serve_process(extra_args=["--sabotage", sabotage])
     try:
         report = run_explore_campaign(
             workload,
@@ -528,6 +532,7 @@ def _run_remote_fault(
     finally:
         proc.kill()
         proc.wait(timeout=10)
+        proc.stdout.close()
     if report.digest() != remote_ref:
         return (
             "undetected",

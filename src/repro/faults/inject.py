@@ -264,24 +264,26 @@ def send_faulted_request(
 # remote-layer faults
 
 
-def remote_sabotage(spec: FaultSpec) -> str:
-    """The ``repro worker --sabotage`` arming string for *spec*.
+def remote_sabotage(spec: FaultSpec, replies: int) -> str:
+    """The ``repro serve --sabotage`` arming string for *spec*.
 
-    The remote family is injected *inside the worker daemon* (the
-    sabotage seam of :class:`repro.campaign.remote.WorkerServer`), so the
-    injector here just serialises the planned fault into the daemon's
-    one-shot arming syntax ``kind[:frac[:extra]]``.
+    The remote family is injected *inside the serve daemon* (its
+    one-shot sabotage seam), so the injector here just serialises the
+    planned fault into the daemon's arming syntax
+    ``kind[:position[:extra]]``.  The plan stores where the fault lands
+    as a fraction of the work; *replies* — how many campaign-item replies
+    the sabotaged campaign gets from the daemon — turns it into the
+    reply position, so seeded plans stay what they were.
     """
-    if spec.kind == "remote-corrupt-frame":
-        frac, bit = spec.params
-        return f"{spec.kind}:{frac}:{bit}"
     if spec.kind == "remote-slow-connect":
         (delay,) = spec.params
         return f"{spec.kind}::{delay}"
-    if spec.layer == "remote":
-        (frac,) = spec.params
-        return f"{spec.kind}:{frac}"
-    raise ValueError(f"not a remote fault: {spec.kind}")
+    if spec.layer != "remote":
+        raise ValueError(f"not a remote fault: {spec.kind}")
+    position = min(max(0, replies - 1), int(spec.params[0] * replies))
+    if spec.kind == "remote-corrupt-frame":
+        return f"{spec.kind}:{position}:{spec.params[1]}"
+    return f"{spec.kind}:{position}"
 
 
 def _read_response(sock: socket.socket, timeout: float) -> dict:

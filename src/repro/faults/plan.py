@@ -15,11 +15,12 @@ entries across the platform's three fault surfaces:
   a sidecar that is missing outright).  Opt-in: campaigns pass
   ``layers=`` explicitly because the checkpoint family needs a
   checkpointed baseline replay the default three layers don't build;
-* ``remote``     — a `repro worker` host misbehaving under a multi-host
-  campaign (dropped / truncated / corrupted result frames, a mid-shard
-  worker kill, a stalled heartbeat, a slow-loris connect).  Also
-  opt-in: each remote fault runs a small sabotaged loopback campaign
-  and checks the merged report against a clean reference digest;
+* ``remote``     — a `repro serve` campaign host misbehaving under a
+  multi-host campaign (a dropped / truncated / corrupted campaign-item
+  reply, a host killed mid-shard, a host gone mute, a slow-loris
+  connect).  Also opt-in: each remote fault runs a small sabotaged
+  loopback campaign and checks the merged report against a clean
+  reference digest;
 * ``serve``      — a `repro serve` daemon under attack (a client that
   vanishes mid-job, a poison job payload, a hung workload against a
   deadline, a queue-full storm, a kill mid-drain).  Opt-in like remote:
@@ -100,16 +101,16 @@ class FaultSpec:
                               flushed snapshot segment: the sealed
                               sidecar never appears, only its tmp prefix
     ``ckpt-missing``          ``()`` — no sidecar exists at all
-    ``remote-drop-frame``     ``(shard_frac,)`` — the item frame at that
-                              fraction of a shard is never sent
-    ``remote-truncate-frame``  ``(shard_frac,)`` — half a frame, then a
+    ``remote-drop-frame``     ``(work_frac,)`` — the campaign-item reply at
+                              that fraction of the work is never sent
+    ``remote-truncate-frame``  ``(work_frac,)`` — half that reply, then a
                               dead connection
-    ``remote-corrupt-frame``  ``(shard_frac, bit)`` — flip one bit inside
-                              the frame's pickled region (CRC must catch)
-    ``remote-kill-worker``    ``(shard_frac,)`` — the worker dies
-                              (``os._exit``) mid-shard
-    ``remote-stall-heartbeat``  ``(shard_frac,)`` — the worker goes mute:
-                              no items, no heartbeats, process alive
+    ``remote-corrupt-frame``  ``(work_frac, bit)`` — flip one bit inside
+                              that reply's payload (CRC must catch)
+    ``remote-kill-worker``    ``(work_frac,)`` — the daemon dies
+                              (``os._exit``) right after that reply
+    ``remote-stall-heartbeat``  ``(work_frac,)`` — the daemon goes mute at
+                              that reply: no answer, process alive
     ``remote-slow-connect``   ``(delay_s,)`` — the handshake answer is
                               held past the client's hello timeout
     ``serve-client-vanish``   ``(frac,)`` — a serve client disconnects

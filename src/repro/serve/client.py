@@ -27,6 +27,7 @@ from repro.serve.protocol import (
     JobRejected,
     ServeError,
     TransportError,
+    TransportTimeout,
     decode_serve_payload,
     encode_serve_message,
 )
@@ -48,11 +49,15 @@ class ServeClient:
         self._decoder = FrameDecoder(MAX_SERVE_FRAME_BYTES)
         self.bytes_sent = 0
         self.bytes_received = 0
-        reply = self.request({"op": "hello", "version": SERVE_PROTOCOL_VERSION})
-        if reply.get("op") != "hello-ok":
-            raise TransportError(
-                f"serve handshake refused: {reply.get('detail', reply)}"
-            )
+        try:
+            reply = self.request({"op": "hello", "version": SERVE_PROTOCOL_VERSION})
+            if reply.get("op") != "hello-ok":
+                raise TransportError(
+                    f"serve handshake refused: {reply.get('detail', reply)}"
+                )
+        except BaseException:
+            self._sock.close()
+            raise
         self.daemon_pid = reply.get("pid")
 
     @classmethod
@@ -64,11 +69,14 @@ class ServeClient:
         policy: "BackoffPolicy | None" = None,
         sleep=time.sleep,
     ) -> "ServeClient":
-        """Connect with capped, seeded exponential backoff + jitter."""
+        """Connect and handshake with capped, seeded exponential backoff
+        + jitter.  A handshake that times out is retried like a refused
+        connect: a daemon that accepts but never answers hello is a
+        connect failure, not a hang."""
         policy = policy or BackoffPolicy()
         return policy.call(
             lambda: cls(address, timeout=timeout),
-            retry_on=(OSError,),
+            retry_on=(OSError, TransportError),
             sleep=sleep,
             describe=f"could not connect to serve daemon at "
             f"{address[0]}:{address[1]}",
@@ -87,23 +95,28 @@ class ServeClient:
     # transport
 
     def request(self, message: dict, timeout: "float | None" = None) -> dict:
+        """One round trip.  *timeout* (default: the connection's) bounds
+        the wait for the reply; running out raises
+        :class:`TransportTimeout`, every other transport failure a plain
+        :class:`TransportError` (:class:`FrameError` for a bad frame)."""
+        timeout = timeout if timeout is not None else self.timeout
         data = encode_serve_message(message)
-        self._sock.settimeout(timeout if timeout is not None else self.timeout)
+        self._sock.settimeout(timeout)
         try:
             self._sock.sendall(data)
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from exc
         self.bytes_sent += len(data)
-        return decode_serve_payload(self._read_frame())
+        return decode_serve_payload(self._read_frame(timeout))
 
-    def _read_frame(self) -> bytes:
+    def _read_frame(self, timeout: float) -> bytes:
         frames: list[bytes] = []
         while not frames:
             try:
                 chunk = self._sock.recv(65536)
             except TimeoutError as exc:
-                raise TransportError(
-                    f"serve request timed out after {self.timeout}s"
+                raise TransportTimeout(
+                    f"serve request timed out after {timeout:g}s"
                 ) from exc
             except OSError as exc:
                 raise TransportError(f"receive failed: {exc}") from exc

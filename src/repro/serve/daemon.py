@@ -26,6 +26,12 @@ A hostile client — garbage frames, a vanish mid-response, a poison job
 ``frame_errors`` / ``handler_errors`` counters tick, and every other
 client's results are unaffected (the concurrent-clients differential
 test pins byte-identity against serial runs).
+
+**Campaign hosts.**  The daemon also runs the ``campaign-item`` jobs
+of multi-host campaigns, and carries their LAYER_REMOTE fault seam:
+``sabotage`` (``repro serve --sabotage``, testing only) arms one
+one-shot fault on the Nth campaign-item reply (or on the next hello,
+for slow-connect) that the pool's ladder must absorb.
 """
 
 from __future__ import annotations
@@ -33,7 +39,9 @@ from __future__ import annotations
 import os
 import socket
 import threading
+import time
 
+from repro.core.framing import CRC_BYTES, LEN_BYTES
 from repro.core.server import SocketServer
 from repro.serve.protocol import (
     MAX_SERVE_FRAME_BYTES,
@@ -41,6 +49,7 @@ from repro.serve.protocol import (
     FrameDecoder,
     FrameError,
     ServeError,
+    TransportError,
     decode_serve_payload,
     encode_serve_message,
     error_reply,
@@ -48,6 +57,39 @@ from repro.serve.protocol import (
 )
 from repro.serve.sessions import SessionPool
 from repro.serve.supervisor import Supervisor
+
+#: the sabotage kinds the daemon understands (the LAYER_REMOTE family)
+SABOTAGE_KINDS = (
+    "remote-drop-frame",
+    "remote-truncate-frame",
+    "remote-corrupt-frame",
+    "remote-kill-worker",
+    "remote-stall-heartbeat",
+    "remote-slow-connect",
+)
+
+
+def parse_sabotage(text: str) -> dict:
+    """Parse the ``--sabotage`` arming syntax ``kind[:position[:extra]]``.
+
+    ``position`` is the daemon-wide index of the campaign-item reply the
+    fault hits (default 0); ``extra`` is the bit index for corrupt-frame
+    or the delay in seconds for slow-connect.
+    """
+    kind, *rest = text.split(":")
+    if kind not in SABOTAGE_KINDS:
+        raise TransportError(
+            f"unknown sabotage kind {kind!r} (known: {', '.join(SABOTAGE_KINDS)})"
+        )
+    sabotage: dict = {"kind": kind}
+    if rest and rest[0]:
+        sabotage["position"] = int(rest[0])
+    if len(rest) > 1 and rest[1]:
+        if kind == "remote-corrupt-frame":
+            sabotage["bit"] = int(rest[1])
+        else:
+            sabotage["delay"] = float(rest[1])
+    return sabotage
 
 
 class ServeDaemon(SocketServer):
@@ -67,6 +109,7 @@ class ServeDaemon(SocketServer):
         log=None,
         executor=None,
         max_connection_seconds: "float | None" = None,
+        sabotage: "dict | None" = None,
     ):
         super().__init__(
             host,
@@ -96,6 +139,10 @@ class ServeDaemon(SocketServer):
         #: quantity drain waits on (zero accepted-job loss)
         self._busy = 0
         self._busy_lock = threading.Lock()
+        #: the armed one-shot fault (consumed when it fires) and the
+        #: count of campaign-item replies it is positioned against
+        self._sabotage = dict(sabotage) if sabotage else None
+        self._campaign_replies = 0
 
     # ------------------------------------------------------------------
     # connection handling
@@ -141,6 +188,12 @@ class ServeDaemon(SocketServer):
             )
         op = message.get("op")
         if op == "hello":
+            sabotage = self._take_sabotage(hello=True)
+            if sabotage is not None:
+                # slow-loris: hold the answer past the client's hello
+                # timeout (one-shot, so the client's retry succeeds)
+                self.log("sabotage firing: remote-slow-connect")
+                time.sleep(sabotage.get("delay", 5.0))
             if message.get("version") != SERVE_PROTOCOL_VERSION:
                 self._send(
                     conn,
@@ -201,10 +254,69 @@ class ServeDaemon(SocketServer):
             wait = (budget + 30.0) if budget is not None else 600.0
             reply = pending.wait(wait)
             self.jobs_served += 1
-            return self._send(conn, reply)
+            frame = encode_serve_message(reply)
+            sabotage = (
+                self._take_sabotage() if job["kind"] == "campaign-item" else None
+            )
+            if sabotage is not None:
+                return self._sabotage_reply(conn, sabotage, frame)
+            return self._send_raw(conn, frame)
         finally:
             with self._busy_lock:
                 self._busy -= 1
+
+    # ------------------------------------------------------------------
+    # the one-shot LAYER_REMOTE fault seam
+
+    def _take_sabotage(self, *, hello: bool = False) -> "dict | None":
+        """Consume the armed fault if it fires now: on a hello for
+        slow-connect, else on the campaign-item reply at its position."""
+        with self._busy_lock:
+            sabotage = self._sabotage
+            if not hello:
+                position = self._campaign_replies
+                self._campaign_replies += 1
+            if sabotage is None:
+                return None
+            if (sabotage["kind"] == "remote-slow-connect") != hello:
+                return None
+            if not hello and sabotage.get("position", 0) != position:
+                return None
+            self._sabotage = None
+            return sabotage
+
+    def _sabotage_reply(self, conn: socket.socket, sabotage: dict, frame: bytes) -> bool:
+        """Enact the armed fault on one reply frame; False closes the
+        connection."""
+        kind = sabotage["kind"]
+        self.log(f"sabotage firing: {kind}")
+        if kind == "remote-drop-frame":
+            # the reply never leaves: the client's watchdog must fire
+            return True
+        if kind == "remote-corrupt-frame":
+            # flip one bit past the length and CRC prefixes: framing
+            # stays intact, the CRC does not — detection, not corruption
+            corrupted = bytearray(frame)
+            corrupted[(len(frame) + LEN_BYTES + CRC_BYTES) // 2] ^= 1 << (
+                sabotage.get("bit", 0) % 8
+            )
+            return self._send_raw(conn, bytes(corrupted))
+        if kind == "remote-truncate-frame":
+            # half a frame, then a dead connection
+            self._send_raw(conn, frame[: max(1, len(frame) // 2)])
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            return False
+        if kind == "remote-kill-worker":
+            # deliver the reply, then die: the crash path end to end
+            self._send_raw(conn, frame)
+            os._exit(13)
+        # the stall kind: alive but mute until the daemon stops
+        while not self.stopping:
+            time.sleep(0.1)
+        return False
 
     def _health(self) -> dict:
         health = {
@@ -220,7 +332,7 @@ class ServeDaemon(SocketServer):
         }
         if self.pool is not None:
             health["sessions"] = self.pool.stats()
-        # health doubles as the supervision heartbeat: a crashed worker
+        # health doubles as the supervision check: a crashed worker
         # is replaced the next time anyone asks whether we are healthy
         self.supervisor.ensure_workers()
         return health
@@ -243,13 +355,21 @@ class ServeDaemon(SocketServer):
 
     def on_stopped(self) -> None:
         self.supervisor.shutdown(grace=1.0)
+        if self.pool is not None:
+            self.pool.close()
 
     # ------------------------------------------------------------------
-    # send helper
+    # send helpers
 
     def _send(self, conn: socket.socket, message: dict) -> bool:
+        return self._send_raw(conn, encode_serve_message(message))
+
+    @staticmethod
+    def _send_raw(conn: socket.socket, data: bytes) -> bool:
+        """False means the client is gone (stop this connection, never
+        the loop)."""
         try:
-            conn.sendall(encode_serve_message(message))
+            conn.sendall(data)
             return True
         except OSError:
             return False
@@ -265,10 +385,13 @@ def spawn_serve_process(
     extra_args: "list[str] | None" = None,
 ):
     """Launch ``repro serve`` as a subprocess; return ``(proc, (host,
-    port))`` once the daemon announces its listening address (the same
-    rendezvous discipline as :func:`repro.campaign.remote
-    .spawn_worker_process`)."""
-    from repro.core.server import spawn_cli_daemon
+    port))`` once the daemon announces its listening address on its
+    first stdout line — the only rendezvous needed: no port race, no
+    sleep-and-hope."""
+    import subprocess
+    import sys
+
+    import repro
 
     args = [
         "serve", "--host", host, "--port", "0",
@@ -278,4 +401,24 @@ def spawn_serve_process(
         args += ["--deadline", str(deadline)]
     if cold:
         args += ["--cold"]
-    return spawn_cli_daemon(args + list(extra_args or []), "serve daemon")
+    # the daemon must find the same `repro` the parent runs, however the
+    # parent got it onto sys.path (installed, PYTHONPATH, or a test rig)
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = package_root + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *args, *(extra_args or [])],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=env,
+    )
+    line = proc.stdout.readline().strip()
+    marker = "listening on "
+    if marker not in line:
+        proc.kill()
+        raise TransportError(f"serve daemon failed to start: {line!r}")
+    host, _, port = line.split(marker, 1)[1].rpartition(":")
+    return proc, (host, int(port))

@@ -7,6 +7,9 @@ left here is only what a network job needs and a CLI run does not:
 trace bytes in and out through a temp file, the client's label for
 that file in doctor output, and serve-typed errors (deadline, cancel)
 propagated to the supervisor rather than reported as an exit status.
+
+A ``campaign-item`` job runs in :mod:`repro.campaign.jobs` instead, on
+the warm item runner the pool leases for its campaign payload.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import io
 import os
 import tempfile
+from contextlib import closing
 from pathlib import Path
 
 from repro.jobs import EXECUTORS, error_exit
@@ -28,9 +32,13 @@ def run_job(job: dict, pool: "SessionPool | None", token) -> dict:
     The result always carries ``stdout`` (byte-identical to the CLI
     one-shot), ``stderr`` (the CLI's error line, empty on success) and
     ``exit`` (the CLI status tier); record/explore jobs that wrote a
-    trace add its ``trace`` bytes."""
+    trace add its ``trace`` bytes.  A campaign item's result is its
+    item runner's dict instead."""
     if pool is None:
-        pool = SessionPool(max_entries=2)
+        with closing(SessionPool(max_entries=2)) as cold:
+            return run_job(job, cold, token)
+    if job["kind"] == "campaign-item":
+        return run_campaign_item(job, pool)
     out, err = io.StringIO(), io.StringIO()
     fd, path = tempfile.mkstemp(suffix=".djv")
     os.close(fd)
@@ -58,3 +66,14 @@ def run_job(job: dict, pool: "SessionPool | None", token) -> dict:
     if written:
         result["trace"] = written
     return result
+
+
+def run_campaign_item(job: dict, pool: SessionPool) -> dict:
+    """One campaign item on the leased warm runner.  An item that raises
+    becomes an ``error`` result, exactly as in a local fork worker, so a
+    remote host and a local fork report the same thing."""
+    with pool.campaign_runner(job["campaign"]) as runner:
+        try:
+            return runner.run(job["item"])
+        except Exception as exc:  # noqa: BLE001 - per-item containment
+            return {"error": f"{type(exc).__name__}: {exc}"}

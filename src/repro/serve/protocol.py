@@ -2,10 +2,10 @@
 
 The serve daemon rides the platform's one framing discipline — the
 u32-big-endian length-prefixed frames of :mod:`repro.core.framing` —
-with the same checksummed-pickle payloads the remote campaign protocol
-uses (:func:`~repro.core.framing.encode_pickle_message`).  Like that
-protocol it is for hosts you already trust to run your code; it is not
-an internet-facing protocol.
+with checksummed-pickle payloads
+(:func:`~repro.core.framing.encode_pickle_message`).  It is for hosts
+you already trust to run your code (a lab cluster, loopback CI); it is
+not an internet-facing protocol.
 
 Message ops (every message is ``{"op": ..., ...}``):
 
@@ -33,7 +33,7 @@ must not silently record with the host timer).  Ints are never bools,
 names and texts are strings.  Fields:
 
 * ``kind`` — ``record`` | ``replay`` | ``explore`` | ``doctor`` |
-  ``trace-stats``
+  ``trace-stats`` | ``campaign-item`` (below)
 * ``workload`` + ``workload_args`` — a registered workload build, or
 * ``source`` (+ ``main``, ``name``) — inline ``.jasm`` text
 * ``seed`` — the CLI ``--seed`` knob (None: host timer/clock)
@@ -55,6 +55,13 @@ names and texts are strings.  Fields:
 Results carry ``stdout`` (byte-identical to the CLI one-shot's stdout),
 ``exit`` (the CLI exit status), and for record jobs ``trace`` (sealed
 trace bytes, byte-identical to the CLI-written file).
+
+**Campaign items.**  A ``campaign-item`` job (only ``kind``,
+``campaign``, ``item``, ``deadline``) runs one work-list item of a
+multi-host campaign: ``campaign`` is the campaign payload as plain data
+(see :func:`validate_campaign`), ``item`` one schedule or fault index.
+Its result is the dict a local fork worker produces for the same
+``(campaign, item)``.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ from repro.core.framing import (
     FrameDecoder,
     FrameError,
     TransportError,
+    TransportTimeout,
     decode_pickle_payload,
     encode_pickle_message,
 )
@@ -79,20 +87,22 @@ __all__ = [
     "encode_serve_message",
     "decode_serve_payload",
     "validate_job",
+    "validate_campaign",
     "error_reply",
     "FrameDecoder",
     "FrameError",
     "TransportError",
+    "TransportTimeout",
 ]
 
 #: serve protocol revision; bumped on any wire-incompatible change
 SERVE_PROTOCOL_VERSION = 1
-#: jobs and results carry sealed trace blobs, so the cap matches the
-#: remote campaign protocol, not the debugger's small packets
+#: jobs and results carry sealed trace blobs, so the cap is far above
+#: the debugger's small packets
 MAX_SERVE_FRAME_BYTES = 64 << 20
 
 #: the job kinds the daemon executes
-JOB_KINDS = ("record", "replay", "explore", "doctor", "trace-stats")
+JOB_KINDS = ("record", "replay", "explore", "doctor", "trace-stats", "campaign-item")
 #: every field a job may carry (see the module docstring)
 JOB_KEYS = frozenset({
     "kind", "workload", "workload_args", "source", "main", "name", "seed",
@@ -156,6 +166,8 @@ def validate_job(job) -> dict:
         raise ServeError(
             f"unknown job kind {kind!r} (known: {', '.join(JOB_KINDS)})"
         )
+    if kind == "campaign-item":
+        return _validate_campaign_item(job)
     unknown = set(job) - JOB_KEYS
     if unknown:
         raise ServeError(
@@ -178,12 +190,7 @@ def validate_job(job) -> dict:
         raise ServeError(f"job seed must be an int or None, got {out['seed']!r}")
     if not _is_int(out["heap"]) or out["heap"] <= 0:
         raise ServeError(f"job heap must be a positive int, got {out['heap']!r}")
-    deadline = out["deadline"]
-    if deadline is not None:
-        number = isinstance(deadline, (int, float)) and not isinstance(deadline, bool)
-        if not number or not deadline > 0:
-            raise ServeError(f"job deadline must be positive seconds, got {deadline!r}")
-        out["deadline"] = float(deadline)
+    out["deadline"] = _deadline(out["deadline"])
     if not isinstance(out["workload_args"], dict):
         raise ServeError("job workload_args must be a dict")
     has_program = ("workload" in out and out["workload"]) or (
@@ -211,7 +218,20 @@ def validate_job(job) -> dict:
     if kind == "record":
         out.setdefault("out_name", "run.djv")
         out.setdefault("slim", False)
-    engine = out["engine"]
+    _check_engine(out["engine"])
+    return out
+
+
+def _deadline(deadline):
+    if deadline is None:
+        return None
+    number = isinstance(deadline, (int, float)) and not isinstance(deadline, bool)
+    if not number or not deadline > 0:
+        raise ServeError(f"job deadline must be positive seconds, got {deadline!r}")
+    return float(deadline)
+
+
+def _check_engine(engine) -> None:
     if isinstance(engine, str):
         from repro.api import ENGINE_PRESETS
 
@@ -234,7 +254,112 @@ def validate_job(job) -> dict:
         raise ServeError(
             f"job engine must be a preset name or a flag dict, got {engine!r}"
         )
-    return out
+
+
+# ---------------------------------------------------------------------------
+# campaign items
+
+
+def _is_count(minimum: int):
+    return lambda value: _is_int(value) and value >= minimum
+
+
+#: the fields of a campaign payload besides ``kind`` and ``engine``
+#: (checked with ``heap``), per campaign kind: the check each value must
+#: pass and what that check means
+_CAMPAIGN_COMMON = {
+    "workload": (lambda v: isinstance(v, str), "a workload name"),
+    "workload_kwargs": (
+        lambda v: isinstance(v, dict) and all(
+            isinstance(k, str) and isinstance(x, (int, float, str, bool, type(None)))
+            for k, x in v.items()
+        ),
+        "a dict of names to scalars",
+    ),
+    "seed": (_is_int, "an int"),
+    "heap": (lambda v: v is None or _is_count(1)(v), "None or an int >= 1"),
+}
+CAMPAIGN_FIELDS = {
+    "explore": {
+        **_CAMPAIGN_COMMON,
+        "env_seed": (_is_int, "an int"),
+        "bound": (_is_count(1), "an int >= 1"),
+        "budget": (_is_count(1), "an int >= 1"),
+    },
+    "faults": {
+        **_CAMPAIGN_COMMON,
+        "count": (_is_count(0), "an int >= 0"),
+        "layers": (
+            lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+            "a list of layer names",
+        ),
+        "fault_timeout": (
+            lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0,
+            "positive seconds",
+        ),
+    },
+}
+_CAMPAIGN_ITEM_KEYS = frozenset({"kind", "campaign", "item", "deadline"})
+
+
+def validate_campaign(payload) -> dict:
+    """Check one campaign payload (see the module docstring) and return
+    it; typed :class:`ServeError` on anything else.  Every campaign
+    backend builds its item runner from a payload that passed here, so
+    a remote host and a local fork run the same data."""
+    if not isinstance(payload, dict):
+        raise ServeError(f"campaign must be a dict, got {type(payload).__name__}")
+    kind = payload.get("kind")
+    if kind not in CAMPAIGN_FIELDS:
+        raise ServeError(
+            f"unknown campaign kind {kind!r} (known: {', '.join(CAMPAIGN_FIELDS)})"
+        )
+    fields = CAMPAIGN_FIELDS[kind]
+    keys = {"kind", "engine", *fields}
+    if set(payload) != keys:
+        raise ServeError(
+            f"{kind} campaign fields must be exactly {', '.join(sorted(keys))} "
+            f"(got {', '.join(sorted(map(str, payload)))})"
+        )
+    for key, (check, meaning) in fields.items():
+        if not check(payload[key]):
+            raise ServeError(f"campaign {key} must be {meaning}, got {payload[key]!r}")
+    if payload["heap"] is not None:
+        _check_engine(payload["engine"])
+    elif payload["engine"] is not None:
+        raise ServeError("campaign engine needs a heap (both or neither)")
+    from repro.workloads.registry import get_workload
+
+    try:
+        get_workload(payload["workload"])
+    except VMError as exc:
+        raise ServeError(str(exc)) from exc
+    return payload
+
+
+def _validate_campaign_item(job: dict) -> dict:
+    unknown = set(job) - _CAMPAIGN_ITEM_KEYS
+    if unknown:
+        raise ServeError(
+            f"unknown campaign-item key(s) {', '.join(sorted(map(repr, unknown)))} "
+            f"(known: {', '.join(sorted(_CAMPAIGN_ITEM_KEYS))})"
+        )
+    campaign = validate_campaign(job.get("campaign"))
+    item = job.get("item")
+    if campaign["kind"] == "explore":
+        if not isinstance(item, (list, tuple)) or not all(
+            _is_int(p) and p >= 0 for p in item
+        ):
+            raise ServeError(f"explore item must be a list of positions, got {item!r}")
+        item = tuple(item)
+    elif not _is_int(item) or not 0 <= item < campaign["count"]:
+        raise ServeError(f"faults item must be a plan index, got {item!r}")
+    return {
+        "kind": "campaign-item",
+        "campaign": campaign,
+        "item": item,
+        "deadline": _deadline(job.get("deadline")),
+    }
 
 
 def error_reply(exc: Exception) -> dict:

@@ -9,6 +9,11 @@ digest, so a warm hit cannot change a job's result, only its latency.
 (VMs themselves are single-run and are never cached, and neither is
 native state: every job gets its own copy of a program's natives.)
 
+Campaign items add the warm item runner of a campaign payload, keyed
+by payload digest.  A runner is *leased* (out of the cache while it
+runs an item, so it never serves two jobs at once), and the pool closes
+— never just drops — every runner it evicts, invalidates or displaces.
+
 Crash safety is generational: every cache entry carries the pool
 generation it was built under.  When a job dies in a way that casts
 doubt on shared state (a worker crash, an infrastructure error), the
@@ -18,15 +23,15 @@ use*, never reused.  A crashed session is thus replaced by
 construction, not trusted by optimism.
 
 Entries are evicted LRU beyond ``max_entries`` so a long-lived daemon
-serving many distinct programs/traces stays bounded.
+serving many distinct programs/traces/campaigns stays bounded.
 """
 
 from __future__ import annotations
 
 import copy
 import hashlib
-import pickle
 import threading
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,10 +39,20 @@ from repro.api import GuestProgram, trace_from_bytes
 from repro.jobs import resolve_workload
 
 
+def _canonical(obj) -> str:
+    """A canonical text encoding of validated job data: ``repr`` with
+    dict keys sorted, so equal data always encodes equally."""
+    if isinstance(obj, dict):
+        items = sorted((_canonical(k), _canonical(v)) for k, v in obj.items())
+        return "{" + ", ".join(f"{k}: {v}" for k, v in items) + "}"
+    if isinstance(obj, (list, tuple)):
+        inner = ", ".join(_canonical(v) for v in obj)
+        return f"[{inner}]" if isinstance(obj, list) else f"({inner})"
+    return repr(obj)
+
+
 def _digest(obj) -> str:
-    return hashlib.sha256(
-        pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    ).hexdigest()[:24]
+    return hashlib.sha256(_canonical(obj).encode()).hexdigest()[:24]
 
 
 class SessionPool:
@@ -51,6 +66,9 @@ class SessionPool:
         #: key -> (generation, value); insertion order is LRU order
         self._programs: dict[str, tuple[int, object]] = {}
         self._traces: dict[str, tuple[int, object]] = {}
+        #: idle campaign item runners, all of the current generation
+        #: (leased ones are out of the cache)
+        self._runners: dict[str, object] = {}
         self.hits = 0
         self.misses = 0
         self.rebuilds = 0
@@ -82,10 +100,20 @@ class SessionPool:
 
     def invalidate(self) -> None:
         """Bump the generation: every cached entry is now stale and will
-        be rebuilt (not reused) on its next lookup."""
+        be rebuilt (not reused) on its next lookup.  Idle runners own
+        resources, so they are closed now; a leased one is closed when
+        it comes back under its old generation."""
         with self._lock:
             self.generation += 1
             self.invalidations += 1
+            runners, self._runners = self._runners, {}
+        for runner in runners.values():
+            runner.close()
+
+    def close(self) -> None:
+        """Close every idle runner: the daemon is stopping, or a
+        throwaway pool is done."""
+        self.invalidate()
 
     # ------------------------------------------------------------------
     # the cached artifacts
@@ -101,7 +129,7 @@ class SessionPool:
             spec, kwargs = resolve_workload(job, trace)
             # key on the *resolved* build kwargs, so explicit defaults
             # and implicit defaults share one warm entry
-            key = "w:" + _digest((spec.name, sorted(kwargs.items())))
+            key = "w:" + _digest((spec.name, kwargs))
             program = self._get(self._programs, key, lambda: spec.build(kwargs))
         elif job.get("source"):
             key = "s:" + _digest((job["source"], job.get("main"), job.get("name")))
@@ -128,12 +156,51 @@ class SessionPool:
     def load_trace(self, path):
         return self.trace(Path(path).read_bytes())
 
+    @contextmanager
+    def campaign_runner(self, campaign: dict):
+        """Lease the warm item runner for a validated campaign payload.
+
+        The runner is out of the cache until the ``with`` block ends, so
+        a concurrent job on the same payload builds its own.  A block
+        that raises closes its runner instead of returning it."""
+        from repro.campaign.jobs import make_item_runner
+
+        key = "c:" + _digest(campaign)
+        with self._lock:
+            generation = self.generation
+            runner = self._runners.pop(key, None)
+            if runner is not None:
+                self.hits += 1
+            else:
+                self.misses += 1
+        if runner is None:
+            runner = make_item_runner(campaign)
+        try:
+            yield runner
+        except BaseException:
+            runner.close()
+            raise
+        closing = []
+        with self._lock:
+            if generation != self.generation:
+                closing.append(runner)
+            else:
+                parked = self._runners.pop(key, None)
+                if parked is not None:
+                    closing.append(parked)
+                self._runners[key] = runner
+                while len(self._runners) > self.max_entries:
+                    closing.append(self._runners.pop(next(iter(self._runners))))
+        for stale in closing:
+            stale.close()
+
     def stats(self) -> dict:
         with self._lock:
             return {
                 "generation": self.generation,
                 "programs": len(self._programs),
                 "traces": len(self._traces),
+                "runners": len(self._runners),
                 "hits": self.hits,
                 "misses": self.misses,
                 "rebuilds": self.rebuilds,

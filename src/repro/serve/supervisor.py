@@ -35,6 +35,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
+from contextlib import closing
 
 from repro.serve.protocol import (
     JobCancelled,
@@ -284,7 +285,8 @@ class Supervisor:
                 f"retrying on a cold session"
             )
             try:
-                result = self._executor(job, SessionPool(max_entries=2), token)
+                with closing(SessionPool(max_entries=2)) as cold:
+                    result = self._executor(job, cold, token)
             except ServeError as cold_exc:
                 pending.deliver(error_reply(cold_exc))
                 return

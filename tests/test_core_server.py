@@ -1,13 +1,13 @@
 """The shared daemon plumbing: :class:`repro.core.server.SocketServer`.
 
-Three daemons ride this accept loop — the debugger server, the `repro
-worker` campaign daemon, and the `repro serve` replay service — so its
+Two daemons ride this accept loop — the debugger server and the `repro
+serve` replay service (also the host of multi-host campaigns) — so its
 hardening posture is tested once, here: a hostile connection costs
 itself (never the loop), every survived failure ticks an observable
 counter, per-connection lifetime is bounded, and shutdown is graceful,
-signal-safe, and orphan-free.  The TERM'd-worker regression test pins
-the graceful-stop satellite: a SIGTERM'd `repro worker` subprocess
-drains and exits 0.
+signal-safe, and orphan-free.  A SIGTERM'd `repro serve` subprocess
+drains and exits 0 (``tests/test_serve.py``); a TERM'd `repro
+debug-serve` does too (below).
 """
 
 import signal
@@ -17,9 +17,9 @@ import time
 
 import pytest
 
-from repro.campaign.remote import WorkerServer, spawn_worker_process
 from repro.core.server import SocketServer, install_term_handler
 from repro.debugger.frontend import DebuggerServer
+from repro.serve import ServeDaemon
 
 
 def _connect(server, timeout=5.0):
@@ -123,36 +123,31 @@ class TestSocketServer:
 
 
 class TestRebasedDaemons:
-    """The worker and debugger daemons now subclass SocketServer: same
+    """The serve and debugger daemons subclass SocketServer: same
     hardened loop, same counters, same graceful stop."""
 
     def test_subclass_relationship(self):
-        assert issubclass(WorkerServer, SocketServer)
+        assert issubclass(ServeDaemon, SocketServer)
         assert issubclass(DebuggerServer, SocketServer)
 
-    def test_worker_server_stop_leaves_no_threads(self):
+    def test_serve_daemon_stop_leaves_no_threads(self):
+        """Stopping joins the accept loop, every connection handler and
+        the supervised job workers — and closes the warm runners."""
+        from repro.campaign import run_explore_campaign
+        from repro.campaign.pool import RemoteWorkerPool
+
         before = {t.name for t in threading.enumerate()}
-        server = WorkerServer().start()
+        server = ServeDaemon().start()
         assert server.connections_served == 0
+        report = run_explore_campaign(
+            "bank", bound=1, budget=6, jobs=2, backend=RemoteWorkerPool([server.address])
+        )
+        assert not report.incidents
+        assert server.pool.stats()["runners"] == 1
         server.stop()
+        assert server.pool.stats()["runners"] == 0
         leftover = {t.name for t in threading.enumerate()} - before
         assert not leftover, f"orphaned threads: {leftover}"
-
-    def test_terminated_worker_exits_zero(self):
-        """The graceful-stop satellite: a SIGTERM'd `repro worker`
-        drains (heartbeat pump joined, runners closed) and exits 0."""
-        proc, address = spawn_worker_process()
-        try:
-            # it really is serving before the TERM lands
-            with socket.create_connection(address, timeout=5):
-                pass
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=15) == 0
-        finally:
-            proc.kill()
-            proc.wait(timeout=10)
-            if proc.stdout is not None:
-                proc.stdout.close()
 
     def test_terminated_debug_serve_exits_zero(self, tmp_path):
         """Same contract for the third daemon: a SIGTERM'd
