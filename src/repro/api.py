@@ -15,6 +15,7 @@ Typical use (also ``examples/quickstart.py``)::
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Iterable
 
 from pathlib import Path
@@ -24,7 +25,7 @@ from repro.core.symmetry import SymmetryConfig
 from repro.core.tracelog import TraceLog, TraceWriter, config_fingerprint
 from repro.core.verify import ReplayReport, compare_runs
 from repro.vm.asm import assemble
-from repro.vm.classfile import ClassDef
+from repro.vm.classfile import ClassDef, content_digest
 from repro.vm.engineconfig import EngineConfig
 from repro.vm.errors import (
     CheckpointConfigMismatch,
@@ -43,14 +44,28 @@ from repro.vm.scheduler_types import RunResult
 from repro.vm.timerdev import TimerSource, WallClock, slim_model_of
 
 
-@dataclass
+#: a native binding: (qualname, per-VM implementation factory, nondet)
+NativeBinding = tuple[str, Callable[[], Callable], bool]
+
+
+@dataclass(frozen=True)
 class GuestProgram:
-    """A runnable guest program: classes + entry point + native bindings."""
+    """A runnable guest program: classes + entry point + native bindings.
+
+    A program is immutable and holds no run state, so one object may be
+    recorded, replayed and explored any number of times, from any number
+    of threads: each native is a ``make`` factory that :func:`build_vm`
+    calls once per VM (a native with host state, such as ``server``'s
+    network stream, builds that state inside ``make``).  Because the
+    classes never change, every VM of one program and configuration
+    loads them identically, which is what lets a process keep one
+    program image per program (see :class:`repro.vm.machine.BootImage`).
+    """
 
     classdefs: list[ClassDef]
     main: str = "Main.main()V"
-    #: extra natives: (qualname, implementation, is_nondeterministic)
-    natives: list[tuple[str, Callable, bool]] = field(default_factory=list)
+    #: extra natives: (qualname, per-VM implementation factory, is_nondeterministic)
+    natives: list[NativeBinding] = field(default_factory=list)
     name: str = "program"
 
     @classmethod
@@ -58,7 +73,7 @@ class GuestProgram:
         cls,
         source: str,
         main: str = "Main.main()V",
-        natives: Iterable[tuple[str, Callable, bool]] | None = None,
+        natives: Iterable[NativeBinding] | None = None,
         name: str = "program",
     ) -> "GuestProgram":
         return cls(
@@ -67,6 +82,12 @@ class GuestProgram:
             natives=list(natives or []),
             name=name,
         )
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Content digest of the classes, computed once per program: the
+        program's part of its program-image key."""
+        return content_digest(self.classdefs)
 
 
 #: named engine configurations for ``--engine`` and serve jobs — the
@@ -113,16 +134,17 @@ def build_vm(
     clock: WallClock | None = None,
     env: Environment | None = None,
 ) -> VirtualMachine:
-    """A fresh VM with *program* declared (VMs are single-run).
+    """A fresh VM with *program* declared and its natives instantiated
+    (VMs are single-run).
 
     Leave *timer* unset for the VM's default; pass an explicit
     :class:`TimerSource` to control preemption, or ``None`` to disable
     the preemption timer entirely.
     """
     vm = VirtualMachine(config, timer=timer, clock=clock, env=env)
-    vm.declare(program.classdefs)
-    for qualname, fn, nondet in program.natives:
-        vm.register_native(qualname, fn, nondet=nondet)
+    vm.declare(program.classdefs, fingerprint=program.fingerprint)
+    for qualname, make, nondet in program.natives:
+        vm.register_native(qualname, make(), nondet=nondet)
     return vm
 
 

@@ -85,7 +85,7 @@ def recap_transform(program: GuestProgram) -> GuestProgram:
     return GuestProgram(
         classdefs=new_defs,
         main=program.main,
-        natives=list(program.natives) + [(_READ_NATIVE, _read_native, True)],
+        natives=list(program.natives) + [(_READ_NATIVE, lambda: _read_native, True)],
         name=program.name + "+recap",
     )
 

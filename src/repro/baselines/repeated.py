@@ -40,16 +40,16 @@ def repeated_execution(
     timer_lo: int = 40,
     timer_hi: int = 400,
 ) -> RepeatedExecutionReport:
-    """Run fresh program instances under varying timers; count behaviours.
+    """Run the program under varying timers; count behaviours.
 
-    ``program_factory`` must build a fresh :class:`GuestProgram` per run
-    (native state, e.g. the server's network source, is per-instance).
+    ``program_factory`` builds the program once; every run executes it
+    on a fresh VM with its own natives.
     """
     outputs: list[str] = []
     behaviors: set[tuple] = set()
+    program = program_factory()
+    assert isinstance(program, GuestProgram)
     for i in range(runs):
-        program = program_factory()
-        assert isinstance(program, GuestProgram)
         vm = build_vm(
             program,
             config,

@@ -29,6 +29,7 @@ producing a replay divergence.
 
 from __future__ import annotations
 
+import functools
 import os
 import tempfile
 from dataclasses import dataclass
@@ -39,6 +40,7 @@ from repro.vm.threads import EAGER_STACK_HEADROOM, GreenThread
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.controller import DejaVu
+    from repro.vm.classfile import ClassDef
 
 #: transient guest-stack words an instrumentation activation consumes.
 #: Replay reads, decodes and validates — it needs more frames than the
@@ -108,6 +110,13 @@ def _replay_io_classdef():
     return cb.build()
 
 
+@functools.cache
+def _support_classdefs() -> "tuple[ClassDef, ...]":
+    """The support classes, built once per process: like any declared
+    program class, a ClassDef is never written after it is built."""
+    return _record_io_classdef(), _replay_io_classdef()
+
+
 class SymmetryManager:
     """Executes the symmetry actions for one DejaVu session."""
 
@@ -122,25 +131,21 @@ class SymmetryManager:
     # ------------------------------------------------------------------
     # initialisation-time actions
 
-    def declare_support_classes(self) -> None:
-        loader = self.dejavu.vm.loader
-        for cdef in (_record_io_classdef(), _replay_io_classdef()):
-            if cdef.name not in loader.classdefs:
-                loader.declare(cdef)
+    def support_classes(self) -> "tuple[tuple[ClassDef, ...], bool]":
+        """DejaVu's support classes, and whether they are pre-loaded.
+
+        :meth:`VirtualMachine.start <repro.vm.machine.VirtualMachine.start>`
+        declares them and, under the preload rule, loads them right after
+        the main class, in a fixed order, whichever mode we are in (the
+        paper: "pre-loading all the classes of DejaVu, whether needed
+        only for record or replay").  Linking also compiles every method
+        (symmetry in compilation).
+        """
+        return _support_classdefs(), self.config.preload_classes
 
     def init_actions(self) -> None:
         """Run before the application starts — identical in both modes."""
-        self.declare_support_classes()
-        if self.config.preload_classes:
-            # both the record-side and the replay-side classes, in a fixed
-            # order, whichever mode we are in (the paper: "pre-loading all
-            # the classes of DejaVu, whether needed only for record or
-            # replay").  Linking also compiles every method (symmetry in
-            # compilation).
-            loader = self.dejavu.vm.loader
-            loader.load("DejaVuRecordIO")
-            loader.load("DejaVuReplayIO")
-            self._io_classes_loaded = True
+        self._io_classes_loaded = self.config.preload_classes
         if self.config.preallocate_buffers:
             self.dejavu.switch_buf.allocate()
             self.dejavu.value_buf.allocate()

@@ -64,6 +64,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from repro.vm.errors import TraceFormatError, VMError
+from repro.vm.layout import HEADER_WORDS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.vm.machine import VirtualMachine
@@ -1272,8 +1273,7 @@ class TraceBuffer:
         if not self.addr:
             return
         om = self.vm.om
-        for i in range(self.capacity):
-            om.array_put(self.addr, i, 0)
+        om.memory.zero(self.addr + HEADER_WORDS, om.array_length(self.addr))
         self._fill = 0
         self._pos = 0
 

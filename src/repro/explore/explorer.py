@@ -134,8 +134,10 @@ class ExploreReport:
 class Explorer:
     """Enumerate schedules over one workload; collect failing traces.
 
-    ``factory`` must build a *fresh* GuestProgram per call (stateful
-    natives — e.g. the server's network source — are per-instance).
+    ``factory`` builds the program once, here; every schedule records
+    that one immutable :class:`~repro.api.GuestProgram` (each VM gets its
+    own natives), so after the first schedule each VM is installed from
+    the process's program image instead of loading the program again.
     Every run uses the same deterministic knobs (NeverTimer, FixedClock,
     seeded Environment), so the schedule is the only variable.
     """
@@ -157,7 +159,7 @@ class Explorer:
     ):
         if bound < 1:
             raise VMError("preemption bound must be >= 1")
-        self.factory = factory
+        self.program = factory()
         self.oracle = oracle or default_oracle
         self.bound = bound
         self.budget = budget
@@ -178,7 +180,7 @@ class Explorer:
     # ------------------------------------------------------------------
 
     def _record(self, positions: tuple[int, ...]):
-        program = self.factory()
+        program = self.program
         policy = DeltaSchedule.at_positions(positions)
         session = api_record(
             program,
@@ -328,7 +330,7 @@ class Explorer:
             schedule_index=failure.schedule_index,
         )
         # the shipped artifact must actually reproduce: replay it
-        replayed = api_replay(self.factory(), minimized.trace, config=self.config)
+        replayed = api_replay(self.program, minimized.trace, config=self.config)
         if replayed.output_text != minimized.output:
             raise VMError("minimized trace did not replay to the failing output")
         return minimized, tests + 1

@@ -128,7 +128,9 @@ class FaultRunContext:
     serial runner builds one context for the whole plan; a parallel
     campaign worker builds one per process and amortises it across its
     shard instead of cold-starting per fault (the iReplayer warm-VM
-    model applied to fault injection).  Everything the context builds is
+    model applied to fault injection).  The program is built once too
+    (:attr:`program`): programs are immutable, so every injection runs
+    that one object on a VM of its own.  Everything the context builds is
     deterministic in (*seed*, workload, config), so two contexts in two
     processes inject against byte-identical baselines.
 
@@ -157,15 +159,15 @@ class FaultRunContext:
 
             spec = get_workload(workload)
             kwargs = spec.merged_kwargs(kwargs)
-            program_factory = lambda: spec.build(kwargs)  # noqa: E731
+            self.program = spec.build(kwargs)
             self.workload_name = spec.name
             self._extra_meta = {"workload": spec.name, "workload_kwargs": kwargs}
         else:
-            self.workload_name = program_factory().name
+            self.program = program_factory()
+            self.workload_name = self.program.name
             self._extra_meta = {}
         self.seed = seed
         self.layers = frozenset(layers)
-        self.program_factory = program_factory
         self.config = config or VMConfig(semispace_words=200_000)
         self.workdir = Path(workdir)
         self.fault_timeout = fault_timeout
@@ -192,7 +194,7 @@ class FaultRunContext:
         # one clean baseline recording: the artifact the trace faults damage
         baseline_path = self.workdir / "baseline.djv"
         baseline_run = api_record(
-            self.program_factory(),
+            self.program,
             config=self.config,
             timer=SeededJitterTimer(self.seed, 40, 160),
             out=baseline_path,
@@ -205,7 +207,7 @@ class FaultRunContext:
         # (any mismatch is a silent wrong-state restore — the worst finding)
         if LAYER_CHECKPOINT in self.layers:
             self._ckpt = _build_checkpoint_baseline(
-                baseline_path, baseline_run, self.program_factory, self.config
+                baseline_path, baseline_run, self.program, self.config
             )
 
         # one debugger server, reused by every transport fault: surviving
@@ -214,7 +216,7 @@ class FaultRunContext:
             from repro.debugger import Debugger, DebuggerServer, ReplaySession
 
             session = ReplaySession(
-                self.program_factory(),
+                self.program,
                 TraceLog.load(baseline_path),
                 config=self.config,
             )
@@ -263,7 +265,7 @@ class FaultRunContext:
         outcome, detail = _run_one_guarded(
             fault_spec,
             baseline_blob=self.baseline_blob,
-            program_factory=self.program_factory,
+            program=self.program,
             config=self.config,
             workdir=self.workdir,
             seed=self.seed,
@@ -292,8 +294,8 @@ def run_campaign(
     """Run every fault in *plan*; returns the classified outcomes.
 
     The target program comes from a registered *workload* name or a
-    *program_factory* callable (fresh :class:`GuestProgram` per call —
-    VMs are single-run, so every injection builds its own).  *workdir*
+    *program_factory* callable, called once: every injection runs that
+    one immutable :class:`GuestProgram` on a VM of its own.  *workdir*
     holds the baseline recording and the damaged copies.
     """
     context = FaultRunContext(
@@ -340,7 +342,7 @@ def _run_one(
     spec: FaultSpec,
     *,
     baseline_blob: bytes,
-    program_factory,
+    program,
     config,
     workdir: Path,
     seed: int,
@@ -352,13 +354,13 @@ def _run_one(
     workload_overrides=None,
 ) -> tuple[str, str]:
     if spec.layer == "trace":
-        return _run_trace_fault(spec, baseline_blob, program_factory, config, workdir)
+        return _run_trace_fault(spec, baseline_blob, program, config, workdir)
     if spec.layer == "native":
-        return _run_native_fault(spec, program_factory, config, workdir, seed)
+        return _run_native_fault(spec, program, config, workdir, seed)
     if spec.layer == LAYER_CHECKPOINT:
         assert ckpt is not None
         return _run_checkpoint_fault(
-            spec, baseline_blob, ckpt, program_factory, config, workdir
+            spec, baseline_blob, ckpt, program, config, workdir
         )
     if spec.layer == LAYER_REMOTE:
         assert remote_ref is not None
@@ -373,12 +375,12 @@ def _run_one(
 
 
 def _run_trace_fault(
-    spec: FaultSpec, baseline_blob: bytes, program_factory, config, workdir: Path
+    spec: FaultSpec, baseline_blob: bytes, program, config, workdir: Path
 ) -> tuple[str, str]:
     damaged = apply_trace_fault(baseline_blob, spec)
     path = workdir / f"fault-{spec.index:03d}.djv"
     path.write_bytes(damaged)
-    report = diagnose(path, program=program_factory(), config=config)
+    report = diagnose(path, program=program, config=config)
     path.unlink()
     if report.classification == CLASS_CLEAN:
         return (
@@ -405,7 +407,7 @@ class _CheckpointBaseline:
 
 
 def _build_checkpoint_baseline(
-    baseline_path: Path, baseline_run, program_factory, config
+    baseline_path: Path, baseline_run, program, config
 ) -> _CheckpointBaseline:
     from repro.api import replay as api_replay
     from repro.core.checkpoint import sidecar_path
@@ -415,7 +417,7 @@ def _build_checkpoint_baseline(
     # degenerate every-cycle cadence
     every = max(200, baseline_run.result.cycles // 6)
     result = api_replay(
-        program_factory(),
+        program,
         TraceLog.load(baseline_path),
         config=config,
         checkpoint_every=every,
@@ -430,7 +432,7 @@ def _run_checkpoint_fault(
     spec: FaultSpec,
     baseline_blob: bytes,
     ckpt: _CheckpointBaseline,
-    program_factory,
+    program,
     config,
     workdir: Path,
 ) -> tuple[str, str]:
@@ -454,7 +456,7 @@ def _run_checkpoint_fault(
     # "absent": neither file exists — resume must go from cycle zero
     try:
         resumed = resume_replay(
-            program_factory(),
+            program,
             TraceLog.load(trace_copy),
             checkpoints=sidecar,
             config=config,
@@ -550,14 +552,14 @@ def _run_remote_fault(
 
 
 def _run_native_fault(
-    spec: FaultSpec, program_factory, config, workdir: Path, seed: int
+    spec: FaultSpec, program, config, workdir: Path, seed: int
 ) -> tuple[str, str]:
     (fail_at,) = spec.params
     out = workdir / f"native-{spec.index:03d}.djv"
     tmp = out.with_name(out.name + ".tmp")
     try:
         api_record(
-            program_factory(),
+            program,
             config=config,
             timer=SeededJitterTimer(seed, 40, 160),
             out=out,
@@ -571,7 +573,7 @@ def _run_native_fault(
         # the record run died exactly as a real environment failure would;
         # the crash-consistency contract says the tmp file salvages
         trace = TraceLog.salvage(tmp)
-        prefix = replay_prefix(program_factory(), trace, config=config)
+        prefix = replay_prefix(program, trace, config=config)
         return (
             "recovered",
             f"{exc}; salvaged tmp replays "

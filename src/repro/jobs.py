@@ -164,12 +164,11 @@ def explore(job, out, programs, path, hook=None, *, races=True) -> int:
         oracle = spec.oracle(kwargs)
         meta = _workload_meta(spec, kwargs)
     else:
-        # a fresh program per schedule: natives may carry state
         factory = lambda: require_program(programs, job)  # noqa: E731
         oracle = None
         meta = {}
     config = vm_config(job)
-    report = Explorer(
+    explorer = Explorer(
         factory,
         oracle=oracle,
         bound=job["bound"],
@@ -177,7 +176,8 @@ def explore(job, out, programs, path, hook=None, *, races=True) -> int:
         seed=job["seed"] or 0,
         config=config,
         check=hook.check if hook else None,
-    ).run()
+    )
+    report = explorer.run()
     print(report.format(), file=out)
     if report.minimized is None:
         return 0
@@ -186,7 +186,7 @@ def explore(job, out, programs, path, hook=None, *, races=True) -> int:
     trace.save(path)
     print(f"-- minimized failing trace -> {job['out_name']}", file=out)
     if races:
-        print(detect_races(factory(), trace, config=config).format(), file=out)
+        print(detect_races(explorer.program, trace, config=config).format(), file=out)
     return 0
 
 

@@ -6,8 +6,9 @@ parsing a sealed trace, loading a checkpoint sidecar — happens once and
 amortizes across every job that names the same content.  The pool
 caches exactly that: pure functions of content, keyed by content
 digest, so a warm hit cannot change a job's result, only its latency.
-(VMs themselves are single-run and are never cached, and neither is
-native state: every job gets its own copy of a program's natives.)
+(VMs themselves are single-run and are never cached; a program holds
+no native state — each VM instantiates its own natives — so one cached
+program serves every job, concurrent ones included.)
 
 Campaign items add the warm item runner of a campaign payload, keyed
 by payload digest.  A runner is *leased* (out of the cache while it
@@ -28,11 +29,9 @@ serving many distinct programs/traces/campaigns stays bounded.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import threading
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 from repro.api import GuestProgram, trace_from_bytes
@@ -121,8 +120,8 @@ class SessionPool:
     def program(self, job: dict, trace=None):
         """The job's :class:`~repro.api.GuestProgram` (None when it names
         no program) — assembled once per distinct (workload, build
-        kwargs) or source text, with fresh copies of its never-run
-        natives (the ``server`` network stream).  A *trace* that
+        kwargs) or source text, and shared by every job that names it
+        (programs are immutable).  A *trace* that
         recorded the same workload lends its build kwargs, as for the
         CLI (see :func:`repro.jobs.resolve_workload`)."""
         if job.get("workload"):
@@ -130,10 +129,10 @@ class SessionPool:
             # key on the *resolved* build kwargs, so explicit defaults
             # and implicit defaults share one warm entry
             key = "w:" + _digest((spec.name, kwargs))
-            program = self._get(self._programs, key, lambda: spec.build(kwargs))
-        elif job.get("source"):
+            return self._get(self._programs, key, lambda: spec.build(kwargs))
+        if job.get("source"):
             key = "s:" + _digest((job["source"], job.get("main"), job.get("name")))
-            program = self._get(
+            return self._get(
                 self._programs,
                 key,
                 lambda: GuestProgram.from_source(
@@ -142,9 +141,7 @@ class SessionPool:
                     name=job.get("name", "program"),
                 ),
             )
-        else:
-            return None
-        return replace(program, natives=copy.deepcopy(program.natives))
+        return None
 
     def trace(self, blob: bytes):
         """The parsed :class:`~repro.core.TraceLog` for sealed bytes.

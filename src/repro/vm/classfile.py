@@ -7,6 +7,7 @@ happens at link time (see :mod:`repro.vm.loader`).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from repro.vm.bytecode import Instr, Op, OPERAND_KIND, OperandKind
@@ -101,6 +102,21 @@ class ClassDef:
         except ValueError:
             self.strings.append(text)
             return len(self.strings) - 1
+
+
+def content_digest(classdefs: list[ClassDef]) -> str:
+    """A digest of everything the loader reads from *classdefs*, in order:
+    equal digests load to equal classes, heap words and compiled code."""
+    h = hashlib.blake2b(digest_size=16)
+    for cd in classdefs:
+        fields = [(f.name, f.desc, f.static) for f in cd.fields]
+        methods = [
+            (m.name, m.signature.spell(), m.static, m.native, m.max_locals,
+             m.code, sorted(m.line_table.items()))
+            for m in cd.methods
+        ]
+        h.update(repr((cd.name, cd.super_name, cd.source, fields, methods, cd.strings)).encode())
+    return h.hexdigest()
 
 
 def make_method(

@@ -115,12 +115,9 @@ class ObjectModel:
         if layout.is_array:
             raise VMTrap("internal", f"new_object on array layout {layout.name}")
         addr = self._alloc(layout.size_words)
-        mem = self.memory
-        mem.write(addr + HEADER_CLASS, layout.class_id)
-        mem.write(addr + HEADER_STATUS, 0)
-        mem.write(addr + HEADER_AUX, 0)
-        for off in range(HEADER_WORDS, layout.size_words):
-            mem.write(addr + off, 0)
+        # Memory.alloc hands out zeroed, materialised words: only the
+        # header needs writing
+        self.memory.words[addr : addr + HEADER_WORDS] = (layout.class_id, 0, 0)
         return addr
 
     def new_array(self, desc: str, length: int) -> int:
@@ -128,12 +125,7 @@ class ObjectModel:
             raise VMTrap("NegativeArraySize", str(length))
         layout = self.layouts.array_layout(desc)
         addr = self._alloc(HEADER_WORDS + length)
-        mem = self.memory
-        mem.write(addr + HEADER_CLASS, layout.class_id)
-        mem.write(addr + HEADER_STATUS, 0)
-        mem.write(addr + HEADER_AUX, length)
-        for i in range(length):
-            mem.write(addr + HEADER_WORDS + i, 0)
+        self.memory.words[addr : addr + HEADER_WORDS] = (layout.class_id, 0, length)
         return addr
 
     # -- inspection ------------------------------------------------------------

@@ -122,8 +122,6 @@ class Loader:
         #: every compiled invokevirtual site (for inline-cache invalidation)
         self.ic_sites: list = []
         self.ic_invalidations = 0
-        #: observer hook — DejaVu counts class-load side effects through this.
-        self.on_class_linked: Callable[[RuntimeClass], None] | None = None
 
     # ------------------------------------------------------------------
     # declaration
@@ -366,8 +364,6 @@ class Loader:
         if self.bootstrapped:
             self._materialize_class_metadata(rc)
         self.invalidate_inline_caches()
-        if self.on_class_linked is not None:
-            self.on_class_linked(rc)
         return rc
 
     def load(self, name: str) -> RuntimeClass:
@@ -742,14 +738,15 @@ def _copy_tables(src: Loader, dst: Loader, patches: dict[int, tuple]) -> None:
 
 
 class LoaderImage:
-    """The loader tables of a freshly bootstrapped VM, kept pristine.
+    """The loader tables of a VM that just booted (or just loaded a
+    program unit on top of a boot image), kept pristine.
 
-    :meth:`capture` copies a just-booted loader into a detached template
-    (no object model, never linked against again); :meth:`install` copies
+    :meth:`capture` copies the loader into a detached template (no
+    object model, never linked against again); :meth:`install` copies
     the template into a new loader.  Both are :func:`_copy_tables`, so a
     loader installed from the image holds exactly what a fresh
-    ``bootstrap()`` would have built — and installing never mutates the
-    template, so concurrent installs need no lock.
+    ``bootstrap()`` (and load) would have built — and installing never
+    mutates the template, so concurrent installs need no lock.
     """
 
     def __init__(self, template: Loader, patches: dict[int, tuple]):

@@ -5,7 +5,8 @@ collector, natives, and the (optional) attached DejaVu controller.  Two
 VMs share no mutable state — which is what lets the tool VM of the
 remote-reflection debugger observe an application VM without perturbing
 it.  What they do share is immutable: the definitions and compiled-code
-tables of the per-process :class:`BootImage` every VM is installed from.
+tables of the per-process boot and program images (:class:`BootImage`)
+VMs are installed from.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import random
 import sys
+import threading
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
@@ -114,17 +116,24 @@ def _le9(words: list[int]) -> bytearray:
 
 
 class BootImage:
-    """The state a fresh boot leaves behind, cloned into every later VM.
+    """The state a fresh load leaves behind, cloned into every later VM.
 
-    Booting (building the core library, linking and compiling it, writing
-    the reflection metadata into the heap) depends only on the semispace
-    size and the engine configuration, so each process boots once per
-    ``(semispace_words, EngineConfig)`` and keeps: the materialised word
-    prefix, the allocation count, and the loader tables
-    (:class:`LoaderImage`).  A VM installed from the image is equal to a
-    fresh boot — same heap digest, class table, interned strings, method
-    ids and engine statistics — which the boot-image tests check for
-    every engine configuration.
+    Two loads are imaged, both deterministic functions of their key:
+
+    * **boot** (building the core library, linking and compiling it,
+      writing the reflection metadata into the heap), keyed
+      ``(semispace_words, EngineConfig)``;
+    * a **program unit** (:meth:`VirtualMachine.start`: the main class's
+      closure, then the controller's pre-loaded support classes), keyed
+      ``(semispace_words, EngineConfig, program fingerprint, main class,
+      preload)`` and loaded on top of a boot image.
+
+    An image keeps the materialised word prefix, the allocation count,
+    and the loader tables (:class:`LoaderImage`).  A VM installed from an
+    image is equal to one that loaded for real — same heap digest, class
+    table, interned strings, method ids and engine statistics — which the
+    boot-image tests check for every engine configuration and registry
+    workload.
     """
 
     def __init__(self, vm: "VirtualMachine"):
@@ -144,26 +153,68 @@ class BootImage:
         mem.limit = self.limit
         vm.om.alloc_count = self.alloc_count
         self.loader.install(vm.loader)
+        vm._image = self
+
+    def untouched(self, vm: "VirtualMachine") -> bool:
+        """True while *vm* is exactly as this image left it: nothing
+        allocated, written, laid out, interned, collected or observed
+        since, so a load into it is the load the image's own VM made."""
+        mem, loader, template = vm.memory, vm.loader, self.loader.template
+        return (
+            mem.bump == self.bump
+            and mem.active == self.active
+            and vm.om.alloc_count == self.alloc_count
+            and vm.collector.collections == 0
+            and not vm.observer.events
+            and len(loader.class_table) == len(template.class_table)
+            and len(loader.interned) == len(template.interned)
+            and not loader.temp_roots
+            and loader.ic_invalidations == template.ic_invalidations
+            and mem.words == self.words
+        )
 
 
-#: one boot image per (semispace_words, EngineConfig), built by the first
-#: VM of that shape in this process (fork children inherit the parent's)
-_IMAGES: dict[tuple[int, EngineConfig], BootImage] = {}
+#: how many images (boot and program images together) a process keeps
+IMAGE_CAPACITY = 16
+
+#: this process's images, least recently used first: each built by the
+#: first VM that loaded its key (fork children inherit the parent's)
+_IMAGES: dict[tuple, BootImage] = {}
+_IMAGES_LOCK = threading.Lock()
+
+
+def _cached_image(key: tuple) -> BootImage | None:
+    with _IMAGES_LOCK:
+        image = _IMAGES.pop(key, None)
+        if image is not None:
+            _IMAGES[key] = image
+        return image
+
+
+def _keep_image(key: tuple, vm: "VirtualMachine") -> None:
+    """Capture *vm* as the image for *key*, unless loading it collected or
+    emitted observer events (a VM installed from the image would have
+    neither), then evict beyond :data:`IMAGE_CAPACITY`."""
+    if vm.collector.collections or vm.observer.events:
+        return
+    image = BootImage(vm)
+    vm._image = image
+    with _IMAGES_LOCK:
+        _IMAGES.setdefault(key, image)
+        while len(_IMAGES) > IMAGE_CAPACITY:
+            del _IMAGES[next(iter(_IMAGES))]
 
 
 def _boot(vm: "VirtualMachine") -> None:
     """Install *vm*'s boot image, booting for real (and keeping the
-    result as the image) when this process has none yet."""
+    result as the image) when this process has none."""
     key = (vm.config.semispace_words, vm.config.engine)
-    image = _IMAGES.get(key)
+    image = _cached_image(key)
     if image is not None:
         image.install(vm)
         return
     vm.loader.bootstrap()
-    # a boot that had to collect also left GC counters and observer
-    # events behind; heaps that small are not worth an image
-    if vm.collector.collections == 0:
-        _IMAGES.setdefault(key, BootImage(vm))
+    _keep_image(key, vm)
 
 
 class VirtualMachine:
@@ -209,14 +260,32 @@ class VirtualMachine:
         #: extra GC root visitors (e.g. a ToolInterpreter's frames)
         self.extra_root_visitors: list[Callable[[Callable[[int], int]], None]] = []
         self._ran = False
+        #: the image this VM was installed from or captured into (None
+        #: when it booted without keeping one)
+        self._image: BootImage | None = None
+        #: (program fingerprint, classes declared) from :meth:`declare`,
+        #: when the program may come from a program image
+        self._unit: tuple[str, int] | None = None
 
         _boot(self)
 
     # ------------------------------------------------------------------
     # program setup
 
-    def declare(self, classdefs: Iterable[ClassDef]) -> None:
-        self.loader.declare_all(list(classdefs))
+    def declare(
+        self, classdefs: Iterable[ClassDef], *, fingerprint: str | None = None
+    ) -> None:
+        """Declare program classes.  *fingerprint*, the content digest of
+        exactly these classes (:attr:`GuestProgram.fingerprint
+        <repro.api.GuestProgram.fingerprint>`), lets :meth:`start` install
+        or capture a program image; it counts only on a VM that has
+        declared nothing else."""
+        loader, image = self.loader, self._image
+        first = image is not None and len(loader.classdefs) == len(
+            image.loader.template.classdefs
+        )
+        loader.declare_all(list(classdefs))
+        self._unit = (fingerprint, len(loader.classdefs)) if fingerprint and first else None
 
     def load(self, name: str) -> None:
         self.loader.load(name)
@@ -239,7 +308,7 @@ class VirtualMachine:
         from repro.vm.refmaps import split_method_ref
 
         cls, _ = split_method_ref(main)
-        self.load(cls)
+        self._load_unit(cls)
         entry = self.loader.resolve_static_method(main)
         if entry.mdef.signature.spell() != "()V":
             raise VMError(f"main must be ()V, got {entry.qualname}")
@@ -247,6 +316,43 @@ class VirtualMachine:
             self.dejavu.on_run_start()
         guest = self.om.new_object(self.loader.classes["Thread"].layout)
         self.scheduler.spawn(guest, entry, name="main")
+
+    def _load_unit(self, cls: str) -> None:
+        """Load *cls*'s closure, then declare the controller's support
+        classes and load them too when it pre-loads them — installed from
+        this process's program image when there is one for the unit and
+        this VM is untouched since boot (and kept as that image when
+        there is none)."""
+        loader = self.loader
+        support: tuple = ()
+        preload: bool | None = None
+        if self.dejavu is not None:
+            support, preload = self.dejavu.sym.support_classes()
+        key = None
+        # a debugger session inspects the load it watched happen, so a
+        # VM with a debug controller attached always loads for real
+        if (
+            self._unit is not None
+            and self._image is not None
+            and self.engine.debug is None
+            and len(loader.classdefs) == self._unit[1]
+            and self._image.untouched(self)
+        ):
+            config = self.config
+            key = (config.semispace_words, config.engine, self._unit[0], cls, preload)
+        for cdef in support:
+            if cdef.name not in loader.classdefs:
+                loader.declare(cdef)
+        image = None if key is None else _cached_image(key)
+        if image is not None:
+            image.install(self)
+            return
+        self.load(cls)
+        if preload:
+            for cdef in support:
+                self.load(cdef.name)
+        if key is not None:
+            _keep_image(key, self)
 
     def finish(self) -> RunResult:
         """End-of-run bookkeeping (DejaVu END record / verification)."""

@@ -99,6 +99,15 @@ class Memory:
             got.extend([0] * (count - len(got)))
         return got
 
+    def zero(self, addr: int, count: int) -> None:
+        """Zero ``[addr, addr + count)`` in one slice write."""
+        if count < 0 or addr < 0 or addr + count > self.size:
+            raise MemoryFault(f"range zero out of range: {addr}+{count}")
+        words = self.words
+        end = min(addr + count, len(words))  # past the prefix is zero
+        if addr < end:
+            words[addr:end] = [0] * (end - addr)
+
     # -- boot record --------------------------------------------------------
 
     def boot_read(self, slot: int) -> int:

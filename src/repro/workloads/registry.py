@@ -77,8 +77,9 @@ class WorkloadSpec:
         return self.factory(**resolved)
 
     def program_factory(self, kwargs: "dict | None" = None):
-        """A zero-arg factory producing a *fresh* program per call (stateful
-        natives — e.g. the server's network source — are per-instance)."""
+        """A zero-arg factory that builds the program for *kwargs*.
+        Programs are immutable, so a caller builds once and records,
+        replays or explores that one program as often as it likes."""
         resolved = dict(kwargs) if kwargs is not None else dict(self.defaults)
         self._check_known(resolved)
         return lambda: self.factory(**resolved)

@@ -334,9 +334,9 @@ def server(
     """``served_window > 0`` seeds an atomicity bug into the workers'
     ``served`` counter update (a stall loop between read and write);
     the default keeps the increment preemption-atomic."""
-    net = _NetSource(seed)
     return GuestProgram.from_source(
         _source(n_workers, n_requests, work_scale, served_window),
         name="server",
-        natives=[("Net.recv()I", net.recv, True)],
+        # every VM gets its own network stream, from the same seed
+        natives=[("Net.recv()I", lambda: _NetSource(seed).recv, True)],
     )

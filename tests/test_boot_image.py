@@ -1,10 +1,13 @@
-"""The boot image: a VM installed from it must equal a fresh boot.
+"""Boot and program images: a VM installed from one must equal a fresh
+boot and load.
 
-Each process boots once per ``(semispace_words, EngineConfig)`` and
-clones the result into every later VM of that shape.  The symmetry rule
-is the gate: a clone's post-boot state, and everything it then records,
-is byte-identical to a fresh boot's.  The tests get a fresh boot by
-emptying the private image cache (restored afterwards).
+Each process boots once per ``(semispace_words, EngineConfig)``, loads
+each program unit once per ``(semispace_words, EngineConfig, program
+fingerprint, main class, preload)``, and clones the result into every
+later VM of that key.  The symmetry rule is the gate: a clone's state,
+and everything it then records or replays, is byte-identical to a fresh
+boot and load.  The tests get fresh loads by emptying the private image
+cache (restored afterwards).
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ import types
 
 import pytest
 
-from repro.api import record, trace_to_bytes
+from repro.api import GuestProgram, build_vm, record, replay, trace_to_bytes
+from repro.core import MODE_RECORD, MODE_REPLAY, DejaVu
+from repro.core.symmetry import SymmetryConfig
 from repro.vm import SeededJitterTimer
 from repro.vm import machine
 from repro.vm.compiler import InvokeSite, MachineCode
@@ -27,6 +32,7 @@ from repro.vm.layout import FORWARD_BIT
 from repro.vm.loader import Loader, RuntimeClass, RuntimeMethod
 from repro.vm.machine import VirtualMachine, VMConfig
 from repro.workloads import REGISTRY
+from tests.conftest import jitter_knobs
 
 COMBOS = EngineConfig.all_combinations()
 HEAP = 30_000
@@ -248,24 +254,80 @@ class TestConcurrentConstruction:
         assert post_boot_state(VirtualMachine(_cfg(engine))) == states[0]
 
 
+# ---------------------------------------------------------------------------
+# program images: the main class's closure (plus DejaVu's pre-loaded
+# support classes) loaded once per process and key, installed after that
+
+
+def _key(program, engine, heap, preload):
+    return (heap, engine, program.fingerprint, "Main", preload)
+
+
+def _started(program, engine, trace=None, heap=80_000):
+    """A VM past :meth:`start`: recording (seeded jitter) or replaying."""
+    if trace is None:
+        vm = build_vm(program, _cfg(engine, heap), timer=SeededJitterTimer(3, 20, 160))
+        DejaVu(vm, MODE_RECORD)
+    else:
+        vm = build_vm(program, _cfg(engine, heap))
+        DejaVu(vm, MODE_REPLAY, trace=trace)
+    vm.start(program.main)
+    return vm
+
+
+def _finished(vm):
+    vm.engine.run()
+    r = vm.finish()
+    trace = vm.dejavu.trace() if vm.dejavu.recording else None
+    blob = trace_to_bytes(trace) if trace is not None else None
+    return trace, (blob, r.heap_digest, r.cycles, r.output_text, r.gc_count, r.events)
+
+
+@pytest.fixture
+def loads(no_images, monkeypatch):
+    """Log every image install and capture as ``(kind, key)``; boot
+    images are left out."""
+    log: list = []
+    keys: dict[int, tuple] = {}
+    real_install, real_keep = machine.BootImage.install, machine._keep_image
+
+    def install(self, vm):
+        if len(keys.get(id(self), ())) > 2:
+            log.append(("install", keys[id(self)]))
+        real_install(self, vm)
+
+    def keep(key, vm):
+        real_keep(key, vm)
+        if len(key) > 2 and machine._IMAGES.get(key) is vm._image:
+            keys[id(vm._image)] = key
+            log.append(("capture", key))
+
+    monkeypatch.setattr(machine.BootImage, "install", install)
+    monkeypatch.setattr(machine, "_keep_image", keep)
+    return log
+
+
 class TestRecordingsOnClones:
     @pytest.mark.parametrize("name", sorted(REGISTRY))
-    def test_clone_records_what_a_fresh_boot_records(self, no_images, name):
-        spec = REGISTRY[name]
+    def test_clone_records_what_a_fresh_boot_records(self, loads, name):
+        """The first VM boots and loads the program for real (capturing
+        both images), the second is installed from them: equal post-load
+        state and byte-identical runs, in record and in replay."""
+        program = REGISTRY[name].build()
         for engine in COMBOS:
-            no_images._IMAGES.clear()
-            runs = []
-            for _ in range(2):  # first boots fresh, second is a clone
-                rec = record(
-                    spec.build(), config=_cfg(engine, 80_000),
-                    timer=SeededJitterTimer(3, 20, 160),
-                )
-                r = rec.result
-                runs.append(
-                    (trace_to_bytes(rec.trace), r.heap_digest, r.cycles,
-                     r.output_text, r.gc_count, r.events)
-                )
-            assert runs[0] == runs[1], (name, engine.describe())
+            trace = None
+            for mode in ("record", "replay"):
+                loads.clear()
+                machine._IMAGES.clear()
+                fresh = _started(program, engine, trace)
+                clone = _started(program, engine, trace)
+                key = _key(program, engine, 80_000, True)
+                assert loads == [("capture", key), ("install", key)], (name, mode)
+                assert post_boot_state(clone) == post_boot_state(fresh), (name, mode)
+                fresh_trace, fresh_run = _finished(fresh)
+                _, clone_run = _finished(clone)
+                assert clone_run == fresh_run, (name, engine.describe(), mode)
+                trace = fresh_trace
 
 
 def _reference_digest_stream(words: list[int]) -> bytes:
@@ -295,3 +357,237 @@ class TestHeapDigest:
         h.update(mem.bump.to_bytes(8, "little", signed=False))
         h.update(_reference_digest_stream(mem.words[mem.base[mem.active]:mem.bump]))
         assert vm.heap_digest() == h.hexdigest()
+
+
+class TestProgramImages:
+    @pytest.mark.parametrize("engine", COMBOS, ids=lambda e: e.describe())
+    def test_clones_share_no_mutable_object(self, no_images, engine):
+        program = REGISTRY["server"].build()
+        _started(program, engine)
+        a = _started(program, engine)
+        b = _started(program, engine)
+        template = no_images._IMAGES[_key(program, engine, 80_000, True)].loader.template
+        ids_a, ids_b = _mutable_ids(a.loader, a), _mutable_ids(b.loader, b)
+        ids_t = _mutable_ids(template)
+        assert not ids_a & ids_b
+        assert not (ids_a | ids_b) & ids_t
+
+    def test_same_program_object_records_identically(self):
+        """Programs are immutable: one GuestProgram recorded twice with one
+        seed gives byte-identical traces, for every registry workload."""
+        for name in sorted(REGISTRY):
+            program = REGISTRY[name].build()
+            blobs = [
+                trace_to_bytes(record(program, **jitter_knobs(5)).trace)
+                for _ in range(2)
+            ]
+            assert blobs[0] == blobs[1], name
+
+    def test_plain_run_and_recording_keep_separate_images(self, loads):
+        program = REGISTRY["racy_bank"].build()
+        cfg = _cfg(EngineConfig(), 80_000)
+        for _ in range(2):
+            build_vm(program, cfg).run(program.main)
+            record(program, config=cfg)
+            record(program, config=cfg, symmetry=SymmetryConfig(preload_classes=False))
+        plain, preload, lazy = (
+            _key(program, EngineConfig(), 80_000, p) for p in (None, True, False)
+        )
+        assert [k for kind, k in loads if kind == "capture"] == [plain, preload, lazy]
+        assert [k for kind, k in loads if kind == "install"] == [plain, preload, lazy]
+
+
+def _allocating_hook(vm):
+    vm.om.new_array("[I", 4)
+
+
+def _loading_hook(vm):
+    vm.load("Teller")
+
+
+def _writing_hook(vm):
+    vm.memory.write(vm.memory.bump - 1, vm.memory.read(vm.memory.bump - 1) + 1)
+
+
+class TestOnlyUntouchedVMsUseImages:
+    """A VM that is not exactly as its boot image left it neither
+    installs nor captures a program image."""
+
+    @pytest.mark.parametrize("hook", [_allocating_hook, _loading_hook, _writing_hook])
+    def test_vm_hook_that_touches_the_vm(self, loads, hook):
+        program = REGISTRY["racy_bank"].build()
+        cfg = _cfg(EngineConfig(), 80_000)
+        reference = record(program, config=cfg, vm_hook=hook)
+        record(program, config=cfg)  # captures the untouched image
+        loads.clear()
+        again = record(program, config=cfg, vm_hook=hook)
+        assert loads == []
+        assert trace_to_bytes(again.trace) == trace_to_bytes(reference.trace)
+        assert again.result.heap_digest == reference.result.heap_digest
+
+    def test_debugger_session(self, loads):
+        from repro.debugger import ReplaySession
+
+        program = REGISTRY["racy_bank"].build()
+        cfg = _cfg(EngineConfig(fusion=False), 80_000)
+        trace = record(program, config=cfg).trace
+        replay(program, trace, config=cfg)  # the replay unit's image
+        loads.clear()
+        session = ReplaySession(program, trace, config=cfg)
+        assert loads == []
+        assert session.run_to_completion().heap_digest == replay(program, trace, config=cfg).heap_digest
+
+    def test_recap_transformed_program(self, loads):
+        from repro.baselines.recap import recap_transform
+
+        program = REGISTRY["racy_bank"].build()
+        cfg = _cfg(EngineConfig(), 80_000)
+        record(program, config=cfg)
+        loads.clear()
+        recap = recap_transform(program)
+        assert recap.fingerprint != program.fingerprint
+        record(recap, config=cfg)
+        assert loads == [("capture", _key(recap, EngineConfig(), 80_000, True))]
+
+    def test_program_differing_by_one_string_constant(self, loads):
+        base = "Main.main()V"
+        source = """.class Main
+.method static main ()V
+    ldc "%s"
+    invokestatic System.print(LString;)V
+    return
+.end
+"""
+        one = GuestProgram.from_source(source % "hello")
+        other = GuestProgram.from_source(source % "hellp")
+        assert one.fingerprint != other.fingerprint
+        cfg = _cfg(EngineConfig(), 80_000)
+        assert build_vm(one, cfg).run(base).output_text == "hello"
+        loads.clear()
+        assert build_vm(other, cfg).run(base).output_text == "hellp"
+        assert loads == [("capture", _key(other, EngineConfig(), 80_000, None))]
+
+
+class TestImageCache:
+    def test_capacity_bounds_boot_images_and_reruns_match(self, no_images):
+        program = REGISTRY["racy_bank"].build()
+        heaps = [20_000 + 1_000 * i for i in range(machine.IMAGE_CAPACITY + 1)]
+
+        def run(heap):
+            rec = record(program, config=_cfg(EngineConfig(), heap))
+            return trace_to_bytes(rec.trace), rec.result.heap_digest
+
+        first = run(heaps[0])
+        for heap in heaps[1:]:
+            VirtualMachine(_cfg(EngineConfig(), heap))
+        assert len(no_images._IMAGES) == machine.IMAGE_CAPACITY
+        assert (heaps[0], EngineConfig()) not in no_images._IMAGES
+        assert run(heaps[0]) == first  # boots and loads for real again
+
+    def test_least_recently_used_goes_first(self, no_images):
+        a, b = (_cfg(EngineConfig(), h) for h in (20_000, 21_000))
+        VirtualMachine(a)
+        VirtualMachine(b)
+        VirtualMachine(a)  # a hit refreshes a
+        assert list(no_images._IMAGES) == [(21_000, EngineConfig()), (20_000, EngineConfig())]
+
+    def test_threads_building_one_unit_get_equal_runs(self, no_images):
+        """More threads than cores record one program at once, with a 1 µs
+        switch interval so capture, install and eviction interleave."""
+        program = REGISTRY["server"].build(REGISTRY["server"].explore_kwargs)
+        cfg = _cfg(EngineConfig(), 30_000)
+        runs: list = []
+        errors: list = []
+
+        def build():
+            try:
+                for _ in range(3):
+                    rec = record(program, config=cfg, **jitter_knobs(4))
+                    runs.append((trace_to_bytes(rec.trace), rec.result.heap_digest))
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert len(runs) == 24 and all(run == runs[0] for run in runs)
+        assert list(no_images._IMAGES) == [
+            (30_000, EngineConfig()),
+            _key(program, EngineConfig(), 30_000, True),
+        ]
+
+
+class TestFreshMemoryIsZero:
+    """``Memory.alloc`` hands out zeroed words (allocation writes only the
+    header), so every word from ``bump`` to ``limit`` must read 0."""
+
+    @staticmethod
+    def _assert_zero_above_bump(vm):
+        mem = vm.memory
+        free = mem.read_range(mem.bump, mem.limit - mem.bump)
+        assert free.count(0) == len(free)
+
+    def test_after_boot_install_and_program_image(self, no_images):
+        program = REGISTRY["gc_churn"].build()
+        for _ in range(2):  # fresh, then installed
+            vm = VirtualMachine(_cfg(EngineConfig()))
+            self._assert_zero_above_bump(vm)
+            vm = _started(program, EngineConfig())
+            self._assert_zero_above_bump(vm)
+
+    def test_after_gc_flips(self):
+        program = REGISTRY["gc_churn"].build(dict(iters=200, depth=40, hash_every=3))
+        vm = build_vm(program, _cfg(EngineConfig(), 6_000))
+        flips = []
+        real = vm.collector.collect
+
+        def collect():
+            real()
+            self._assert_zero_above_bump(vm)
+            flips.append(vm.memory.active)
+
+        vm.om.gc_hook = collect
+        vm.run(program.main)
+        assert 0 in flips and 1 in flips
+
+    def test_after_checkpoint_restore(self, tmp_path):
+        from repro.core.checkpoint import CheckpointStore, restore_vm
+
+        program = REGISTRY["gc_churn"].build(dict(iters=200, depth=40, hash_every=3))
+        cfg = _cfg(EngineConfig(), 6_000)
+        rec = record(program, config=cfg)
+        sidecar = tmp_path / "t.ckpt"
+        replay(program, rec.trace, config=cfg, checkpoint_every=2_000,
+               checkpoint_out=sidecar)
+        snaps = CheckpointStore.load(sidecar).newest_first()
+        assert {s.header["active"] for s in snaps} == {0, 1}
+        for snap in snaps:
+            self._assert_zero_above_bump(restore_vm(snap, program, rec.trace, config=cfg))
+
+
+class TestForkInheritance:
+    def test_jobs2_campaign_from_an_empty_cache_equals_jobs1(self, no_images, tmp_path):
+        from repro.campaign import run_explore_campaign
+
+        def campaign(jobs):
+            no_images._IMAGES.clear()
+            corpus = tmp_path / f"corpus-{jobs}"
+            report = run_explore_campaign(
+                "bank", bound=2, budget=30, seed=3, jobs=jobs, corpus_dir=corpus
+            )
+            blobs = {p.name: p.read_bytes() for p in sorted(corpus.iterdir())}
+            return report.digest(), blobs
+
+        forked = campaign(2)
+        serial = campaign(1)
+        assert forked == serial
+        assert len(forked[1]) > 1  # failing schedules were written

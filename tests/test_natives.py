@@ -194,7 +194,7 @@ class TestCustomNativesAndUpcalls:
     return
 .end
 """
-        result = run_source(src, natives=[("Ext.poke(I)I", n_poke, False)])
+        result = run_source(src, natives=[("Ext.poke(I)I", lambda: n_poke, False)])
         # the return value prints first, then the callback-set static
         assert result.output_text == "4299"
         assert calls == [21]
@@ -241,7 +241,7 @@ done:
 
         def prog():
             return GuestProgram.from_source(
-                src, natives=[("Ext.poll()I", Source(7), True)]
+                src, natives=[("Ext.poll()I", lambda: Source(7), True)]
             )
 
         session, replayed, report = record_and_replay(
@@ -333,6 +333,6 @@ class TestStringNatives:
 .end
 """
         result = run_source(
-            src, natives=[("Net2.hostname()LString;", n_hostname, True)]
+            src, natives=[("Net2.hostname()LString;", lambda: n_hostname, True)]
         )
         assert result.output_text == "pequeno.example"

@@ -549,6 +549,32 @@ class TestByteIdentity:
         assert first["trace"] == second["trace"] == Path(out).read_bytes()
         assert first["stdout"] == second["stdout"] == cli_stdout
 
+    def test_concurrent_server_records_share_one_program(self, daemon):
+        """Both daemon workers record ``server`` at once from the one
+        pooled program: each VM builds its own network stream, so the
+        two traces are identical."""
+        job = record_job(workload="server", seed=11)
+        _submit(daemon, job)  # the pool now holds the program
+        results: list = []
+        errors: list = []
+
+        def submit():
+            try:
+                results.append(_submit(daemon, job))
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=submit) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert [r["exit"] for r in results] == [0, 0]
+        assert results[0]["trace"] == results[1]["trace"]
+        assert results[0]["stdout"] == results[1]["stdout"]
+
     @pytest.mark.parametrize(
         "engine", ALL_ENGINES, ids=[e.describe() for e in ALL_ENGINES]
     )
