@@ -157,24 +157,24 @@ class BootImage:
 
     def untouched(self, vm: "VirtualMachine") -> bool:
         """True while *vm* is exactly as this image left it: nothing
-        allocated, written, laid out, interned, collected or observed
-        since, so a load into it is the load the image's own VM made."""
-        mem, loader, template = vm.memory, vm.loader, self.loader.template
+        allocated, written, laid out, collected or observed since, so a
+        load into it is the load the image's own VM made.  (Interning a
+        new string allocates, and linking a class lays it out, so those
+        need no checks of their own.)"""
+        mem, loader = vm.memory, vm.loader
         return (
             mem.bump == self.bump
-            and mem.active == self.active
-            and vm.om.alloc_count == self.alloc_count
             and vm.collector.collections == 0
             and not vm.observer.events
-            and len(loader.class_table) == len(template.class_table)
-            and len(loader.interned) == len(template.interned)
+            and len(loader.class_table) == len(self.loader.template.class_table)
             and not loader.temp_roots
-            and loader.ic_invalidations == template.ic_invalidations
             and mem.words == self.words
         )
 
 
-#: how many images (boot and program images together) a process keeps
+#: how many images (boot and program images together) a process keeps;
+#: the busiest benchmark process uses 12, and one image retains
+#: 0.1-0.2 MB (DESIGN.md, "VM construction")
 IMAGE_CAPACITY = 16
 
 #: this process's images, least recently used first: each built by the
@@ -329,8 +329,11 @@ class VirtualMachine:
         if self.dejavu is not None:
             support, preload = self.dejavu.sym.support_classes()
         key = None
-        # a debugger session inspects the load it watched happen, so a
-        # VM with a debug controller attached always loads for real
+        # a VM with a debug controller attached (a debugger session, the
+        # coverage and profiler tools) loads for real and keeps no image:
+        # nothing it observes depends on this, since class loading runs
+        # no ops, but it keeps image-free the path the interactive tools
+        # rely on (ROADMAP lists dropping the rule)
         if (
             self._unit is not None
             and self._image is not None

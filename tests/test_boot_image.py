@@ -23,7 +23,7 @@ import pytest
 from repro.api import GuestProgram, build_vm, record, replay, trace_to_bytes
 from repro.core import MODE_RECORD, MODE_REPLAY, DejaVu
 from repro.core.symmetry import SymmetryConfig
-from repro.vm import SeededJitterTimer
+from repro.vm import FixedTimer, SeededJitterTimer
 from repro.vm import machine
 from repro.vm.compiler import InvokeSite, MachineCode
 from repro.vm.engineconfig import EngineConfig
@@ -263,13 +263,26 @@ def _key(program, engine, heap, preload):
     return (heap, engine, program.fingerprint, "Main", preload)
 
 
-def _started(program, engine, trace=None, heap=80_000):
-    """A VM past :meth:`start`: recording (seeded jitter) or replaying."""
+def _built(program, cfg, timer):
+    """A VM with *program* declared without its fingerprint: it installs
+    the boot image but always loads the program for real."""
+    vm = VirtualMachine(cfg, timer=timer)
+    vm.declare(program.classdefs)
+    for qualname, make, nondet in program.natives:
+        vm.register_native(qualname, make(), nondet=nondet)
+    return vm
+
+
+def _started(program, engine, trace=None, heap=80_000, *, program_image=True):
+    """A VM past :meth:`start`: recording (seeded jitter) or replaying.
+    With ``program_image=False`` it loads the program for real."""
+    build = build_vm if program_image else _built
+    cfg = _cfg(engine, heap)
     if trace is None:
-        vm = build_vm(program, _cfg(engine, heap), timer=SeededJitterTimer(3, 20, 160))
+        vm = build(program, cfg, timer=SeededJitterTimer(3, 20, 160))
         DejaVu(vm, MODE_RECORD)
     else:
-        vm = build_vm(program, _cfg(engine, heap))
+        vm = build(program, cfg, timer=FixedTimer(1000))
         DejaVu(vm, MODE_REPLAY, trace=trace)
     vm.start(program.main)
     return vm
@@ -311,22 +324,30 @@ class TestRecordingsOnClones:
     @pytest.mark.parametrize("name", sorted(REGISTRY))
     def test_clone_records_what_a_fresh_boot_records(self, loads, name):
         """The first VM boots and loads the program for real (capturing
-        both images), the second is installed from them: equal post-load
-        state and byte-identical runs, in record and in replay."""
+        both images); the second is installed from both; the third is
+        installed from the boot image and loads the program for real, the
+        path of every VM that may not use a program image.  All three
+        have equal post-load state and byte-identical runs, in record and
+        in replay."""
         program = REGISTRY[name].build()
         for engine in COMBOS:
             trace = None
             for mode in ("record", "replay"):
+                where = (name, engine.describe(), mode)
                 loads.clear()
                 machine._IMAGES.clear()
                 fresh = _started(program, engine, trace)
                 clone = _started(program, engine, trace)
+                booted = _started(program, engine, trace, program_image=False)
                 key = _key(program, engine, 80_000, True)
-                assert loads == [("capture", key), ("install", key)], (name, mode)
-                assert post_boot_state(clone) == post_boot_state(fresh), (name, mode)
+                assert loads == [("capture", key), ("install", key)], where
+                assert booted._image is machine._IMAGES[(80_000, engine)], where
+                state = post_boot_state(fresh)
+                assert post_boot_state(clone) == state, where
+                assert post_boot_state(booted) == state, where
                 fresh_trace, fresh_run = _finished(fresh)
-                _, clone_run = _finished(clone)
-                assert clone_run == fresh_run, (name, engine.describe(), mode)
+                assert _finished(clone)[1] == fresh_run, where
+                assert _finished(booted)[1] == fresh_run, where
                 trace = fresh_trace
 
 
