@@ -160,7 +160,7 @@ class RussinovichCogswell(DejaVu):
         self._yp_count = self._yp_at_last_dispatch = 0
         self._advance_log()
 
-    def _verify_end(self) -> None:
+    def _verify_end(self) -> str:
         # the END witnesses still apply; leftover-switch accounting differs
         assert self._trace is not None
         want = dict(self._trace.meta.get("end") or ())
@@ -171,6 +171,7 @@ class RussinovichCogswell(DejaVu):
                     f"end-of-run mismatch on {key}: recorded {expected!r}, "
                     f"replayed {got.get(key)!r}"
                 )
+        return got["heap_digest"]
 
 
 def rc_record(program: GuestProgram, *, config: VMConfig | None = None, timer=_DEFAULT, clock=None, env=None):

@@ -521,9 +521,14 @@ class DejaVu:
             finally:
                 self.liveclock = prev
 
-    def on_run_end(self) -> None:
+    def on_run_end(self) -> "str | None":
+        """Seal the run: flush (record) or check (replay) the END record.
+
+        Returns the heap digest the END witness took, so the VM's result
+        reuses it instead of digesting the heap a second time; None when
+        no witness was taken."""
         if self._finished:
-            return
+            return None
         self._finished = True
         prev = self.liveclock
         self.liveclock = False
@@ -540,8 +545,8 @@ class DejaVu:
         self.value_buf.zero()
         if self.recording:
             self._end_meta = self._make_end_meta()
-        else:
-            self._verify_end()
+            return self._end_meta["heap_digest"]
+        return self._verify_end()
 
     def _make_end_meta(self) -> dict:
         vm = self.vm
@@ -556,18 +561,19 @@ class DejaVu:
             "gc_count": vm.collector.collections,
         }
 
-    def _verify_end(self) -> None:
-        """Replay-side accuracy check against the recorded END witnesses."""
+    def _verify_end(self) -> "str | None":
+        """Replay-side accuracy check against the recorded END witnesses;
+        returns the replayed heap digest when it was taken."""
         assert self._trace is not None
         if self.tolerate_truncation:
-            return  # a prefix has no END witnesses to check against
+            return None  # a prefix has no END witnesses to check against
         if self._slim_replay is not None:
             # slim exhaustion first: an underdetermined sidecar should
             # surface as the typed error, not a generic END mismatch
             self._slim_replay.finish(self)
         want = self._trace.meta.get("end")
         if want is None:
-            return
+            return None
         want = dict(want)
         got = self._make_end_meta()
         for key, expected in want.items():
@@ -587,6 +593,7 @@ class DejaVu:
             raise ReplayDivergenceError(
                 f"{leftover_switches + in_buffer} switch records never consumed"
             )
+        return got["heap_digest"]
 
     def trace(self) -> TraceLog:
         """The recorded trace (record mode, after the run completes).

@@ -18,7 +18,13 @@ Two accesses to the same word race when neither happens before the other
 and at least one is a write.  Per word the detector keeps FastTrack-style
 epochs — the last write and the reads since it, each an ``(tid, clock)``
 pair plus its source site — so the happens-before test per access is a
-single clock comparison, not a full vector join.
+single clock comparison, not a full vector join.  Almost every access is
+race-free, so an access pays for FastTrack's work and nothing more: its
+site is kept as the raw ``(RuntimeMethod, bci)`` and its location as a
+deferred ``(tag, base-or-class, offset-or-index)`` triple.  The
+:class:`AccessSite` objects and the location's name are built only when a
+race is reported — at the second access, against the heap as it stands
+then, so the names are the ones an eager detector would print.
 
 **Perturbation-freedom.**  Every hook is host-side and read-only: the
 detector allocates nothing in the guest heap, never blocks a thread, and
@@ -55,7 +61,7 @@ from repro.vm.compiler import (
     M_PUTFIELD,
     M_PUTSTATIC,
 )
-from repro.vm.layout import HEADER_WORDS
+from repro.vm.layout import HEADER_AUX, HEADER_WORDS
 from repro.vm.engineconfig import EngineConfig
 from repro.vm.machine import VMConfig
 
@@ -68,6 +74,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 READ = "read"
 WRITE = "write"
+
+# deferred location tags: (tag, x, y) is named only when a race is reported
+_FIELD = 0  # x: object address, y: field offset
+_STATIC = 1  # x: RuntimeClass, y: offset in its statics block
+_ELEM = 2  # x: array address, y: index
 
 
 @dataclass(frozen=True)
@@ -120,19 +131,22 @@ class RaceDetector:
     def __init__(self, vm: "VirtualMachine"):
         self.vm = vm
         self.races: list[Race] = []
-        self.stats = {
-            "accesses": 0,
-            "sync_edges": 0,
-            "gc_invalidations": 0,
-        }
+        self._sync_edges = 0
+        self._gc_invalidations = 0
+        # accesses in closed regions (the open one counts _region_accesses)
+        self._closed_accesses = 0
         self._seen: set[tuple] = set()
         # vector clocks: tid -> {tid: clock}
         self._vc: dict[int, dict[int, int]] = {}
         # per-lock published clocks: lock addr -> {tid: clock}
         self._lock_vc: dict[int, dict[int, int]] = {}
-        # FastTrack state per word address (last entry is the region index)
-        self._write: dict[int, tuple[int, int, AccessSite, int]] = {}
-        self._reads: dict[int, dict[int, tuple[int, AccessSite, int]]] = {}
+        # FastTrack state per word address: the last write as
+        # (tid, clock, method, bci, region) and the reads since it as
+        # {tid: (clock, method, bci, region)}; method is a RuntimeMethod
+        self._write: dict[int, tuple] = {}
+        self._reads: dict[int, dict[int, tuple]] = {}
+        self._collector = vm.collector
+        self._memory = vm.memory
         self._gc_seen = vm.collector.collections
         # incremental race-region summary: a region is the window between
         # two thread switches; the caller closes one with end_region()
@@ -148,6 +162,14 @@ class RaceDetector:
         vm.monitors.on_release = self._on_release
         vm.scheduler.on_spawn = self._on_spawn
         vm.scheduler.on_wakeup = self._on_wakeup
+
+    @property
+    def stats(self) -> dict:
+        return {
+            "accesses": self._closed_accesses + self._region_accesses,
+            "sync_edges": self._sync_edges,
+            "gc_invalidations": self._gc_invalidations,
+        }
 
     # ------------------------------------------------------------------
     # vector clock plumbing
@@ -166,7 +188,7 @@ class RaceDetector:
                 into[tid] = clk
 
     def _check_gc(self) -> None:
-        collections = self.vm.collector.collections
+        collections = self._collector.collections
         if collections != self._gc_seen:
             # the collector moved every object: address-keyed state is
             # meaningless now (re-keying through the forwarder would keep
@@ -176,7 +198,7 @@ class RaceDetector:
             self._reads.clear()
             self._lock_vc.clear()
             self._racy_words.clear()
-            self.stats["gc_invalidations"] += 1
+            self._gc_invalidations += 1
 
     # ------------------------------------------------------------------
     # synchronized-with edges
@@ -187,18 +209,18 @@ class RaceDetector:
             self._join(child_vc, self._clock(parent.tid))
             parent_vc = self._clock(parent.tid)
             parent_vc[parent.tid] += 1
-            self.stats["sync_edges"] += 1
+            self._sync_edges += 1
 
     def _on_wakeup(self, cause: str, source: "GreenThread", target: "GreenThread") -> None:
         self._join(self._clock(target.tid), self._clock(source.tid))
-        self.stats["sync_edges"] += 1
+        self._sync_edges += 1
 
     def _on_acquire(self, addr: int, thread: "GreenThread") -> None:
         self._check_gc()
         lock_vc = self._lock_vc.get(addr)
         if lock_vc is not None:
             self._join(self._clock(thread.tid), lock_vc)
-            self.stats["sync_edges"] += 1
+            self._sync_edges += 1
 
     def _on_release(self, addr: int, thread: "GreenThread") -> None:
         self._check_gc()
@@ -211,35 +233,35 @@ class RaceDetector:
 
     def _on_mem(self, thread, frame, pc, mop, a, b, stack) -> None:
         if mop == M_GETFIELD:
-            base = stack[-1]
-            if not base:
+            x = stack[-1]
+            if not x:
                 return
-            word, kind, loc = base + a, READ, self._field_name(base, a)
+            word, kind, tag, y = x + a, READ, _FIELD, a
         elif mop == M_PUTFIELD:
-            base = stack[-2]
-            if not base:
+            x = stack[-2]
+            if not x:
                 return
-            word, kind, loc = base + a, WRITE, self._field_name(base, a)
+            word, kind, tag, y = x + a, WRITE, _FIELD, a
         elif mop == M_GETSTATIC:
             if not a.statics_addr:
                 return
-            word, kind, loc = a.statics_addr + b, READ, self._static_name(a, b)
+            word, kind, tag, x, y = a.statics_addr + b, READ, _STATIC, a, b
         elif mop == M_PUTSTATIC:
             if not a.statics_addr:
                 return
-            word, kind, loc = a.statics_addr + b, WRITE, self._static_name(a, b)
+            word, kind, tag, x, y = a.statics_addr + b, WRITE, _STATIC, a, b
         elif mop == M_IALOAD or mop == M_AALOAD:
-            arr, idx = stack[-2], stack[-1]
-            if not self._index_ok(arr, idx):
+            x, y = stack[-2], stack[-1]
+            if not self._index_ok(x, y):
                 return
-            word, kind, loc = arr + HEADER_WORDS + idx, READ, self._elem_name(arr, idx)
+            word, kind, tag = x + HEADER_WORDS + y, READ, _ELEM
         else:  # M_IASTORE / M_AASTORE
-            arr, idx = stack[-3], stack[-2]
-            if not self._index_ok(arr, idx):
+            x, y = stack[-3], stack[-2]
+            if not self._index_ok(x, y):
                 return
-            word, kind, loc = arr + HEADER_WORDS + idx, WRITE, self._elem_name(arr, idx)
-        self._check_gc()
-        self.stats["accesses"] += 1
+            word, kind, tag = x + HEADER_WORDS + y, WRITE, _ELEM
+        if self._collector.collections != self._gc_seen:
+            self._check_gc()
         self._region_accesses += 1
         region = self.region_index
         if word in self._racy_words:
@@ -247,35 +269,45 @@ class RaceDetector:
             self.racy_regions.add(region)
 
         tid = thread.tid
-        vc = self._clock(tid)
-        site = AccessSite(
-            method=frame.method.qualname,
-            bci=frame.code.xbci_of[pc],
-            kind=kind,
-            tid=tid,
-        )
+        vc = self._vc.get(tid) or self._clock(tid)
+        clock = vc[tid]
+        method = frame.method
+        bci = frame.code.xbci_of[pc]
         last_write = self._write.get(word)
         if last_write is not None:
-            wt, wc, wsite, wregion = last_write
+            wt, wc, wmethod, wbci, wregion = last_write
             if wt != tid and wc > vc.get(wt, 0):
-                self._report(word, loc, wsite, site, wregion)
+                self._report(
+                    word, (tag, x, y), (wmethod, wbci, WRITE, wt),
+                    (method, bci, kind, tid), wregion,
+                )
         if kind == READ:
-            self._reads.setdefault(word, {})[tid] = (vc[tid], site, region)
+            reads = self._reads.get(word)
+            if reads is None:
+                self._reads[word] = {tid: (clock, method, bci, region)}
+            else:
+                reads[tid] = (clock, method, bci, region)
         else:
-            for rt, (rc, rsite, rregion) in self._reads.get(word, {}).items():
-                if rt != tid and rc > vc.get(rt, 0):
-                    self._report(word, loc, rsite, site, rregion)
-            self._write[word] = (tid, vc[tid], site, region)
-            self._reads[word] = {}
+            reads = self._reads.pop(word, None)
+            if reads:
+                for rt, (rc, rmethod, rbci, rregion) in reads.items():
+                    if rt != tid and rc > vc.get(rt, 0):
+                        self._report(
+                            word, (tag, x, y), (rmethod, rbci, READ, rt),
+                            (method, bci, kind, tid), rregion,
+                        )
+            self._write[word] = (tid, clock, method, bci, region)
 
     def _report(
         self,
         word: int,
-        location: str,
-        first: AccessSite,
-        second: AccessSite,
+        location: tuple,
+        first: tuple,
+        second: tuple,
         first_region: int,
     ) -> None:
+        """*location* is a deferred ``(tag, x, y)``; *first* and *second*
+        are ``(RuntimeMethod, bci, kind, tid)``."""
         # region pinning happens before (site-pair) dedup: a race seen
         # again in a later window still marks that window racy, and the
         # first access pins its own — possibly much earlier — window
@@ -283,19 +315,19 @@ class RaceDetector:
         self._racy_words.add(word)
         self.racy_regions.add(self.region_index)
         self.racy_regions.add(first_region)
-        key = (
-            location,
-            first.method,
-            first.bci,
-            first.kind,
-            second.method,
-            second.bci,
-            second.kind,
-        )
+        name = self._name(*location)
+        fmethod, fbci, fkind, ftid = first
+        smethod, sbci, skind, stid = second
+        fqual, squal = fmethod.qualname, smethod.qualname
+        key = (name, fqual, fbci, fkind, squal, sbci, skind)
         if key in self._seen:
             return
         self._seen.add(key)
-        race = Race(location=location, first=first, second=second)
+        race = Race(
+            location=name,
+            first=AccessSite(method=fqual, bci=fbci, kind=fkind, tid=ftid),
+            second=AccessSite(method=squal, bci=sbci, kind=skind, tid=stid),
+        )
         self.races.append(race)
         self._region_new_races.append(race)
 
@@ -314,12 +346,20 @@ class RaceDetector:
         )
         self.regions.append(summary)
         self.region_index = index + 1
+        self._closed_accesses += self._region_accesses
         self._region_accesses = 0
         self._region_new_races = []
         return summary
 
     # ------------------------------------------------------------------
     # naming (for reports only — never guest-visible)
+
+    def _name(self, tag: int, x, y: int) -> str:
+        if tag == _FIELD:
+            return self._field_name(x, y)
+        if tag == _STATIC:
+            return self._static_name(x, y)
+        return self._elem_name(x, y)
 
     def _field_name(self, base: int, offset: int) -> str:
         try:
@@ -347,12 +387,14 @@ class RaceDetector:
         return f"{layout.name}[{idx}]"
 
     def _index_ok(self, arr: int, idx: int) -> bool:
-        if not arr:
+        # the length word, read in place: a null array, a negative index,
+        # or a header past the materialised words (length 0) or outside
+        # the address space (a trap) is no access
+        if not arr or idx < 0:
             return False
-        try:
-            return 0 <= idx < self.vm.om.array_length(arr)
-        except Exception:
-            return False
+        at = arr + HEADER_AUX
+        words = self._memory.words
+        return 0 <= at < len(words) and idx < words[at]
 
 
 @dataclass

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
@@ -225,14 +226,18 @@ class Explorer:
 
     def candidates(self, horizon: int):
         """Exhaustive schedules for 1..bound preemptions, then seeded-
-        random schedules beyond the bound (never repeating)."""
+        random schedules beyond the bound (never repeating).  The random
+        phase ends at the first drawn size that reaches the horizon, or
+        once every drawable size below it is exhausted."""
         seen: set[tuple[int, ...]] = set()
         for k in range(1, self.bound + 1):
             for combo in itertools.combinations(range(1, horizon + 1), k):
                 seen.add(combo)
                 yield combo
         rng = random.Random(self.seed)
-        while True:
+        sizes = range(self.bound + 1, min(self.bound + 3, horizon - 1) + 1)
+        unseen = sum(math.comb(horizon, k) for k in sizes)
+        while unseen:
             k = rng.randint(self.bound + 1, self.bound + 3)
             if k >= horizon:
                 return
@@ -240,6 +245,7 @@ class Explorer:
             if combo in seen:
                 continue
             seen.add(combo)
+            unseen -= 1
             yield combo
 
     # ------------------------------------------------------------------

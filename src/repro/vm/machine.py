@@ -359,9 +359,10 @@ class VirtualMachine:
 
     def finish(self) -> RunResult:
         """End-of-run bookkeeping (DejaVu END record / verification)."""
+        digest = None
         if self.dejavu is not None:
-            self.dejavu.on_run_end()
-        return self.result()
+            digest = self.dejavu.on_run_end()
+        return self.result(digest)
 
     @property
     def completed(self) -> bool:
@@ -377,7 +378,9 @@ class VirtualMachine:
         self.engine.run()
         return self.finish()
 
-    def result(self) -> RunResult:
+    def result(self, heap_digest: "str | None" = None) -> RunResult:
+        """The run's outcome; *heap_digest* is the current heap's digest
+        when the caller already took it."""
         return RunResult(
             output=list(self.output),
             cycles=self.engine.cycles,
@@ -385,7 +388,7 @@ class VirtualMachine:
             gc_count=self.collector.collections,
             traps=list(self.trap_reports),
             yieldpoints={t.tid: t.yieldpoints for t in self.scheduler.threads},
-            heap_digest=self.heap_digest(),
+            heap_digest=heap_digest or self.heap_digest(),
             events=list(self.observer.events),
             deadlocked=self.deadlocked,
         )

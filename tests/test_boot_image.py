@@ -301,18 +301,21 @@ def loads(no_images, monkeypatch):
     """Log every image install and capture as ``(kind, key)``; boot
     images are left out."""
     log: list = []
+    # id -> (image, key): holding the image keeps a freed image's id from
+    # being reused by a later boot image and logged under a stale key
     keys: dict[int, tuple] = {}
     real_install, real_keep = machine.BootImage.install, machine._keep_image
 
     def install(self, vm):
-        if len(keys.get(id(self), ())) > 2:
-            log.append(("install", keys[id(self)]))
+        image, key = keys.get(id(self), (None, None))
+        if image is self:
+            log.append(("install", key))
         real_install(self, vm)
 
     def keep(key, vm):
         real_keep(key, vm)
         if len(key) > 2 and machine._IMAGES.get(key) is vm._image:
-            keys[id(vm._image)] = key
+            keys[id(vm._image)] = (vm._image, key)
             log.append(("capture", key))
 
     monkeypatch.setattr(machine.BootImage, "install", install)

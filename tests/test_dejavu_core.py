@@ -6,7 +6,7 @@ from repro.api import GuestProgram, record, record_and_replay, replay
 from repro.core import MODE_RECORD, MODE_REPLAY, DejaVu, TraceLog
 from repro.core import compare_runs
 from repro.vm.errors import ReplayDivergenceError, VMError
-from repro.vm.machine import VMConfig
+from repro.vm.machine import VirtualMachine, VMConfig
 from repro.workloads import ALL_WORKLOADS, racy_bank, server
 from tests.conftest import jitter_knobs
 
@@ -216,3 +216,20 @@ class TestControllerContract:
         end = dict(session.trace.meta["end"])
         assert end["cycles"] == session.result.cycles
         assert end["heap_digest"] == session.result.heap_digest
+
+    def test_heap_digested_once_per_run(self, monkeypatch):
+        """The END witness and the run result share one heap digest."""
+        calls = []
+        digest = VirtualMachine.heap_digest
+
+        def counting(vm):
+            calls.append(vm)
+            return digest(vm)
+
+        monkeypatch.setattr(VirtualMachine, "heap_digest", counting)
+        session = record(racy_bank(), config=CFG, **jitter_knobs(1))
+        assert len(calls) == 1
+        replayed = replay(racy_bank(), session.trace, config=CFG)
+        assert len(calls) == 2
+        assert replayed.heap_digest == session.result.heap_digest
+        assert dict(session.trace.meta["end"])["heap_digest"] == session.result.heap_digest

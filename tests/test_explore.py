@@ -1,6 +1,10 @@
 """``repro.explore``: schedule policies, systematic exploration,
 happens-before race detection, and schedule minimization."""
 
+import hashlib
+import itertools
+import json
+import signal
 from dataclasses import replace
 
 import pytest
@@ -127,6 +131,48 @@ class TestDdmin:
     def test_respects_test_budget(self):
         minimal, tests = ddmin(tuple(range(1, 50)), lambda c: len(c) > 40, max_tests=3)
         assert tests <= 3
+
+
+def _candidates(bound, horizon, seed=0, cap=None):
+    """The explorer's schedule sequence; the factory is never run."""
+    gen = Explorer(lambda: None, bound=bound, seed=seed).candidates(horizon)
+    return list(itertools.islice(gen, cap))
+
+
+class TestCandidates:
+    def test_stops_once_every_drawable_size_is_exhausted(self):
+        # bound 1, horizon 5: 5 single preemptions, then every 2-, 3- and
+        # 4-subset (10 + 10 + 5) at random; the generator must then end
+        # even though no drawable size ever reaches the horizon
+        def hung(signum, frame):
+            raise TimeoutError("candidates() did not stop")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        try:
+            schedules = _candidates(1, 5)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(schedules) == 30
+        assert len(set(schedules)) == 30
+        assert schedules[:5] == [(1,), (2,), (3,), (4,), (5,)]
+
+    @pytest.mark.parametrize(
+        "bound,horizon,seed,cap,count,digest",
+        [
+            (1, 4, 7, 50, 6, "61bc106935d90d6b"),
+            (2, 5, 3, 60, 16, "dc351ada7e5feec4"),
+            (1, 12, 42, 300, 300, "cbe2dda8a9ea0d0e"),
+            (3, 40, 1, 300, 300, "8bcb1572bba1f8ad"),
+        ],
+    )
+    def test_sequence_is_unchanged(self, bound, horizon, seed, cap, count, digest):
+        """Campaign corpora are built from this sequence: it is pinned."""
+        schedules = _candidates(bound, horizon, seed, cap)
+        blob = json.dumps([list(s) for s in schedules]).encode()
+        assert len(schedules) == count
+        assert hashlib.sha256(blob).hexdigest()[:16] == digest
 
 
 class TestExplorerOnBank:

@@ -20,11 +20,14 @@ import pytest
 from repro import api
 from repro.debugger.control import STEP_INTO, STEP_OUT, STEP_OVER
 from repro.debugger.session import ReplaySession
-from repro.core.controller import MODE_REPLAY, DejaVu
+from repro.core.controller import MODE_RECORD, MODE_REPLAY, DejaVu
 from repro.debugger.timetravel import TimeTravelSession, _CycleStop
-from repro.explore.detector import detect_races
+from repro.explore.detector import RaceDetector, detect_races
 from repro.tools import ReplayCoverage, ReplayProfiler
-from repro.workloads import racy_bank, server, sorter, synced_bank
+from repro.vm.engineconfig import EngineConfig
+from repro.vm.machine import VMConfig
+from repro.vm.timerdev import slim_model_of
+from repro.workloads import gc_churn, racy_bank, server, sorter, synced_bank
 
 SEED = 11
 
@@ -162,6 +165,151 @@ def test_slim_trace_and_race_report(name, tmp_path):
     assert observed == PINS[f"slim:{name}"]
 
 
+
+@pytest.mark.parametrize("name", sorted(SLIM_PROGRAMS))
+def test_race_report_order(name):
+    """The race list in report order — the order ``repro races`` prints."""
+    full = api.record(SLIM_PROGRAMS[name](), **api.standard_knobs(SEED))
+    report = detect_races(SLIM_PROGRAMS[name](), full.trace)
+    assert _sha([r.describe() for r in report.races]) == PINS[f"order:{name}"]
+
+
+@pytest.mark.parametrize("name", sorted(SLIM_PROGRAMS))
+def test_slim_detector_regions(name):
+    """What the slim recorder's detector hands the seal-time partition:
+    the final ``racy_regions`` and every window's access count."""
+    program = SLIM_PROGRAMS[name]()
+    config = VMConfig(engine=EngineConfig(fusion=False))
+    vm = api.build_vm(program, config, **api.standard_knobs(SEED))
+    detector = RaceDetector(vm)
+    dejavu = DejaVu(
+        vm, MODE_RECORD, slim_spec=slim_model_of(vm.timer), slim_detector=detector
+    )
+    vm.run(program.main)
+    dejavu.trace()
+    observed = {
+        "racy_regions": _sha(sorted(detector.racy_regions)),
+        "n_accesses": _sha([r.n_accesses for r in detector.regions]),
+    }
+    assert observed == PINS[f"regions:{name}"]
+
+
+#: two workers race, unsynchronized, on a static field, an instance
+#: field and the elements of an int array
+SHARED_CELLS = """
+.class Box
+.field n I
+
+.class Worker
+.super Thread
+.method run ()V
+    iconst 0
+    istore 1
+loop:
+    iload 1
+    iconst 20
+    if_icmpge done
+    getstatic Main.count I
+    iconst 1
+    iadd
+    putstatic Main.count I
+    getstatic Main.box LBox;
+    getstatic Main.box LBox;
+    getfield Box.n I
+    iconst 1
+    iadd
+    putfield Box.n I
+    getstatic Main.cells [I
+    iload 1
+    iconst 3
+    irem
+    getstatic Main.cells [I
+    iload 1
+    iconst 3
+    irem
+    iaload
+    iconst 1
+    iadd
+    iastore
+    iinc 1 1
+    goto loop
+done:
+    return
+.end
+
+.class Main
+.field static count I
+.field static box LBox;
+.field static cells [I
+.field static workers [LThread;
+.method static main ()V
+    new Box
+    putstatic Main.box LBox;
+    iconst 3
+    newarray
+    putstatic Main.cells [I
+    iconst 2
+    anewarray LThread;
+    putstatic Main.workers [LThread;
+    iconst 0
+    istore 0
+spawn:
+    iload 0
+    iconst 2
+    if_icmpge started
+    getstatic Main.workers [LThread;
+    iload 0
+    new Worker
+    aastore
+    getstatic Main.workers [LThread;
+    iload 0
+    aaload
+    invokestatic Thread.start(LThread;)V
+    iinc 0 1
+    goto spawn
+started:
+    iconst 0
+    istore 0
+join:
+    iload 0
+    iconst 2
+    if_icmpge joined
+    getstatic Main.workers [LThread;
+    iload 0
+    aaload
+    invokestatic Thread.join(LThread;)V
+    iinc 0 1
+    goto join
+joined:
+    getstatic Main.count I
+    invokestatic System.printInt(I)V
+    return
+.end
+"""
+
+
+def test_races_on_each_location_kind():
+    """Each way of naming a location: a static, an instance field, an
+    array element."""
+    program = lambda: api.GuestProgram.from_source(SHARED_CELLS, name="shared_cells")  # noqa: E731
+    full = api.record(program(), **api.standard_knobs(SEED))
+    report = detect_races(program(), full.trace)
+    locations = {r.location for r in report.races}
+    assert {"Main.count", "Box.n", "[I[0]"} <= locations
+    observed = {"races": _sha([r.describe() for r in report.races]), "stats": report.stats}
+    assert observed == PINS["locations:shared_cells"]
+
+
+def test_detection_across_collections():
+    """A semispace small enough to collect: the detector drops its
+    address-keyed state at each collection and keeps detecting after."""
+    config = VMConfig(semispace_words=6_000)
+    full = api.record(gc_churn(), config=config, **api.standard_knobs(SEED))
+    report = detect_races(gc_churn(), full.trace, config=config)
+    assert report.stats["gc_invalidations"] > 0
+    observed = {"races": _sha([r.describe() for r in report.races]), "stats": report.stats}
+    assert observed == PINS["gc:gc_churn"]
+
 #: sha256 prefixes (and detector stats) of each tool's observations,
 #: recorded on the per-micro-op switch loop these hooks used to run on
 PINS = {
@@ -185,5 +333,19 @@ PINS = {
         "slim": "36d2cf04f1cb71de",
         "races": "cc80e00fa3ef8280",
         "stats": {"accesses": 1076, "gc_invalidations": 0, "sync_edges": 94},
+    },
+    "order:racy_bank": "04ea3f02a5bdf304",
+    "order:server": "cc80e00fa3ef8280",
+    "order:synced_bank": "4f53cda18c2baa0c",
+    "regions:racy_bank": {"racy_regions": "4e398a6bc1eda4af", "n_accesses": "15cf0d3c2f6cb60e"},
+    "regions:server": {"racy_regions": "30300b6f5398ec0a", "n_accesses": "ce46e90260695b5b"},
+    "regions:synced_bank": {"racy_regions": "4f53cda18c2baa0c", "n_accesses": "39aeed7861b31b87"},
+    "locations:shared_cells": {
+        "races": "70c2ee1229955b0f",
+        "stats": {"accesses": 416, "gc_invalidations": 0, "sync_edges": 4},
+    },
+    "gc:gc_churn": {
+        "races": "11a35dcc0d7e0dc6",
+        "stats": {"accesses": 478, "gc_invalidations": 2, "sync_edges": 4},
     },
 }
