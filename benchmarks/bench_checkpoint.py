@@ -15,8 +15,10 @@ periodic checkpoints, each against its from-zero equivalent:
 Both paths are asserted to land on the identical machine state or
 result — checkpoints change cost, never the state seen.  The snapshot
 layer is broken down too: sidecar bytes per snapshot, and the time to
-load the sidecar, restore one snapshot and capture one.  Every timing is
-a median over ``--reps`` with its interquartile range.
+load the sidecar (a CRC scan: snapshots decode on first use), restore
+the newest snapshot (decoding it and the event log it indexes) and
+capture one.  Every timing is a median over ``--reps`` with its
+interquartile range.
 
 Usage:
 
@@ -243,7 +245,7 @@ def _print(results: dict) -> None:
                 f"{k} {row[k]['median']:.1f}ms {row[k]['iqr']}"
                 for k in ("load_ms", "restore_ms", "capture_ms")
             )
-            + f"  (load is the whole {row['n_snapshots']}-snapshot sidecar)"
+            + f"  (load scans all {row['n_snapshots']} snapshots; restore decodes one)"
         )
 
 

@@ -353,9 +353,10 @@ def resume_replay(
     (a ``<trace>.ckpt`` sidecar path; a crashed writer's ``.tmp`` is
     picked up automatically).
 
-    Degrades gracefully: CRC-damaged sidecar tails and digest-failing
-    snapshots are skipped at load, a snapshot whose restore or resumed
-    replay fails falls back to the next earlier one, and when nothing
+    Degrades gracefully: a CRC-damaged sidecar tail is dropped at load;
+    a snapshot that fails its digest when decoded (only the rungs the
+    ladder reaches are decoded), fails to restore, or whose resumed
+    replay fails falls back to the next earlier one; and when nothing
     survives the replay runs from cycle zero.  The only non-recoverable
     case is :class:`CheckpointConfigMismatch` — every checkpoint shares
     the config, so it propagates as a typed diagnostic instead — except
@@ -375,7 +376,7 @@ def resume_replay(
             attempts.append(f"sidecar scan stopped early: {store.error}")
         if store.skipped:
             attempts.append(
-                f"skipped {store.skipped} snapshot(s) failing digest verification"
+                f"skipped {store.skipped} snapshot(s) with a malformed prefix"
             )
         for snap in store.newest_first():
             try:

@@ -55,6 +55,28 @@ sync-witness count, intervals consumed, engine deadline), and restore
 rebuilds a pristine model timer and burns the consumed intervals so the
 interval stream continues exactly where the snapshot left it.
 
+Event log
+---------
+The observer's event list only grows, so a sidecar stores it once:
+before each snapshot, a ``SEG_EVENTS`` segment holds the events since
+the previous one, and the snapshot header carries only the event
+*count*.  The machine digest covers the events through an *events
+digest* — blake2b over the canonical JSON of the rows, joined by commas
+— which is the same however the log was split into deltas, so a
+standalone :func:`machine_digest` equals the recorder's digest at the
+same point.
+
+Lazy load, verify once
+----------------------
+:meth:`CheckpointStore.load` CRC-scans every segment but decodes a
+snapshot (and the event prefix it needs) only when it is used, so a
+resume from the newest snapshot decodes that one alone.  A snapshot
+decoded from digest-checked bytes, or captured in this process, is
+marked ``verified`` and :func:`restore_vm` does not re-encode it; a
+:class:`Snapshot` built by hand is verified in full.  The doctor and
+``repro checkpoint`` read :attr:`CheckpointStore.snapshots`, which
+decodes and verifies every snapshot.
+
 Failure ladder
 --------------
 Every consumer degrades gracefully.  A damaged sidecar tail is dropped
@@ -72,10 +94,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import zlib
 from collections import deque
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from repro.core.tracelog import config_fingerprint
 from repro.vm.errors import (
@@ -93,14 +116,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.vm.machine import VMConfig, VirtualMachine
 
 CKPT_MAGIC = b"DJVC"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 
+SEG_EVENTS = b"E"
 SEG_SNAPSHOT = b"C"
 SEG_CKPT_META = b"M"
 SEG_CKPT_FOOTER = b"F"
 
 _SEG_HEADER_BYTES = 1 + 4 + 4  # kind + payload length + CRC32
 _DIGEST_BYTES = 16  # raw machine digest leading each snapshot payload
+#: a snapshot payload's binary prefix: digest, cycles, event count and
+#: header length — what a lazy store sorts and indexes by undecoded
+_SNAP_PREFIX = struct.Struct(f"<{_DIGEST_BYTES}sQQI")
 _HEADER_BYTES = len(CKPT_MAGIC) + 2
 #: sanity bound used by the prefix scan to reject garbage lengths
 MAX_SNAPSHOT_BYTES = 1 << 28
@@ -142,26 +169,72 @@ def _decode_json_object(blob: bytes, what: str) -> dict:
 
 
 class Snapshot:
-    """One captured machine state: a header dict plus the heap words.
+    """One captured machine state: a header dict, the heap words and the
+    observer events so far.
 
     The header is everything host-side (scheduler, monitors, cursors,
     counters — see :func:`capture_snapshot`) plus the heap frontier
-    (``semi``, ``active``, ``bump``); ``words`` is the boot record
-    followed by the live extent ``Memory.words[base[active]:bump]`` —
-    every other heap word is zero.  ``header["digest"]`` is a blake2b
-    over the canonical JSON header (digest key excluded) and the
-    canonical JSON words: equal digests mean equal machine states.
+    (``semi``, ``active``, ``bump``) and the event count ``events``;
+    ``words`` is the boot record followed by the live extent
+    ``Memory.words[base[active]:bump]`` — every other heap word is zero.
+    ``header["digest"]`` is a blake2b over the canonical JSON header
+    (digest key excluded), the canonical JSON words and the events
+    digest (see :class:`_EventsDigest`): equal digests mean equal
+    machine states.
+
+    A snapshot from a :class:`CheckpointStore` is decoded on first use
+    of its header, words or events; a digest failure then raises
+    :class:`CheckpointFormatError`.  ``verified`` is true for snapshots
+    decoded from digest-checked bytes or captured in this process, and
+    :func:`restore_vm` verifies only the others.  Build a new snapshot
+    rather than mutate one of those in place.
     """
 
-    __slots__ = ("header", "words")
+    __slots__ = ("_header", "_words", "_events", "_cycles", "_source", "verified")
 
-    def __init__(self, header: dict, words: list):
-        self.header = header
-        self.words = words
+    def __init__(self, header: dict, words: list, events=()):
+        self._header = header
+        self._words = words
+        self._events = events
+        self._cycles = None
+        self._source = None
+        self.verified = False
+
+    @classmethod
+    def _stored(cls, cycles: int, source: "Callable[[], tuple]") -> "Snapshot":
+        """A snapshot decoded on demand by *source*, which returns
+        ``(header, words, events)`` after checking the digest."""
+        snap = cls({}, [])
+        snap._cycles = cycles
+        snap._source = source
+        snap.verified = True
+        return snap
+
+    def _load(self) -> None:
+        if self._source is not None:
+            self._header, self._words, self._events = self._source()
+            self._source = None
+
+    @property
+    def header(self) -> dict:
+        self._load()
+        return self._header
+
+    @property
+    def words(self) -> list:
+        self._load()
+        return self._words
+
+    @property
+    def events(self):
+        self._load()
+        return self._events
 
     @property
     def cycles(self) -> int:
-        return self.header["cycles"]
+        if self._source is not None:
+            return self._cycles
+        return self._header["cycles"]
 
     @property
     def mode(self) -> str:
@@ -172,16 +245,22 @@ class Snapshot:
         return self.header["digest"]
 
     def computed_digest(self) -> str:
-        return _digest_of(self.header, self.words)
+        return _digest_of(self.header, self.words, self.events)
 
     def verify(self) -> None:
         """Recompute the machine digest; raises on any mismatch (tamper
         the segment CRC missed, or a decoder bug)."""
-        want = self.header.get("digest")
+        h = self.header
+        if h.get("events") != len(self.events):
+            raise CheckpointFormatError(
+                f"snapshot @cycle {h.get('cycles', '?')}: header counts "
+                f"{h.get('events')!r} events but holds {len(self.events)}"
+            )
+        want = h.get("digest")
         got = self.computed_digest()
         if want != got:
             raise CheckpointFormatError(
-                f"snapshot @cycle {self.header.get('cycles', '?')}: machine "
+                f"snapshot @cycle {h.get('cycles', '?')}: machine "
                 f"digest mismatch (stored {want}, computed {got})"
             )
 
@@ -189,9 +268,43 @@ class Snapshot:
         h = self.header
         return (
             f"@cycle {h['cycles']:<10} mode={h['mode']} "
-            f"threads={len(h['threads'])} words={len(self.words)} "
-            f"digest={h['digest'][:12]}…"
+            f"threads={len(h['threads'])} events={h['events']} "
+            f"words={len(self.words)} digest={h['digest'][:12]}…"
         )
+
+
+class _EventsDigest:
+    """Running blake2b over the canonical JSON of the event rows, joined
+    by commas — the bytes between the brackets of the canonical list of
+    all rows.  Fed the canonical encodings of consecutive deltas, it
+    reaches the same digest however the log was split."""
+
+    __slots__ = ("count", "_hash")
+
+    def __init__(self):
+        self.count = 0
+        self._hash = hashlib.blake2b(digest_size=_DIGEST_BYTES)
+
+    def update(self, blob: bytes, n: int) -> None:
+        """Fold in *blob*, the canonical JSON list of the next *n* rows."""
+        if n:
+            if self.count:
+                self._hash.update(b",")
+            self._hash.update(memoryview(blob)[1:-1])
+            self.count += n
+
+    def digest(self) -> bytes:
+        return self._hash.digest()
+
+
+def _encode_events(events) -> bytes:
+    return _encode_json(events, "observer events")
+
+
+def _events_digest(events) -> bytes:
+    digest = _EventsDigest()
+    digest.update(_encode_events(events), len(events))
+    return digest.digest()
 
 
 def _blobs(header: dict, words: list) -> tuple[bytes, bytes]:
@@ -201,15 +314,16 @@ def _blobs(header: dict, words: list) -> tuple[bytes, bytes]:
     return _encode_json(canonical), _encode_json(words, "snapshot words")
 
 
-def _digest_bytes(header_blob: bytes, words_blob: bytes) -> str:
+def _digest_bytes(header_blob: bytes, words_blob: bytes, events_digest: bytes) -> str:
     h = hashlib.blake2b(digest_size=_DIGEST_BYTES)
     h.update(header_blob)
     h.update(words_blob)
+    h.update(events_digest)
     return h.hexdigest()
 
 
-def _digest_of(header: dict, words: list) -> str:
-    return _digest_bytes(*_blobs(header, words))
+def _digest_of(header: dict, words: list, events) -> str:
+    return _digest_bytes(*_blobs(header, words), _events_digest(events))
 
 
 def _live_words(mem) -> list:
@@ -271,9 +385,35 @@ def capture_snapshot(vm: "VirtualMachine") -> Snapshot:
     return _capture(vm)[0]
 
 
-def _capture(vm: "VirtualMachine") -> "tuple[Snapshot, tuple[bytes, bytes]]":
-    """:func:`capture_snapshot` plus the encodings its digest covered,
-    which a :class:`CheckpointWriter` stores without encoding again."""
+class _Encoded(NamedTuple):
+    """The encodings a capture's digest covered, which a
+    :class:`CheckpointWriter` stores without encoding again:
+    ``events_blob`` is the canonical JSON list of the events from index
+    ``events_from`` up to the snapshot's count."""
+
+    header_blob: bytes
+    words_blob: bytes
+    events_blob: bytes
+    events_from: int
+
+
+def _capture(
+    vm: "VirtualMachine", log: "_EventsDigest | None" = None
+) -> "tuple[Snapshot, _Encoded]":
+    """:func:`capture_snapshot` plus the encodings its digest covered.
+
+    *log* is a running events digest over the events a previous capture
+    of this VM already covered (a :class:`CheckpointRecorder` keeps one);
+    it is advanced in place, so only the new events are encoded.
+    Without one, every event is encoded."""
+    if log is None:
+        log = _EventsDigest()
+    events = vm.observer.events
+    if len(events) < log.count:
+        raise CheckpointError(
+            f"observer events shrank from {log.count} to {len(events)} "
+            "since the previous checkpoint; the event log only grows"
+        )
     dv = vm.dejavu
     if dv is None:
         raise CheckpointError(
@@ -343,7 +483,8 @@ def _capture(vm: "VirtualMachine") -> "tuple[Snapshot, tuple[bytes, bytes]]":
         "output": tuple(vm.output),
         "traps": tuple(vm.trap_reports),
         "deadlocked": vm.deadlocked,
-        "events": tuple(vm.observer.events),
+        # the rows themselves travel as the sidecar's event deltas
+        "events": len(events),
         # DejaVu controller (trace cursors + guest-heap buffer positions)
         "dv": (
             ("liveclock", dv.liveclock),
@@ -363,9 +504,14 @@ def _capture(vm: "VirtualMachine") -> "tuple[Snapshot, tuple[bytes, bytes]]":
     if slim_state is not None:
         header["dv"] = tuple(sorted(header["dv"] + (("slim", slim_state),)))
     words = _live_words(mem)
-    blobs = _blobs(header, words)
-    header["digest"] = _digest_bytes(*blobs)
-    return Snapshot(header, words), blobs
+    events_from = log.count
+    events_blob = _encode_events(events[events_from:])
+    log.update(events_blob, len(events) - events_from)
+    header_blob, words_blob = _blobs(header, words)
+    header["digest"] = _digest_bytes(header_blob, words_blob, log.digest())
+    snap = Snapshot(header, words, tuple(events))
+    snap.verified = True
+    return snap, _Encoded(header_blob, words_blob, events_blob, events_from)
 
 
 def machine_digest(vm: "VirtualMachine") -> str:
@@ -409,7 +555,8 @@ def restore_vm(
             "snapshot was not taken at a scheduler safe point "
             f"(thread {h['current']} was running)"
         )
-    snapshot.verify()
+    if not snapshot.verified:
+        snapshot.verify()
 
     vm = build_vm(program, config)
     fp = config_fingerprint(vm.config)
@@ -516,7 +663,7 @@ def restore_vm(
     vm.deadlocked = tuple(h["deadlocked"])
     # flat rows: the one nested event ("deadlock") is emitted inside
     # schedule(), after the last safe point, so no snapshot holds it
-    vm.observer.events[:] = map(tuple, h["events"])
+    vm.observer.events[:] = map(tuple, snapshot.events)
 
     # -- DejaVu controller
     dv._switch_cursor = d["switch_cursor"]
@@ -621,6 +768,11 @@ class CheckpointWriter:
     FOOTER segments, fsyncs, and atomically renames into place — the v3
     crash-consistency scheme.  A crash mid-replay leaves a tmp file whose
     complete-segment prefix is every checkpoint that was fully flushed.
+
+    Each snapshot is preceded by an event-delta segment holding the
+    observer events since the previous snapshot (the first snapshot
+    written gets the full prefix), so snapshots must arrive in capture
+    order.
     """
 
     def __init__(self, path):
@@ -631,6 +783,7 @@ class CheckpointWriter:
         self._file.write(CKPT_VERSION.to_bytes(2, "little"))
         self._file.flush()
         self.n_snapshots = 0
+        self.n_events = 0
         self._sealed = False
 
     def _write_segment(self, kind: bytes, payload: bytes) -> None:
@@ -641,17 +794,31 @@ class CheckpointWriter:
         f.write(payload)
         f.flush()
 
-    def add(self, snapshot: Snapshot, blobs: "tuple[bytes, bytes] | None" = None) -> None:
-        """Append *snapshot*; *blobs* are its encodings when the caller
-        already holds them (see :func:`_capture`)."""
-        header_blob, words_blob = blobs or _blobs(snapshot.header, snapshot.words)
-        payload = (
-            bytes.fromhex(snapshot.digest)
-            + len(header_blob).to_bytes(4, "little")
-            + header_blob
-            + words_blob
+    def add(self, snapshot: Snapshot, encoded: "_Encoded | None" = None) -> None:
+        """Append *snapshot*; *encoded* holds its encodings when the
+        caller already has them (see :func:`_capture`)."""
+        n_events = snapshot.header["events"]
+        if n_events < self.n_events:
+            raise CheckpointError(
+                f"snapshot @cycle {snapshot.cycles} holds {n_events} events "
+                f"but the sidecar already logs {self.n_events}; add "
+                "snapshots in capture order"
+            )
+        if encoded is not None:
+            header_blob, words_blob = encoded.header_blob, encoded.words_blob
+        else:
+            header_blob, words_blob = _blobs(snapshot.header, snapshot.words)
+        if n_events > self.n_events:
+            if encoded is not None and encoded.events_from == self.n_events:
+                events_blob = encoded.events_blob
+            else:
+                events_blob = _encode_events(snapshot.events[self.n_events:n_events])
+            self._write_segment(SEG_EVENTS, events_blob)
+            self.n_events = n_events
+        prefix = _SNAP_PREFIX.pack(
+            bytes.fromhex(snapshot.digest), snapshot.cycles, n_events, len(header_blob)
         )
-        self._write_segment(SEG_SNAPSHOT, payload)
+        self._write_segment(SEG_SNAPSHOT, prefix + header_blob + words_blob)
         self.n_snapshots += 1
 
     def seal(self, meta: dict | None = None) -> None:
@@ -679,25 +846,75 @@ class CheckpointWriter:
             self._file.close()
 
 
-def _decode_snapshot_payload(payload: bytes) -> Snapshot:
-    """``digest | u32 header length | header JSON | words JSON``.  The
-    digest is checked over the stored bytes before anything is decoded;
-    they are the canonical encodings, so this is the machine digest."""
-    start = _DIGEST_BYTES + 4
-    if len(payload) < start:
-        raise CheckpointFormatError("snapshot payload shorter than its header")
-    header_len = int.from_bytes(payload[_DIGEST_BYTES:start], "little")
-    if start + header_len > len(payload):
-        raise CheckpointFormatError(
-            f"snapshot header length {header_len} overruns the payload"
-        )
+def _decode_event_rows(blob: bytes) -> list:
+    """An event-delta payload as a list of row tuples."""
+    try:
+        rows = json.loads(blob)
+    except (ValueError, RecursionError) as exc:
+        raise CheckpointFormatError(f"undecodable event delta: {exc}") from exc
+    if not isinstance(rows, list) or not all(type(r) is list for r in rows):
+        raise CheckpointFormatError("event delta is not a list of event rows")
+    return [tuple(r) for r in rows]
+
+
+class _EventLog:
+    """A sidecar's event deltas, decoded in order on first use.  Each
+    delta's end is a *mark*: an event count a snapshot may index, with
+    the events digest of the prefix it ends."""
+
+    def __init__(self):
+        self._blobs: list[bytes] = []
+        self._decoded = 0  # deltas decoded so far
+        self._rows: list[tuple] = []
+        self._digest = _EventsDigest()
+        self._marks = {0: self._digest.digest()}
+        self._error: str | None = None
+
+    def append(self, blob: bytes) -> None:
+        self._blobs.append(blob)
+
+    def prefix(self, n: int) -> "tuple[list[tuple], bytes]":
+        """The first *n* events and their events digest."""
+        while (
+            n > self._digest.count
+            and self._error is None
+            and self._decoded < len(self._blobs)
+        ):
+            blob = self._blobs[self._decoded]
+            try:
+                rows = _decode_event_rows(blob)
+            except CheckpointFormatError as exc:
+                self._error = f"event delta #{self._decoded}: {exc}"
+                break
+            self._decoded += 1
+            self._rows.extend(rows)
+            self._digest.update(blob, len(rows))
+            self._marks[self._digest.count] = self._digest.digest()
+        mark = self._marks.get(n)
+        if mark is None:
+            raise CheckpointFormatError(
+                self._error
+                or f"no event delta ends at event {n} (the log holds "
+                f"{self._digest.count} decoded events)"
+            )
+        return self._rows[:n], mark
+
+
+def _decode_snapshot_payload(payload: bytes, log: _EventLog) -> tuple:
+    """``prefix | header JSON | words JSON`` plus the event prefix from
+    *log*, as ``(header, words, events)``.  The digest is checked over
+    the stored bytes and the events digest before anything of the
+    snapshot is decoded; they are the canonical encodings, so this is
+    the machine digest."""
+    want, cycles, n_events, header_len = _SNAP_PREFIX.unpack_from(payload)
+    start = _SNAP_PREFIX.size
     header_blob = payload[start : start + header_len]
     words_blob = payload[start + header_len :]
-    want = payload[:_DIGEST_BYTES].hex()
-    got = _digest_bytes(header_blob, words_blob)
-    if want != got:
+    events, events_digest = log.prefix(n_events)
+    got = _digest_bytes(header_blob, words_blob, events_digest)
+    if want.hex() != got:
         raise CheckpointFormatError(
-            f"machine digest mismatch (stored {want}, computed {got})"
+            f"machine digest mismatch (stored {want.hex()}, computed {got})"
         )
     header = _decode_json_object(header_blob, "snapshot header")
     try:
@@ -706,28 +923,39 @@ def _decode_snapshot_payload(payload: bytes) -> Snapshot:
         raise CheckpointFormatError(f"undecodable snapshot words: {exc}") from exc
     if not isinstance(words, list) or not all(type(w) is int for w in words):
         raise CheckpointFormatError("snapshot words are not a list of integers")
-    header["digest"] = want
-    return Snapshot(header, words)
+    if header.get("cycles") != cycles or header.get("events") != n_events:
+        raise CheckpointFormatError(
+            f"snapshot header (cycle {header.get('cycles')!r}, "
+            f"{header.get('events')!r} events) disagrees with its segment "
+            f"prefix (cycle {cycles}, {n_events} events)"
+        )
+    header["digest"] = want.hex()
+    return header, words, events
 
 
 class CheckpointStore:
-    """A parsed sidecar: the surviving (CRC-intact, digest-verified)
-    snapshots plus everything a doctor needs to classify the damage.
+    """A parsed sidecar: its CRC-intact snapshots plus everything a
+    doctor needs to classify the damage.
 
     Loading is *salvage by default*: a torn/corrupt tail stops the scan
-    (``error``), a tampered snapshot body is skipped (``skipped``), and
-    whatever survives is usable — the fallback ladder in action.
+    (``error``), a snapshot that fails its digest is skipped
+    (``skipped``, with a line in ``notes``), and whatever survives is
+    usable — the fallback ladder in action.  Snapshots are decoded on
+    first use: :meth:`newest_first` hands them out undecoded, while
+    :attr:`snapshots`, :attr:`damaged` and :meth:`describe` decode and
+    verify them all.
     """
 
     def __init__(self, path: str, source: str = "sidecar"):
         self.path = path
         self.source = source  # "sidecar" (sealed) or "tmp" (crash leftovers)
-        self.snapshots: list[Snapshot] = []
         self.meta: dict = {}
         self.sealed = False
-        self.skipped = 0
         self.error: str | None = None
-        self.notes: list[str] = []
+        #: (index, snapshot) of every CRC-intact snapshot, in file order
+        self._entries: list[tuple[int, Snapshot]] = []
+        self._failures: dict[int, str] = {}  # snapshot index -> why it failed
+        self._log = _EventLog()
 
     @classmethod
     def load(cls, path) -> "CheckpointStore":
@@ -755,6 +983,7 @@ class CheckpointStore:
                 f"build reads version {CKPT_VERSION})"
             )
         store = cls(path, source)
+        kinds = (SEG_EVENTS, SEG_SNAPSHOT, SEG_CKPT_META, SEG_CKPT_FOOTER)
         pos = _HEADER_BYTES
         n_seen = 0
         footer = None
@@ -768,7 +997,7 @@ class CheckpointStore:
             kind = blob[pos : pos + 1]
             length = int.from_bytes(blob[pos + 1 : pos + 5], "little")
             crc = int.from_bytes(blob[pos + 5 : pos + 9], "little")
-            if kind not in (SEG_SNAPSHOT, SEG_CKPT_META, SEG_CKPT_FOOTER):
+            if kind not in kinds:
                 store.error = f"unknown segment kind {kind!r} at byte {pos}"
                 break
             if length > MAX_SNAPSHOT_BYTES:
@@ -781,7 +1010,7 @@ class CheckpointStore:
             if zlib.crc32(payload) != crc:
                 store.error = f"segment CRC mismatch at byte {pos}"
                 break
-            if kind != SEG_SNAPSHOT:
+            if kind in (SEG_CKPT_META, SEG_CKPT_FOOTER):
                 try:
                     obj = _decode_json_object(payload, "sidecar meta/footer")
                 except CheckpointFormatError as exc:
@@ -789,14 +1018,10 @@ class CheckpointStore:
                     break
             pos += _SEG_HEADER_BYTES + length
             if kind == SEG_SNAPSHOT:
+                store._add_snapshot(n_seen, payload)
                 n_seen += 1
-                try:
-                    snap = _decode_snapshot_payload(payload)
-                except CheckpointError as exc:
-                    store.skipped += 1
-                    store.notes.append(f"snapshot #{n_seen - 1}: {exc}")
-                else:
-                    store.snapshots.append(snap)
+            elif kind == SEG_EVENTS:
+                store._log.append(payload)
             elif kind == SEG_CKPT_META:
                 store.meta.update(obj)
             else:
@@ -811,28 +1036,84 @@ class CheckpointStore:
                 store.sealed = True
         return store
 
+    def _add_snapshot(self, index: int, payload: bytes) -> None:
+        """Index a CRC-intact snapshot segment by its binary prefix; the
+        body waits for :meth:`_decode`."""
+        if len(payload) < _SNAP_PREFIX.size:
+            self._failures[index] = "snapshot payload shorter than its prefix"
+            return
+        _, cycles, _, header_len = _SNAP_PREFIX.unpack_from(payload)
+        if _SNAP_PREFIX.size + header_len > len(payload):
+            self._failures[index] = (
+                f"snapshot header length {header_len} overruns the payload"
+            )
+            return
+        self._entries.append(
+            (index, Snapshot._stored(cycles, lambda: self._decode(index, payload)))
+        )
+
+    def _decode(self, index: int, payload: bytes) -> tuple:
+        failure = self._failures.get(index)
+        if failure is None:
+            try:
+                return _decode_snapshot_payload(payload, self._log)
+            except CheckpointFormatError as exc:
+                failure = self._failures[index] = str(exc)
+        raise CheckpointFormatError(f"snapshot #{index}: {failure}")
+
+    @staticmethod
+    def _usable(snap: Snapshot) -> bool:
+        try:
+            snap._load()
+        except CheckpointFormatError:
+            return False
+        return True
+
+    def _decode_all(self) -> list[Snapshot]:
+        return [s for _, s in self._entries if self._usable(s)]
+
+    @property
+    def snapshots(self) -> list[Snapshot]:
+        """Every snapshot that decodes and passes its digest, in file
+        order — decoding all of them (full verification)."""
+        return self._decode_all()
+
+    @property
+    def skipped(self) -> int:
+        """Snapshots found failing so far (all of them once
+        :attr:`snapshots` has been read)."""
+        return len(self._failures)
+
+    @property
+    def notes(self) -> list[str]:
+        return [f"snapshot #{i}: {why}" for i, why in sorted(self._failures.items())]
+
     @property
     def damaged(self) -> bool:
+        self._decode_all()
         return bool(self.error or self.skipped or not self.sealed)
 
     def nearest(self, target_cycles: int) -> Snapshot | None:
-        """The latest snapshot strictly before *target_cycles* (strict,
-        so a seek restored here still re-executes the dispatch a
-        from-zero stopper would pause inside)."""
-        best = None
-        for snap in self.snapshots:
-            if snap.cycles < target_cycles and (
-                best is None or snap.cycles > best.cycles
-            ):
-                best = snap
-        return best
+        """The latest usable snapshot strictly before *target_cycles*
+        (strict, so a seek restored here still re-executes the dispatch
+        a from-zero stopper would pause inside)."""
+        for snap in self.newest_first():
+            if snap.cycles < target_cycles and self._usable(snap):
+                return snap
+        return None
 
     def newest_first(self) -> list[Snapshot]:
-        return sorted(self.snapshots, key=lambda s: s.cycles, reverse=True)
+        """The snapshots not yet known to fail, newest first and still
+        undecoded: a caller that uses only the first decodes only it."""
+        return sorted(
+            (s for i, s in self._entries if i not in self._failures),
+            key=lambda s: s.cycles,
+            reverse=True,
+        )
 
     def describe(self) -> str:
         state = "sealed" if self.sealed else f"unsealed ({self.source})"
-        parts = [f"{len(self.snapshots)} snapshot(s), {state}"]
+        parts = [f"{len(self._decode_all())} snapshot(s), {state}"]
         if self.skipped:
             parts.append(f"{self.skipped} failed digest verification")
         if self.error:
@@ -870,6 +1151,8 @@ class CheckpointRecorder:
         #: retain snapshots in memory (default: only when not writing)
         self.keep = keep if keep is not None else writer is None
         self.snapshots: list[Snapshot] = []
+        #: the events digest so far: each capture encodes only new events
+        self._events = _EventsDigest()
         self._next = (vm.engine.cycles // every + 1) * every
         # chain, don't clobber: a hook already installed (e.g. the serve
         # daemon's cooperative-cancellation check) keeps firing first
@@ -882,12 +1165,12 @@ class CheckpointRecorder:
         cycles = engine.cycles
         if cycles < self._next:
             return
-        snap, blobs = _capture(self.vm)
+        snap, encoded = _capture(self.vm, self._events)
         self._next = (cycles // self.every + 1) * self.every
         if self.keep:
             self.snapshots.append(snap)
         if self.writer is not None:
-            self.writer.add(snap, blobs)
+            self.writer.add(snap, encoded)
         if self.sink is not None:
             self.sink(snap)
 

@@ -107,12 +107,13 @@ def ckpt_segment_boundaries(blob: bytes) -> list[int]:
         MAX_SNAPSHOT_BYTES,
         SEG_CKPT_FOOTER,
         SEG_CKPT_META,
+        SEG_EVENTS,
         SEG_SNAPSHOT,
     )
     from repro.core.checkpoint import _SEG_HEADER_BYTES as ckpt_seg_header
 
     header_bytes = len(CKPT_MAGIC) + 2
-    kinds = (SEG_SNAPSHOT, SEG_CKPT_META, SEG_CKPT_FOOTER)
+    kinds = (SEG_EVENTS, SEG_SNAPSHOT, SEG_CKPT_META, SEG_CKPT_FOOTER)
     offsets: list[int] = []
     pos = header_bytes
     while pos + ckpt_seg_header <= len(blob):

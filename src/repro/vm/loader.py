@@ -14,7 +14,7 @@ and replay shifts every subsequent allocation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from typing import TYPE_CHECKING, Callable
 
 from repro.vm import memory as mem_mod
@@ -722,7 +722,11 @@ def _copy_tables(src: Loader, dst: Loader, patches: dict[int, tuple]) -> None:
         ops_patches, xops_patches = patches[rm.method_id]
         ops = _patched(code.ops, ops_patches, objs)
         xops = ops if xops_patches is None else _patched(code.xops, xops_patches, objs)
-        new_rm.code = replace(code, ops=ops, xops=xops, entries=None)
+        # a direct __dict__ clone: dataclasses.replace re-runs __init__
+        # and costs ~3x as much, once per compiled method per VM
+        clone = object.__new__(type(code))
+        clone.__dict__.update(code.__dict__, ops=ops, xops=xops, entries=None)
+        new_rm.code = clone
 
     dst.classdefs = dict(src.classdefs)
     dst.classes = rcs

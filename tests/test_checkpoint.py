@@ -23,12 +23,18 @@ from repro.core import MODE_REPLAY, DejaVu
 from repro.cli import main as cli_main
 from repro.core.checkpoint import (
     CKPT_MAGIC,
+    SEG_CKPT_FOOTER,
+    SEG_CKPT_META,
+    SEG_EVENTS,
+    SEG_SNAPSHOT,
     CheckpointRecorder,
     CheckpointStore,
     CheckpointWriter,
     Snapshot,
     _digest_of,
+    _EventsDigest,
     capture_snapshot,
+    machine_digest,
     restore_vm,
     sidecar_path,
 )
@@ -48,6 +54,8 @@ from repro.vm.memory import BOOT_WORDS
 from repro.workloads import REGISTRY, racy_bank
 
 CFG = VMConfig(semispace_words=60_000)
+#: a snapshot payload's binary prefix: digest, cycles, event count, header length
+PREFIX = 16 + 8 + 8 + 4
 EVERY = 700  # small enough that the short bank run crosses several boundaries
 
 
@@ -65,6 +73,20 @@ def _replay_with_recorder(trace, config=CFG, every=EVERY):
     rec = CheckpointRecorder(vm, every)
     result = vm.run(program.main)
     return rec.snapshots, result
+
+
+def _sealed_sidecar(recorded, tmp_path):
+    """A sealed trace plus the sidecar of a checkpointed replay of it."""
+    trace_path = tmp_path / "t.djv"
+    recorded.trace.save(trace_path)
+    replay(
+        racy_bank(),
+        TraceLog.load(trace_path),
+        config=CFG,
+        checkpoint_every=EVERY,
+        checkpoint_out=sidecar_path(trace_path),
+    )
+    return trace_path
 
 
 class _StopAt:
@@ -178,23 +200,36 @@ class TestCaptureRestore:
         snap = snapshots[0]
         words = list(snap.words)
         words[len(words) // 2] ^= 1
-        tampered = Snapshot(dict(snap.header), words)
-        with pytest.raises(CheckpointFormatError):
+        tampered = Snapshot(dict(snap.header), words, snap.events)
+        with pytest.raises(CheckpointFormatError, match="digest mismatch"):
             tampered.verify()
 
 
-def _first_segment(blob: bytes) -> tuple[int, int]:
-    """(offset, payload length) of a sidecar's first segment."""
+def _segments(blob: bytes) -> list[tuple[bytes, int, int]]:
+    """(kind, offset, payload length) of every segment of a sidecar."""
+    out = []
     pos = len(CKPT_MAGIC) + 2
-    return pos, int.from_bytes(blob[pos + 1 : pos + 5], "little")
+    while pos < len(blob):
+        length = int.from_bytes(blob[pos + 1 : pos + 5], "little")
+        out.append((blob[pos : pos + 1], pos, length))
+        pos += 9 + length
+    return out
 
 
-def _with_first_payload(blob: bytes, payload: bytes) -> bytes:
-    """*blob* with its first segment's payload replaced, CRC made valid —
-    damage the segment framing cannot see."""
-    pos, length = _first_segment(blob)
+def _segment_at(blob: bytes, kind: bytes = SEG_SNAPSHOT, which: int = 0) -> tuple[int, int]:
+    """(offset, payload length) of a sidecar's *which*-th segment of
+    *kind* (a Python index)."""
+    return [(pos, n) for k, pos, n in _segments(blob) if k == kind][which]
+
+
+def _with_payload(
+    blob: bytes, payload: bytes, kind: bytes = SEG_SNAPSHOT, which: int = 0
+) -> bytes:
+    """*blob* with the payload of its *which*-th *kind* segment replaced,
+    CRC made valid — damage the segment framing cannot see."""
+    pos, length = _segment_at(blob, kind, which)
     segment = (
-        blob[pos : pos + 1]
+        kind
         + len(payload).to_bytes(4, "little")
         + zlib.crc32(payload).to_bytes(4, "little")
         + payload
@@ -205,16 +240,7 @@ def _with_first_payload(blob: bytes, payload: bytes) -> bytes:
 class TestSidecar:
     @pytest.fixture
     def sealed(self, recorded, tmp_path):
-        trace_path = tmp_path / "t.djv"
-        recorded.trace.save(trace_path)
-        replay(
-            racy_bank(),
-            TraceLog.load(trace_path),
-            config=CFG,
-            checkpoint_every=EVERY,
-            checkpoint_out=sidecar_path(trace_path),
-        )
-        return trace_path
+        return _sealed_sidecar(recorded, tmp_path)
 
     def test_roundtrip(self, recorded, sealed):
         store = CheckpointStore.load(sidecar_path(sealed))
@@ -257,12 +283,12 @@ class TestSidecar:
         words = list(snapshots[0].words)
         words[len(words) // 2] ^= 1
         writer = CheckpointWriter(sidecar)
-        writer.add(Snapshot(dict(snapshots[0].header), words))
+        writer.add(Snapshot(dict(snapshots[0].header), words, snapshots[0].events))
         writer.add(snapshots[1])
         writer.seal({})
         store = CheckpointStore.load(sidecar)
-        assert store.skipped == 1
         assert [s.cycles for s in store.snapshots] == [snapshots[1].cycles]
+        assert store.skipped == 1
 
     def test_missing_sidecar_raises_typed(self, tmp_path):
         with pytest.raises(CheckpointFormatError):
@@ -277,21 +303,38 @@ class TestSidecar:
         assert store.nearest(10**9).cycles == cycles[-1]
 
     def _first_payload(self, sidecar) -> tuple[bytes, bytes, list]:
-        """(digest + header-length prefix + header JSON, words JSON, words)."""
+        """(binary prefix + header JSON, words JSON, words) of the first
+        snapshot segment."""
         blob = sidecar.read_bytes()
-        pos, length = _first_segment(blob)
+        pos, length = _segment_at(blob)
         payload = blob[pos + 9 : pos + 9 + length]
-        header_end = 20 + int.from_bytes(payload[16:20], "little")
+        header_end = PREFIX + int.from_bytes(payload[PREFIX - 4 : PREFIX], "little")
         return payload[:header_end], payload[header_end:], json.loads(payload[header_end:])
 
+    def _first_events(self, sidecar) -> bytes:
+        blob = sidecar.read_bytes()
+        pos, length = _segment_at(blob, SEG_EVENTS)
+        return blob[pos + 9 : pos + 9 + length]
+
     def test_header_is_canonical_json_with_frontier(self, sealed):
-        head, words_blob, words = self._first_payload(sidecar_path(sealed))
-        header = json.loads(head[20:])
-        assert head[20:] == json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        assert header["format"] == 2 and "digest" not in header
+        sidecar = sidecar_path(sealed)
+        head, words_blob, words = self._first_payload(sidecar)
+        header = json.loads(head[PREFIX:])
+        assert head[PREFIX:] == json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        assert header["format"] == 3 and "digest" not in header
         lo = BOOT_WORDS + header["active"] * header["semi"]
         assert len(words) == BOOT_WORDS + header["bump"] - lo
-        digest = hashlib.blake2b(head[20:] + words_blob, digest_size=16).digest()
+        # the prefix repeats the cycle and event count the header holds
+        assert int.from_bytes(head[16:24], "little") == header["cycles"]
+        assert int.from_bytes(head[24:32], "little") == header["events"]
+        # the first snapshot's event delta is the whole prefix, and the
+        # digest covers it through the events digest
+        events_blob = self._first_events(sidecar)
+        assert len(json.loads(events_blob)) == header["events"] > 0
+        events_digest = hashlib.blake2b(events_blob[1:-1], digest_size=16).digest()
+        digest = hashlib.blake2b(
+            head[PREFIX:] + words_blob + events_digest, digest_size=16
+        ).digest()
         assert head[:16] == digest
 
     def test_tampered_stored_word_fails_digest_at_load(self, sealed):
@@ -300,9 +343,9 @@ class TestSidecar:
         head, _, words = self._first_payload(sidecar)
         words[len(words) // 2] ^= 1
         tampered = head + json.dumps(words, separators=(",", ":")).encode()
-        sidecar.write_bytes(_with_first_payload(sidecar.read_bytes(), tampered))
+        sidecar.write_bytes(_with_payload(sidecar.read_bytes(), tampered))
         store = CheckpointStore.load(sidecar)
-        assert store.skipped == 1 and store.damaged
+        assert store.damaged and store.skipped == 1
         assert "digest mismatch" in store.notes[0]
         assert len(store.snapshots) == n_clean - 1
 
@@ -311,12 +354,14 @@ class TestSidecar:
         sidecar = sidecar_path(sealed)
         marker = tmp_path / "ran"
         code = f"__import__('os').system('touch {marker}')".encode()
-        _, words_blob, _ = self._first_payload(sidecar)
-        digest = hashlib.blake2b(code + words_blob, digest_size=16).digest()
-        payload = digest + len(code).to_bytes(4, "little") + code + words_blob
-        sidecar.write_bytes(_with_first_payload(sidecar.read_bytes(), payload))
+        head, words_blob, _ = self._first_payload(sidecar)
+        events_blob = self._first_events(sidecar)
+        events_digest = hashlib.blake2b(events_blob[1:-1], digest_size=16).digest()
+        digest = hashlib.blake2b(code + words_blob + events_digest, digest_size=16).digest()
+        payload = digest + head[16:32] + len(code).to_bytes(4, "little") + code + words_blob
+        sidecar.write_bytes(_with_payload(sidecar.read_bytes(), payload))
         store = CheckpointStore.load(sidecar)
-        assert store.skipped == 1
+        assert store.damaged and store.skipped == 1
         assert "undecodable snapshot header" in store.notes[0]
         assert not marker.exists()
 
@@ -352,20 +397,43 @@ class TestSidecar:
         assert "version 1" in report.detail
         assert "regenerate with --checkpoint-every" in report.detail
 
+    @pytest.fixture
+    def v2_sidecar(self, sealed):
+        """A sidecar whose file header says version 2 — the format whose
+        every snapshot header repeated the whole event log."""
+        sidecar = sidecar_path(sealed)
+        blob = bytearray(sidecar.read_bytes())
+        blob[len(CKPT_MAGIC) : len(CKPT_MAGIC) + 2] = (2).to_bytes(2, "little")
+        sidecar.write_bytes(bytes(blob))
+        return sidecar
+
+    def test_v2_load_names_the_version(self, v2_sidecar):
+        with pytest.raises(CheckpointFormatError, match="version 2"):
+            CheckpointStore.load(v2_sidecar)
+
+    def test_v2_resume_falls_back_to_zero(self, recorded, sealed, v2_sidecar):
+        resumed = resume_replay(
+            racy_bank(), TraceLog.load(sealed), checkpoints=v2_sidecar, config=CFG
+        )
+        assert resumed.from_zero
+        assert any("version 2" in a for a in resumed.attempts)
+        assert resumed.result.heap_digest == recorded.result.heap_digest
+
+    def test_v2_cli_verify_exits_2(self, sealed, v2_sidecar, capsys):
+        assert cli_main(["checkpoint", "verify", str(sealed)]) == 2
+        assert "version 2" in capsys.readouterr().err
+
+    def test_v2_doctor_says_regenerate(self, sealed, v2_sidecar):
+        report = diagnose(sealed, program=racy_bank(), config=CFG)
+        assert report.classification == CLASS_CKPT_CORRUPT
+        assert "version 2" in report.detail
+        assert "regenerate with --checkpoint-every" in report.detail
+
 
 class TestResumeReplay:
     @pytest.fixture
     def sealed(self, recorded, tmp_path):
-        trace_path = tmp_path / "t.djv"
-        recorded.trace.save(trace_path)
-        replay(
-            racy_bank(),
-            TraceLog.load(trace_path),
-            config=CFG,
-            checkpoint_every=EVERY,
-            checkpoint_out=sidecar_path(trace_path),
-        )
-        return trace_path
+        return _sealed_sidecar(recorded, tmp_path)
 
     def _assert_matches_clean(self, resumed, recorded):
         assert resumed.result.heap_digest == recorded.result.heap_digest
@@ -455,8 +523,8 @@ class TestResumeReplay:
         writer = CheckpointWriter(sidecar_path(trace_path))
         for snap in store.snapshots:
             header = dict(snap.header, engine="switch")
-            header["digest"] = _digest_of(header, snap.words)
-            writer.add(Snapshot(header, snap.words))
+            header["digest"] = _digest_of(header, snap.words, snap.events)
+            writer.add(Snapshot(header, snap.words, snap.events))
         writer.seal(dict(store.meta, engine="switch"))
         old = CheckpointStore.load(sidecar_path(trace_path))
         assert len(old.snapshots) == len(store.snapshots) > 1 and not old.skipped
@@ -471,6 +539,293 @@ class TestResumeReplay:
         assert len(unusable) == len(old.snapshots)
         assert resumed.attempts[-1] == "replayed from cycle zero"
         self._assert_matches_clean(resumed, recorded)
+
+
+def _tamper_snapshot_words(sidecar, which: int) -> None:
+    """Flip one stored word of the *which*-th snapshot segment (Python
+    index), with its CRC made valid: only the machine digest can tell."""
+    blob = sidecar.read_bytes()
+    pos, length = _segment_at(blob, SEG_SNAPSHOT, which)
+    payload = blob[pos + 9 : pos + 9 + length]
+    header_end = PREFIX + int.from_bytes(payload[PREFIX - 4 : PREFIX], "little")
+    words = json.loads(payload[header_end:])
+    words[len(words) // 2] ^= 1
+    payload = payload[:header_end] + json.dumps(words, separators=(",", ":")).encode()
+    sidecar.write_bytes(_with_payload(blob, payload, SEG_SNAPSHOT, which))
+
+
+class TestEventLog:
+    """Format 3 stores the observer events once, as deltas the snapshots
+    index by count, and digests them independently of the split."""
+
+    def test_standalone_digest_equals_recorder_digest(self, recorded):
+        program = racy_bank()
+        vm = build_vm(program, CFG)
+        DejaVu(vm, MODE_REPLAY, trace=recorded.trace)
+        pairs = []
+        CheckpointRecorder(
+            vm, EVERY, sink=lambda snap: pairs.append((snap.digest, machine_digest(vm)))
+        )
+        vm.run(program.main)
+        assert len(pairs) >= 3
+        assert all(recorder == standalone for recorder, standalone in pairs)
+
+    def test_events_digest_ignores_where_the_deltas_split(self, recorded):
+        events = recorded.result.events
+        assert len(events) > 10
+        whole = _EventsDigest()
+        whole.update(json.dumps(events, separators=(",", ":")).encode(), len(events))
+        for cuts in ([0, 3, 3, 7], [1, 2, len(events) - 1], [len(events)]):
+            split = _EventsDigest()
+            bounds = [0, *cuts, len(events)]
+            for lo, hi in zip(bounds, bounds[1:]):
+                part = events[lo:hi]
+                split.update(json.dumps(part, separators=(",", ":")).encode(), len(part))
+            assert split.count == whole.count and split.digest() == whole.digest()
+
+    def test_changing_one_event_row_changes_the_digest(self, recorded):
+        snapshots, _ = _replay_with_recorder(recorded.trace)
+        snap = snapshots[-1]
+        events = list(snap.events)
+        kind, *rest = events[len(events) // 2]
+        events[len(events) // 2] = (kind, *rest, 0)
+        changed = Snapshot(dict(snap.header), snap.words, events)
+        assert changed.computed_digest() != snap.digest
+        with pytest.raises(CheckpointFormatError, match="digest mismatch"):
+            changed.verify()
+        dropped = Snapshot(dict(snap.header), snap.words, events[:-1])
+        with pytest.raises(CheckpointFormatError, match="events"):
+            dropped.verify()
+
+    def test_sidecar_logs_each_event_once(self, recorded, tmp_path):
+        sidecar = sidecar_path(_sealed_sidecar(recorded, tmp_path))
+        blob = sidecar.read_bytes()
+        deltas = [
+            json.loads(blob[pos + 9 : pos + 9 + n])
+            for k, pos, n in _segments(blob) if k == SEG_EVENTS
+        ]
+        store = CheckpointStore.load(sidecar)
+        newest = store.newest_first()[0]
+        assert sum(len(d) for d in deltas) == newest.header["events"]
+        assert [tuple(e) for d in deltas for e in d] == list(newest.events)
+        assert list(newest.events) == recorded.result.events[: len(newest.events)]
+
+    def test_tampered_event_delta_fails_the_snapshots_after_it(self, recorded, tmp_path):
+        sidecar = sidecar_path(_sealed_sidecar(recorded, tmp_path))
+        n_clean = len(CheckpointStore.load(sidecar).snapshots)
+        blob = sidecar.read_bytes()
+        pos, length = _segment_at(blob, SEG_EVENTS)
+        rows = json.loads(blob[pos + 9 : pos + 9 + length])
+        rows[0][0] = rows[0][0] + "x"
+        sidecar.write_bytes(_with_payload(
+            blob, json.dumps(rows, separators=(",", ":")).encode(), SEG_EVENTS
+        ))
+        store = CheckpointStore.load(sidecar)
+        # the first delta is every snapshot's prefix: none survives
+        assert store.snapshots == [] and store.skipped == n_clean
+        assert all("digest mismatch" in note for note in store.notes)
+
+    def test_writer_refuses_snapshots_out_of_capture_order(self, recorded, tmp_path):
+        snapshots, _ = _replay_with_recorder(recorded.trace)
+        writer = CheckpointWriter(tmp_path / "x.ckpt")
+        writer.add(snapshots[1])
+        with pytest.raises(CheckpointError, match="capture order"):
+            writer.add(snapshots[0])
+        writer.abandon()
+
+    def test_prune_gives_the_first_kept_snapshot_the_full_prefix(
+        self, recorded, tmp_path, capsys
+    ):
+        trace_path = _sealed_sidecar(recorded, tmp_path)
+        sidecar = sidecar_path(trace_path)
+        before = CheckpointStore.load(sidecar).snapshots
+        assert cli_main(["checkpoint", "prune", str(trace_path), "--keep", "2"]) == 0
+        assert cli_main(["checkpoint", "verify", str(trace_path)]) == 0
+        store = CheckpointStore.load(sidecar)
+        assert [(s.cycles, s.digest) for s in store.snapshots] == [
+            (s.cycles, s.digest) for s in before[-2:]
+        ]
+        blob = sidecar.read_bytes()
+        pos, length = _segment_at(blob, SEG_EVENTS)
+        first = json.loads(blob[pos + 9 : pos + 9 + length])
+        assert len(first) == before[-2].header["events"]
+        resumed = resume_replay(
+            racy_bank(), TraceLog.load(trace_path), checkpoints=sidecar, config=CFG
+        )
+        assert resumed.resumed_from == before[-1].cycles
+        assert resumed.result.behavior_key() == recorded.result.behavior_key()
+
+
+class TestLazyResume:
+    """A resume decodes only the snapshot it restores; full verification
+    stays with the doctor and ``repro checkpoint``."""
+
+    @pytest.fixture
+    def sealed(self, recorded, tmp_path):
+        return _sealed_sidecar(recorded, tmp_path)
+
+    def _resume(self, sealed):
+        return resume_replay(
+            racy_bank(), TraceLog.load(sealed), checkpoints=sidecar_path(sealed),
+            config=CFG,
+        )
+
+    def test_tampered_older_snapshot_does_not_stop_resume_from_newest(
+        self, recorded, sealed, capsys
+    ):
+        cycles = [s.cycles for s in CheckpointStore.load(sidecar_path(sealed)).snapshots]
+        _tamper_snapshot_words(sidecar_path(sealed), 0)
+        resumed = self._resume(sealed)
+        assert resumed.resumed_from == cycles[-1]
+        assert not any("unusable" in a for a in resumed.attempts)
+        assert resumed.result.behavior_key() == recorded.result.behavior_key()
+        assert cli_main(["checkpoint", "verify", str(sealed)]) == 1
+        out = capsys.readouterr().out
+        assert "snapshot #0: machine digest mismatch" in out
+        assert "1 failed digest verification" in out
+
+    def test_tampered_newest_snapshot_falls_back_to_the_next(
+        self, recorded, sealed, capsys
+    ):
+        cycles = [s.cycles for s in CheckpointStore.load(sidecar_path(sealed)).snapshots]
+        _tamper_snapshot_words(sidecar_path(sealed), -1)
+        resumed = self._resume(sealed)
+        assert resumed.resumed_from == cycles[-2]
+        named = [a for a in resumed.attempts if f"@{cycles[-1]} unusable" in a]
+        assert len(named) == 1 and "digest mismatch" in named[0]
+        assert resumed.result.behavior_key() == recorded.result.behavior_key()
+        assert cli_main(["checkpoint", "verify", str(sealed)]) == 1
+        assert f"snapshot #{len(cycles) - 1}: machine digest mismatch" in capsys.readouterr().out
+
+    def test_doctor_still_verifies_every_snapshot(self, sealed):
+        _tamper_snapshot_words(sidecar_path(sealed), 0)
+        report = diagnose(sealed, program=racy_bank(), config=CFG)
+        assert report.classification == CLASS_CKPT_CORRUPT
+        assert "1 snapshot(s) failed digest verification" in report.detail
+
+    def test_resume_decodes_one_snapshot_and_restore_encodes_nothing(
+        self, recorded, sealed, monkeypatch
+    ):
+        import repro.core.checkpoint as ckpt
+
+        calls = {"decode": 0, "encode": 0}
+        decode, encode = ckpt._decode_snapshot_payload, ckpt._encode_json
+
+        def counting_decode(*args):
+            calls["decode"] += 1
+            return decode(*args)
+
+        def counting_encode(*args):
+            calls["encode"] += 1
+            return encode(*args)
+
+        monkeypatch.setattr(ckpt, "_decode_snapshot_payload", counting_decode)
+        resumed = self._resume(sealed)
+        assert not resumed.from_zero and calls["decode"] == 1
+
+        # restore_vm re-encodes nothing for a decoded snapshot ...
+        monkeypatch.setattr(ckpt, "_encode_json", counting_encode)
+        newest = CheckpointStore.load(sidecar_path(sealed)).newest_first()[0]
+        restore_vm(newest, racy_bank(), recorded.trace, config=CFG)
+        assert calls["encode"] == 0
+        # ... nor for one captured in this process ...
+        monkeypatch.setattr(ckpt, "_encode_json", encode)
+        snapshots, _ = _replay_with_recorder(recorded.trace)
+        monkeypatch.setattr(ckpt, "_encode_json", counting_encode)
+        restore_vm(snapshots[-1], racy_bank(), recorded.trace, config=CFG)
+        assert calls["encode"] == 0
+        # ... but verifies a hand-built one in full
+        snap = snapshots[-1]
+        restore_vm(
+            Snapshot(dict(snap.header), list(snap.words), snap.events),
+            racy_bank(), recorded.trace, config=CFG,
+        )
+        assert calls["encode"] > 0
+
+
+def _resume_cases():
+    for name in sorted(REGISTRY):
+        for combo in EngineConfig.all_combinations():
+            yield pytest.param(name, combo, id=f"{name}-{combo.describe()}")
+
+
+class TestResumeEqualsReplay:
+    @pytest.mark.parametrize("name,combo", list(_resume_cases()))
+    def test_resumed_replay_equals_full_replay(self, name, combo, tmp_path):
+        """Full and slim recordings of every registry workload, under
+        every engine combination: a resume from the newest snapshot ends
+        exactly where the full replay does."""
+        from tests.conftest import jitter_knobs
+
+        program = REGISTRY[name].build()
+        cfg = VMConfig(semispace_words=60_000, engine=combo)
+        for slim in (False, True):
+            rec = record(program, config=cfg, slim=slim, **jitter_knobs(9))
+            full = replay(program, rec.trace, config=cfg)
+            sidecar = tmp_path / f"{slim}.ckpt"
+            replay(
+                program, rec.trace, config=cfg,
+                checkpoint_every=max(1, rec.result.cycles // 3),
+                checkpoint_out=sidecar,
+            )
+            resumed = resume_replay(program, rec.trace, checkpoints=sidecar, config=cfg)
+            assert not resumed.from_zero, (slim, resumed.attempts)
+            got, want = resumed.result, full
+            assert got.output_text == want.output_text, slim
+            assert got.cycles == want.cycles, slim
+            assert got.heap_digest == want.heap_digest, slim
+            assert got.events == want.events, slim
+
+
+@pytest.mark.fuzz
+class TestSidecarFuzz:
+    """Seeded bit flips and truncations in each segment kind of a
+    format-3 sidecar: every case ends in a typed error, a skipped
+    snapshot, or a resume that equals the clean replay — never an
+    untyped exception."""
+
+    def test_seeded_damage_to_every_segment_kind(self, recorded, tmp_path):
+        import random
+
+        trace_path = _sealed_sidecar(recorded, tmp_path)
+        sidecar = sidecar_path(trace_path)
+        clean = sidecar.read_bytes()
+        segments = _segments(clean)
+        by_kind = {}
+        for kind, pos, length in segments:
+            by_kind.setdefault(kind, []).append((pos, length))
+        assert set(by_kind) == {SEG_EVENTS, SEG_SNAPSHOT, SEG_CKPT_META, SEG_CKPT_FOOTER}
+        trace = TraceLog.load(trace_path)
+        want = recorded.result.behavior_key()
+        rng = random.Random(2024)
+        outcomes = {}
+        for case in range(160):
+            kind = sorted(by_kind)[case % len(by_kind)]
+            pos, length = rng.choice(by_kind[kind])
+            damaged = bytearray(clean)
+            mode = rng.choice(("flip", "flip-recrc", "truncate"))
+            if mode == "truncate":
+                damaged = damaged[: rng.randrange(pos, pos + 9 + length)]
+            else:
+                at = rng.randrange(pos, pos + 9 + length)
+                damaged[at] ^= 1 << rng.randrange(8)
+                if mode == "flip-recrc" and at >= pos + 9:
+                    payload = bytes(damaged[pos + 9 : pos + 9 + length])
+                    damaged[pos + 5 : pos + 9] = zlib.crc32(payload).to_bytes(4, "little")
+            sidecar.write_bytes(bytes(damaged))
+            try:
+                store = CheckpointStore.load(sidecar)
+                store.describe()
+                resumed = resume_replay(racy_bank(), trace, checkpoints=sidecar, config=CFG)
+            except CheckpointError:
+                outcomes["typed"] = outcomes.get("typed", 0) + 1
+                continue
+            assert resumed.result.behavior_key() == want, (case, kind, mode)
+            key = "skipped" if store.skipped else (
+                "resumed" if not resumed.from_zero else "from-zero"
+            )
+            outcomes[key] = outcomes.get(key, 0) + 1
+        assert outcomes.get("skipped") and outcomes.get("resumed"), outcomes
 
 
 class TestLiveExtent:

@@ -70,7 +70,8 @@ class TestSeekEquivalence:
         victim_cycles = max(c for c in fast._snapshots if c < target)
         words = list(fast._snapshots[victim_cycles].words)
         words[len(words) // 2] ^= 1  # a live-extent word: digest must fail
-        victim = Snapshot(fast._snapshots[victim_cycles].header, words)
+        original = fast._snapshots[victim_cycles]
+        victim = Snapshot(original.header, words, original.events)
         fast._snapshots[victim_cycles] = victim
         fast_point = fast.goto_cycles(target)
         slow_point = plain.goto_cycles(target)
