@@ -141,8 +141,8 @@ def build_vm(
     :class:`TimerSource` to control preemption, or ``None`` to disable
     the preemption timer entirely.
     """
-    vm = VirtualMachine(config, timer=timer, clock=clock, env=env)
-    vm.declare(program.classdefs, fingerprint=program.fingerprint)
+    vm = VirtualMachine(config, timer=timer, clock=clock, env=env,
+                        classdefs=program.classdefs, fingerprint=program.fingerprint)
     for qualname, make, nondet in program.natives:
         vm.register_native(qualname, make(), nondet=nondet)
     return vm
@@ -461,38 +461,15 @@ def replay_prefix(
 
 
 def trace_to_bytes(trace: TraceLog) -> bytes:
-    """Serialize *trace* to the sealed on-disk byte format (v3.1, or
-    v3.2 when the trace carries a slim sidecar).
-
-    The encoding is deterministic in the trace's streams and meta (no
-    timestamps, fixed codec choice), so equal traces serialize to equal
-    bytes — the property the content-addressed corpus and the
-    jobs=1 ≡ jobs=N differential tests rely on.
-    """
-    import os
-    import tempfile
-
-    fd, name = tempfile.mkstemp(suffix=".djv")
-    os.close(fd)
-    try:
-        trace.save(name)
-        return Path(name).read_bytes()
-    finally:
-        Path(name).unlink(missing_ok=True)
+    """*trace* as sealed trace bytes (:meth:`TraceLog.to_bytes`): equal
+    traces serialize to equal bytes, which the content-addressed corpus
+    and the jobs=1 ≡ jobs=N differential tests rely on."""
+    return trace.to_bytes()
 
 
 def trace_from_bytes(data: bytes) -> TraceLog:
     """Load a trace from sealed bytes (inverse of :func:`trace_to_bytes`)."""
-    import os
-    import tempfile
-
-    fd, name = tempfile.mkstemp(suffix=".djv")
-    os.close(fd)
-    try:
-        Path(name).write_bytes(data)
-        return TraceLog.load(name)
-    finally:
-        Path(name).unlink(missing_ok=True)
+    return TraceLog.from_bytes(data)
 
 
 def record_and_replay(

@@ -16,10 +16,12 @@ On-disk layout (one directory)::
 
 Durability follows the trace-format conventions: blobs are written to a
 ``*.tmp*`` name and atomically renamed into place, the index is
-rewritten atomically after every mutation, and loading ignores torn
-``*.tmp*`` leftovers.  The index is a cache, not the truth — an entry
-file that appears without an index row (a crash between the two writes)
-is re-adopted from the trace's own meta on the next load.
+rewritten atomically once per batch, after its blobs (a sweep ingests
+all its failures as one batch, and a prune is one batch), and loading
+ignores torn ``*.tmp*`` leftovers.  The index is a cache, not the truth
+— an entry file that appears without an index row (a crash between the
+blobs and the index) is re-adopted from the trace's own meta on the
+next load.
 
 Entry meta records how to reproduce: workload + build kwargs + seeds +
 the schedule (or fault spec) plus the behaviour digest the campaign
@@ -146,19 +148,32 @@ class Corpus:
         """Store one failing trace; returns ``(name, new)``.  Duplicate
         content is a no-op (``new=False``) — the content address is the
         dedup."""
-        name = entry_name(blob)
-        path = self.root / f"{name}{ENTRY_SUFFIX}"
-        if path.exists():
-            return name, False
-        tmp = self.root / f"{name}{ENTRY_SUFFIX}.tmp.{os.getpid()}"
-        tmp.write_bytes(blob)
-        os.replace(tmp, path)
-        row = dict(meta)
-        row["bytes"] = len(blob)
-        row["sha256"] = hashlib.sha256(blob).hexdigest()
-        self._index[name] = _jsonable(row)
-        self._write_index()
-        return name, True
+        return self.ingest_many([(blob, meta)])[0]
+
+    def ingest_many(self, items) -> "list[tuple[str, bool]]":
+        """Store each ``(blob, meta)`` of *items* in order, then write the
+        index once; returns ``(name, new)`` per item, as :meth:`ingest`
+        would.  A crash between the blobs and the index leaves blobs
+        without rows, which the next load adopts."""
+        results = []
+        for blob, meta in items:
+            digest = hashlib.sha256(blob).hexdigest()
+            name = digest[:NAME_LEN]
+            path = self.root / f"{name}{ENTRY_SUFFIX}"
+            if path.exists():
+                results.append((name, False))
+                continue
+            tmp = self.root / f"{name}{ENTRY_SUFFIX}.tmp.{os.getpid()}"
+            tmp.write_bytes(blob)
+            os.replace(tmp, path)
+            row = dict(meta)
+            row["bytes"] = len(blob)
+            row["sha256"] = digest
+            self._index[name] = _jsonable(row)
+            results.append((name, True))
+        if any(new for _, new in results):
+            self._write_index()
+        return results
 
     # -- reading -----------------------------------------------------------
 

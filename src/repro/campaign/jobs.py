@@ -41,10 +41,6 @@ from repro.faults.campaign import CampaignReport, FaultOutcome, FaultRunContext
 from repro.faults.plan import FaultPlan
 from repro.vm.errors import VMError
 
-#: campaign jobs re-record failing schedules? No — the worker already
-#: holds the trace; it ships the sealed bytes (deterministic encoding).
-from repro.api import trace_to_bytes
-
 
 # ---------------------------------------------------------------------------
 # the payload's VM config
@@ -103,7 +99,7 @@ class _ExploreRunner:
         if evaluated.failed:
             evaluated.trace.meta["workload"] = self.spec.name
             evaluated.trace.meta["workload_kwargs"] = dict(self.kwargs)
-            result["trace"] = trace_to_bytes(evaluated.trace)
+            result["trace"] = evaluated.trace.to_bytes()
             result["meta"] = {
                 "kind": "explore",
                 "workload": self.spec.name,
@@ -384,7 +380,7 @@ def run_explore_campaign(
         pending_entries.append(
             (
                 failure,
-                trace_to_bytes(base.trace),
+                base.trace.to_bytes(),
                 {
                     "kind": "explore",
                     "workload": spec.name,
@@ -413,13 +409,11 @@ def run_explore_campaign(
             report.failures.append(failure)
             pending_entries.append((failure, result["trace"], result["meta"]))
     if corpus is not None:
-        for failure, blob, meta in pending_entries:
-            name, new = corpus.ingest(blob, meta)
+        stored = corpus.ingest_many((blob, meta) for _, blob, meta in pending_entries)
+        for (failure, _, _), (name, new) in zip(pending_entries, stored):
             failure.entry = name
-            if new:
-                report.corpus_new += 1
-            else:
-                report.corpus_dup += 1
+        report.corpus_new = sum(new for _, new in stored)
+        report.corpus_dup = len(stored) - report.corpus_new
     return report
 
 
@@ -523,6 +517,7 @@ def run_faults_campaign(
     )
     corpus = Corpus(corpus_dir, create=True) if corpus_dir is not None else None
     sweep.corpus_dir = str(corpus_dir) if corpus_dir is not None else None
+    pending_entries = []
     for position, index in enumerate(items):
         result = outcome.results.get(position)
         spec = spec_by_index[index]
@@ -537,10 +532,10 @@ def run_faults_campaign(
             )
             continue
         report.outcomes.append(FaultOutcome(spec, result["outcome"], result["detail"]))
-        if corpus is not None and "trace" in result:
-            _, new = corpus.ingest(result["trace"], result["meta"])
-            if new:
-                sweep.corpus_new += 1
-            else:
-                sweep.corpus_dup += 1
+        if "trace" in result:
+            pending_entries.append((result["trace"], result["meta"]))
+    if corpus is not None:
+        stored = corpus.ingest_many(pending_entries)
+        sweep.corpus_new = sum(new for _, new in stored)
+        sweep.corpus_dup = len(stored) - sweep.corpus_new
     return sweep

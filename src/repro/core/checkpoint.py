@@ -190,12 +190,16 @@ class Snapshot:
     rather than mutate one of those in place.
     """
 
-    __slots__ = ("_header", "_words", "_events", "_cycles", "_source", "verified")
+    __slots__ = ("_header", "_words", "_events", "_events_digest", "_cycles",
+                 "_source", "verified")
 
     def __init__(self, header: dict, words: list, events=()):
         self._header = header
         self._words = words
         self._events = events
+        #: the running events digest over ``events`` when known (captured
+        #: or decoded), which a VM restored from this snapshot continues
+        self._events_digest: "_EventsDigest | None" = None
         self._cycles = None
         self._source = None
         self.verified = False
@@ -203,7 +207,8 @@ class Snapshot:
     @classmethod
     def _stored(cls, cycles: int, source: "Callable[[], tuple]") -> "Snapshot":
         """A snapshot decoded on demand by *source*, which returns
-        ``(header, words, events)`` after checking the digest."""
+        ``(header, words, events, events digest)`` after checking the
+        digest."""
         snap = cls({}, [])
         snap._cycles = cycles
         snap._source = source
@@ -212,7 +217,9 @@ class Snapshot:
 
     def _load(self) -> None:
         if self._source is not None:
-            self._header, self._words, self._events = self._source()
+            self._header, self._words, self._events, self._events_digest = (
+                self._source()
+            )
             self._source = None
 
     @property
@@ -295,6 +302,12 @@ class _EventsDigest:
 
     def digest(self) -> bytes:
         return self._hash.digest()
+
+    def copy(self) -> "_EventsDigest":
+        twin = _EventsDigest.__new__(_EventsDigest)
+        twin.count = self.count
+        twin._hash = self._hash.copy()
+        return twin
 
 
 def _encode_events(events) -> bytes:
@@ -510,6 +523,7 @@ def _capture(
     header_blob, words_blob = _blobs(header, words)
     header["digest"] = _digest_bytes(header_blob, words_blob, log.digest())
     snap = Snapshot(header, words, tuple(events))
+    snap._events_digest = log.copy()
     snap.verified = True
     return snap, _Encoded(header_blob, words_blob, events_blob, events_from)
 
@@ -536,8 +550,7 @@ def restore_vm(
     *trace* from the snapshot's cycle.  Drive it with ``vm.engine.run()``
     and ``vm.finish()`` — not ``vm.run()`` (the program is already
     mid-flight)."""
-    from repro.api import build_vm
-    from repro.core.controller import MODE_REPLAY, DejaVu
+    from repro.core.controller import MODE_REPLAY
 
     h = snapshot.header
     if h.get("format") != CKPT_VERSION:
@@ -557,7 +570,23 @@ def restore_vm(
         )
     if not snapshot.verified:
         snapshot.verify()
+    try:
+        return _restore(snapshot, program, trace, config, symmetry)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        # the machine digest is not a MAC: a header edited and re-digested
+        # passes verification, so its shape is checked here, as it unpacks
+        raise CheckpointFormatError(
+            f"snapshot @cycle {h.get('cycles', '?')}: malformed header "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
 
+
+def _restore(snapshot: Snapshot, program, trace, config, symmetry) -> "VirtualMachine":
+    """:func:`restore_vm` once the snapshot is verified."""
+    from repro.api import build_vm
+    from repro.core.controller import MODE_REPLAY, DejaVu
+
+    h = snapshot.header
     vm = build_vm(program, config)
     fp = config_fingerprint(vm.config)
     if fp != h["config"]:
@@ -664,6 +693,7 @@ def restore_vm(
     # flat rows: the one nested event ("deadlock") is emitted inside
     # schedule(), after the last safe point, so no snapshot holds it
     vm.observer.events[:] = map(tuple, snapshot.events)
+    dv.restored_events = snapshot._events_digest
 
     # -- DejaVu controller
     dv._switch_cursor = d["switch_cursor"]
@@ -867,14 +897,14 @@ class _EventLog:
         self._decoded = 0  # deltas decoded so far
         self._rows: list[tuple] = []
         self._digest = _EventsDigest()
-        self._marks = {0: self._digest.digest()}
+        self._marks = {0: self._digest.copy()}
         self._error: str | None = None
 
     def append(self, blob: bytes) -> None:
         self._blobs.append(blob)
 
-    def prefix(self, n: int) -> "tuple[list[tuple], bytes]":
-        """The first *n* events and their events digest."""
+    def prefix(self, n: int) -> "tuple[list[tuple], _EventsDigest]":
+        """The first *n* events and the running events digest over them."""
         while (
             n > self._digest.count
             and self._error is None
@@ -889,7 +919,7 @@ class _EventLog:
             self._decoded += 1
             self._rows.extend(rows)
             self._digest.update(blob, len(rows))
-            self._marks[self._digest.count] = self._digest.digest()
+            self._marks[self._digest.count] = self._digest.copy()
         mark = self._marks.get(n)
         if mark is None:
             raise CheckpointFormatError(
@@ -902,16 +932,16 @@ class _EventLog:
 
 def _decode_snapshot_payload(payload: bytes, log: _EventLog) -> tuple:
     """``prefix | header JSON | words JSON`` plus the event prefix from
-    *log*, as ``(header, words, events)``.  The digest is checked over
-    the stored bytes and the events digest before anything of the
-    snapshot is decoded; they are the canonical encodings, so this is
-    the machine digest."""
+    *log*, as ``(header, words, events, events digest)``.  The digest is
+    checked over the stored bytes and the events digest before anything
+    of the snapshot is decoded; they are the canonical encodings, so
+    this is the machine digest."""
     want, cycles, n_events, header_len = _SNAP_PREFIX.unpack_from(payload)
     start = _SNAP_PREFIX.size
     header_blob = payload[start : start + header_len]
     words_blob = payload[start + header_len :]
     events, events_digest = log.prefix(n_events)
-    got = _digest_bytes(header_blob, words_blob, events_digest)
+    got = _digest_bytes(header_blob, words_blob, events_digest.digest())
     if want.hex() != got:
         raise CheckpointFormatError(
             f"machine digest mismatch (stored {want.hex()}, computed {got})"
@@ -930,7 +960,7 @@ def _decode_snapshot_payload(payload: bytes, log: _EventLog) -> tuple:
             f"prefix (cycle {cycles}, {n_events} events)"
         )
     header["digest"] = want.hex()
-    return header, words, events
+    return header, words, events, events_digest
 
 
 class CheckpointStore:
@@ -1152,7 +1182,9 @@ class CheckpointRecorder:
         self.keep = keep if keep is not None else writer is None
         self.snapshots: list[Snapshot] = []
         #: the events digest so far: each capture encodes only new events
-        self._events = _EventsDigest()
+        #: (on a VM restored from a snapshot, continued from the snapshot's)
+        restored = vm.dejavu.restored_events if vm.dejavu is not None else None
+        self._events = restored.copy() if restored is not None else _EventsDigest()
         self._next = (vm.engine.cycles // every + 1) * every
         # chain, don't clobber: a hook already installed (e.g. the serve
         # daemon's cooperative-cancellation check) keeps firing first

@@ -412,6 +412,11 @@ class DejaVu:
             "internal_yieldpoints": 0,
         }
         self._finished = False
+        #: the running events digest of the snapshot this VM was restored
+        #: from (:func:`repro.core.checkpoint.restore_vm`), or None: a
+        #: checkpoint recorder attached later continues it rather than
+        #: encoding the restored event prefix again
+        self.restored_events = None
         # -- engine fast-path gates.  With the liveclock mechanism and
         # symmetric eager stack growth both on, a *non-firing* yield
         # point reduces to a single counter bump (record: nyp += 1;

@@ -560,14 +560,7 @@ def _encode_segment_payload(words: list[int], codec: int) -> bytes:
 
 def _decode_segment_payload(payload: bytes, codec: int, stream: str) -> list[int]:
     """Stored segment bytes -> words under the given codec flags."""
-    if codec & CODEC_ZLIB:
-        try:
-            payload = zlib.decompress(payload)
-        except zlib.error as exc:
-            raise TraceFormatError(
-                f"undecodable compressed segment ({stream} stream): {exc}",
-                stream=stream, offset=0,
-            ) from exc
+    payload = _maybe_decompress(payload, codec, stream)
     if codec & CODEC_GROUP:
         return decode_group(payload, stream)
     return decode_words(payload, stream)
@@ -663,21 +656,35 @@ class TraceLog:
 
     # -- writing -----------------------------------------------------------
 
+    def to_bytes(self, *, codec: int = CODEC_GROUP) -> bytes:
+        """The sealed v3.1 (v3.2 when slim) bytes a :class:`TraceWriter`
+        fed these streams writes: each stream's full segments in turn,
+        then the partial tails, meta and footer.  Deterministic in the
+        streams and meta: equal traces give equal bytes."""
+        if codec & ~_CODEC_MASK:
+            raise VMError(f"unknown segment codec 0x{codec:02x}")
+        slim = bool(self.slim) or "slim" in self.meta
+        version = FORMAT_VERSION_SLIM if slim else FORMAT_VERSION
+        out = [MAGIC, version.to_bytes(2, "little")]
+        segments = _Segments(out.append, codec)
+        streams = {SEG_SWITCH: self.switches, SEG_VALUE: self.values, SEG_SLIM: self.slim}
+        for kind, words in streams.items():
+            for lo in range(0, len(words) - len(words) % SEGMENT_WORDS, SEGMENT_WORDS):
+                segments.stream(kind, words[lo:lo + SEGMENT_WORDS])
+        for kind, words in streams.items():
+            if len(words) % SEGMENT_WORDS:
+                segments.stream(kind, words[len(words) - len(words) % SEGMENT_WORDS:])
+        segments.seal(self.meta, {kind: len(words) for kind, words in streams.items()}, slim)
+        return b"".join(out)
+
     def save(self, path: str | Path, *, codec: int = CODEC_GROUP) -> None:
-        """Persist as format v3.1 (v3.2 when slim), atomically."""
-        writer = TraceWriter(path, codec=codec, background=False,
-                             slim=bool(self.slim) or "slim" in self.meta)
-        try:
-            for w in self.switches:
-                writer.switch_sink.append(w)
-            for w in self.values:
-                writer.value_sink.append(w)
-            for w in self.slim:
-                writer.slim_sink.append(w)
-            writer.seal(self.meta)
-        except BaseException:
-            writer.abandon()
-            raise
+        """Persist :meth:`to_bytes` atomically: tmp file, fsync, rename."""
+        tmp = f"{path}.tmp"
+        with open(tmp, "wb") as f:
+            f.write(self.to_bytes(codec=codec))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
 
     def save_v2(self, path: str | Path) -> None:
         """Write the legacy v2 format (tests / downgrade escape hatch)."""
@@ -718,18 +725,29 @@ class TraceLog:
         return log
 
     @classmethod
+    def from_bytes(cls, data: bytes) -> "TraceLog":
+        """Parse sealed trace bytes (the inverse of :meth:`to_bytes`); any
+        damage raises :class:`TraceFormatError`, exactly as :meth:`load`."""
+        return cls._parse(data, salvage=False)[0]
+
+    @classmethod
     def _read(cls, path: str | Path, *, salvage: bool) -> "tuple[TraceLog, SalvageReport]":
         path = Path(path)
         try:
             data = path.read_bytes()
         except OSError as exc:
             raise TraceFormatError(f"cannot read trace: {exc}", stream="header") from exc
+        return cls._parse(data, salvage=salvage, name=path.name)
+
+    @classmethod
+    def _parse(cls, data: bytes, *, salvage: bool,
+               name: str = "trace bytes") -> "tuple[TraceLog, SalvageReport]":
         if len(data) == 0:
             raise TraceFormatError("empty file (not a DejaVu trace)",
                                    stream="header", offset=0)
         if data[:4] != MAGIC:
             raise TraceFormatError(
-                f"not a DejaVu trace: {path.name} (bad magic {data[:4]!r})",
+                f"not a DejaVu trace: {name} (bad magic {data[:4]!r})",
                 stream="header", offset=0,
             )
         if len(data) < 6:
@@ -773,13 +791,12 @@ class TraceLog:
     def _read_v3(cls, data: bytes, *, version: int,
                  salvage: bool) -> "tuple[TraceLog, SalvageReport]":
         hdr = _SEG_HEADER_BYTES if version == 3 else _SEG_HEADER_BYTES_V31
-        switches: list[int] = []
-        values: list[int] = []
-        slim: list[int] = []
+        streams: dict[bytes, list[int]] = {SEG_SWITCH: [], SEG_VALUE: [], SEG_SLIM: []}
         meta: dict = {}
         footer: dict | None = None
         report = SalvageReport()
         stream_crcs = {SEG_SWITCH: 0, SEG_VALUE: 0, SEG_SLIM: 0}
+        seg_counts = {SEG_SWITCH: 0, SEG_VALUE: 0, SEG_SLIM: 0}
         error: TraceFormatError | None = None
         pos = 6
         seg_index = 0
@@ -797,15 +814,7 @@ class TraceLog:
                     stream="segment", offset=pos,
                 )
                 break
-            kind = data[pos:pos + 1]
-            if version == 3:
-                codec = CODEC_RAW
-                payload_len = int.from_bytes(data[pos + 1:pos + 5], "little")
-                want_crc = int.from_bytes(data[pos + 5:pos + 9], "little")
-            else:
-                codec = data[pos + 1]
-                payload_len = int.from_bytes(data[pos + 2:pos + 6], "little")
-                want_crc = int.from_bytes(data[pos + 6:pos + 10], "little")
+            kind, codec, payload_len, want_crc = _segment_header(data, pos, version)
             if kind not in _SEGMENT_KINDS:
                 error = TraceFormatError(
                     f"unknown segment kind {kind!r} (segment {seg_index})",
@@ -844,18 +853,12 @@ class TraceLog:
                 )
                 break
             try:
-                if kind == SEG_SWITCH:
-                    switches.extend(_decode_segment_payload(payload, codec, "switch"))
-                    stream_crcs[SEG_SWITCH] = zlib.crc32(payload, stream_crcs[SEG_SWITCH])
-                    report.switch_segments += 1
-                elif kind == SEG_VALUE:
-                    values.extend(_decode_segment_payload(payload, codec, "value"))
-                    stream_crcs[SEG_VALUE] = zlib.crc32(payload, stream_crcs[SEG_VALUE])
-                    report.value_segments += 1
-                elif kind == SEG_SLIM:
-                    slim.extend(_decode_segment_payload(payload, codec, "slim"))
-                    stream_crcs[SEG_SLIM] = zlib.crc32(payload, stream_crcs[SEG_SLIM])
-                    report.slim_segments += 1
+                if kind in streams:
+                    streams[kind].extend(
+                        _decode_segment_payload(payload, codec, _STREAM_OF_KIND[kind])
+                    )
+                    stream_crcs[kind] = zlib.crc32(payload, stream_crcs[kind])
+                    seg_counts[kind] += 1
                 elif kind == SEG_META:
                     meta.update(_decode_meta(_maybe_decompress(payload, codec, "meta")))
                 else:  # footer
@@ -869,6 +872,10 @@ class TraceLog:
             seg_index += 1
             pos += hdr + payload_len
 
+        switches, values, slim = streams.values()
+        report.switch_segments, report.value_segments, report.slim_segments = (
+            seg_counts.values()
+        )
         if error is not None:
             report.stopped_at = error.offset
             report.error = str(error)
@@ -912,6 +919,17 @@ class TraceLog:
                 )
 
 
+def _segment_header(data: bytes, pos: int, version: int) -> tuple:
+    """``(kind, codec, payload length, CRC32)`` of the segment header at
+    *pos* (v3 headers have no codec byte: their payloads are raw)."""
+    if version == 3:
+        codec, at = CODEC_RAW, pos + 1
+    else:
+        codec, at = data[pos + 1], pos + 2
+    return (data[pos:pos + 1], codec, int.from_bytes(data[at:at + 4], "little"),
+            int.from_bytes(data[at + 4:at + 8], "little"))
+
+
 def _maybe_decompress(payload: bytes, codec: int, stream: str) -> bytes:
     if codec & CODEC_ZLIB:
         try:
@@ -940,7 +958,7 @@ def trace_stats(path: str | Path) -> dict:
     path = Path(path)
     data = path.read_bytes()
     # validate wholesale first: stats on a damaged file would be fiction
-    log = TraceLog.load(path)
+    log, _ = TraceLog._parse(data, salvage=False, name=path.name)
     version = int.from_bytes(data[4:6], "little")
     streams = {
         name: {"entries": 0, "segments": 0, "encoded_bytes": 0,
@@ -965,13 +983,7 @@ def trace_stats(path: str | Path) -> dict:
         hdr = _SEG_HEADER_BYTES if version == 3 else _SEG_HEADER_BYTES_V31
         pos = 6
         while pos < len(data):
-            kind = data[pos:pos + 1]
-            if version == 3:
-                codec = CODEC_RAW
-                payload_len = int.from_bytes(data[pos + 1:pos + 5], "little")
-            else:
-                codec = data[pos + 1]
-                payload_len = int.from_bytes(data[pos + 2:pos + 6], "little")
+            kind, codec, payload_len, _ = _segment_header(data, pos, version)
             payload = data[pos + hdr:pos + hdr + payload_len]
             if kind in (SEG_SWITCH, SEG_VALUE, SEG_SLIM):
                 name = _STREAM_OF_KIND[kind]
@@ -1037,25 +1049,65 @@ class _SpillList(list):
         self._spilled = len(self)
 
 
+class _Segments:
+    """Frames one trace's segments onto *write* and keeps what its footer
+    seals: each stream's segment count and running payload CRC."""
+
+    def __init__(self, write: Callable[[bytes], object], codec: int):
+        self.write = write
+        self.codec = codec
+        self.crcs = {SEG_SWITCH: 0, SEG_VALUE: 0, SEG_SLIM: 0}
+        self.counts = {SEG_SWITCH: 0, SEG_VALUE: 0, SEG_SLIM: 0}
+
+    def _frame(self, kind: bytes, payload: bytes, codec: int) -> None:
+        self.write(b"".join((kind, bytes([codec]), len(payload).to_bytes(4, "little"),
+                             zlib.crc32(payload).to_bytes(4, "little"), payload)))
+
+    def stream(self, kind: bytes, words: list[int]) -> None:
+        payload = _encode_segment_payload(words, self.codec)
+        self.crcs[kind] = zlib.crc32(payload, self.crcs[kind])
+        self.counts[kind] += 1
+        self._frame(kind, payload, self.codec)
+
+    def seal(self, meta: dict, lengths: dict, slim: bool) -> None:
+        """The meta segment (when there is meta) and the footer, for
+        streams of *lengths* words (keyed by segment kind)."""
+        footer = {
+            "n_switch_words": lengths[SEG_SWITCH],
+            "n_value_words": lengths[SEG_VALUE],
+            "n_switch_segments": self.counts[SEG_SWITCH],
+            "n_value_segments": self.counts[SEG_VALUE],
+            "switch_crc": self.crcs[SEG_SWITCH],
+            "value_crc": self.crcs[SEG_VALUE],
+            "config": meta.get("config"),
+        }
+        if slim:
+            footer["n_slim_words"] = lengths[SEG_SLIM]
+            footer["n_slim_segments"] = self.counts[SEG_SLIM]
+            footer["slim_crc"] = self.crcs[SEG_SLIM]
+        if meta:
+            self._frame(SEG_META, _encode_meta(meta), CODEC_RAW)
+        self._frame(SEG_FOOTER, _encode_meta(footer), CODEC_RAW)
+
+
 class TraceWriter:
     """Streams a recording to ``<path>.tmp`` and seals it atomically.
 
     The execution path only appends words to the in-memory sinks; when a
     segment's worth accumulates, the raw words are handed across a queue
     to a background flusher thread that does the varint/group encoding,
-    CRC32, framing, and file I/O (``background=False`` keeps everything
-    on the caller's thread, for bulk saves).  Segments reach the OS in
-    spill order, so a crash mid-record leaves a prefix of intact segments
-    that :meth:`TraceLog.salvage` can recover — exactly as before the
-    flusher existed.  :meth:`seal` drains and joins the flusher, then
-    writes the meta segment and footer, fsyncs, and ``os.replace``\\ s
-    the tmp file onto the final path — the final name never holds a torn
-    file, and any flusher-side error surfaces on the sealing thread.
+    CRC32, framing, and file I/O.  Segments reach the OS in spill order,
+    so a crash mid-record leaves a prefix of intact segments that
+    :meth:`TraceLog.salvage` can recover.  :meth:`seal` drains and joins
+    the flusher, then writes the meta segment and footer, fsyncs, and
+    ``os.replace``\\ s the tmp file onto the final path — the final name
+    never holds a torn file, and any flusher-side error surfaces on the
+    sealing thread.
     """
 
     def __init__(self, path: str | Path, *, segment_words: int = SEGMENT_WORDS,
                  codec: int = CODEC_GROUP, compress: bool = False,
-                 background: bool = True, slim: bool = False):
+                 slim: bool = False):
         if segment_words <= 0:
             raise VMError(f"segment_words must be positive, got {segment_words}")
         if codec & ~_CODEC_MASK:
@@ -1075,18 +1127,14 @@ class TraceWriter:
         self.switch_sink = _SpillList(self, SEG_SWITCH)
         self.value_sink = _SpillList(self, SEG_VALUE)
         self.slim_sink = _SpillList(self, SEG_SLIM)
-        self._stream_crcs = {SEG_SWITCH: 0, SEG_VALUE: 0, SEG_SLIM: 0}
-        self._seg_counts = {SEG_SWITCH: 0, SEG_VALUE: 0, SEG_SLIM: 0}
+        self._segments = _Segments(self._write, self.codec)
         self._sealed = False
         self._error: BaseException | None = None
-        self._queue: "queue.Queue | None" = None
-        self._flusher: "threading.Thread | None" = None
-        if background:
-            self._queue = queue.Queue()
-            self._flusher = threading.Thread(
-                target=self._drain, name="trace-flusher", daemon=True
-            )
-            self._flusher.start()
+        self._queue: queue.Queue = queue.Queue()
+        self._flusher = threading.Thread(
+            target=self._drain, name="trace-flusher", daemon=True
+        )
+        self._flusher.start()
 
     # -- flusher side ------------------------------------------------------
 
@@ -1097,22 +1145,12 @@ class TraceWriter:
                 return
             if self._error is None:
                 try:
-                    self._emit_stream_segment(*item)
+                    self._segments.stream(*item)
                 except BaseException as exc:  # surfaces at next spill/seal
                     self._error = exc
 
-    def _emit_stream_segment(self, kind: bytes, words: list[int]) -> None:
-        payload = _encode_segment_payload(words, self.codec)
-        self._stream_crcs[kind] = zlib.crc32(payload, self._stream_crcs[kind])
-        self._seg_counts[kind] += 1
-        self._write_segment(kind, payload, self.codec)
-
-    def _write_segment(self, kind: bytes, payload: bytes, codec: int) -> None:
-        self._f.write(kind)
-        self._f.write(bytes([codec]))
-        self._f.write(len(payload).to_bytes(4, "little"))
-        self._f.write(zlib.crc32(payload).to_bytes(4, "little"))
-        self._f.write(payload)
+    def _write(self, data: bytes) -> None:
+        self._f.write(data)
         self._f.flush()
 
     # -- execution-path side ----------------------------------------------
@@ -1120,14 +1158,11 @@ class TraceWriter:
     def _write_stream_segment(self, kind: bytes, words: list[int]) -> None:
         if self._error is not None:
             raise self._error
-        if self._queue is not None:
-            self._queue.put((kind, words))
-        else:
-            self._emit_stream_segment(kind, words)
+        self._queue.put((kind, words))
 
     def _join_flusher(self) -> None:
         """Stop the flusher after it has written every queued segment."""
-        if self._flusher is not None and self._flusher.is_alive():
+        if self._flusher.is_alive():
             self._queue.put(None)
             self._flusher.join()
 
@@ -1142,23 +1177,9 @@ class TraceWriter:
         self._join_flusher()
         if self._error is not None:
             raise self._error
-        if meta:
-            self._write_segment(SEG_META, _encode_meta(meta), CODEC_RAW)
-        footer = {
-            "n_switch_words": len(self.switch_sink),
-            "n_value_words": len(self.value_sink),
-            "n_switch_segments": self._seg_counts[SEG_SWITCH],
-            "n_value_segments": self._seg_counts[SEG_VALUE],
-            "switch_crc": self._stream_crcs[SEG_SWITCH],
-            "value_crc": self._stream_crcs[SEG_VALUE],
-            "config": meta.get("config"),
-        }
-        if self.slim:
-            footer["n_slim_words"] = len(self.slim_sink)
-            footer["n_slim_segments"] = self._seg_counts[SEG_SLIM]
-            footer["slim_crc"] = self._stream_crcs[SEG_SLIM]
-        self._write_segment(SEG_FOOTER, _encode_meta(footer), CODEC_RAW)
-        self._f.flush()
+        lengths = {SEG_SWITCH: len(self.switch_sink), SEG_VALUE: len(self.value_sink),
+                   SEG_SLIM: len(self.slim_sink)}
+        self._segments.seal(meta, lengths, self.slim)
         os.fsync(self._f.fileno())
         self._f.close()
         os.replace(self.tmp_path, self.path)
@@ -1169,7 +1190,7 @@ class TraceWriter:
 
         Queued-but-unwritten segments are drained to disk first — they
         were spilled before the "crash", so the salvageable prefix must
-        contain them, same as the synchronous writer's would have.
+        contain them.
         """
         self._join_flusher()
         if not self._f.closed:

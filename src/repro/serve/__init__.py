@@ -8,34 +8,35 @@ degradation, graceful drain), and speaks the platform's length-framed
 transport to a retry-aware client (:class:`ServeClient`).
 """
 
-from repro.serve.client import ServeClient
-from repro.serve.daemon import ServeDaemon, spawn_serve_process
-from repro.serve.jobs import run_job
-from repro.serve.protocol import (
-    JOB_KINDS,
-    SERVE_PROTOCOL_VERSION,
-    JobCancelled,
-    JobDeadlineExceeded,
-    JobRejected,
-    ServeError,
-    validate_job,
-)
-from repro.serve.sessions import SessionPool
-from repro.serve.supervisor import CancelToken, Supervisor
+import importlib
 
-__all__ = [
-    "ServeDaemon",
-    "ServeClient",
-    "SessionPool",
-    "Supervisor",
-    "CancelToken",
-    "ServeError",
-    "JobRejected",
-    "JobDeadlineExceeded",
-    "JobCancelled",
-    "JOB_KINDS",
-    "SERVE_PROTOCOL_VERSION",
-    "validate_job",
-    "run_job",
-    "spawn_serve_process",
-]
+#: each re-exported name and the submodule that defines it: imported on
+#: first use (PEP 562), so ``import repro.serve.protocol`` — what a
+#: campaign worker needs — loads neither the daemon nor the client
+_EXPORTS = {
+    "ServeDaemon": "daemon",
+    "spawn_serve_process": "daemon",
+    "ServeClient": "client",
+    "SessionPool": "sessions",
+    "Supervisor": "supervisor",
+    "CancelToken": "supervisor",
+    "run_job": "jobs",
+    "ServeError": "protocol",
+    "JobRejected": "protocol",
+    "JobDeadlineExceeded": "protocol",
+    "JobCancelled": "protocol",
+    "JOB_KINDS": "protocol",
+    "SERVE_PROTOCOL_VERSION": "protocol",
+    "validate_job": "protocol",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

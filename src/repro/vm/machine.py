@@ -205,7 +205,7 @@ def _keep_image(key: tuple, vm: "VirtualMachine") -> None:
             del _IMAGES[next(iter(_IMAGES))]
 
 
-def _boot(vm: "VirtualMachine") -> None:
+def _install_boot_image(vm: "VirtualMachine") -> None:
     """Install *vm*'s boot image, booting for real (and keeping the
     result as the image) when this process has none."""
     key = (vm.config.semispace_words, vm.config.engine)
@@ -217,7 +217,29 @@ def _boot(vm: "VirtualMachine") -> None:
     _keep_image(key, vm)
 
 
+class _BootOnTouch:
+    """``memory``, ``loader`` and ``om`` of a VM whose boot is deferred:
+    the first read boots the VM, which sets the real attribute.  As a
+    non-data descriptor it is shadowed by that instance attribute from
+    then on, so it costs a booted VM only the unspecialised loads of
+    these three names (a class ``__getattr__`` would cost every
+    attribute load its specialisation)."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, vm: "VirtualMachine | None", owner=None):
+        if vm is None:
+            return self
+        vm._boot()
+        return getattr(vm, self.name)
+
+
 class VirtualMachine:
+    memory = _BootOnTouch()
+    loader = _BootOnTouch()
+    om = _BootOnTouch()
+
     def __init__(
         self,
         config: VMConfig | None = None,
@@ -225,7 +247,15 @@ class VirtualMachine:
         timer: TimerSource | None | object = _DEFAULT,
         clock: WallClock | None = None,
         env: Environment | None = None,
+        classdefs: Iterable[ClassDef] = (),
+        fingerprint: str | None = None,
     ):
+        """A VM with *classdefs* declared.  *fingerprint*, the content
+        digest of exactly these classes (:attr:`GuestProgram.fingerprint
+        <repro.api.GuestProgram.fingerprint>`), lets :meth:`start`
+        install or capture a program image, and defers the boot to first
+        need: a VM whose program image is cached is installed once, from
+        that image alone."""
         self.config = config or VMConfig()
         self.timer: TimerSource | None
         if timer is _DEFAULT:
@@ -236,20 +266,20 @@ class VirtualMachine:
         self.env = env or Environment(seed=0)
         self.observer = ExecutionObserver(self.config.observe)
 
-        self.memory = Memory(self.config.semispace_words)
+        memory = Memory(self.config.semispace_words)
         engine_config = self.config.engine
-        self.loader = Loader(
+        loader = Loader(
             compile_fn=lambda loader, rc, rm: compile_method(
                 loader, rc, rm, engine_config
             )
         )
-        self.om = ObjectModel(self.memory, self.loader)
-        self.loader.om = self.om
-        self.monitors = MonitorTable(self.om)
+        om = ObjectModel(memory, loader)
+        loader.om = om
+        self.monitors = MonitorTable(om)
         self.scheduler = Scheduler(self)
         self.engine = Engine(self)
         self.collector = Collector(self)
-        self.om.gc_hook = self.collector.collect
+        om.gc_hook = self.collector.collect
         self.natives = NativeRegistry()
         install_core_natives(self)
 
@@ -263,29 +293,45 @@ class VirtualMachine:
         #: the image this VM was installed from or captured into (None
         #: when it booted without keeping one)
         self._image: BootImage | None = None
-        #: (program fingerprint, classes declared) from :meth:`declare`,
-        #: when the program may come from a program image
-        self._unit: tuple[str, int] | None = None
+        #: (program fingerprint, classes declared once booted) when the
+        #: program may come from a program image
+        self._unit: tuple[str, int | None] | None = (
+            None if fingerprint is None else (fingerprint, None)
+        )
+        #: memory, loader and object model, plus the program classes,
+        #: until the boot (at first need: see :class:`_BootOnTouch`)
+        self._unbooted = (memory, loader, om, list(classdefs))
+        if fingerprint is None:
+            self._boot()
 
-        _boot(self)
+    def _unpack(self) -> list[ClassDef]:
+        """Give the VM its held-back memory, loader and object model;
+        returns the program classes still to declare."""
+        self.memory, self.loader, self.om, classdefs = self._unbooted
+        self._unbooted = None
+        return classdefs
+
+    def _boot(self) -> None:
+        """Install the boot image (or boot for real) and declare the
+        program classes."""
+        classdefs = self._unpack()
+        _install_boot_image(self)
+        self.loader.declare_all(classdefs)
+        if self._unit is not None:
+            # on a VM booted without keeping an image nothing can tell
+            # whether it is still as booted: no program image for it
+            self._unit = (
+                (self._unit[0], len(self.loader.classdefs))
+                if self._image is not None else None
+            )
 
     # ------------------------------------------------------------------
     # program setup
 
-    def declare(
-        self, classdefs: Iterable[ClassDef], *, fingerprint: str | None = None
-    ) -> None:
-        """Declare program classes.  *fingerprint*, the content digest of
-        exactly these classes (:attr:`GuestProgram.fingerprint
-        <repro.api.GuestProgram.fingerprint>`), lets :meth:`start` install
-        or capture a program image; it counts only on a VM that has
-        declared nothing else."""
-        loader, image = self.loader, self._image
-        first = image is not None and len(loader.classdefs) == len(
-            image.loader.template.classdefs
-        )
-        loader.declare_all(list(classdefs))
-        self._unit = (fingerprint, len(loader.classdefs)) if fingerprint and first else None
+    def declare(self, classdefs: Iterable[ClassDef]) -> None:
+        """Declare (more) program classes.  A VM that declares classes
+        after construction loads its program for real."""
+        self.loader.declare_all(list(classdefs))
 
     def load(self, name: str) -> None:
         self.loader.load(name)
@@ -321,9 +367,8 @@ class VirtualMachine:
         """Load *cls*'s closure, then declare the controller's support
         classes and load them too when it pre-loads them — installed from
         this process's program image when there is one for the unit and
-        this VM is untouched since boot (and kept as that image when
-        there is none)."""
-        loader = self.loader
+        this VM is untouched since boot, or has not booted at all (and
+        kept as that image when there is none)."""
         support: tuple = ()
         preload: bool | None = None
         if self.dejavu is not None:
@@ -336,20 +381,25 @@ class VirtualMachine:
         # rely on (ROADMAP lists dropping the rule)
         if (
             self._unit is not None
-            and self._image is not None
             and self.engine.debug is None
-            and len(loader.classdefs) == self._unit[1]
-            and self._image.untouched(self)
+            and (
+                self._unbooted is not None
+                or len(self.loader.classdefs) == self._unit[1]
+                and self._image.untouched(self)
+            )
         ):
             config = self.config
             key = (config.semispace_words, config.engine, self._unit[0], cls, preload)
+        image = None if key is None else _cached_image(key)
+        if image is not None:
+            if self._unbooted is not None:
+                self._unpack()
+            image.install(self)
+            return
+        loader = self.loader  # boots a VM whose boot is still deferred
         for cdef in support:
             if cdef.name not in loader.classdefs:
                 loader.declare(cdef)
-        image = None if key is None else _cached_image(key)
-        if image is not None:
-            image.install(self)
-            return
         self.load(cls)
         if preload:
             for cdef in support:
@@ -487,3 +537,4 @@ class VirtualMachine:
     @property
     def output_text(self) -> str:
         return "".join(self.output)
+

@@ -421,6 +421,67 @@ class TestProgramImages:
         assert [k for kind, k in loads if kind == "install"] == [plain, preload, lazy]
 
 
+class TestOneInstallPerVM:
+    """A VM built for a program whose image is cached is installed once,
+    from that image; the boot image is installed only where no program
+    image applies, at the VM's first need."""
+
+    @pytest.fixture
+    def installs(self, monkeypatch):
+        """Every image install, boot images included."""
+        log: list = []
+        real = machine.BootImage.install
+
+        def install(self, vm):
+            log.append(self)
+            real(self, vm)
+
+        monkeypatch.setattr(machine.BootImage, "install", install)
+        return log
+
+    def test_explore_schedules_install_once_each(self, installs):
+        import itertools
+
+        from repro.explore.explorer import Explorer
+        from repro.workloads.registry import get_workload
+
+        spec = get_workload("bank")
+        kwargs = spec.merged_kwargs(explore=True)
+        explorer = Explorer(
+            spec.program_factory(kwargs), oracle=spec.oracle(kwargs), bound=2,
+            budget=61, seed=1, env_seed=2, minimize=False,
+        )
+        _, horizon = explorer.baseline()  # a warm process: both images kept
+        items = list(itertools.islice(explorer.candidates(horizon), 60))
+        installs.clear()
+        for positions in items:
+            explorer.evaluate(positions)
+        assert len(items) == 60 and len(installs) == 60
+
+    def test_first_touch_boots_a_deferred_vm(self, installs):
+        program = REGISTRY["racy_bank"].build()
+        cfg = _cfg(EngineConfig(), 80_000)
+        record(program, config=cfg)
+        installs.clear()
+        vm = build_vm(program, cfg)
+        assert installs == [] and vm._unbooted is not None
+        state = post_boot_state(vm)  # reads the memory: boots
+        assert installs == [machine._IMAGES[(80_000, EngineConfig())]]
+        assert state == post_boot_state(_built(program, cfg, FixedTimer(1000)))
+
+    def test_hook_that_leaves_the_vm_alone_keeps_one_install(self, installs):
+        program = REGISTRY["racy_bank"].build()
+        cfg = _cfg(EngineConfig(), 80_000)
+        reference = record(program, config=cfg)
+        installs.clear()
+        hooked = record(program, config=cfg, vm_hook=lambda vm: vm.natives)
+        assert len(installs) == 1
+        assert trace_to_bytes(hooked.trace) == trace_to_bytes(reference.trace)
+        installs.clear()
+        record(program, config=cfg, vm_hook=_writing_hook)
+        assert len(installs) == 1  # the boot image; the program loads for real
+
+
 def _allocating_hook(vm):
     vm.om.new_array("[I", 4)
 

@@ -743,6 +743,90 @@ class TestLazyResume:
         assert calls["encode"] > 0
 
 
+class TestMalformedHeader:
+    """The machine digest is not a MAC: a header edited and re-digested
+    verifies, so restore checks its shape as it unpacks it and refuses a
+    malformed one with a typed error the resume ladder walks past."""
+
+    @staticmethod
+    def _forge(sidecar, edit) -> Snapshot:
+        """Rewrite the newest snapshot of *sidecar* with *edit* applied
+        to its header and the digest recomputed; returns the forgery."""
+        store = CheckpointStore.load(sidecar)
+        snaps = store.snapshots
+        newest = snaps[-1]
+        header = {k: v for k, v in newest.header.items() if k != "digest"}
+        edit(header)
+        header["digest"] = _digest_of(header, newest.words, newest.events)
+        forged = Snapshot(header, list(newest.words), newest.events)
+        forged.verify()  # digest-valid
+        writer = CheckpointWriter(sidecar)
+        for snap in [*snaps[:-1], forged]:
+            writer.add(snap)
+        writer.seal(store.meta)
+        return forged
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("threads"),
+        lambda h: h.pop("dv"),
+        lambda h: h.update(threads=7),
+        lambda h: h.update(gc=[1]),
+        lambda h: h.update(class_addrs=[["Main"]]),
+        lambda h: h.update(ready=[999]),
+    ], ids=["no-threads", "no-dv", "threads-int", "gc-short", "class-addrs-short",
+            "ready-unknown-tid"])
+    def test_redigested_header_walks_down_the_ladder(self, recorded, tmp_path, edit):
+        trace_path = _sealed_sidecar(recorded, tmp_path)
+        sidecar = sidecar_path(trace_path)
+        cycles = [s.cycles for s in CheckpointStore.load(sidecar).snapshots]
+        forged = self._forge(sidecar, edit)
+        with pytest.raises(CheckpointFormatError, match="malformed header"):
+            restore_vm(forged, racy_bank(), recorded.trace, config=CFG)
+        resumed = resume_replay(
+            racy_bank(), TraceLog.load(trace_path), checkpoints=sidecar, config=CFG
+        )
+        assert resumed.resumed_from == cycles[-2]
+        named = [a for a in resumed.attempts if f"@{cycles[-1]}" in a]
+        assert len(named) == 1 and "malformed header" in named[0]
+        assert resumed.result.behavior_key() == recorded.result.behavior_key()
+
+
+class TestRecorderAfterRestore:
+    """A recorder attached to a restored VM continues the snapshot's
+    events digest: its first capture encodes only the rows since."""
+
+    def test_first_capture_encodes_only_new_rows(self, recorded, tmp_path, monkeypatch):
+        import repro.core.checkpoint as ckpt
+
+        from_zero, _ = _replay_with_recorder(recorded.trace)
+        want = {s.cycles: s.digest for s in from_zero}
+        stored = CheckpointStore.load(sidecar_path(_sealed_sidecar(recorded, tmp_path)))
+        sources = {
+            "captured": from_zero[-3],
+            "stored": next(s for s in stored.newest_first() if s.cycles == from_zero[-3].cycles),
+        }
+        encode = ckpt._encode_events
+        for where, start in sources.items():
+            vm = restore_vm(start, racy_bank(), recorded.trace, config=CFG)
+            encoded: list[int] = []
+
+            def counting(events):
+                encoded.append(len(events))
+                return encode(events)
+
+            monkeypatch.setattr(ckpt, "_encode_events", counting)
+            captured: list[Snapshot] = []
+            CheckpointRecorder(vm, EVERY, sink=captured.append)
+            vm.engine.run()
+            vm.finish()
+            monkeypatch.setattr(ckpt, "_encode_events", encode)
+            first = captured[0]
+            new_rows = first.header["events"] - start.header["events"]
+            assert encoded[0] == new_rows < first.header["events"], where
+            # every digest equals the from-zero recorder's at that cycle
+            assert [s.digest for s in captured] == [want[s.cycles] for s in captured], where
+
+
 def _resume_cases():
     for name in sorted(REGISTRY):
         for combo in EngineConfig.all_combinations():

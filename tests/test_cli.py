@@ -230,3 +230,35 @@ class TestImportGuard:
             capture_output=True, text=True, env=env, timeout=60, check=True,
         ).stdout
         assert out.strip() == "[]"
+
+    def test_serve_protocol_import_loads_no_daemon_module(self):
+        """A campaign worker validates its payload with
+        :mod:`repro.serve.protocol`; the package re-exports its other
+        modules lazily, so that import loads none of them."""
+        import os
+        import subprocess
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        probe = (
+            "import sys, repro.serve.protocol, repro.campaign.jobs\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.serve')))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        ).stdout
+        # none of repro.serve.{daemon,client,supervisor,sessions,jobs}
+        assert out.strip() == "['repro.serve', 'repro.serve.protocol']"
+
+    def test_serve_package_still_exports_every_name(self):
+        import repro.serve as serve
+        from repro.serve.daemon import ServeDaemon
+
+        assert serve.ServeDaemon is ServeDaemon
+        for name in serve.__all__:
+            assert getattr(serve, name) is not None
+        with pytest.raises(AttributeError):
+            serve.NoSuchName

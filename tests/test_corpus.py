@@ -85,6 +85,61 @@ class TestIngest:
             corpus.get("deadbeefdeadbeef")
 
 
+class TestBatchIngest:
+    def _count_index_writes(self, monkeypatch) -> list:
+        writes = []
+        real = Corpus._write_index
+
+        def counting(corpus):
+            writes.append(len(corpus))
+            real(corpus)
+
+        monkeypatch.setattr(Corpus, "_write_index", counting)
+        return writes
+
+    def test_a_batch_writes_the_index_once(self, tmp_path, monkeypatch):
+        blobs = [bank_blob(seed) for seed in (1, 2, 3)]
+        corpus = Corpus(tmp_path / "c", create=True)
+        writes = self._count_index_writes(monkeypatch)
+        items = [(blob, meta_for(i, f"b{i}")) for i, blob in enumerate(blobs)]
+        results = corpus.ingest_many(items + [items[0]])
+        assert writes == [3]
+        assert results == [(entry_name(b), True) for b in blobs] + [(entry_name(blobs[0]), False)]
+        assert corpus.ingest_many(items[1:]) == [(entry_name(b), False) for b in blobs[1:]]
+        assert writes == [3]  # nothing new, nothing written
+        reloaded = Corpus(tmp_path / "c")
+        assert [e.name for e in reloaded.entries()] == sorted(entry_name(b) for b in blobs)
+        assert reloaded.get(entry_name(blobs[2])).meta["behavior"] == "b2"
+
+    def test_explore_sweep_writes_the_index_once(self, tmp_path, monkeypatch):
+        from repro.campaign import run_explore_campaign
+
+        writes = self._count_index_writes(monkeypatch)
+        report = run_explore_campaign(
+            "bank", bound=2, budget=30, seed=3, jobs=1, corpus_dir=tmp_path / "c"
+        )
+        assert report.corpus_new > 1
+        assert writes == [report.corpus_new]
+
+    def test_crash_before_the_batch_index_write_adopts_every_blob(
+        self, tmp_path, monkeypatch
+    ):
+        blobs = [bank_blob(seed) for seed in (1, 2)]
+        corpus = Corpus(tmp_path / "c", create=True)
+
+        def killed(corpus):
+            raise KeyboardInterrupt("killed between the blobs and the index")
+
+        monkeypatch.setattr(Corpus, "_write_index", killed)
+        with pytest.raises(KeyboardInterrupt):
+            corpus.ingest_many([(b, meta_for(i, f"b{i}")) for i, b in enumerate(blobs)])
+        monkeypatch.undo()
+        assert not (tmp_path / "c" / "index.json").exists()
+        reloaded = Corpus(tmp_path / "c")
+        assert [e.name for e in reloaded.entries()] == sorted(entry_name(b) for b in blobs)
+        assert all(e.meta["source"] == "adopted" for e in reloaded.entries())
+
+
 class TestCrashTolerance:
     def test_torn_tmp_files_are_ignored(self, tmp_path):
         corpus = Corpus(tmp_path / "c", create=True)

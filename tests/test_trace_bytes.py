@@ -1,0 +1,130 @@
+"""Trace bytes in memory: :meth:`TraceLog.to_bytes` and
+:meth:`TraceLog.from_bytes` against the file route.
+
+``to_bytes`` must produce exactly the sealed file a streaming
+:class:`TraceWriter` writes for the same streams (the route traces took
+through a temp file before), for every registry workload under every
+engine combination, full and slim, and for streams longer than one
+segment.  ``from_bytes`` must undo it and refuse damage with the same
+typed :class:`TraceFormatError` as :meth:`TraceLog.load`.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.api import record, trace_from_bytes, trace_to_bytes
+from repro.core.tracelog import (
+    CODEC_GROUP,
+    CODEC_GROUP_ZLIB,
+    CODEC_RAW,
+    SEGMENT_WORDS,
+    TraceLog,
+    TraceWriter,
+)
+from repro.vm.engineconfig import EngineConfig
+from repro.vm.errors import TraceFormatError
+from repro.vm.machine import VMConfig
+from repro.workloads import REGISTRY
+from tests.conftest import jitter_knobs
+
+COMBOS = EngineConfig.all_combinations()
+
+
+def _file_bytes(trace: TraceLog, path, codec: int = CODEC_GROUP) -> bytes:
+    """The reference: *trace*'s streams through a streaming writer into a
+    sealed file, read back."""
+    writer = TraceWriter(path, codec=codec, slim=bool(trace.slim) or "slim" in trace.meta)
+    for w in trace.switches:
+        writer.switch_sink.append(w)
+    for w in trace.values:
+        writer.value_sink.append(w)
+    for w in trace.slim:
+        writer.slim_sink.append(w)
+    writer.seal(trace.meta)
+    data = path.read_bytes()
+    path.unlink()
+    return data
+
+
+def _same_streams(a: TraceLog, b: TraceLog) -> bool:
+    return (a.switches, a.values, a.slim, a.meta) == (b.switches, b.values, b.slim, b.meta)
+
+
+class TestToBytesEqualsTheFile:
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_every_workload_combo_full_and_slim(self, name, tmp_path):
+        program = REGISTRY[name].build()
+        for engine in COMBOS:
+            for slim in (False, True):
+                trace = record(
+                    program, config=VMConfig(engine=engine), slim=slim, **jitter_knobs(7)
+                ).trace
+                where = (name, engine.describe(), slim)
+                data = trace.to_bytes()
+                assert data == _file_bytes(trace, tmp_path / "t.djv"), where
+                assert trace_to_bytes(trace) == data, where
+                assert _same_streams(TraceLog.from_bytes(data), trace), where
+
+    @pytest.mark.parametrize("codec", [CODEC_RAW, CODEC_GROUP, CODEC_GROUP_ZLIB])
+    def test_streams_longer_than_one_segment(self, codec, tmp_path):
+        rng = random.Random(codec)
+        trace = TraceLog(
+            switches=[rng.randrange(1, 300) for _ in range(3 * SEGMENT_WORDS + 17)],
+            values=[rng.randrange(-(1 << 40), 1 << 40) for _ in range(2 * SEGMENT_WORDS)],
+            slim=[rng.randrange(0, 50) for _ in range(SEGMENT_WORDS + 1)],
+            meta={"program": "synthetic", "slim": (("kept", 3),), "config": "x"},
+        )
+        data = trace.to_bytes(codec=codec)
+        assert data == _file_bytes(trace, tmp_path / "t.djv", codec)
+        assert _same_streams(TraceLog.from_bytes(data), trace)
+        trace.save(tmp_path / "saved.djv")
+        assert (tmp_path / "saved.djv").read_bytes() == trace.to_bytes()
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_empty_trace_without_meta(self, tmp_path):
+        trace = TraceLog()
+        assert trace.to_bytes() == _file_bytes(trace, tmp_path / "t.djv")
+        assert _same_streams(trace_from_bytes(trace.to_bytes()), trace)
+
+
+def _error(fn) -> "tuple | None":
+    try:
+        fn()
+    except TraceFormatError as exc:
+        return type(exc), exc.stream, exc.offset, str(exc)
+    return None
+
+
+class TestFromBytesDamage:
+    @pytest.fixture(scope="class")
+    def sealed(self) -> bytes:
+        program = REGISTRY["server"].build(REGISTRY["server"].explore_kwargs)
+        return record(program, **jitter_knobs(3)).trace.to_bytes()
+
+    def _check(self, data: bytes, path) -> "tuple | None":
+        path.write_bytes(data)
+        from_file = _error(lambda: TraceLog.load(path))
+        from_bytes = _error(lambda: TraceLog.from_bytes(data))
+        if from_file is not None:
+            # only the bad-magic message names its source: file or bytes
+            from_file = from_file[:3] + (from_file[3].replace(path.name, "trace bytes"),)
+        assert from_bytes == from_file, len(data)
+        return from_bytes
+
+    def test_every_truncation(self, sealed, tmp_path):
+        for cut in range(0, len(sealed), 5):
+            assert self._check(sealed[:cut], tmp_path / "cut.djv") is not None, cut
+
+    def test_bit_flips(self, sealed, tmp_path):
+        rng = random.Random(11)
+        positions = [0, 4, 5, 6, 7, 12, len(sealed) - 1] + rng.sample(range(len(sealed)), 60)
+        refused = 0
+        for pos in positions:
+            damaged = bytearray(sealed)
+            damaged[pos] ^= 1 << rng.randrange(8)
+            refused += self._check(bytes(damaged), tmp_path / "flip.djv") is not None
+        # a flipped codec byte can still decode; everything else is caught
+        assert refused >= len(positions) - 3
