@@ -10,9 +10,9 @@ checkpoint scheme of rr/iReplayer on top of the deterministic replayer:
 * :func:`restore_vm` — rehydrate a snapshot into a fresh VM whose
   continued replay is bit-identical to the original run's continuation;
 * :class:`CheckpointWriter` / :class:`CheckpointStore` — the
-  ``<trace>.ckpt`` sidecar file, framed exactly like trace format v3
-  (CRC-checksummed length-framed segments, atomic-rename seal, salvage
-  by prefix scan);
+  ``<trace>.ckpt`` sidecar file, in the segment container traces use
+  (:mod:`repro.core.segments`: CRC-checksummed length-framed segments,
+  atomic-rename seal, salvage by prefix scan);
 * :class:`CheckpointRecorder` — the safe-point hook that captures every
   N cycles during replay (or record, for digests/listing only).
 
@@ -93,13 +93,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
-import zlib
 from collections import deque
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
+from repro.core import segments
+from repro.core.segments import Layout, SegmentWriter, scan
 from repro.core.tracelog import config_fingerprint
 from repro.vm.errors import (
     CheckpointConfigMismatch,
@@ -123,14 +123,16 @@ SEG_SNAPSHOT = b"C"
 SEG_CKPT_META = b"M"
 SEG_CKPT_FOOTER = b"F"
 
-_SEG_HEADER_BYTES = 1 + 4 + 4  # kind + payload length + CRC32
 _DIGEST_BYTES = 16  # raw machine digest leading each snapshot payload
 #: a snapshot payload's binary prefix: digest, cycles, event count and
 #: header length — what a lazy store sorts and indexes by undecoded
 _SNAP_PREFIX = struct.Struct(f"<{_DIGEST_BYTES}sQQI")
-_HEADER_BYTES = len(CKPT_MAGIC) + 2
 #: sanity bound used by the prefix scan to reject garbage lengths
 MAX_SNAPSHOT_BYTES = 1 << 28
+#: the sidecar's segments: no codec byte
+SIDECAR = Layout(CKPT_MAGIC, CKPT_VERSION,
+                 frozenset((SEG_EVENTS, SEG_SNAPSHOT, SEG_CKPT_META, SEG_CKPT_FOOTER)),
+                 SEG_CKPT_FOOTER, MAX_SNAPSHOT_BYTES)
 
 #: default capture interval (cycles) for checkpoint-accelerated jumps
 DEFAULT_CHECKPOINT_INTERVAL = 25_000
@@ -795,9 +797,10 @@ def _unpack_buffer(buf, packed: tuple) -> None:
 
 class CheckpointWriter:
     """Streams snapshots to ``<path>.tmp``; :meth:`seal` writes META and
-    FOOTER segments, fsyncs, and atomically renames into place — the v3
-    crash-consistency scheme.  A crash mid-replay leaves a tmp file whose
-    complete-segment prefix is every checkpoint that was fully flushed.
+    FOOTER segments, fsyncs, and atomically renames into place (the
+    shared :class:`~repro.core.segments.SegmentWriter`).  A crash
+    mid-replay leaves a tmp file whose complete-segment prefix is every
+    checkpoint that was fully flushed.
 
     Each snapshot is preceded by an event-delta segment holding the
     observer events since the previous snapshot (the first snapshot
@@ -806,23 +809,9 @@ class CheckpointWriter:
     """
 
     def __init__(self, path):
-        self.path = str(path)
-        self.tmp_path = self.path + ".tmp"
-        self._file = open(self.tmp_path, "wb")
-        self._file.write(CKPT_MAGIC)
-        self._file.write(CKPT_VERSION.to_bytes(2, "little"))
-        self._file.flush()
+        self._out = SegmentWriter(path, SIDECAR)
         self.n_snapshots = 0
         self.n_events = 0
-        self._sealed = False
-
-    def _write_segment(self, kind: bytes, payload: bytes) -> None:
-        f = self._file
-        f.write(kind)
-        f.write(len(payload).to_bytes(4, "little"))
-        f.write(zlib.crc32(payload).to_bytes(4, "little"))
-        f.write(payload)
-        f.flush()
 
     def add(self, snapshot: Snapshot, encoded: "_Encoded | None" = None) -> None:
         """Append *snapshot*; *encoded* holds its encodings when the
@@ -843,37 +832,40 @@ class CheckpointWriter:
                 events_blob = encoded.events_blob
             else:
                 events_blob = _encode_events(snapshot.events[self.n_events:n_events])
-            self._write_segment(SEG_EVENTS, events_blob)
+            self._out.append(SEG_EVENTS, events_blob)
             self.n_events = n_events
         prefix = _SNAP_PREFIX.pack(
             bytes.fromhex(snapshot.digest), snapshot.cycles, n_events, len(header_blob)
         )
-        self._write_segment(SEG_SNAPSHOT, prefix + header_blob + words_blob)
+        self._out.append(SEG_SNAPSHOT, prefix + header_blob + words_blob)
         self.n_snapshots += 1
 
     def seal(self, meta: dict | None = None) -> None:
-        if self._sealed:
-            return
+        """Write META (when given) and FOOTER, then seal; sealing twice
+        is an error."""
         if meta:
-            self._write_segment(
-                SEG_CKPT_META, _encode_json(dict(meta), "sidecar meta")
-            )
-        self._write_segment(
+            self._out.append(SEG_CKPT_META, _encode_json(dict(meta), "sidecar meta"))
+        self._out.append(
             SEG_CKPT_FOOTER,
             _encode_json({"n_snapshots": self.n_snapshots}, "sidecar footer"),
         )
-        self._file.flush()
-        os.fsync(self._file.fileno())
-        self._file.close()
-        os.replace(self.tmp_path, self.path)
-        self._sealed = True
+        self._out.seal()
 
     def abandon(self) -> None:
         """Close without sealing (crash simulation / error paths): the
         tmp file keeps every fully-flushed checkpoint."""
-        if not self._sealed and not self._file.closed:
-            self._file.flush()
-            self._file.close()
+        self._out.abandon()
+
+
+#: what the store says where :func:`~repro.core.segments.scan` stopped
+_SCAN_ERRORS = {
+    segments.TRAILING: "trailing data after footer",
+    segments.TORN_HEADER: "torn segment header",
+    segments.UNKNOWN_KIND: "unknown segment kind {kind!r}",
+    segments.TOO_LONG: "implausible segment length {length}",
+    segments.TORN_PAYLOAD: "torn segment payload",
+    segments.BAD_CRC: "segment CRC mismatch",
+}
 
 
 def _decode_event_rows(blob: bytes) -> list:
@@ -1002,51 +994,27 @@ class CheckpointStore:
 
     @classmethod
     def _parse(cls, blob: bytes, path: str, source: str) -> "CheckpointStore":
-        if len(blob) < _HEADER_BYTES or blob[: len(CKPT_MAGIC)] != CKPT_MAGIC:
+        if len(blob) < SIDECAR.start or blob[: len(CKPT_MAGIC)] != CKPT_MAGIC:
             raise CheckpointFormatError(
                 f"{path}: not a checkpoint sidecar (bad magic)"
             )
-        version = int.from_bytes(blob[len(CKPT_MAGIC) : _HEADER_BYTES], "little")
+        version = int.from_bytes(blob[len(CKPT_MAGIC) : SIDECAR.start], "little")
         if version != CKPT_VERSION:
             raise CheckpointFormatError(
                 f"{path}: unsupported checkpoint version {version} (this "
                 f"build reads version {CKPT_VERSION})"
             )
         store = cls(path, source)
-        kinds = (SEG_EVENTS, SEG_SNAPSHOT, SEG_CKPT_META, SEG_CKPT_FOOTER)
-        pos = _HEADER_BYTES
         n_seen = 0
         footer = None
-        while pos < len(blob):
-            if footer is not None:
-                store.error = f"trailing data after footer at byte {pos}"
-                break
-            if len(blob) - pos < _SEG_HEADER_BYTES:
-                store.error = f"torn segment header at byte {pos}"
-                break
-            kind = blob[pos : pos + 1]
-            length = int.from_bytes(blob[pos + 1 : pos + 5], "little")
-            crc = int.from_bytes(blob[pos + 5 : pos + 9], "little")
-            if kind not in kinds:
-                store.error = f"unknown segment kind {kind!r} at byte {pos}"
-                break
-            if length > MAX_SNAPSHOT_BYTES:
-                store.error = f"implausible segment length {length} at byte {pos}"
-                break
-            payload = blob[pos + _SEG_HEADER_BYTES : pos + _SEG_HEADER_BYTES + length]
-            if len(payload) < length:
-                store.error = f"torn segment payload at byte {pos}"
-                break
-            if zlib.crc32(payload) != crc:
-                store.error = f"segment CRC mismatch at byte {pos}"
-                break
+        found, stop = scan(blob, SIDECAR)
+        for kind, _, payload, pos, _ in found:
             if kind in (SEG_CKPT_META, SEG_CKPT_FOOTER):
                 try:
                     obj = _decode_json_object(payload, "sidecar meta/footer")
                 except CheckpointFormatError as exc:
                     store.error = f"{exc} at byte {pos}"
                     break
-            pos += _SEG_HEADER_BYTES + length
             if kind == SEG_SNAPSHOT:
                 store._add_snapshot(n_seen, payload)
                 n_seen += 1
@@ -1056,6 +1024,11 @@ class CheckpointStore:
                 store.meta.update(obj)
             else:
                 footer = obj
+        if store.error is None and stop is not None:
+            store.error = (
+                _SCAN_ERRORS[stop.reason].format(**stop._asdict())
+                + f" at byte {stop.offset}"
+            )
         if store.error is None and footer is not None:
             if footer.get("n_snapshots") != n_seen:
                 store.error = (

@@ -35,13 +35,12 @@ while adversarial streams never inflate by more than one mode byte.
 
 Record mode streams segments to ``trace.djv.tmp`` and atomically renames
 on a clean end, so an interrupted record leaves either nothing or a
-salvageable prefix (:meth:`TraceLog.salvage`).  Segment assembly —
-encoding, CRC, framing, file I/O — runs on a **background flusher
-thread**: the execution path only hands whole spans of raw words across
-a queue, which keeps recording overhead off the dispatch loop.  The
-seal happens on the caller's thread *after* the flusher has drained and
-joined, so "sealed" still means "every segment hit the OS in order,
-fsynced, then renamed" — the crash-consistency story is unchanged.
+salvageable prefix (:meth:`TraceLog.salvage`).  The framing, the seal
+and the prefix scan are :mod:`repro.core.segments`, the one container
+traces share with checkpoint sidecars; this module owns what the
+payloads mean.  Each segment is encoded, framed and written on the
+recording thread when its sink fills: under the GIL a second thread
+could not overlap the pure-Python encoder with guest execution anyway.
 
 Segment framing is pure host-side I/O: the guest-heap buffers, their
 capacities and their flush points are identical in both modes and
@@ -55,14 +54,13 @@ from __future__ import annotations
 import ast
 import heapq
 import io
-import os
-import queue
-import threading
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
+from repro.core import segments
+from repro.core.segments import Layout, SegmentWriter, Stop, scan
 from repro.vm.errors import TraceFormatError, VMError
 from repro.vm.layout import HEADER_WORDS
 
@@ -87,8 +85,6 @@ SEG_VALUE = b"V"
 SEG_SLIM = b"L"
 SEG_FOOTER = b"F"
 _SEGMENT_KINDS = (SEG_META, SEG_SWITCH, SEG_VALUE, SEG_SLIM, SEG_FOOTER)
-_SEG_HEADER_BYTES = 1 + 4 + 4  # v3: kind + payload_len + crc32
-_SEG_HEADER_BYTES_V31 = 1 + 1 + 4 + 4  # v3.1 adds the codec byte
 #: sanity bound so a corrupted length field cannot demand a giant read
 MAX_SEGMENT_BYTES = 1 << 26
 #: record-mode words per on-disk segment (host-side knob; guest-invisible)
@@ -103,6 +99,20 @@ _CODEC_MASK = CODEC_GROUP | CODEC_ZLIB
 
 _STREAM_OF_KIND = {SEG_SWITCH: "switch", SEG_VALUE: "value",
                    SEG_SLIM: "slim", SEG_META: "meta", SEG_FOOTER: "footer"}
+
+
+def _codec_ok(kind: bytes, codec: int) -> bool:
+    """No unknown codec bits, and meta and footer are never group-coded."""
+    return not (codec & ~_CODEC_MASK
+                or (kind in (SEG_META, SEG_FOOTER) and codec & CODEC_GROUP))
+
+
+#: the segment layout of each segmented version (v3 has no codec byte)
+LAYOUTS = {
+    version: Layout(MAGIC, version, frozenset(_SEGMENT_KINDS), SEG_FOOTER,
+                    MAX_SEGMENT_BYTES, codec_byte=version != 3, codec_ok=_codec_ok)
+    for version in (3, FORMAT_VERSION, FORMAT_VERSION_SLIM)
+}
 
 
 def config_fingerprint(config) -> str:
@@ -661,30 +671,36 @@ class TraceLog:
         fed these streams writes: each stream's full segments in turn,
         then the partial tails, meta and footer.  Deterministic in the
         streams and meta: equal traces give equal bytes."""
-        if codec & ~_CODEC_MASK:
-            raise VMError(f"unknown segment codec 0x{codec:02x}")
-        slim = bool(self.slim) or "slim" in self.meta
-        version = FORMAT_VERSION_SLIM if slim else FORMAT_VERSION
-        out = [MAGIC, version.to_bytes(2, "little")]
-        segments = _Segments(out.append, codec)
-        streams = {SEG_SWITCH: self.switches, SEG_VALUE: self.values, SEG_SLIM: self.slim}
-        for kind, words in streams.items():
-            for lo in range(0, len(words) - len(words) % SEGMENT_WORDS, SEGMENT_WORDS):
-                segments.stream(kind, words[lo:lo + SEGMENT_WORDS])
-        for kind, words in streams.items():
-            if len(words) % SEGMENT_WORDS:
-                segments.stream(kind, words[len(words) - len(words) % SEGMENT_WORDS:])
-        segments.seal(self.meta, {kind: len(words) for kind, words in streams.items()}, slim)
+        layout = self._layout(codec)
+        out = [layout.header()]
+        self._write_segments(lambda *segment: out.append(layout.frame(*segment)),
+                             layout, codec)
         return b"".join(out)
 
     def save(self, path: str | Path, *, codec: int = CODEC_GROUP) -> None:
         """Persist :meth:`to_bytes` atomically: tmp file, fsync, rename."""
-        tmp = f"{path}.tmp"
-        with open(tmp, "wb") as f:
-            f.write(self.to_bytes(codec=codec))
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
+        layout = self._layout(codec)
+        with SegmentWriter(path, layout) as out:
+            self._write_segments(out.append, layout, codec)
+            out.seal()
+
+    def _layout(self, codec: int) -> Layout:
+        if codec & ~_CODEC_MASK:
+            raise VMError(f"unknown segment codec 0x{codec:02x}")
+        slim = bool(self.slim) or "slim" in self.meta
+        return LAYOUTS[FORMAT_VERSION_SLIM if slim else FORMAT_VERSION]
+
+    def _write_segments(self, append: Callable, layout: Layout, codec: int) -> None:
+        segs = _Segments(append, codec)
+        streams = {SEG_SWITCH: self.switches, SEG_VALUE: self.values, SEG_SLIM: self.slim}
+        for kind, words in streams.items():
+            for lo in range(0, len(words) - len(words) % SEGMENT_WORDS, SEGMENT_WORDS):
+                segs.stream(kind, words[lo:lo + SEGMENT_WORDS])
+        for kind, words in streams.items():
+            if len(words) % SEGMENT_WORDS:
+                segs.stream(kind, words[len(words) - len(words) % SEGMENT_WORDS:])
+        segs.seal(self.meta, {kind: len(words) for kind, words in streams.items()},
+                  layout.version == FORMAT_VERSION_SLIM)
 
     def save_v2(self, path: str | Path) -> None:
         """Write the legacy v2 format (tests / downgrade escape hatch)."""
@@ -790,7 +806,6 @@ class TraceLog:
     @classmethod
     def _read_v3(cls, data: bytes, *, version: int,
                  salvage: bool) -> "tuple[TraceLog, SalvageReport]":
-        hdr = _SEG_HEADER_BYTES if version == 3 else _SEG_HEADER_BYTES_V31
         streams: dict[bytes, list[int]] = {SEG_SWITCH: [], SEG_VALUE: [], SEG_SLIM: []}
         meta: dict = {}
         footer: dict | None = None
@@ -798,60 +813,9 @@ class TraceLog:
         stream_crcs = {SEG_SWITCH: 0, SEG_VALUE: 0, SEG_SLIM: 0}
         seg_counts = {SEG_SWITCH: 0, SEG_VALUE: 0, SEG_SLIM: 0}
         error: TraceFormatError | None = None
-        pos = 6
-        seg_index = 0
-        while pos < len(data):
-            if footer is not None:
-                error = TraceFormatError(
-                    f"{len(data) - pos} bytes of trailing data after the footer",
-                    stream="footer", offset=pos,
-                )
-                break
-            if pos + hdr > len(data):
-                error = TraceFormatError(
-                    f"torn segment header (segment {seg_index}: "
-                    f"{len(data) - pos} of {hdr} header bytes)",
-                    stream="segment", offset=pos,
-                )
-                break
-            kind, codec, payload_len, want_crc = _segment_header(data, pos, version)
-            if kind not in _SEGMENT_KINDS:
-                error = TraceFormatError(
-                    f"unknown segment kind {kind!r} (segment {seg_index})",
-                    stream="segment", offset=pos,
-                )
-                break
-            if codec & ~_CODEC_MASK or (
-                kind in (SEG_META, SEG_FOOTER) and codec & CODEC_GROUP
-            ):
-                error = TraceFormatError(
-                    f"unknown segment codec 0x{codec:02x} (segment {seg_index}, "
-                    f"{_STREAM_OF_KIND[kind]} stream)",
-                    stream=_STREAM_OF_KIND[kind], offset=pos + 1,
-                )
-                break
-            if payload_len > MAX_SEGMENT_BYTES:
-                error = TraceFormatError(
-                    f"implausible segment length {payload_len} "
-                    f"(segment {seg_index}; cap is {MAX_SEGMENT_BYTES})",
-                    stream=_STREAM_OF_KIND[kind], offset=pos,
-                )
-                break
-            payload = data[pos + hdr:pos + hdr + payload_len]
-            if len(payload) != payload_len:
-                error = TraceFormatError(
-                    f"torn segment payload (segment {seg_index}, "
-                    f"{_STREAM_OF_KIND[kind]}: {len(payload)} of {payload_len} bytes)",
-                    stream=_STREAM_OF_KIND[kind], offset=pos + hdr,
-                )
-                break
-            if zlib.crc32(payload) != want_crc:
-                error = TraceFormatError(
-                    f"segment CRC mismatch (segment {seg_index}, "
-                    f"{_STREAM_OF_KIND[kind]} stream)",
-                    stream=_STREAM_OF_KIND[kind], offset=pos,
-                )
-                break
+        layout = LAYOUTS[version]
+        found, stop = scan(data, layout)
+        for kind, codec, payload, _, _ in found:
             try:
                 if kind in streams:
                     streams[kind].extend(
@@ -869,8 +833,8 @@ class TraceLog:
                 error = exc
                 break
             report.intact_segments += 1
-            seg_index += 1
-            pos += hdr + payload_len
+        if error is None and stop is not None:
+            error = _scan_error(stop, layout)
 
         switches, values, slim = streams.values()
         report.switch_segments, report.value_segments, report.slim_segments = (
@@ -919,15 +883,30 @@ class TraceLog:
                 )
 
 
-def _segment_header(data: bytes, pos: int, version: int) -> tuple:
-    """``(kind, codec, payload length, CRC32)`` of the segment header at
-    *pos* (v3 headers have no codec byte: their payloads are raw)."""
-    if version == 3:
-        codec, at = CODEC_RAW, pos + 1
-    else:
-        codec, at = data[pos + 1], pos + 2
-    return (data[pos:pos + 1], codec, int.from_bytes(data[at:at + 4], "little"),
-            int.from_bytes(data[at + 4:at + 8], "little"))
+#: what the reader says where :func:`~repro.core.segments.scan` stopped
+_SCAN_ERRORS = {
+    segments.TRAILING: "{have} bytes of trailing data after the footer",
+    segments.TORN_HEADER: "torn segment header (segment {index}: {have} of {hdr} header bytes)",
+    segments.UNKNOWN_KIND: "unknown segment kind {kind!r} (segment {index})",
+    segments.BAD_CODEC: "unknown segment codec 0x{codec:02x} (segment {index}, {stream} stream)",
+    segments.TOO_LONG: "implausible segment length {length} (segment {index}; cap is {cap})",
+    segments.TORN_PAYLOAD: "torn segment payload (segment {index}, {stream}: {have} of {length} bytes)",
+    segments.BAD_CRC: "segment CRC mismatch (segment {index}, {stream} stream)",
+}
+
+
+def _scan_error(stop: Stop, layout: Layout) -> TraceFormatError:
+    """The typed error for the damage :func:`~repro.core.segments.scan`
+    stopped at: the codec error points at the codec byte, a torn payload
+    at the payload, everything else at the segment."""
+    stream = ("footer" if stop.reason == segments.TRAILING
+              else _STREAM_OF_KIND.get(stop.kind, "segment"))
+    offset = stop.offset + {segments.BAD_CODEC: 1,
+                            segments.TORN_PAYLOAD: layout.header_bytes}.get(stop.reason, 0)
+    message = _SCAN_ERRORS[stop.reason].format(
+        stream=stream, hdr=layout.header_bytes, cap=layout.max_payload, **stop._asdict()
+    )
+    return TraceFormatError(message, stream=stream, offset=offset)
 
 
 def _maybe_decompress(payload: bytes, codec: int, stream: str) -> bytes:
@@ -980,11 +959,7 @@ def trace_stats(path: str | Path) -> dict:
             st["raw_bytes"] = len(payload)
             st["codecs"].add(CODEC_RAW)
     else:
-        hdr = _SEG_HEADER_BYTES if version == 3 else _SEG_HEADER_BYTES_V31
-        pos = 6
-        while pos < len(data):
-            kind, codec, payload_len, _ = _segment_header(data, pos, version)
-            payload = data[pos + hdr:pos + hdr + payload_len]
+        for kind, codec, payload, _, _ in scan(data, LAYOUTS[version])[0]:
             if kind in (SEG_SWITCH, SEG_VALUE, SEG_SLIM):
                 name = _STREAM_OF_KIND[kind]
                 words = _decode_segment_payload(payload, codec, name)
@@ -994,7 +969,6 @@ def trace_stats(path: str | Path) -> dict:
                 st["encoded_bytes"] += len(payload)
                 st["raw_bytes"] += len(encode_words(words))
                 st["codecs"].add(codec)
-            pos += hdr + payload_len
     if not streams["slim"]["segments"]:
         del streams["slim"]  # full traces report the two classic streams
     for st in streams.values():
@@ -1030,44 +1004,42 @@ class _SpillList(list):
     changes nothing the controller — let alone the guest — can observe.
     """
 
-    def __init__(self, writer: "TraceWriter", kind: bytes):
+    def __init__(self, segments: "_Segments", kind: bytes, segment_words: int):
         super().__init__()
-        self._writer = writer
+        self._segments = segments
         self._kind = kind
+        self._segment_words = segment_words
         self._spilled = 0  # words already written to disk
 
     def append(self, word: int) -> None:
         super().append(word)
-        if len(self) - self._spilled >= self._writer.segment_words:
+        if len(self) - self._spilled >= self._segment_words:
             self.spill()
 
     def spill(self) -> None:
         pending = self[self._spilled:]
         if not pending:
             return
-        self._writer._write_stream_segment(self._kind, pending)
+        self._segments.stream(self._kind, pending)
         self._spilled = len(self)
 
 
 class _Segments:
-    """Frames one trace's segments onto *write* and keeps what its footer
-    seals: each stream's segment count and running payload CRC."""
+    """Encodes one trace's segments onto *append* (``(kind, payload,
+    codec)``) and keeps what its footer seals: each stream's segment
+    count and running payload CRC."""
 
-    def __init__(self, write: Callable[[bytes], object], codec: int):
-        self.write = write
+    def __init__(self, append: Callable[[bytes, bytes, int], object], codec: int):
+        self.append = append
         self.codec = codec
         self.crcs = {SEG_SWITCH: 0, SEG_VALUE: 0, SEG_SLIM: 0}
         self.counts = {SEG_SWITCH: 0, SEG_VALUE: 0, SEG_SLIM: 0}
-
-    def _frame(self, kind: bytes, payload: bytes, codec: int) -> None:
-        self.write(b"".join((kind, bytes([codec]), len(payload).to_bytes(4, "little"),
-                             zlib.crc32(payload).to_bytes(4, "little"), payload)))
 
     def stream(self, kind: bytes, words: list[int]) -> None:
         payload = _encode_segment_payload(words, self.codec)
         self.crcs[kind] = zlib.crc32(payload, self.crcs[kind])
         self.counts[kind] += 1
-        self._frame(kind, payload, self.codec)
+        self.append(kind, payload, self.codec)
 
     def seal(self, meta: dict, lengths: dict, slim: bool) -> None:
         """The meta segment (when there is meta) and the footer, for
@@ -1086,23 +1058,23 @@ class _Segments:
             footer["n_slim_segments"] = self.counts[SEG_SLIM]
             footer["slim_crc"] = self.crcs[SEG_SLIM]
         if meta:
-            self._frame(SEG_META, _encode_meta(meta), CODEC_RAW)
-        self._frame(SEG_FOOTER, _encode_meta(footer), CODEC_RAW)
+            self.append(SEG_META, _encode_meta(meta), CODEC_RAW)
+        self.append(SEG_FOOTER, _encode_meta(footer), CODEC_RAW)
 
 
 class TraceWriter:
     """Streams a recording to ``<path>.tmp`` and seals it atomically.
 
-    The execution path only appends words to the in-memory sinks; when a
-    segment's worth accumulates, the raw words are handed across a queue
-    to a background flusher thread that does the varint/group encoding,
-    CRC32, framing, and file I/O.  Segments reach the OS in spill order,
-    so a crash mid-record leaves a prefix of intact segments that
-    :meth:`TraceLog.salvage` can recover.  :meth:`seal` drains and joins
-    the flusher, then writes the meta segment and footer, fsyncs, and
-    ``os.replace``\\ s the tmp file onto the final path — the final name
-    never holds a torn file, and any flusher-side error surfaces on the
-    sealing thread.
+    The execution path appends words to the in-memory sinks.  When a
+    segment's worth accumulates, the sink encodes it (varint/group
+    codec, optional zlib) and appends it to a
+    :class:`~repro.core.segments.SegmentWriter` on the same thread, so
+    segments reach the OS in spill order, a crash mid-record leaves a
+    prefix of intact segments that :meth:`TraceLog.salvage` can recover,
+    and an encoding or file error raises from the append that spilled.
+    :meth:`seal` writes the remaining words, the meta segment and the
+    footer, fsyncs, and ``os.replace``\\ s the tmp file onto the final
+    path — the final name never holds a torn file.
     """
 
     def __init__(self, path: str | Path, *, segment_words: int = SEGMENT_WORDS,
@@ -1112,93 +1084,32 @@ class TraceWriter:
             raise VMError(f"segment_words must be positive, got {segment_words}")
         if codec & ~_CODEC_MASK:
             raise VMError(f"unknown segment codec 0x{codec:02x}")
-        self.path = Path(path)
-        self.tmp_path = self.path.with_name(self.path.name + ".tmp")
-        self.segment_words = segment_words
-        self.codec = codec | CODEC_ZLIB if compress else codec
         # the version streams out first, so "slim-capable" is decided here;
         # whether the switch stream actually got slimmed is in the meta
         self.slim = slim
-        self.version = FORMAT_VERSION_SLIM if slim else FORMAT_VERSION
-        self._f = self.tmp_path.open("wb")
-        self._f.write(MAGIC)
-        self._f.write(self.version.to_bytes(2, "little"))
-        self._f.flush()
-        self.switch_sink = _SpillList(self, SEG_SWITCH)
-        self.value_sink = _SpillList(self, SEG_VALUE)
-        self.slim_sink = _SpillList(self, SEG_SLIM)
-        self._segments = _Segments(self._write, self.codec)
-        self._sealed = False
-        self._error: BaseException | None = None
-        self._queue: queue.Queue = queue.Queue()
-        self._flusher = threading.Thread(
-            target=self._drain, name="trace-flusher", daemon=True
+        self._out = SegmentWriter(path, LAYOUTS[FORMAT_VERSION_SLIM if slim else FORMAT_VERSION])
+        self.tmp_path = self._out.tmp_path
+        self._segments = _Segments(self._out.append, codec | CODEC_ZLIB if compress else codec)
+        self.switch_sink, self.value_sink, self.slim_sink = (
+            _SpillList(self._segments, kind, segment_words)
+            for kind in (SEG_SWITCH, SEG_VALUE, SEG_SLIM)
         )
-        self._flusher.start()
-
-    # -- flusher side ------------------------------------------------------
-
-    def _drain(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            if self._error is None:
-                try:
-                    self._segments.stream(*item)
-                except BaseException as exc:  # surfaces at next spill/seal
-                    self._error = exc
-
-    def _write(self, data: bytes) -> None:
-        self._f.write(data)
-        self._f.flush()
-
-    # -- execution-path side ----------------------------------------------
-
-    def _write_stream_segment(self, kind: bytes, words: list[int]) -> None:
-        if self._error is not None:
-            raise self._error
-        self._queue.put((kind, words))
-
-    def _join_flusher(self) -> None:
-        """Stop the flusher after it has written every queued segment."""
-        if self._flusher.is_alive():
-            self._queue.put(None)
-            self._flusher.join()
 
     def seal(self, meta: dict) -> None:
         """Flush remaining words, write meta + footer, rename into place."""
-        if self._sealed:
-            raise VMError("TraceWriter already sealed")
         self.switch_sink.spill()
         self.value_sink.spill()
         if self.slim:
             self.slim_sink.spill()
-        self._join_flusher()
-        if self._error is not None:
-            raise self._error
         lengths = {SEG_SWITCH: len(self.switch_sink), SEG_VALUE: len(self.value_sink),
                    SEG_SLIM: len(self.slim_sink)}
         self._segments.seal(meta, lengths, self.slim)
-        os.fsync(self._f.fileno())
-        self._f.close()
-        os.replace(self.tmp_path, self.path)
-        self._sealed = True
+        self._out.seal()
 
     def abandon(self) -> None:
-        """Stop writing, leaving the tmp file as-is (the crash outcome).
-
-        Queued-but-unwritten segments are drained to disk first — they
-        were spilled before the "crash", so the salvageable prefix must
-        contain them.
-        """
-        self._join_flusher()
-        if not self._f.closed:
-            self._f.close()
-
-    @property
-    def sealed(self) -> bool:
-        return self._sealed
+        """Stop writing, leaving the tmp file as-is (the crash outcome):
+        every segment spilled so far is already on disk."""
+        self._out.abandon()
 
 
 # ---------------------------------------------------------------------------

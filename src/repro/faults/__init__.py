@@ -26,7 +26,6 @@ from repro.faults.inject import (
     apply_checkpoint_fault,
     apply_trace_fault,
     arm_native_fault,
-    ckpt_segment_boundaries,
     segment_boundaries,
     send_faulted_request,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "apply_checkpoint_fault",
     "apply_trace_fault",
     "arm_native_fault",
-    "ckpt_segment_boundaries",
     "run_campaign",
     "segment_boundaries",
     "send_faulted_request",

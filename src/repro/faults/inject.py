@@ -13,26 +13,14 @@ import socket
 import time
 from typing import TYPE_CHECKING
 
-from repro.core.tracelog import (
-    MAGIC,
-    MAX_SEGMENT_BYTES,
-    SEG_FOOTER,
-    SEG_META,
-    SEG_SWITCH,
-    SEG_VALUE,
-    _SEG_HEADER_BYTES,
-    _SEG_HEADER_BYTES_V31,
-)
+from repro.core.segments import Layout, boundaries
+from repro.core.tracelog import FORMAT_VERSION, LAYOUTS
 from repro.debugger.protocol import FrameDecoder, TransportError, decode, frame
 from repro.faults.plan import FaultSpec
 from repro.vm.errors import VMError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.vm.machine import VirtualMachine
-
-_HEADER_BYTES = len(MAGIC) + 2  # magic + u16 version
-
-_SEG_KINDS = (SEG_META, SEG_SWITCH, SEG_VALUE, SEG_FOOTER)
 
 
 class InjectedFault(VMError):
@@ -41,94 +29,54 @@ class InjectedFault(VMError):
 
 
 # ---------------------------------------------------------------------------
-# trace-file faults
+# trace-file and checkpoint-sidecar faults
 
 
 def segment_boundaries(blob: bytes) -> list[int]:
     """Byte offsets just *after* each complete segment — the positions a
-    crash between flushes can leave a tmp file cut at.
+    crash between flushes can leave a tmp file cut at — under the
+    segment layout of the blob's version (v3.1 when it names none)."""
+    return boundaries(blob, _trace_layout(blob))
 
-    Version-aware: v3 segments carry a 9-byte header, v3.1 adds the
-    codec byte (10 bytes, length field one byte later).
-    """
+
+def _trace_layout(blob: bytes) -> Layout:
     version = int.from_bytes(blob[4:6], "little") if len(blob) >= 6 else 0
-    seg_header = _SEG_HEADER_BYTES if version == 3 else _SEG_HEADER_BYTES_V31
-    len_at = 1 if version == 3 else 2
-    offsets: list[int] = []
-    pos = _HEADER_BYTES
-    while pos + seg_header <= len(blob):
-        kind = blob[pos:pos + 1]
-        if kind not in _SEG_KINDS:
-            break
-        length = int.from_bytes(blob[pos + len_at:pos + len_at + 4], "little")
-        if length > MAX_SEGMENT_BYTES:
-            break
-        end = pos + seg_header + length
-        if end > len(blob):
-            break
-        offsets.append(end)
-        pos = end
-    return offsets
+    return LAYOUTS.get(version, LAYOUTS[FORMAT_VERSION])
 
 
-def apply_trace_fault(blob: bytes, spec: FaultSpec) -> bytes:
-    """Damaged copy of *blob* per *spec* (``bit-flip`` / ``truncate`` /
-    ``torn-write``).  Fractional positions resolve against this blob."""
-    if spec.kind == "bit-flip":
-        frac, bit = spec.params
+def _damage(blob: bytes, damage: str, params: tuple, layout: Layout) -> bytes:
+    """*blob* after one ``bit-flip``, ``truncate`` or ``torn-write``;
+    fractional positions resolve against this blob.  A torn write is a
+    crash between segment flushes: the tmp file ends exactly at a
+    segment boundary (or right after the header, before any flush),
+    with no footer."""
+    if damage == "bit-flip":
+        frac, bit = params
         pos = min(len(blob) - 1, int(frac * len(blob)))
         damaged = bytearray(blob)
         damaged[pos] ^= 1 << bit
         return bytes(damaged)
-    if spec.kind == "truncate":
-        (frac,) = spec.params
-        cut = max(1, min(len(blob) - 1, int(frac * len(blob))))
-        return blob[:cut]
-    if spec.kind == "torn-write":
-        # a crash between segment flushes: the tmp file ends exactly at a
-        # segment boundary (or right after the header, before any flush),
-        # with no footer
-        (frac,) = spec.params
-        candidates = [_HEADER_BYTES] + segment_boundaries(blob)[:-1]
-        cut = candidates[min(len(candidates) - 1, int(frac * len(candidates)))]
-        return blob[:cut]
-    raise ValueError(f"not a trace fault: {spec.kind}")
+    (frac,) = params
+    if damage == "truncate":
+        return blob[:max(1, min(len(blob) - 1, int(frac * len(blob))))]
+    candidates = [layout.start] + boundaries(blob, layout)[:-1]
+    return blob[:candidates[min(len(candidates) - 1, int(frac * len(candidates)))]]
 
 
-# ---------------------------------------------------------------------------
-# checkpoint-sidecar faults
+def apply_trace_fault(blob: bytes, spec: FaultSpec) -> bytes:
+    """Damaged copy of *blob* per *spec* (``bit-flip`` / ``truncate`` /
+    ``torn-write``)."""
+    if spec.kind not in ("bit-flip", "truncate", "torn-write"):
+        raise ValueError(f"not a trace fault: {spec.kind}")
+    return _damage(blob, spec.kind, spec.params, _trace_layout(blob))
 
 
-def ckpt_segment_boundaries(blob: bytes) -> list[int]:
-    """Byte offsets just after each complete sidecar segment (the cuts a
-    crash between snapshot flushes can leave a ``.ckpt.tmp`` at)."""
-    from repro.core.checkpoint import (
-        CKPT_MAGIC,
-        MAX_SNAPSHOT_BYTES,
-        SEG_CKPT_FOOTER,
-        SEG_CKPT_META,
-        SEG_EVENTS,
-        SEG_SNAPSHOT,
-    )
-    from repro.core.checkpoint import _SEG_HEADER_BYTES as ckpt_seg_header
-
-    header_bytes = len(CKPT_MAGIC) + 2
-    kinds = (SEG_EVENTS, SEG_SNAPSHOT, SEG_CKPT_META, SEG_CKPT_FOOTER)
-    offsets: list[int] = []
-    pos = header_bytes
-    while pos + ckpt_seg_header <= len(blob):
-        kind = blob[pos:pos + 1]
-        if kind not in kinds:
-            break
-        length = int.from_bytes(blob[pos + 1:pos + 5], "little")
-        if length > MAX_SNAPSHOT_BYTES:
-            break
-        end = pos + ckpt_seg_header + length
-        if end > len(blob):
-            break
-        offsets.append(end)
-        pos = end
-    return offsets
+#: checkpoint fault kind -> (the damage it does, where the result belongs)
+_CKPT_DAMAGE = {
+    "ckpt-bit-flip": ("bit-flip", "sidecar"),
+    "ckpt-truncate": ("truncate", "sidecar"),
+    "ckpt-torn": ("torn-write", "tmp"),
+}
 
 
 def apply_checkpoint_fault(
@@ -142,30 +90,14 @@ def apply_checkpoint_fault(
     at a segment boundary; ``"absent"`` — no sidecar at all (bytes is
     ``None``).
     """
-    from repro.core.checkpoint import CKPT_MAGIC
+    from repro.core.checkpoint import SIDECAR
 
-    if spec.kind == "ckpt-bit-flip":
-        frac, bit = spec.params
-        pos = min(len(blob) - 1, int(frac * len(blob)))
-        damaged = bytearray(blob)
-        damaged[pos] ^= 1 << bit
-        return bytes(damaged), "sidecar"
-    if spec.kind == "ckpt-truncate":
-        (frac,) = spec.params
-        cut = max(1, min(len(blob) - 1, int(frac * len(blob))))
-        return blob[:cut], "sidecar"
-    if spec.kind == "ckpt-torn":
-        # crash between snapshot flushes and before the atomic-rename
-        # seal: the sealed file never appears; the tmp ends exactly at a
-        # segment boundary (or right after the header, pre-first-flush)
-        (frac,) = spec.params
-        header_bytes = len(CKPT_MAGIC) + 2
-        candidates = [header_bytes] + ckpt_segment_boundaries(blob)[:-1]
-        cut = candidates[min(len(candidates) - 1, int(frac * len(candidates)))]
-        return blob[:cut], "tmp"
     if spec.kind == "ckpt-missing":
         return None, "absent"
-    raise ValueError(f"not a checkpoint fault: {spec.kind}")
+    if spec.kind not in _CKPT_DAMAGE:
+        raise ValueError(f"not a checkpoint fault: {spec.kind}")
+    damage, destination = _CKPT_DAMAGE[spec.kind]
+    return _damage(blob, damage, spec.params, SIDECAR), destination
 
 
 # ---------------------------------------------------------------------------

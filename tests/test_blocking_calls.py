@@ -36,14 +36,6 @@ ALLOWED = {
         "an idle worker parks here until a job arrives; shutdown() queues "
         "one stop sentinel per worker"
     ),
-    ("core/tracelog.py", 1143, "self._queue.get()"): (
-        "the flusher parks here until a segment arrives; seal and abandon "
-        "both queue the stop sentinel through _join_flusher"
-    ),
-    ("core/tracelog.py", 1167, "self._flusher.join()"): (
-        "the flusher exits at the sentinel queued on the line above; its "
-        "writes go to a local file"
-    ),
 }
 
 _ZERO_ARG = {"join", "get", "wait"}

@@ -8,7 +8,7 @@ the CI faults-smoke job; a small campaign runs in tier 1.
 
 import pytest
 
-from repro.api import record, replay_prefix
+from repro.api import record, replay_prefix, standard_knobs
 from repro.core.tracelog import TraceLog
 from repro.faults import (
     FaultPlan,
@@ -26,7 +26,7 @@ from repro.faults.fixtures import (  # noqa: F401 - pytest fixtures
 )
 from repro.vm import SeededJitterTimer
 from repro.vm.machine import VMConfig
-from repro.workloads import server
+from repro.workloads import REGISTRY, server
 
 CFG = VMConfig(semispace_words=60_000)
 SMALL_BANK = {"tellers": 2, "deposits": 8}
@@ -81,6 +81,40 @@ class TestTraceInjectors:
         for frac in (0.0, 0.3, 0.6, 0.99):
             damaged = apply_trace_fault(blob, FaultSpec(0, "torn-write", (frac,)))
             assert len(damaged) in candidates
+
+
+class TestSlimTornWrite:
+    """A v3.2 (slim) trace frames a slim-stream ``L`` segment; every
+    segment end is a place a crash can cut, including the ones after it."""
+
+    @pytest.fixture
+    def recording(self, tmp_path):
+        path = tmp_path / "slim.djv"
+        run = record(REGISTRY["readers_writers"].build(), out=path, slim=True,
+                     **standard_knobs(1))
+        return path.read_bytes(), run.trace
+
+    def test_boundaries_reach_every_segment_end(self, recording):
+        blob, _ = recording
+        kinds, pos = [], 6
+        for end in segment_boundaries(blob):
+            kinds.append(blob[pos:pos + 1])
+            pos = end
+        assert kinds == [b"V", b"L", b"M", b"F"]
+        assert pos == len(blob)
+
+    def test_cut_after_the_slim_segment_salvages_it(self, recording, tmp_path):
+        blob, trace = recording
+        after_slim = segment_boundaries(blob)[1]
+        # torn-write candidates: the header end, then the V, L and M ends
+        damaged = apply_trace_fault(blob, FaultSpec(0, "torn-write", (0.5,)))
+        assert len(damaged) == after_slim
+        path = tmp_path / "torn.djv"
+        path.write_bytes(damaged)
+        salvaged = TraceLog.salvage(path)
+        assert salvaged.salvage_report.slim_segments == 1
+        assert salvaged.salvage_report.error is None
+        assert salvaged.slim == trace.slim and salvaged.values == trace.values
 
 
 class TestNativeInjector:

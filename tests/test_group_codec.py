@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from repro.api import record, replay, replay_prefix
+from repro.api import record, replay, replay_prefix, standard_knobs
 from repro.core.doctor import CLASS_CODEC, diagnose
 from repro.core.tracelog import (
     CODEC_GROUP,
@@ -47,7 +47,7 @@ from repro.faults.inject import segment_boundaries
 from repro.vm import SeededJitterTimer
 from repro.vm.errors import TraceFormatError
 from repro.vm.machine import VMConfig
-from repro.workloads import racy_bank
+from repro.workloads import REGISTRY, racy_bank
 
 CFG = VMConfig(semispace_words=60_000)
 _HEADER = len(MAGIC) + 2
@@ -302,10 +302,16 @@ class TestTraceStats:
         path.write_bytes(b"definitely not a trace")
         assert main(["trace-stats", str(path)]) == 2
 
-    def test_stats_walk_matches_segment_boundaries(self, tmp_path):
+    @pytest.mark.parametrize("slim", [False, True])
+    def test_stats_walk_matches_segment_boundaries(self, tmp_path, slim):
         path = tmp_path / "t.djv"
-        _record_to(path)
+        if slim:  # a v3.2 trace with a slim-stream segment before meta
+            record(REGISTRY["readers_writers"].build(), out=path, slim=True,
+                   **standard_knobs(1))
+        else:
+            _record_to(path)
         stats = trace_stats(path)
+        assert ("slim" in stats["streams"]) == slim
         n_segments = sum(s["segments"] for s in stats["streams"].values())
         # stream segments + meta + footer == every framed segment
         assert n_segments + 2 == len(segment_boundaries(path.read_bytes()))
