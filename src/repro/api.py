@@ -166,7 +166,6 @@ def record(
     env: Environment | None = None,
     symmetry: SymmetryConfig | None = None,
     out: "str | Path | None" = None,
-    compress: bool = False,
     extra_meta: dict | None = None,
     vm_hook: "Callable[[VirtualMachine], None] | None" = None,
     checkpoint_every: int | None = None,
@@ -229,9 +228,7 @@ def record(
 
             detector = RaceDetector(vm)
     writer = (
-        TraceWriter(out, compress=compress, slim=slim_spec is not None)
-        if out is not None
-        else None
+        TraceWriter(out, slim=slim_spec is not None) if out is not None else None
     )
     dejavu = DejaVu(vm, MODE_RECORD, symmetry=symmetry, writer=writer,
                     slim_spec=slim_spec, slim_detector=detector, **dejavu_kwargs)

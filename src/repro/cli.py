@@ -158,7 +158,7 @@ def cmd_record(args) -> int:
     # stream segments to <out>.tmp as the run progresses; a crash leaves
     # a salvageable prefix there instead of nothing
     job = _job(args, out_name=args.out, slim=args.slim)
-    return jobs.record(job, sys.stdout, _Programs(args), args.out, compress=args.compress)
+    return jobs.record(job, sys.stdout, _Programs(args), args.out)
 
 
 def cmd_replay(args) -> int:
@@ -683,11 +683,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("record", help="execute under DejaVu, save the trace")
     common(p)
     p.add_argument("-o", "--out", default="run.djv")
-    p.add_argument(
-        "--compress",
-        action="store_true",
-        help="zlib-compress each trace segment (smaller file, same replay)",
-    )
     p.add_argument(
         "--slim",
         action="store_true",

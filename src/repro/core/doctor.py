@@ -281,7 +281,7 @@ def diagnose(
         report.checks.append(f"config: fingerprints match ({recorded_fp})"
                              if recorded_fp else "config: no recorded fingerprint")
     elif recorded_fp is None:
-        report.checks.append("config: trace carries no fingerprint (pre-v3?)")
+        report.checks.append("config: trace carries no fingerprint")
 
     # -- stage 3: workload build parameters -------------------------------
     recorded_kwargs = dict(trace.meta.get("workload_kwargs") or {})

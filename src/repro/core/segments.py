@@ -9,8 +9,8 @@ segments closed by a footer segment::
 This host-side I/O, which the guest never sees, is written, sealed and
 scanned here; each format owns what its payloads mean and turns a
 :class:`Stop` into its own typed error.  A :class:`Layout` is fixed by a
-format and its version: trace v3 has no codec byte, v3.1/v3.2 have one,
-and the sidecar has none.  A crash leaves nothing at the final name and
+format and its version: traces (v3.1/v3.2) carry a codec byte and the
+sidecar has none.  A crash leaves nothing at the final name and
 a tmp file that is a prefix of whole segments, which :func:`scan`
 keeps; it stops at the first damage, because after a broken length
 field the next segment boundary cannot be trusted.

@@ -9,15 +9,15 @@ wall clock need be done independently of thread switch information"):
 * the **value stream** — tagged records for wall-clock reads, native-call
   results and callback parameters (see :mod:`repro.core.events`).
 
-Streams are encoded to bytes with zig-zag varints, optionally wrapped in
-the **group codec** (see below).  In-flight words pass through **guest
-heap ``[I`` buffers** — the same array objects, allocated at the same
-points, in both record mode (instrumentation *writes*, flushes to the
-host when full) and replay mode (instrumentation *reads*, refills from
-the host when empty).  That is the paper's "symmetry in allocation": the
-buffers are DejaVu's biggest heap side effect, and making them identical
-in both modes keeps the allocation stream — hence GC timing, object
-addresses, and identity hashes — reproducible.
+Each stream is cut into segments, each stored under the **group codec**
+(see below).  In-flight words pass through **guest heap ``[I`` buffers**
+— the same array objects, allocated at the same points, in both record
+mode (instrumentation *writes*, flushes to the host when full) and
+replay mode (instrumentation *reads*, refills from the host when
+empty).  That is the paper's "symmetry in allocation": the buffers are
+DejaVu's biggest heap side effect, and making them identical in both
+modes keeps the allocation stream — hence GC timing, object addresses,
+and identity hashes — reproducible.
 
 Persistence: **format v3.1** (see DESIGN.md).  The file is a header
 followed by length-framed, CRC32-checksummed segments and a sealed
@@ -26,12 +26,13 @@ footer::
     "DJVU" u16=769 | segment* | footer-segment
     segment := kind(1B) codec(1B) payload_len(u32le) crc32(u32le) payload
 
-The codec byte is a bit-flag field: bit 0 selects the group codec for
-stream segments, bit 1 selects per-segment zlib compression.  The group
-codec picks the smallest of four sub-encodings per segment (plain
-varints, delta+run-length, frame-of-reference bit packing, canonical
-Huffman), so repetitive or narrow delta streams shrink dramatically
-while adversarial streams never inflate by more than one mode byte.
+The codec byte is fixed per segment kind: stream segments are always
+group-coded (``0x01``) and meta and footer segments are always raw
+literals (``0x00``); anything else is refused.  The group codec keeps
+the smallest of three sub-encodings per segment — plain zig-zag
+varints, frame-of-reference bit packing and canonical Huffman — so
+narrow or repetitive delta streams shrink while adversarial streams
+never inflate by more than one mode byte.
 
 Record mode streams segments to ``trace.djv.tmp`` and atomically renames
 on a clean end, so an interrupted record leaves either nothing or a
@@ -44,16 +45,15 @@ could not overlap the pure-Python encoder with guest execution anyway.
 
 Segment framing is pure host-side I/O: the guest-heap buffers, their
 capacities and their flush points are identical in both modes and
-unaware of it, preserving the allocation symmetry.  v3 (the previous
-9-byte segment header without a codec byte) and v2 (the pre-segment
-format) traces still load, read-only.
+unaware of it, preserving the allocation symmetry.  Only v3.1 and v3.2
+files load; the older v2 and v3 headers are refused as an unsupported
+version.
 """
 
 from __future__ import annotations
 
 import ast
 import heapq
-import io
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -73,10 +73,8 @@ FORMAT_VERSION = (3 << 8) | 1
 #: v3.2 — written only by slim-capable recorders: same framing as v3.1
 #: plus the SEG_SLIM sidecar stream and slim footer fields
 FORMAT_VERSION_SLIM = (3 << 8) | 2
-#: versions this build can read (v2 = legacy single-blob streams,
-#: 3 = segmented without codec byte, 769 = v3.1 with codec byte,
-#: 770 = v3.2 slim sidecar)
-READABLE_VERSIONS = (2, 3, FORMAT_VERSION, FORMAT_VERSION_SLIM)
+#: versions this build can read: v3.1 and the v3.2 slim sidecar
+READABLE_VERSIONS = (FORMAT_VERSION, FORMAT_VERSION_SLIM)
 
 #: segment kinds
 SEG_META = b"M"
@@ -90,28 +88,24 @@ MAX_SEGMENT_BYTES = 1 << 26
 #: record-mode words per on-disk segment (host-side knob; guest-invisible)
 SEGMENT_WORDS = 4096
 
-#: segment codec byte — a bit-flag field
-CODEC_RAW = 0  # plain zigzag varints (the v3 encoding)
-CODEC_GROUP = 1  # bit 0: group codec (pick-best of 4 sub-modes)
-CODEC_ZLIB = 2  # bit 1: zlib over the (possibly group-coded) payload
-CODEC_GROUP_ZLIB = CODEC_GROUP | CODEC_ZLIB
-_CODEC_MASK = CODEC_GROUP | CODEC_ZLIB
+#: the segment codec byte, fixed per kind
+CODEC_RAW = 0  # meta and footer: the literal bytes
+CODEC_GROUP = 1  # stream segments: the group codec
 
 _STREAM_OF_KIND = {SEG_SWITCH: "switch", SEG_VALUE: "value",
                    SEG_SLIM: "slim", SEG_META: "meta", SEG_FOOTER: "footer"}
 
 
 def _codec_ok(kind: bytes, codec: int) -> bool:
-    """No unknown codec bits, and meta and footer are never group-coded."""
-    return not (codec & ~_CODEC_MASK
-                or (kind in (SEG_META, SEG_FOOTER) and codec & CODEC_GROUP))
+    """Stream segments are group-coded; meta and footer are raw."""
+    return codec == (CODEC_RAW if kind in (SEG_META, SEG_FOOTER) else CODEC_GROUP)
 
 
-#: the segment layout of each segmented version (v3 has no codec byte)
+#: the segment layout of each readable version
 LAYOUTS = {
     version: Layout(MAGIC, version, frozenset(_SEGMENT_KINDS), SEG_FOOTER,
-                    MAX_SEGMENT_BYTES, codec_byte=version != 3, codec_ok=_codec_ok)
-    for version in (3, FORMAT_VERSION, FORMAT_VERSION_SLIM)
+                    MAX_SEGMENT_BYTES, codec_byte=True, codec_ok=_codec_ok)
+    for version in READABLE_VERSIONS
 }
 
 
@@ -236,64 +230,13 @@ def decode_words(data: bytes, stream: str = "trace") -> list[int]:
 # below -(2**63) that fixed-width shifts mishandle.
 
 GROUP_RAW = 0  # plain zigzag varints
-GROUP_RLE = 1  # first word + run-length-encoded successive deltas
+# mode 1 is unassigned: modes keep their numbers so stored payloads stay valid
 GROUP_PACK = 2  # frame-of-reference fixed-width bit packing
 GROUP_HUFF = 3  # canonical Huffman over the distinct word values
 #: decoder table width cap; the encoder falls back when a code exceeds it
 MAX_HUFF_CODE_LEN = 32
 #: ceiling on the declared word count of one group (matches the segment cap)
 _MAX_GROUP_WORDS = MAX_SEGMENT_BYTES
-
-
-def _encode_group_rle(words: list[int]) -> bytes:
-    """``n, w0, (run_len, delta)*`` — deltas of successive words, RLE'd.
-
-    The switch stream already holds nyp *deltas*, so this is the
-    delta-of-delta coding: a phase of evenly spaced preemptions collapses
-    to a single (run, 0) pair.
-    """
-    out = bytearray([GROUP_RLE])
-    n = len(words)
-    _write_uvarint(out, n)
-    if n == 0:
-        return bytes(out)
-    write_varint(out, words[0])
-    i = 1
-    while i < n:
-        delta = words[i] - words[i - 1]
-        run = 1
-        while i + run < n and words[i + run] - words[i + run - 1] == delta:
-            run += 1
-        _write_uvarint(out, run)
-        write_varint(out, delta)
-        i += run
-    return bytes(out)
-
-
-def _decode_group_rle(data: bytes, pos: int, stream: str) -> list[int]:
-    n, pos = _read_uvarint(data, pos, stream)
-    if n > _MAX_GROUP_WORDS:
-        raise TraceFormatError(
-            f"implausible group length {n} (cap is {_MAX_GROUP_WORDS})",
-            stream=stream, offset=pos,
-        )
-    if n == 0:
-        return []
-    w, pos = read_varint(data, pos, stream)
-    words = [w]
-    while len(words) < n:
-        run, pos = _read_uvarint(data, pos, stream)
-        delta, pos = read_varint(data, pos, stream)
-        if run == 0 or len(words) + run > n:
-            raise TraceFormatError(
-                f"undecodable run-length group (run {run} at {len(words)}/{n} words)",
-                stream=stream, offset=pos,
-            )
-        w = words[-1]
-        for _ in range(run):
-            w += delta
-            words.append(w)
-    return words
 
 
 def _encode_group_pack(words: list[int]) -> bytes:
@@ -326,15 +269,7 @@ def _encode_group_pack(words: list[int]) -> bytes:
     return bytes(out)
 
 
-def _decode_group_pack(data: bytes, pos: int, stream: str) -> list[int]:
-    n, pos = _read_uvarint(data, pos, stream)
-    if n > _MAX_GROUP_WORDS:
-        raise TraceFormatError(
-            f"implausible group length {n} (cap is {_MAX_GROUP_WORDS})",
-            stream=stream, offset=pos,
-        )
-    if n == 0:
-        return []
+def _decode_group_pack(data: bytes, pos: int, n: int, stream: str) -> list[int]:
     base, pos = read_varint(data, pos, stream)
     width, pos = _read_uvarint(data, pos, stream)
     if width > 8 * len(data):
@@ -444,15 +379,7 @@ def _encode_group_huff(words: list[int]) -> "bytes | None":
     return bytes(out)
 
 
-def _decode_group_huff(data: bytes, pos: int, stream: str) -> list[int]:
-    n, pos = _read_uvarint(data, pos, stream)
-    if n > _MAX_GROUP_WORDS:
-        raise TraceFormatError(
-            f"implausible group length {n} (cap is {_MAX_GROUP_WORDS})",
-            stream=stream, offset=pos,
-        )
-    if n == 0:
-        return []
+def _decode_group_huff(data: bytes, pos: int, n: int, stream: str) -> list[int]:
     n_syms, pos = _read_uvarint(data, pos, stream)
     if n_syms == 0 or n_syms > n:
         raise TraceFormatError(
@@ -527,13 +454,9 @@ def _decode_group_huff(data: bytes, pos: int, stream: str) -> list[int]:
 
 
 def encode_group(words: list[int]) -> bytes:
-    """Encode one segment's words: pick-best of the four sub-modes."""
+    """Encode one segment's words: the smallest of the three sub-modes."""
     best = bytes([GROUP_RAW]) + encode_words(words)
-    for candidate in (
-        _encode_group_rle(words),
-        _encode_group_pack(words),
-        _encode_group_huff(words),
-    ):
+    for candidate in (_encode_group_pack(words), _encode_group_huff(words)):
         if candidate is not None and len(candidate) < len(best):
             best = candidate
     return best
@@ -546,39 +469,25 @@ def decode_group(data: bytes, stream: str = "trace") -> list[int]:
     mode = data[0]
     if mode == GROUP_RAW:
         return decode_words(data[1:], stream)
-    if mode == GROUP_RLE:
-        return _decode_group_rle(data, 1, stream)
-    if mode == GROUP_PACK:
-        return _decode_group_pack(data, 1, stream)
-    if mode == GROUP_HUFF:
-        return _decode_group_huff(data, 1, stream)
-    raise TraceFormatError(
-        f"unknown group-codec mode {mode}", stream=stream, offset=0
-    )
-
-
-def _encode_segment_payload(words: list[int], codec: int) -> bytes:
-    """Words -> stored segment bytes under the given codec flags."""
-    if codec & CODEC_GROUP:
-        payload = encode_group(words)
-    else:
-        payload = encode_words(words)
-    if codec & CODEC_ZLIB:
-        payload = zlib.compress(payload, 6)
-    return payload
-
-
-def _decode_segment_payload(payload: bytes, codec: int, stream: str) -> list[int]:
-    """Stored segment bytes -> words under the given codec flags."""
-    payload = _maybe_decompress(payload, codec, stream)
-    if codec & CODEC_GROUP:
-        return decode_group(payload, stream)
-    return decode_words(payload, stream)
+    if mode not in (GROUP_PACK, GROUP_HUFF):
+        raise TraceFormatError(
+            f"unknown group-codec mode {mode}", stream=stream, offset=0
+        )
+    n, pos = _read_uvarint(data, 1, stream)
+    if n > _MAX_GROUP_WORDS:
+        raise TraceFormatError(
+            f"implausible group length {n} (cap is {_MAX_GROUP_WORDS})",
+            stream=stream, offset=pos,
+        )
+    if n == 0:
+        return []
+    decode = _decode_group_pack if mode == GROUP_PACK else _decode_group_huff
+    return decode(data, pos, n, stream)
 
 
 # ---------------------------------------------------------------------------
-# meta encoding (shared by v2 and v3: repr of sorted items, parsed back
-# as a Python literal — never evaluated, so a planted segment runs no code)
+# meta encoding (repr of sorted items, parsed back as a Python literal —
+# never evaluated, so a planted segment runs no code)
 
 
 def _encode_meta(meta: dict) -> bytes:
@@ -666,32 +575,29 @@ class TraceLog:
 
     # -- writing -----------------------------------------------------------
 
-    def to_bytes(self, *, codec: int = CODEC_GROUP) -> bytes:
+    def to_bytes(self) -> bytes:
         """The sealed v3.1 (v3.2 when slim) bytes a :class:`TraceWriter`
         fed these streams writes: each stream's full segments in turn,
         then the partial tails, meta and footer.  Deterministic in the
         streams and meta: equal traces give equal bytes."""
-        layout = self._layout(codec)
+        layout = self._layout()
         out = [layout.header()]
-        self._write_segments(lambda *segment: out.append(layout.frame(*segment)),
-                             layout, codec)
+        self._write_segments(lambda *segment: out.append(layout.frame(*segment)), layout)
         return b"".join(out)
 
-    def save(self, path: str | Path, *, codec: int = CODEC_GROUP) -> None:
+    def save(self, path: str | Path) -> None:
         """Persist :meth:`to_bytes` atomically: tmp file, fsync, rename."""
-        layout = self._layout(codec)
+        layout = self._layout()
         with SegmentWriter(path, layout) as out:
-            self._write_segments(out.append, layout, codec)
+            self._write_segments(out.append, layout)
             out.seal()
 
-    def _layout(self, codec: int) -> Layout:
-        if codec & ~_CODEC_MASK:
-            raise VMError(f"unknown segment codec 0x{codec:02x}")
+    def _layout(self) -> Layout:
         slim = bool(self.slim) or "slim" in self.meta
         return LAYOUTS[FORMAT_VERSION_SLIM if slim else FORMAT_VERSION]
 
-    def _write_segments(self, append: Callable, layout: Layout, codec: int) -> None:
-        segs = _Segments(append, codec)
+    def _write_segments(self, append: Callable, layout: Layout) -> None:
+        segs = _Segments(append)
         streams = {SEG_SWITCH: self.switches, SEG_VALUE: self.values, SEG_SLIM: self.slim}
         for kind, words in streams.items():
             for lo in range(0, len(words) - len(words) % SEGMENT_WORDS, SEGMENT_WORDS):
@@ -701,19 +607,6 @@ class TraceLog:
                 segs.stream(kind, words[len(words) - len(words) % SEGMENT_WORDS:])
         segs.seal(self.meta, {kind: len(words) for kind, words in streams.items()},
                   layout.version == FORMAT_VERSION_SLIM)
-
-    def save_v2(self, path: str | Path) -> None:
-        """Write the legacy v2 format (tests / downgrade escape hatch)."""
-        path = Path(path)
-        with path.open("wb") as f:
-            f.write(MAGIC)
-            f.write((2).to_bytes(2, "little"))
-            meta_blob = _encode_meta(self.meta)
-            f.write(len(meta_blob).to_bytes(4, "little"))
-            f.write(meta_blob)
-            for payload in (encode_words(self.switches), encode_words(self.values)):
-                f.write(len(payload).to_bytes(8, "little"))
-                f.write(payload)
 
     # -- reading -----------------------------------------------------------
 
@@ -776,36 +669,11 @@ class TraceLog:
                 f"(this build reads {', '.join(map(str, READABLE_VERSIONS))})",
                 stream="header", offset=4,
             )
-        if version == 2:
-            return cls._read_v2(data), SalvageReport(sealed=True)
-        return cls._read_v3(data, version=version, salvage=salvage)
+        return cls._read_segments(data, version=version, salvage=salvage)
 
     @classmethod
-    def _read_v2(cls, data: bytes) -> "TraceLog":
-        buf = io.BytesIO(data)
-        buf.read(6)
-        meta_len = int.from_bytes(buf.read(4), "little")
-        meta_blob = buf.read(meta_len)
-        if len(meta_blob) != meta_len:
-            raise TraceFormatError("truncated meta blob", stream="meta",
-                                   offset=10)
-        meta = _decode_meta(meta_blob)
-        streams = []
-        for name in ("switch", "value"):
-            payload_len = int.from_bytes(buf.read(8), "little")
-            payload = buf.read(payload_len)
-            if len(payload) != payload_len:
-                raise TraceFormatError(
-                    f"truncated {name} payload ({len(payload)} of {payload_len} bytes)",
-                    stream=name, offset=buf.tell() - len(payload),
-                )
-            streams.append(decode_words(payload, name))
-        meta.setdefault("format_version", 2)
-        return cls(switches=streams[0], values=streams[1], meta=meta)
-
-    @classmethod
-    def _read_v3(cls, data: bytes, *, version: int,
-                 salvage: bool) -> "tuple[TraceLog, SalvageReport]":
+    def _read_segments(cls, data: bytes, *, version: int,
+                       salvage: bool) -> "tuple[TraceLog, SalvageReport]":
         streams: dict[bytes, list[int]] = {SEG_SWITCH: [], SEG_VALUE: [], SEG_SLIM: []}
         meta: dict = {}
         footer: dict | None = None
@@ -815,20 +683,16 @@ class TraceLog:
         error: TraceFormatError | None = None
         layout = LAYOUTS[version]
         found, stop = scan(data, layout)
-        for kind, codec, payload, _, _ in found:
+        for kind, _, payload, _, _ in found:
             try:
                 if kind in streams:
-                    streams[kind].extend(
-                        _decode_segment_payload(payload, codec, _STREAM_OF_KIND[kind])
-                    )
+                    streams[kind].extend(decode_group(payload, _STREAM_OF_KIND[kind]))
                     stream_crcs[kind] = zlib.crc32(payload, stream_crcs[kind])
                     seg_counts[kind] += 1
                 elif kind == SEG_META:
-                    meta.update(_decode_meta(_maybe_decompress(payload, codec, "meta")))
+                    meta.update(_decode_meta(payload))
                 else:  # footer
-                    footer = _decode_meta(
-                        _maybe_decompress(payload, codec, "footer"), "footer"
-                    )
+                    footer = _decode_meta(payload, "footer")
             except TraceFormatError as exc:
                 error = exc
                 break
@@ -909,73 +773,52 @@ def _scan_error(stop: Stop, layout: Layout) -> TraceFormatError:
     return TraceFormatError(message, stream=stream, offset=offset)
 
 
-def _maybe_decompress(payload: bytes, codec: int, stream: str) -> bytes:
-    if codec & CODEC_ZLIB:
-        try:
-            return zlib.decompress(payload)
-        except zlib.error as exc:
-            raise TraceFormatError(
-                f"undecodable compressed segment ({stream} stream): {exc}",
-                stream=stream, offset=0,
-            ) from exc
-    return payload
-
-
 # ---------------------------------------------------------------------------
 # trace-stats scanner
 
 
+#: the group-codec sub-modes by mode byte, as ``trace-stats`` names them
+GROUP_MODE_NAMES = {GROUP_RAW: "raw", GROUP_PACK: "pack", GROUP_HUFF: "huff"}
+
+
 def trace_stats(path: str | Path) -> dict:
-    """Per-stream encoding statistics for a sealed or legacy trace file.
+    """Per-stream encoding statistics for a sealed trace file.
 
     Returns a dict with ``format_version``, ``file_bytes`` and a
     ``streams`` mapping; each stream reports its entry count, segment
-    count, stored (encoded) bytes, the plain-varint baseline bytes, and
-    the resulting compression ratio.  Damage raises
-    :class:`TraceFormatError`, matching :meth:`TraceLog.load`.
+    count, stored (encoded) bytes, the plain-varint baseline bytes, the
+    resulting compression ratio, and how many of its segments each
+    group-codec mode won.  Damage raises :class:`TraceFormatError`,
+    matching :meth:`TraceLog.load`.
     """
     path = Path(path)
     data = path.read_bytes()
-    # validate wholesale first: stats on a damaged file would be fiction
+    # validate wholesale first: stats on a damaged file would be fiction;
+    # the load decodes each segment once and the counts come from its
+    # streams, the sizes and modes from the framed payloads
     log, _ = TraceLog._parse(data, salvage=False, name=path.name)
     version = int.from_bytes(data[4:6], "little")
     streams = {
-        name: {"entries": 0, "segments": 0, "encoded_bytes": 0,
-               "raw_bytes": 0, "codecs": set()}
-        for name in ("switch", "value", "slim")
+        name: {"entries": len(words), "segments": 0, "encoded_bytes": 0,
+               # varints concatenate: the whole stream's bytes are the
+               # sum of its segments'
+               "raw_bytes": len(encode_words(words)),
+               "modes": dict.fromkeys(GROUP_MODE_NAMES.values(), 0)}
+        for name, words in (("switch", log.switches), ("value", log.values),
+                            ("slim", log.slim))
     }
-    if version == 2:
-        buf = io.BytesIO(data)
-        buf.read(6)
-        meta_len = int.from_bytes(buf.read(4), "little")
-        buf.read(meta_len)
-        for name in ("switch", "value"):
-            payload_len = int.from_bytes(buf.read(8), "little")
-            payload = buf.read(payload_len)
-            st = streams[name]
-            st["entries"] = len(decode_words(payload, name))
-            st["segments"] = 1
-            st["encoded_bytes"] = len(payload)
-            st["raw_bytes"] = len(payload)
-            st["codecs"].add(CODEC_RAW)
-    else:
-        for kind, codec, payload, _, _ in scan(data, LAYOUTS[version])[0]:
-            if kind in (SEG_SWITCH, SEG_VALUE, SEG_SLIM):
-                name = _STREAM_OF_KIND[kind]
-                words = _decode_segment_payload(payload, codec, name)
-                st = streams[name]
-                st["entries"] += len(words)
-                st["segments"] += 1
-                st["encoded_bytes"] += len(payload)
-                st["raw_bytes"] += len(encode_words(words))
-                st["codecs"].add(codec)
+    for kind, _, payload, _, _ in scan(data, LAYOUTS[version])[0]:
+        st = streams.get(_STREAM_OF_KIND[kind])
+        if st is not None:
+            st["segments"] += 1
+            st["encoded_bytes"] += len(payload)
+            st["modes"][GROUP_MODE_NAMES[payload[0]]] += 1
     if not streams["slim"]["segments"]:
         del streams["slim"]  # full traces report the two classic streams
     for st in streams.values():
         st["ratio"] = (
             st["raw_bytes"] / st["encoded_bytes"] if st["encoded_bytes"] else 1.0
         )
-        st["codecs"] = sorted(st["codecs"])
     stats = {
         "format_version": version,
         "file_bytes": len(data),
@@ -1029,17 +872,16 @@ class _Segments:
     codec)``) and keeps what its footer seals: each stream's segment
     count and running payload CRC."""
 
-    def __init__(self, append: Callable[[bytes, bytes, int], object], codec: int):
+    def __init__(self, append: Callable[[bytes, bytes, int], object]):
         self.append = append
-        self.codec = codec
         self.crcs = {SEG_SWITCH: 0, SEG_VALUE: 0, SEG_SLIM: 0}
         self.counts = {SEG_SWITCH: 0, SEG_VALUE: 0, SEG_SLIM: 0}
 
     def stream(self, kind: bytes, words: list[int]) -> None:
-        payload = _encode_segment_payload(words, self.codec)
+        payload = encode_group(words)
         self.crcs[kind] = zlib.crc32(payload, self.crcs[kind])
         self.counts[kind] += 1
-        self.append(kind, payload, self.codec)
+        self.append(kind, payload, CODEC_GROUP)
 
     def seal(self, meta: dict, lengths: dict, slim: bool) -> None:
         """The meta segment (when there is meta) and the footer, for
@@ -1066,10 +908,9 @@ class TraceWriter:
     """Streams a recording to ``<path>.tmp`` and seals it atomically.
 
     The execution path appends words to the in-memory sinks.  When a
-    segment's worth accumulates, the sink encodes it (varint/group
-    codec, optional zlib) and appends it to a
-    :class:`~repro.core.segments.SegmentWriter` on the same thread, so
-    segments reach the OS in spill order, a crash mid-record leaves a
+    segment's worth accumulates, the sink group-codes it and appends it
+    to a :class:`~repro.core.segments.SegmentWriter` on the same thread,
+    so segments reach the OS in spill order, a crash mid-record leaves a
     prefix of intact segments that :meth:`TraceLog.salvage` can recover,
     and an encoding or file error raises from the append that spilled.
     :meth:`seal` writes the remaining words, the meta segment and the
@@ -1078,18 +919,15 @@ class TraceWriter:
     """
 
     def __init__(self, path: str | Path, *, segment_words: int = SEGMENT_WORDS,
-                 codec: int = CODEC_GROUP, compress: bool = False,
                  slim: bool = False):
         if segment_words <= 0:
             raise VMError(f"segment_words must be positive, got {segment_words}")
-        if codec & ~_CODEC_MASK:
-            raise VMError(f"unknown segment codec 0x{codec:02x}")
         # the version streams out first, so "slim-capable" is decided here;
         # whether the switch stream actually got slimmed is in the meta
         self.slim = slim
         self._out = SegmentWriter(path, LAYOUTS[FORMAT_VERSION_SLIM if slim else FORMAT_VERSION])
         self.tmp_path = self._out.tmp_path
-        self._segments = _Segments(self._out.append, codec | CODEC_ZLIB if compress else codec)
+        self._segments = _Segments(self._out.append)
         self.switch_sink, self.value_sink, self.slim_sink = (
             _SpillList(self._segments, kind, segment_words)
             for kind in (SEG_SWITCH, SEG_VALUE, SEG_SLIM)

@@ -86,14 +86,13 @@ def _workload_meta(spec, kwargs) -> dict:
 # the bodies, one per job kind
 
 
-def record(job, out, programs, path, hook=None, *, compress=False) -> int:
+def record(job, out, programs, path, hook=None) -> int:
     program = require_program(programs, job)
     meta = _workload_meta(*resolve_workload(job)) if job.get("workload") else {}
     session = api.record(
         program,
         config=vm_config(job),
         out=path,
-        compress=compress,
         extra_meta=meta,
         slim=job["slim"],
         vm_hook=hook.install if hook else None,
@@ -217,19 +216,20 @@ def trace_stats(job, out, programs, path, hook=None) -> int:
 
     stats = stats_of(path)
     major, minor = divmod(stats["format_version"], 256)
-    print(f"format version: {f'{major}.{minor}' if major else minor}", file=out)
+    print(f"format version: {major}.{minor}", file=out)
     print(f"file bytes:     {stats['file_bytes']}", file=out)
     for name in ("switch", "value", "slim"):
         st = stats["streams"].get(name)
         if st is None:
             continue
-        codecs = ",".join(f"0x{c:02x}" for c in st["codecs"]) or "-"
+        modes = ", ".join(f"{mode} {n}" for mode, n in st["modes"].items())
         print(f"{name} stream:", file=out)
         print(f"  entries:       {st['entries']}", file=out)
         print(f"  segments:      {st['segments']}", file=out)
         print(f"  encoded bytes: {st['encoded_bytes']}", file=out)
         print(f"  varint bytes:  {st['raw_bytes']}", file=out)
-        print(f"  ratio:         {st['ratio']:.3f}x (codecs {codecs})", file=out)
+        print(f"  ratio:         {st['ratio']:.3f}x", file=out)
+        print(f"  group modes:   {modes}", file=out)
     slim = stats.get("slim")
     if slim is not None:
         print(

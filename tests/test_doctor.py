@@ -61,9 +61,11 @@ class TestClassifications:
         assert report.classification == CLASS_NOT_A_TRACE
         assert report.exit_code == 2
 
-    def test_version_skew(self, tmp_path):
+    @pytest.mark.parametrize("version", [2, 3, 99])
+    def test_version_skew(self, tmp_path, version):
+        # v2 and v3 are older formats, refused like an unknown one
         path = tmp_path / "x.djv"
-        path.write_bytes(MAGIC + (99).to_bytes(2, "little") + b"\x00" * 8)
+        path.write_bytes(MAGIC + version.to_bytes(2, "little") + b"\x00" * 8)
         report = diagnose(path)
         assert report.classification == CLASS_VERSION_SKEW
         assert report.exit_code == 2

@@ -1,43 +1,39 @@
-"""The v3.1 group codec and codec-flagged segments.
+"""The v3.1 group codec and its fixed-per-kind segment codec byte.
 
-Covers the four contracts the codec layer adds on top of the v3 framing:
+Covers the four contracts the codec layer adds on top of the segment
+framing:
 
-* **round-trip** — every sub-mode (raw varint, delta-RLE, frame-of-
-  reference packing, canonical Huffman) decodes back to the exact word
-  sequence, including the arbitrary-precision zigzag class below
-  ``-(2**63)`` that fixed-width codecs mishandle;
+* **round-trip** — every sub-mode (raw varint, frame-of-reference
+  packing, canonical Huffman) decodes back to the exact word sequence,
+  including the arbitrary-precision zigzag class below ``-(2**63)`` that
+  fixed-width codecs mishandle;
 * **determinism** — pick-best encoding is a pure function of the words,
   so recordings stay byte-identical across engine combinations;
-* **compatibility** — all four codec-flag combinations (group and zlib
-  bits) seal files that load and replay identically, and undamaged v3/v2
-  traces still load;
-* **diagnosability** — an unknown codec byte or malformed group payload
-  is a typed :class:`TraceFormatError`, the doctor classifies it as
-  ``codec-mismatch`` (exit 2), and a torn compressed recording still
-  salvages to a replayable prefix.
+* **statistics** — ``trace-stats`` reports each stream's sizes and the
+  group modes its segments use, from one decode of the file;
+* **diagnosability** — a codec byte other than the one fixed for the
+  segment's kind, or an unknown group mode, is a typed
+  :class:`TraceFormatError` that the doctor classifies as
+  ``codec-mismatch`` (exit 2).
 """
 
 import random
+import zlib
 
 import pytest
 
-from repro.api import record, replay, replay_prefix, standard_knobs
+from repro.api import record, standard_knobs
+from repro.core import tracelog
 from repro.core.doctor import CLASS_CODEC, diagnose
 from repro.core.tracelog import (
-    CODEC_GROUP,
-    CODEC_GROUP_ZLIB,
-    CODEC_RAW,
-    CODEC_ZLIB,
     GROUP_HUFF,
     GROUP_PACK,
     GROUP_RAW,
-    GROUP_RLE,
     MAGIC,
+    SEGMENT_WORDS,
     TraceLog,
-    TraceWriter,
     _encode_group_huff,
     _encode_group_pack,
-    _encode_group_rle,
     decode_group,
     encode_group,
     encode_words,
@@ -57,13 +53,12 @@ def _program():
     return racy_bank(tellers=2, deposits=8)
 
 
-def _record_to(path, compress=False):
+def _record_to(path):
     return record(
         _program(),
         config=CFG,
         timer=SeededJitterTimer(5, 40, 160),
         out=path,
-        compress=compress,
     )
 
 
@@ -77,7 +72,7 @@ class TestGroupCodecRoundTrip:
         [0],
         [-1],
         [5] * 100,  # one symbol — Huffman's zero-bit special case
-        list(range(1000)),  # perfectly linear — one RLE pair
+        list(range(1000)),  # perfectly linear
         [3, 7] * 50,  # alternating — small Huffman alphabet
         [1, 2, 4, 8, 1, 2, 4, 8, 300],
         [-(1 << 70), 1 << 70, 0, -1, 1],  # beyond any fixed width
@@ -93,7 +88,6 @@ class TestGroupCodecRoundTrip:
     def test_every_mode_roundtrips(self, words):
         candidates = [
             bytes([GROUP_RAW]) + encode_words(words),
-            _encode_group_rle(words),
             _encode_group_pack(words),
             _encode_group_huff(words),
         ]
@@ -114,23 +108,10 @@ class TestGroupCodecRoundTrip:
         assert blob[0] != GROUP_RAW
         assert len(blob) < len(encode_words(words)) // 10
 
-    def test_noisy_ramp_prefers_rle(self):
-        # linear with jitter: delta-of-delta RLE territory
-        words = [i * 37 for i in range(400)]
-        blob = encode_group(words)
-        assert blob[0] == GROUP_RLE
-        assert decode_group(blob) == words
-
     def test_never_inflates_beyond_the_tag_byte(self):
         rng = random.Random(99)
         words = [rng.randrange(-(1 << 62), 1 << 62) for _ in range(64)]
         assert len(encode_group(words)) <= 1 + len(encode_words(words))
-
-    def test_run_boundaries(self):
-        # runs that end exactly at the sequence tail, and length-2 runs
-        for words in ([1, 2, 3, 10], [1, 2], [7, 7, 7], [0, 5, 10, 10]):
-            blob = _encode_group_rle(words)
-            assert decode_group(blob) == words
 
 
 @pytest.mark.fuzz
@@ -145,7 +126,7 @@ class TestGroupCodecFuzz:
             elif shape == 1:  # small alphabet (Huffman territory)
                 alpha = [rng.randrange(-50, 50) for _ in range(4)]
                 words = [rng.choice(alpha) for _ in range(n)]
-            elif shape == 2:  # noisy ramp (RLE/PACK territory)
+            elif shape == 2:  # noisy ramp (PACK territory)
                 base = rng.randrange(-1000, 1000)
                 words = [base + i * 3 + rng.randrange(2) for i in range(n)]
             else:  # tight range (PACK territory)
@@ -163,11 +144,6 @@ class TestGroupCodecMalformed:
         with pytest.raises(TraceFormatError):
             decode_group(b"")
 
-    def test_truncated_rle(self):
-        blob = _encode_group_rle(list(range(100)))
-        with pytest.raises(TraceFormatError):
-            decode_group(blob[:-1])
-
     def test_truncated_pack(self):
         blob = _encode_group_pack(list(range(100)))
         with pytest.raises(TraceFormatError):
@@ -180,8 +156,8 @@ class TestGroupCodecMalformed:
             decode_group(blob[:-1])
 
     def test_implausible_group_length(self):
-        # mode RLE claiming 2**40 words must be rejected, not allocated
-        payload = bytearray([GROUP_RLE])
+        # mode PACK claiming 2**40 words must be rejected, not allocated
+        payload = bytearray([GROUP_PACK])
         from repro.core.tracelog import _write_uvarint
 
         _write_uvarint(payload, 1 << 40)
@@ -190,76 +166,46 @@ class TestGroupCodecMalformed:
 
 
 # ---------------------------------------------------------------------------
-# codec flags on sealed files
-
-
-class TestCodecFlagCombos:
-    @pytest.mark.parametrize(
-        "codec,compress",
-        [
-            (CODEC_RAW, False),
-            (CODEC_RAW, True),
-            (CODEC_GROUP, False),
-            (CODEC_GROUP, True),
-        ],
-        ids=["raw", "raw+zlib", "group", "group+zlib"],
-    )
-    def test_all_codec_combos_roundtrip(self, tmp_path, codec, compress):
-        session = record(
-            _program(), config=CFG, timer=SeededJitterTimer(5, 40, 160)
-        )
-        path = tmp_path / "t.djv"
-        writer = TraceWriter(path, codec=codec, compress=compress)
-        writer.switch_sink.extend(session.trace.switches)
-        writer.value_sink.extend(session.trace.values)
-        writer.seal(session.trace.meta)
-        loaded = TraceLog.load(path)
-        assert loaded.switches == session.trace.switches
-        assert loaded.values == session.trace.values
-        result = replay(_program(), loaded, config=CFG)
-        assert result.heap_digest == session.result.heap_digest
-
-    def test_compressed_recording_replays_identically(self, tmp_path):
-        plain, packed = tmp_path / "p.djv", tmp_path / "z.djv"
-        a = _record_to(plain, compress=False)
-        b = _record_to(packed, compress=True)
-        assert a.result.heap_digest == b.result.heap_digest
-        ta, tb = TraceLog.load(plain), TraceLog.load(packed)
-        assert ta.switches == tb.switches and ta.values == tb.values
-        ra = replay(_program(), ta, config=CFG)
-        rb = replay(_program(), tb, config=CFG)
-        assert ra.heap_digest == rb.heap_digest == a.result.heap_digest
-
-    def test_torn_compressed_recording_salvages(self, tmp_path):
-        path = tmp_path / "t.djv"
-        _record_to(path, compress=True)
-        blob = path.read_bytes()
-        torn = tmp_path / "torn.djv"
-        for num, den in ((1, 2), (9, 10)):  # cut mid-file and late
-            torn.write_bytes(blob[: len(blob) * num // den])
-            trace = TraceLog.salvage(torn)
-            assert trace.truncated
-            prefix = replay_prefix(_program(), trace, config=CFG)
-            assert prefix.result is not None
+# the codec byte on sealed files
 
 
 class TestUnknownCodecByte:
-    def _patch_first_segment_codec(self, path, value):
-        blob = bytearray(path.read_bytes())
-        blob[_HEADER + 1] = value  # codec byte of the first (stream) segment
-        path.write_bytes(bytes(blob))
+    """A stream segment whose codec byte is not the group codec's, or
+    whose payload names an unassigned group mode, is refused."""
 
-    def test_load_rejects_unknown_codec(self, tmp_path):
+    #: (byte offset in the file, patched value, expected message); the
+    #: first segment is a stream segment, its payload starts with the mode
+    CASES = {
+        "codec-0x00": (_HEADER + 1, 0x00, "unknown segment codec 0x00"),
+        "codec-0x02": (_HEADER + 1, 0x02, "unknown segment codec 0x02"),
+        "codec-0x03": (_HEADER + 1, 0x03, "unknown segment codec 0x03"),
+        "codec-0x04": (_HEADER + 1, 0x04, "unknown segment codec 0x04"),
+        "group-mode-1": (_HEADER + 10, 1, "unknown group-codec mode 1"),
+    }
+
+    def _patched(self, tmp_path, case):
+        at, value, _ = self.CASES[case]
         path = tmp_path / "t.djv"
         _record_to(path)
-        self._patch_first_segment_codec(path, 0x04)  # outside _CODEC_MASK
-        with pytest.raises(TraceFormatError, match="unknown segment codec"):
+        blob = bytearray(path.read_bytes())
+        assert blob[_HEADER:_HEADER + 1] in (b"S", b"V")
+        blob[at] = value
+        length = int.from_bytes(blob[_HEADER + 2:_HEADER + 6], "little")
+        payload = bytes(blob[_HEADER + 10:_HEADER + 10 + length])
+        # a payload patch keeps the segment CRC whole: the bytes are intact
+        blob[_HEADER + 6:_HEADER + 10] = zlib.crc32(payload).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        return path
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_load_rejects_unknown_codec(self, tmp_path, case):
+        path = self._patched(tmp_path, case)
+        with pytest.raises(TraceFormatError, match=self.CASES[case][2]):
             TraceLog.load(path)
 
-    def test_doctor_classifies_codec_mismatch(self, tmp_path):
-        path = tmp_path / "t.djv"
-        _record_to(path)
-        self._patch_first_segment_codec(path, 0x04)
+    @pytest.mark.parametrize("case", CASES)
+    def test_doctor_classifies_codec_mismatch(self, tmp_path, case):
+        path = self._patched(tmp_path, case)
         report = diagnose(path, program=_program(), config=CFG)
         assert report.classification == CLASS_CODEC
         assert report.exit_code == 2
@@ -284,6 +230,33 @@ class TestTraceStats:
         assert switch["ratio"] == pytest.approx(
             switch["raw_bytes"] / switch["encoded_bytes"]
         )
+        # every segment is counted under the group mode that won it
+        assert set(switch["modes"]) == {"raw", "pack", "huff"}
+        assert sum(switch["modes"].values()) == switch["segments"]
+
+    def test_stats_decode_each_segment_once(self, tmp_path, monkeypatch):
+        rng = random.Random(5)
+        trace = TraceLog(
+            switches=[rng.randrange(1, 300) for _ in range(2 * SEGMENT_WORDS + 9)],
+            values=[rng.randrange(-(1 << 40), 1 << 40) for _ in range(SEGMENT_WORDS + 1)],
+            meta={"program": "synthetic"},
+        )
+        path = tmp_path / "t.djv"
+        trace.save(path)
+        decoded = []
+
+        def counting(data, stream="trace"):
+            decoded.append(bytes(data))
+            return decode_group(data, stream)
+
+        monkeypatch.setattr(tracelog, "decode_group", counting)
+        stats = trace_stats(path)
+        assert len(decoded) == len(set(decoded)) == 5  # 3 switch + 2 value segments
+        for name, words in (("switch", trace.switches), ("value", trace.values)):
+            st = stats["streams"][name]
+            assert st["entries"] == len(words)
+            assert st["raw_bytes"] == len(encode_words(words))
+        assert stats["streams"]["switch"]["segments"] == 3
 
     def test_cli_trace_stats(self, tmp_path, capsys):
         from repro.cli import main
@@ -293,7 +266,8 @@ class TestTraceStats:
         assert main(["trace-stats", str(path)]) == 0
         out = capsys.readouterr().out
         assert "switch" in out and "value" in out
-        assert "3.1" in out
+        assert "format version: 3.1" in out
+        assert "group modes:   raw " in out
 
     def test_cli_trace_stats_rejects_garbage(self, tmp_path, capsys):
         from repro.cli import main

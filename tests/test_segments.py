@@ -34,9 +34,9 @@ SIDECAR_KINDS = (b"E", b"C", b"M", b"F")
 # the reference walks: the container checks of the former per-format loops
 
 
-def _reference_trace_walk(data: bytes, version: int):
+def _reference_trace_walk(data: bytes):
     """``(segment ends, (message, stream, offset) or None)``."""
-    hdr = 9 if version == 3 else 10
+    hdr = 10
     pos, index, footer, ends = 6, 0, False, []
 
     def stop(message, stream, offset):
@@ -50,14 +50,13 @@ def _reference_trace_walk(data: bytes, version: int):
         if pos + hdr > len(data):
             return stop(f"torn segment header (segment {index}: "
                         f"{len(data) - pos} of {hdr} header bytes)", "segment", pos)
-        kind = data[pos:pos + 1]
-        codec, at = (0, pos + 1) if version == 3 else (data[pos + 1], pos + 2)
-        length = int.from_bytes(data[at:at + 4], "little")
-        crc = int.from_bytes(data[at + 4:at + 8], "little")
+        kind, codec = data[pos:pos + 1], data[pos + 1]
+        length = int.from_bytes(data[pos + 2:pos + 6], "little")
+        crc = int.from_bytes(data[pos + 6:pos + 10], "little")
         if kind not in TRACE_KINDS:
             return stop(f"unknown segment kind {kind!r} (segment {index})", "segment", pos)
         stream = STREAM_OF_KIND[kind]
-        if codec & ~3 or (kind in (b"M", b"F") and codec & 1):
+        if codec != (0 if kind in (b"M", b"F") else 1):
             return stop(f"unknown segment codec 0x{codec:02x} (segment {index}, "
                         f"{stream} stream)", stream, pos + 1)
         if length > MAX_SEGMENT_BYTES:
@@ -132,7 +131,7 @@ def _synthetic(path, layout, segments) -> bytes:
     return path.read_bytes()
 
 
-TRACE_SEGMENTS = [(b"S", b"\x02\x04\x06", 1), (b"V", b"", 0), (b"L", b"\x00" * 5, 2),
+TRACE_SEGMENTS = [(b"S", b"\x02\x04\x06", 1), (b"V", b"", 1), (b"L", b"\x00" * 5, 1),
                   (b"M", b"[('k', 1)]", 0), (b"F", b"[('n', 2)]", 0)]
 SIDECAR_SEGMENTS = [(b"E", b"[[1,2]]"), (b"C", bytes(range(40))), (b"E", b"[]"),
                     (b"C", b""), (b"M", b'{"every":5}'), (b"F", b'{"n_snapshots":2}')]
@@ -140,14 +139,13 @@ SIDECAR_SEGMENTS = [(b"E", b"[[1,2]]"), (b"C", bytes(range(40))), (b"E", b"[]"),
 
 @pytest.fixture(scope="module")
 def traces(tmp_path_factory):
-    """``(version, bytes)`` of a recorded v3.1 trace, a recorded v3.2
-    (slim) trace, and a synthetic v3 trace (no codec byte)."""
+    """``(version, bytes)`` of a recorded v3.1 trace and a recorded v3.2
+    (slim) trace; the sidecar covers the layout without a codec byte."""
     tmp = tmp_path_factory.mktemp("traces")
     full, slim = tmp / "full.djv", tmp / "slim.djv"
     record(REGISTRY["racy_bank"].build(), out=full, **standard_knobs(2))
     record(REGISTRY["readers_writers"].build(), out=slim, slim=True, **standard_knobs(1))
-    v3 = _synthetic(tmp / "v3.djv", LAYOUTS[3], [(k, p) for k, p, _ in TRACE_SEGMENTS])
-    return [(0x301, full.read_bytes()), (0x302, slim.read_bytes()), (3, v3)]
+    return [(0x301, full.read_bytes()), (0x302, slim.read_bytes())]
 
 
 @pytest.fixture(scope="module")
@@ -161,10 +159,12 @@ def sidecar(tmp_path_factory):
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("version", [3, 0x301, 0x302])
+    @pytest.mark.parametrize("version", [None, 0x301, 0x302])
     def test_trace_layouts(self, tmp_path, version):
-        layout = LAYOUTS[version]
-        segments = [(k, p, c if layout.codec_byte else 0) for k, p, c in TRACE_SEGMENTS]
+        """None: the sidecar, the layout without a codec byte."""
+        layout = SIDECAR if version is None else LAYOUTS[version]
+        segments = ([(k, p, 0) for k, p in SIDECAR_SEGMENTS] if version is None
+                    else TRACE_SEGMENTS)
         data = _synthetic(tmp_path / "t.djv", layout, segments)
         assert data == layout.header() + b"".join(layout.frame(*s) for s in segments)
         found, stop = scan(data, layout)
@@ -211,9 +211,8 @@ class TestSameStopAsTheFormerLoops:
     def test_every_truncation(self, traces, sidecar):
         for version, data in traces:
             for cut in range(6, len(data) + 1):
-                assert _trace_scan(data[:cut], version) == _reference_trace_walk(
-                    data[:cut], version
-                ), (version, cut)
+                assert _trace_scan(data[:cut], version) == _reference_trace_walk(data[:cut]), (
+                    version, cut)
         for cut in range(6, len(sidecar) + 1):
             assert _sidecar_scan(sidecar[:cut]) == _reference_sidecar_walk(sidecar[:cut])
 
@@ -231,8 +230,7 @@ class TestSameStopAsTheFormerLoops:
                             assert _sidecar_scan(damaged) == _reference_sidecar_walk(damaged)
                         else:
                             assert _trace_scan(damaged, version) == _reference_trace_walk(
-                                damaged, version
-                            ), (version, pos, bit)
+                                damaged), (version, pos, bit)
 
     def test_checks_run_in_the_former_order(self, traces, sidecar):
         """Two faults in one header: the check that ran first still wins
@@ -252,8 +250,7 @@ class TestSameStopAsTheFormerLoops:
                         assert _sidecar_scan(damaged) == _reference_sidecar_walk(damaged)
                     else:
                         assert _trace_scan(damaged, version) == _reference_trace_walk(
-                            damaged, version
-                        ), (version, a, b)
+                            damaged), (version, a, b)
 
     @pytest.mark.fuzz
     @pytest.mark.parametrize("seed", range(4))
@@ -268,9 +265,7 @@ class TestSameStopAsTheFormerLoops:
                 if version is None:
                     assert _sidecar_scan(damaged) == _reference_sidecar_walk(damaged)
                 else:
-                    assert _trace_scan(damaged, version) == _reference_trace_walk(
-                        damaged, version
-                    )
+                    assert _trace_scan(damaged, version) == _reference_trace_walk(damaged)
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +310,10 @@ class TestWriter:
     def test_encoder_error_raises_on_the_callers_thread(self, tmp_path, monkeypatch):
         writer = TraceWriter(tmp_path / "t.djv", segment_words=2)
 
-        def boom(words, codec):
+        def boom(words):
             raise ValueError("encoder failed")
 
-        monkeypatch.setattr(tracelog, "_encode_segment_payload", boom)
+        monkeypatch.setattr(tracelog, "encode_group", boom)
         writer.value_sink.append(1)
         with pytest.raises(ValueError, match="encoder failed"):
             writer.value_sink.append(2)

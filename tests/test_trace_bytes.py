@@ -16,14 +16,7 @@ import random
 import pytest
 
 from repro.api import record, trace_from_bytes, trace_to_bytes
-from repro.core.tracelog import (
-    CODEC_GROUP,
-    CODEC_GROUP_ZLIB,
-    CODEC_RAW,
-    SEGMENT_WORDS,
-    TraceLog,
-    TraceWriter,
-)
+from repro.core.tracelog import SEGMENT_WORDS, TraceLog, TraceWriter
 from repro.vm.engineconfig import EngineConfig
 from repro.vm.errors import TraceFormatError
 from repro.vm.machine import VMConfig
@@ -33,10 +26,10 @@ from tests.conftest import jitter_knobs
 COMBOS = EngineConfig.all_combinations()
 
 
-def _file_bytes(trace: TraceLog, path, codec: int = CODEC_GROUP) -> bytes:
+def _file_bytes(trace: TraceLog, path) -> bytes:
     """The reference: *trace*'s streams through a streaming writer into a
     sealed file, read back."""
-    writer = TraceWriter(path, codec=codec, slim=bool(trace.slim) or "slim" in trace.meta)
+    writer = TraceWriter(path, slim=bool(trace.slim) or "slim" in trace.meta)
     for w in trace.switches:
         writer.switch_sink.append(w)
     for w in trace.values:
@@ -68,17 +61,16 @@ class TestToBytesEqualsTheFile:
                 assert trace_to_bytes(trace) == data, where
                 assert _same_streams(TraceLog.from_bytes(data), trace), where
 
-    @pytest.mark.parametrize("codec", [CODEC_RAW, CODEC_GROUP, CODEC_GROUP_ZLIB])
-    def test_streams_longer_than_one_segment(self, codec, tmp_path):
-        rng = random.Random(codec)
+    def test_streams_longer_than_one_segment(self, tmp_path):
+        rng = random.Random(1)
         trace = TraceLog(
             switches=[rng.randrange(1, 300) for _ in range(3 * SEGMENT_WORDS + 17)],
             values=[rng.randrange(-(1 << 40), 1 << 40) for _ in range(2 * SEGMENT_WORDS)],
             slim=[rng.randrange(0, 50) for _ in range(SEGMENT_WORDS + 1)],
             meta={"program": "synthetic", "slim": (("kept", 3),), "config": "x"},
         )
-        data = trace.to_bytes(codec=codec)
-        assert data == _file_bytes(trace, tmp_path / "t.djv", codec)
+        data = trace.to_bytes()
+        assert data == _file_bytes(trace, tmp_path / "t.djv")
         assert _same_streams(TraceLog.from_bytes(data), trace)
         trace.save(tmp_path / "saved.djv")
         assert (tmp_path / "saved.djv").read_bytes() == trace.to_bytes()
@@ -126,5 +118,5 @@ class TestFromBytesDamage:
             damaged = bytearray(sealed)
             damaged[pos] ^= 1 << rng.randrange(8)
             refused += self._check(bytes(damaged), tmp_path / "flip.djv") is not None
-        # a flipped codec byte can still decode; everything else is caught
-        assert refused >= len(positions) - 3
+        # the codec byte is fixed per segment kind, so every flip is caught
+        assert refused == len(positions)

@@ -8,8 +8,7 @@ Covers the format's three contracts:
 * **crash consistency** — a recording that dies mid-run leaves a tmp
   file whose intact segment prefix salvages into a replayable trace;
 * **invisibility** — the framing is a host-side concern: recordings are
-  deterministic, byte-identical across engine toggle combinations, and
-  v2 traces still load and replay.
+  deterministic and byte-identical across engine toggle combinations.
 
 The seeded fuzz sweeps (marked ``fuzz``) run in the CI faults-smoke job.
 """
@@ -163,20 +162,6 @@ class TestEngineComboSymmetry:
             trace = TraceLog.load(path)
             result = replay(_program(), trace, config=config)
             assert result.heap_digest == session.result.heap_digest
-
-
-class TestV2Compat:
-    def test_v2_trace_still_loads_and_replays(self, tmp_path):
-        session = record(
-            _program(), config=CFG, timer=SeededJitterTimer(5, 40, 160)
-        )
-        path = tmp_path / "old.djv"
-        session.trace.save_v2(path)
-        loaded = TraceLog.load(path)
-        assert loaded.meta["format_version"] == 2
-        assert loaded.switches == session.trace.switches
-        result = replay(_program(), loaded, config=CFG)
-        assert result.heap_digest == session.result.heap_digest
 
 
 # ---------------------------------------------------------------------------
