@@ -16,7 +16,14 @@ import random
 import pytest
 
 from repro.api import record, trace_from_bytes, trace_to_bytes
-from repro.core.tracelog import SEGMENT_WORDS, TraceLog, TraceWriter
+from repro.core.tracelog import (
+    FORMAT_VERSION,
+    FORMAT_VERSION_SLIM,
+    LAYOUTS,
+    SEGMENT_WORDS,
+    TraceLog,
+    TraceWriter,
+)
 from repro.vm.engineconfig import EngineConfig
 from repro.vm.errors import TraceFormatError
 from repro.vm.machine import VMConfig
@@ -61,15 +68,20 @@ class TestToBytesEqualsTheFile:
                 assert trace_to_bytes(trace) == data, where
                 assert _same_streams(TraceLog.from_bytes(data), trace), where
 
-    def test_streams_longer_than_one_segment(self, tmp_path):
+    @pytest.mark.parametrize("slim", [False, True], ids=["full", "slim"])
+    def test_streams_longer_than_one_segment(self, tmp_path, slim):
         rng = random.Random(1)
+        meta = {"program": "synthetic", "config": "x"}
+        if slim:
+            meta["slim"] = (("kept", 3),)
         trace = TraceLog(
             switches=[rng.randrange(1, 300) for _ in range(3 * SEGMENT_WORDS + 17)],
             values=[rng.randrange(-(1 << 40), 1 << 40) for _ in range(2 * SEGMENT_WORDS)],
-            slim=[rng.randrange(0, 50) for _ in range(SEGMENT_WORDS + 1)],
-            meta={"program": "synthetic", "slim": (("kept", 3),), "config": "x"},
+            slim=[rng.randrange(0, 50) for _ in range(SEGMENT_WORDS + 1)] if slim else [],
+            meta=meta,
         )
         data = trace.to_bytes()
+        assert data.startswith(LAYOUTS[FORMAT_VERSION_SLIM if slim else FORMAT_VERSION].header())
         assert data == _file_bytes(trace, tmp_path / "t.djv")
         assert _same_streams(TraceLog.from_bytes(data), trace)
         trace.save(tmp_path / "saved.djv")
