@@ -227,9 +227,7 @@ def record(
             from repro.explore.detector import RaceDetector
 
             detector = RaceDetector(vm)
-    writer = (
-        TraceWriter(out, slim=slim_spec is not None) if out is not None else None
-    )
+    writer = TraceWriter(out) if out is not None else None
     dejavu = DejaVu(vm, MODE_RECORD, symmetry=symmetry, writer=writer,
                     slim_spec=slim_spec, slim_detector=detector, **dejavu_kwargs)
     recorder = _make_recorder(vm, checkpoint_every, out)

@@ -150,6 +150,17 @@ class SegmentWriter:
         self._file.write(self.layout.frame(kind, payload, codec))
         self._file.flush()
 
+    def retag(self, layout: Layout) -> None:
+        """Rewrite the tmp file's version for *layout*, another version
+        of the same framing: for a format whose version depends on what
+        the stream turned out to hold, settled before the seal."""
+        if (layout.magic, layout.codec_byte) != (self.layout.magic, self.layout.codec_byte):
+            raise VMError(f"cannot retag {self.path} to a different framing")
+        self._file.seek(0)
+        self._file.write(layout.header())
+        self._file.seek(0, os.SEEK_END)
+        self.layout = layout
+
     def seal(self) -> None:
         """fsync, close and rename onto the final path, which therefore
         never holds a torn file."""

@@ -13,7 +13,9 @@ effect that could touch the VM is made **identical in both modes**:
 * **I/O warm-up** — DejaVu writes a temporary file and immediately reads
   it back during initialisation in *both* modes, forcing both the input
   and the output paths to be exercised (and, in Jalapeño, compiled)
-  symmetrically;
+  symmetrically; the host path it warms is process-wide, so the file
+  round trip runs once per process, and every session counts its
+  warm-up;
 * **stack overflow** — instrumentation transiently consumes guest stack
   words (more in replay than in record, as the paper notes), so the stack
   is grown *eagerly* whenever headroom falls below a mode-independent
@@ -117,6 +119,22 @@ def _support_classdefs() -> "tuple[ClassDef, ...]":
     return _record_io_classdef(), _replay_io_classdef()
 
 
+@functools.cache
+def _warm_host_io() -> None:
+    """Write a temp file then immediately read it back.  The host I/O
+    path is the process's, so this runs once per process (a failed
+    round trip raises and runs again next time)."""
+    fd, path = tempfile.mkstemp(prefix="dejavu-warmup-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(b"\x00" * 64)
+        with open(path, "rb") as f:
+            data = f.read()
+        assert len(data) == 64
+    finally:
+        os.unlink(path)
+
+
 class SymmetryManager:
     """Executes the symmetry actions for one DejaVu session."""
 
@@ -150,20 +168,8 @@ class SymmetryManager:
             self.dejavu.switch_buf.allocate()
             self.dejavu.value_buf.allocate()
         if self.config.io_warmup:
-            self._io_warmup()
-
-    def _io_warmup(self) -> None:
-        """Write a temp file then immediately read it back (both modes)."""
-        fd, path = tempfile.mkstemp(prefix="dejavu-warmup-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(b"\x00" * 64)
-            with open(path, "rb") as f:
-                data = f.read()
-            assert len(data) == 64
+            _warm_host_io()
             self.io_warmups += 1
-        finally:
-            os.unlink(path)
 
     # ------------------------------------------------------------------
     # drain-time actions (buffer flush in record / refill in replay)

@@ -70,8 +70,8 @@ if TYPE_CHECKING:  # pragma: no cover
 MAGIC = b"DJVU"
 #: the version this build writes: v3.1, stored as (major << 8) | minor
 FORMAT_VERSION = (3 << 8) | 1
-#: v3.2 — written only by slim-capable recorders: same framing as v3.1
-#: plus the SEG_SLIM sidecar stream and slim footer fields
+#: v3.2 — written only for slim traces: same framing as v3.1 plus the
+#: SEG_SLIM sidecar stream and slim footer fields
 FORMAT_VERSION_SLIM = (3 << 8) | 2
 #: versions this build can read: v3.1 and the v3.2 slim sidecar
 READABLE_VERSIONS = (FORMAT_VERSION, FORMAT_VERSION_SLIM)
@@ -914,18 +914,16 @@ class TraceWriter:
     prefix of intact segments that :meth:`TraceLog.salvage` can recover,
     and an encoding or file error raises from the append that spilled.
     :meth:`seal` writes the remaining words, the meta segment and the
-    footer, fsyncs, and ``os.replace``\\ s the tmp file onto the final
-    path — the final name never holds a torn file.
+    footer, settles the version (v3.2 when the trace turned out slim, as
+    :meth:`TraceLog.to_bytes` decides it), fsyncs, and ``os.replace``\\ s
+    the tmp file onto the final path — the final name never holds a torn
+    file.
     """
 
-    def __init__(self, path: str | Path, *, segment_words: int = SEGMENT_WORDS,
-                 slim: bool = False):
+    def __init__(self, path: str | Path, *, segment_words: int = SEGMENT_WORDS):
         if segment_words <= 0:
             raise VMError(f"segment_words must be positive, got {segment_words}")
-        # the version streams out first, so "slim-capable" is decided here;
-        # whether the switch stream actually got slimmed is in the meta
-        self.slim = slim
-        self._out = SegmentWriter(path, LAYOUTS[FORMAT_VERSION_SLIM if slim else FORMAT_VERSION])
+        self._out = SegmentWriter(path, LAYOUTS[FORMAT_VERSION])
         self.tmp_path = self._out.tmp_path
         self._segments = _Segments(self._out.append)
         self.switch_sink, self.value_sink, self.slim_sink = (
@@ -937,11 +935,13 @@ class TraceWriter:
         """Flush remaining words, write meta + footer, rename into place."""
         self.switch_sink.spill()
         self.value_sink.spill()
-        if self.slim:
-            self.slim_sink.spill()
+        self.slim_sink.spill()
         lengths = {SEG_SWITCH: len(self.switch_sink), SEG_VALUE: len(self.value_sink),
                    SEG_SLIM: len(self.slim_sink)}
-        self._segments.seal(meta, lengths, self.slim)
+        slim = bool(lengths[SEG_SLIM]) or "slim" in meta
+        if slim:
+            self._out.retag(LAYOUTS[FORMAT_VERSION_SLIM])
+        self._segments.seal(meta, lengths, slim)
         self._out.seal()
 
     def abandon(self) -> None:

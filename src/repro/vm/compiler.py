@@ -8,16 +8,19 @@ code*: one in every method prologue and one before every backward branch
 record/replay instrumentation site of Figure 2; there is no separate
 instrumentation layer that could be compiled differently between modes.
 
-Machine code is a list of ``(mop, a, b)`` tuples dispatched by the engine
-in :mod:`repro.vm.interp`.  Symbolic operands are resolved at compile time
-to offsets, :class:`RuntimeClass`/:class:`RuntimeMethod` objects, or
-vtable keys.
+Machine code is a tuple of ``(mop, a, b)`` tuples dispatched by the
+engine in :mod:`repro.vm.interp`.  Symbolic operands are resolved at
+compile time to offsets, vtable keys, or indices into the compiling
+loader's tables — a class id, a method id, an inline-cache site's index
+in ``Loader.ic_sites`` — which the engine turns into that VM's objects
+when it binds a method.  Compiled code therefore holds no loader object,
+and one :class:`MachineCode` serves every VM installed from an image.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.vm import words
 from repro.vm.bytecode import BRANCHES, Instr, Op
@@ -441,13 +444,13 @@ def _match_yp_group(ops: list, i: int, n: int, targets: frozenset):
     return ((F_YP_GROUP, tag, (_yp_prefix_fn(pre), j - i)), j - i + 1)
 
 
-def _fuse(mc: "MachineCode") -> None:
-    """Build the fused executable program xops/xbci_of/xweights from ops.
+def _fuse(ops: tuple, bci_of: tuple) -> tuple:
+    """The fused executable program of *ops*: ``(xops, xbci_of,
+    xweights, fused_groups)``.
 
     Branch targets (which, by legality, can only name group heads) are
     remapped from canonical to executable pc space at the end.
     """
-    ops = mc.ops
     n = len(ops)
     targets = set()
     for mop, a, _ in ops:
@@ -459,6 +462,7 @@ def _fuse(mc: "MachineCode") -> None:
     xbci: list[int] = []
     xweights: list[int] = []
     old2new = [-1] * (n + 1)
+    groups = 0
     i = 0
     while i < n:
         old2new[i] = len(xops)
@@ -467,15 +471,15 @@ def _fuse(mc: "MachineCode") -> None:
             match = _match_group(ops, i, n, targets)
         if match is None:
             xops.append(ops[i])
-            xbci.append(mc.bci_of[i])
+            xbci.append(bci_of[i])
             xweights.append(1)
             i += 1
         else:
             (mop, a, b), width = match
             xops.append((mop, a, b))
-            xbci.append(mc.bci_of[i])
+            xbci.append(bci_of[i])
             xweights.append(width)
-            mc.fused_groups += 1
+            groups += 1
             i += width
 
     for idx, (mop, a, b) in enumerate(xops):
@@ -490,9 +494,7 @@ def _fuse(mc: "MachineCode") -> None:
             assert old2new[b] >= 0, "branch into the interior of a fused group"
             xops[idx] = (mop, a, old2new[b])
 
-    mc.xops = xops
-    mc.xbci_of = xbci
-    mc.xweights = xweights
+    return tuple(xops), tuple(xbci), tuple(xweights), groups
 
 
 class InvokeSite:
@@ -532,9 +534,11 @@ class InvokeSite:
         return f"<InvokeSite {self.key} {state}>"
 
 
-@dataclass
+@dataclass(frozen=True)
 class MachineCode:
-    """Compiled body of one method.
+    """Compiled body of one method; immutable, so every VM installed from
+    an image shares it (a VM's handler table lives on its
+    :class:`~repro.vm.loader.RuntimeMethod`).
 
     ``ops`` is the *canonical* (unfused) micro-op listing — disasm, the
     invariant tests, and every per-bci artifact (reference maps, line
@@ -546,27 +550,22 @@ class MachineCode:
     """
 
     qualname: str
-    ops: list[tuple] = field(default_factory=list)
+    ops: tuple
     #: machine pc -> bytecode index (for GC maps, line numbers, debugger)
-    bci_of: list[int] = field(default_factory=list)
+    bci_of: tuple
     #: bytecode index -> first machine pc
-    pc_of_bci: list[int] = field(default_factory=list)
-    nlocals: int = 0
-    max_stack: int = 0
-    frame_words: int = 0
-    n_yieldpoints: int = 0
+    pc_of_bci: tuple
+    nlocals: int
+    max_stack: int
+    frame_words: int
+    n_yieldpoints: int
     #: executable program (fused); aliases ops/bci_of when fusion is off
-    xops: list[tuple] = None  # type: ignore[assignment]
-    xbci_of: list[int] = None  # type: ignore[assignment]
+    xops: tuple
+    xbci_of: tuple
     #: cycles charged per executable op (None ⇒ every op charges 1)
-    xweights: list[int] | None = None
+    xweights: tuple | None
     #: number of superinstructions emitted (static count)
-    fused_groups: int = 0
-    #: threaded-dispatch handler table, bound lazily by the engine
-    entries: list | None = None
-
-    def bci_at(self, pc: int) -> int:
-        return self.bci_of[pc]
+    fused_groups: int
 
 
 def compile_method(loader, rc, rm, config: EngineConfig | None = None) -> MachineCode:
@@ -576,13 +575,8 @@ def compile_method(loader, rc, rm, config: EngineConfig | None = None) -> Machin
         raise VMError(f"cannot compile native method {rm.qualname}")
     assert rm.maps is not None, "verify before compiling"
 
-    mc = MachineCode(qualname=rm.qualname)
-    mc.nlocals = mdef.max_locals
-    mc.max_stack = rm.maps.max_stack
-    mc.frame_words = mc.nlocals + mc.max_stack + FRAME_OVERHEAD_WORDS
-
-    ops = mc.ops
-    bci_of = mc.bci_of
+    ops: list[tuple] = []
+    bci_of: list[int] = []
 
     def emit(bci: int, mop: int, a: object = None, b: object = None) -> None:
         ops.append((mop, a, b))
@@ -590,30 +584,36 @@ def compile_method(loader, rc, rm, config: EngineConfig | None = None) -> Machin
 
     # method-prologue yield point (Jalapeño puts one in every prologue)
     emit(0, M_YIELDPOINT, YP_PROLOGUE)
-    mc.n_yieldpoints += 1
+    n_yieldpoints = 1
 
     fixups: list[tuple[int, int]] = []  # (machine pc, target bci)
-    mc.pc_of_bci = [0] * len(mdef.code)
+    pc_of_bci = [0] * len(mdef.code)
 
     for bci, instr in enumerate(mdef.code):
         # a backward branch gets a yield point in front of it (loop backedge)
         if instr.op in BRANCHES and int(instr.arg) <= bci:  # type: ignore[arg-type]
             emit(bci, M_YIELDPOINT, YP_BACKEDGE)
-            mc.n_yieldpoints += 1
-        mc.pc_of_bci[bci] = len(ops)
+            n_yieldpoints += 1
+        pc_of_bci[bci] = len(ops)
         _translate(loader, rc, instr, bci, ops, emit, fixups)
 
     for pc, target_bci in fixups:
         mop, _, b = ops[pc]
-        ops[pc] = (mop, mc.pc_of_bci[target_bci], b)
+        ops[pc] = (mop, pc_of_bci[target_bci], b)
 
+    canonical, bcis = tuple(ops), tuple(bci_of)
     if config is not None and config.fusion:
-        _fuse(mc)
+        xops, xbci_of, xweights, fused = _fuse(canonical, bcis)
     else:
-        mc.xops = mc.ops
-        mc.xbci_of = mc.bci_of
-        mc.xweights = None
-    return mc
+        xops, xbci_of, xweights, fused = canonical, bcis, None, 0
+    max_stack = rm.maps.max_stack
+    return MachineCode(
+        qualname=rm.qualname, ops=canonical, bci_of=bcis, pc_of_bci=tuple(pc_of_bci),
+        nlocals=mdef.max_locals, max_stack=max_stack,
+        frame_words=mdef.max_locals + max_stack + FRAME_OVERHEAD_WORDS,
+        n_yieldpoints=n_yieldpoints, xops=xops, xbci_of=xbci_of, xweights=xweights,
+        fused_groups=fused,
+    )
 
 
 def _translate(loader, rc, instr: Instr, bci: int, ops: list, emit, fixups) -> None:
@@ -630,7 +630,7 @@ def _translate(loader, rc, instr: Instr, bci: int, ops: list, emit, fixups) -> N
     if op is Op.ICONST:
         emit(bci, M_ICONST, int(instr.arg))  # type: ignore[arg-type]
     elif op is Op.LDC:
-        emit(bci, M_LDC, rc, int(instr.arg))  # type: ignore[arg-type]
+        emit(bci, M_LDC, rc.class_id, int(instr.arg))  # type: ignore[arg-type]
     elif op in (Op.ILOAD, Op.ALOAD):
         emit(bci, M_ILOAD if op is Op.ILOAD else M_ALOAD, int(instr.arg))  # type: ignore[arg-type]
     elif op in (Op.ISTORE, Op.ASTORE):
@@ -639,7 +639,7 @@ def _translate(loader, rc, instr: Instr, bci: int, ops: list, emit, fixups) -> N
         slot, delta = instr.arg  # type: ignore[misc]
         emit(bci, M_IINC, slot, delta)
     elif op is Op.NEW:
-        emit(bci, M_NEW, loader.ensure_layout(str(instr.arg)))
+        emit(bci, M_NEW, loader.ensure_layout(str(instr.arg)).class_id)
     elif op in (Op.GETFIELD, Op.PUTFIELD):
         ref, _ = field_ref(instr.arg)
         slot = loader.resolve_instance_field(ref)
@@ -650,22 +650,20 @@ def _translate(loader, rc, instr: Instr, bci: int, ops: list, emit, fixups) -> N
         emit(
             bci,
             M_GETSTATIC if op is Op.GETSTATIC else M_PUTSTATIC,
-            holder_rc,
+            holder_rc.class_id,
             slot.offset,
         )
     elif op is Op.ANEWARRAY:
         emit(bci, M_ANEWARRAY, "[" + str(instr.arg))
     elif op in (Op.INSTANCEOF, Op.CHECKCAST):
         target = loader.ensure_layout(str(instr.arg))
-        emit(bci, M_INSTANCEOF if op is Op.INSTANCEOF else M_CHECKCAST, target)
+        emit(bci, M_INSTANCEOF if op is Op.INSTANCEOF else M_CHECKCAST, target.class_id)
     elif op is Op.INVOKESTATIC:
         rm = loader.resolve_static_method(str(instr.arg))
         # b = precomputed arity, so the engine never chases signature.nargs
-        emit(bci, M_INVOKESTATIC, rm, rm.mdef.signature.nargs)
+        emit(bci, M_INVOKESTATIC, rm.method_id, rm.mdef.signature.nargs)
     elif op is Op.INVOKEVIRTUAL:
         key, proto = loader.resolve_virtual(str(instr.arg))
-        site = InvokeSite(key, proto)
-        loader.register_ic_site(site)
-        emit(bci, M_INVOKEVIRTUAL, key, site)
+        emit(bci, M_INVOKEVIRTUAL, key, loader.register_ic_site(InvokeSite(key, proto)))
     else:  # pragma: no cover - exhaustive over the ISA
         raise VMError(f"cannot compile opcode {op.name}")

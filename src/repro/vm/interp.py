@@ -5,9 +5,11 @@ current thread's compiled code until something requests a switch (yield
 point preemption, blocking, termination), then returns to the scheduler.
 
 There is one dispatch loop, ``Engine._execute`` (see DESIGN.md, "Dispatch
-architecture"): threaded code.  Each compiled method gets a handler table
-(one pre-bound closure per executable op of ``MachineCode.xops``,
+architecture"): threaded code.  Each method a VM runs gets a handler
+table (one pre-bound closure per executable op of ``MachineCode.xops``,
 operands baked in), so the per-op work is one indexed load and one call.
+The compiled code is shared by the VMs of an image; the table, held by
+the VM's own ``RuntimeMethod``, is not.
 With ``EngineConfig.fusion`` the program contains superinstructions,
 each charging exactly the cycles of the micro-ops it replaces.
 
@@ -183,15 +185,17 @@ _STOP = -5  # the debug controller paused before this op was executed
 #
 # One factory per micro-op.  ``Engine._bind`` calls ``factory(eng, a, b,
 # pc, pc + 1)`` for every executable op of a method and stores the
-# resulting closure in ``MachineCode.entries``; operands, resolved
+# resulting closure in ``RuntimeMethod.entries``; operands, resolved
 # call targets, and hot bound methods are baked into the closure's cells,
 # so executing an op is ``entries[pc](stack, locals_)`` and nothing else.
 # Handlers return the next pc (or a negative sentinel).
 #
-# Baking rules: anything the GC can move (statics/constants arrays) or
-# the loader can rewrite is read through its holder at call time, never
-# captured by address.  Allocating handlers store ``pc`` into the frame
-# before allocating (safe-point discipline).
+# Baking rules: an operand that names a loader object by index (class
+# id, method id, inline-cache site) is resolved against this VM's loader
+# here, at bind time.  Anything the GC can move (statics/constants
+# arrays) or the loader can rewrite is read through its holder at call
+# time, never captured by address.  Allocating handlers store ``pc``
+# into the frame before allocating (safe-point discipline).
 
 
 def _f_nop(eng, a, b, pc, np):
@@ -237,9 +241,10 @@ def _f_iinc(eng, a, b, pc, np):
 
 def _f_ldc(eng, a, b, pc, np):
     array_get = eng.vm.om.array_get
+    rc = eng.vm.loader.rc_by_id[a]
 
     def h(stack, locals_):
-        stack.append(array_get(a.constants_addr, b))
+        stack.append(array_get(rc.constants_addr, b))
         return np
 
     return h
@@ -419,9 +424,10 @@ def _f_putfield(eng, a, b, pc, np):
 
 def _f_getstatic(eng, a, b, pc, np):
     get_field = eng.vm.om.get_field
+    rc = eng.vm.loader.rc_by_id[a]
 
     def h(stack, locals_):
-        stack.append(get_field(a.statics_addr, b))
+        stack.append(get_field(rc.statics_addr, b))
         return np
 
     return h
@@ -429,9 +435,10 @@ def _f_getstatic(eng, a, b, pc, np):
 
 def _f_putstatic(eng, a, b, pc, np):
     put_field = eng.vm.om.put_field
+    rc = eng.vm.loader.rc_by_id[a]
 
     def h(stack, locals_):
-        put_field(a.statics_addr, b, stack.pop())
+        put_field(rc.statics_addr, b, stack.pop())
         return np
 
     return h
@@ -472,7 +479,7 @@ def _f_arraylength(eng, a, b, pc, np):
 
 def _f_new(eng, a, b, pc, np):
     om = eng.vm.om
-    layout = a.layout
+    layout = eng.vm.loader.rc_by_id[a].layout
 
     def h(stack, locals_):
         eng._frame.pc = pc  # safe point: allocation may collect
@@ -508,10 +515,11 @@ def _f_anewarray(eng, a, b, pc, np):
 
 def _f_instanceof(eng, a, b, pc, np):
     is_instance = eng.vm.is_instance
+    rc = eng.vm.loader.rc_by_id[a]
 
     def h(stack, locals_):
         ref = stack.pop()
-        stack.append(1 if ref and is_instance(ref, a) else 0)
+        stack.append(1 if ref and is_instance(ref, rc) else 0)
         return np
 
     return h
@@ -519,13 +527,14 @@ def _f_instanceof(eng, a, b, pc, np):
 
 def _f_checkcast(eng, a, b, pc, np):
     vm = eng.vm
+    rc = vm.loader.rc_by_id[a]
 
     def h(stack, locals_):
         ref = stack[-1]
-        if ref and not vm.is_instance(ref, a):
+        if ref and not vm.is_instance(ref, rc):
             raise VMTrap(
                 "ClassCast",
-                f"{vm.om.layout_of(ref).name} is not a {a.name}",
+                f"{vm.om.layout_of(ref).name} is not a {rc.name}",
             )
         return np
 
@@ -533,7 +542,7 @@ def _f_checkcast(eng, a, b, pc, np):
 
 
 def _f_invokestatic(eng, a, b, pc, np):
-    rm = a
+    rm = eng.vm.loader.method_by_id[a]
     nargs = b
     if nargs:
 
@@ -554,10 +563,10 @@ def _f_invokestatic(eng, a, b, pc, np):
 
 def _f_invokevirtual(eng, a, b, pc, np):
     key = a
-    site = b
+    loader = eng.vm.loader
+    site = loader.ic_sites[b]
     nargs = site.nargs
     ridx = site.recv_index
-    loader = eng.vm.loader
     mem_read = eng.vm.om.memory.read
     if eng.cfg.inline_caches:
 
@@ -993,7 +1002,10 @@ _FACTORIES = {
 
 
 def _observe_mem(eng, hook, fn, pc, mop, a, b):
-    """Call the memory hook before the op, operands still on the stack."""
+    """Call the memory hook before the op, operands still on the stack;
+    a static access passes its holder class, resolved from its id."""
+    if mop == M_GETSTATIC or mop == M_PUTSTATIC:
+        a = eng.vm.loader.rc_by_id[a]
 
     def h(stack, locals_):
         hook(eng._thread, eng._frame, pc, mop, a, b, stack)
@@ -1046,8 +1058,8 @@ class Engine:
         #: read-only.  A superinstruction would hide the accesses inside
         #: it, so clients run unfused code (``EngineConfig(fusion=False)``).
         self._mem_hook = None
-        #: the codes whose handler tables this engine bound, so attaching
-        #: or detaching a hook can drop them for rebinding
+        #: the methods whose handler tables this engine bound, so
+        #: attaching or detaching a hook can drop them for rebinding
         self._bound: list = []
         #: a deadline crossing's clock commit, held back while a debug
         #: controller is attached until that op's check has run
@@ -1103,8 +1115,8 @@ class Engine:
 
     def _unbind(self) -> None:
         """Drop every bound handler table; frames rebind on entry."""
-        for code in self._bound:
-            code.entries = None
+        for rm in self._bound:
+            rm.entries = None
         self._bound.clear()
 
     # ------------------------------------------------------------------
@@ -1230,8 +1242,8 @@ class Engine:
     # ------------------------------------------------------------------
     # the dispatch loop (threaded code: pre-bound handler tables)
 
-    def _bind(self, code) -> list:
-        """Bind the handler table for one compiled method.
+    def _bind(self, rm) -> list:
+        """Bind the handler table for one compiled method of this VM.
 
         Yield points stay inline in the loop (they need the loop-local
         cycle counter), marked by a ``None`` entry; fused yield-point
@@ -1245,7 +1257,7 @@ class Engine:
         check = self._debug.check if self._debug is not None else None
         entries: list = []
         append = entries.append
-        for pc, (mop, a, b) in enumerate(code.xops):
+        for pc, (mop, a, b) in enumerate(rm.code.xops):
             if mop == M_YIELDPOINT or mop == F_YP_GROUP:
                 fn = None
             else:
@@ -1258,8 +1270,8 @@ class Engine:
             if check is not None:
                 fn = _consult_debug(self, check, fn, pc)
             append(fn)
-        code.entries = entries
-        self._bound.append(code)
+        rm.entries = entries
+        self._bound.append(rm)
         return entries
 
     def _execute(self, thread: GreenThread) -> None:  # noqa: C901 - the dispatch loop
@@ -1273,11 +1285,10 @@ class Engine:
         self._thread = thread
         frame = thread.frames[-1]
         self._frame = frame
-        code = frame.code
-        entries = code.entries
+        entries = frame.method.entries
         if entries is None:
-            entries = self._bind(code)
-        xops = code.xops
+            entries = self._bind(frame.method)
+        xops = frame.code.xops
         pc = frame.pc
         stack = frame.stack
         locals_ = frame.locals
@@ -1344,11 +1355,10 @@ class Engine:
                                 if result.upcalls:
                                     frame = thread.frames[-1]
                                     self._frame = frame
-                                    code = frame.code
-                                    entries = code.entries
+                                    entries = frame.method.entries
                                     if entries is None:
-                                        entries = self._bind(code)
-                                    xops = code.xops
+                                        entries = self._bind(frame.method)
+                                    xops = frame.code.xops
                                     pc = frame.pc
                                     stack = frame.stack
                                     locals_ = frame.locals
@@ -1369,11 +1379,10 @@ class Engine:
                             scheduler.push_frame(thread, callee)
                             frame = callee
                             self._frame = frame
-                            code = frame.code
-                            entries = code.entries
+                            entries = rm.entries
                             if entries is None:
-                                entries = self._bind(code)
-                            xops = code.xops
+                                entries = self._bind(rm)
+                            xops = frame.code.xops
                             pc = 0
                             stack = frame.stack
                             locals_ = frame.locals
@@ -1385,11 +1394,10 @@ class Engine:
                         # commit, and a debugger must not see one here)
                         frame = thread.frames[-1]
                         self._frame = frame
-                        code = frame.code
-                        entries = code.entries
+                        entries = frame.method.entries
                         if entries is None:
-                            entries = self._bind(code)
-                        xops = code.xops
+                            entries = self._bind(frame.method)
+                        xops = frame.code.xops
                         pc = frame.pc
                         stack = frame.stack
                         locals_ = frame.locals

@@ -36,13 +36,18 @@ _DICT_INITIAL_CAPACITY = 64
 
 @dataclass
 class RuntimeMethod:
-    """A linked method: definition + maps + compiled code + global id."""
+    """A linked method: definition + maps + compiled code + global id.
+
+    ``code`` is shared by every VM installed from the same image;
+    ``entries``, the handler table the VM's engine bound for it (None
+    until the first frame runs it), is this VM's own."""
 
     owner: "RuntimeClass"
     mdef: MethodDef
     method_id: int
     maps: CodeMaps | None = None
     code: "MachineCode | None" = None
+    entries: list | None = dc_field(default=None, repr=False, compare=False)
 
     @property
     def key(self) -> str:
@@ -263,8 +268,10 @@ class Loader:
     # ------------------------------------------------------------------
     # inline-cache bookkeeping
 
-    def register_ic_site(self, site) -> None:
+    def register_ic_site(self, site) -> int:
+        """Keep *site*; returns its index, which compiled code names it by."""
         self.ic_sites.append(site)
+        return len(self.ic_sites) - 1
 
     def invalidate_inline_caches(self) -> None:
         """Reset every invokevirtual cache (called on each class link).
@@ -636,51 +643,13 @@ class Loader:
 # boot image
 
 
-def _loader_objects(loader: Loader) -> list:
-    """Every loader object a micro-op operand can hold, in a fixed order:
-    classes, then methods (by id), then invokevirtual sites."""
-    return [*loader.classes.values(), *loader.method_by_id, *loader.ic_sites]
-
-
-def _operand_patches(loader: Loader) -> dict[int, tuple]:
-    """Per compiled method id, the ops of ``ops`` (and of ``xops`` when
-    fusion made it a separate list) that hold loader objects, as
-    ``(pc, a_index, b_index)`` into :func:`_loader_objects` (-1 keeps
-    the operand).  Ops hold loader objects only as a top-level operand."""
-    index = {id(obj): i for i, obj in enumerate(_loader_objects(loader))}
-
-    def scan(ops: list) -> tuple:
-        return tuple(
-            (pc, index.get(id(a), -1), index.get(id(b), -1))
-            for pc, (_, a, b) in enumerate(ops)
-            if id(a) in index or id(b) in index
-        )
-
-    patches: dict[int, tuple] = {}
-    for rm in loader.method_by_id:
-        code = rm.code
-        if code is not None:
-            xops = None if code.xops is code.ops else scan(code.xops)
-            patches[rm.method_id] = (scan(code.ops), xops)
-    return patches
-
-
-def _patched(ops: list, patches: tuple, objs: list) -> list:
-    ops = ops.copy()
-    for pc, ai, bi in patches:
-        mop, a, b = ops[pc]
-        ops[pc] = (mop, a if ai < 0 else objs[ai], b if bi < 0 else objs[bi])
-    return ops
-
-
-def _copy_tables(src: Loader, dst: Loader, patches: dict[int, tuple]) -> None:
+def _copy_tables(src: Loader, dst: Loader) -> None:
     """Give *dst* a copy of *src*'s tables that shares no mutable object.
 
     Shared (immutable once booted): ClassDef, MethodDef, CodeMaps,
-    Layout, and the pc/bci/weight tables of MachineCode.  Copied:
-    RuntimeClass, RuntimeMethod, MachineCode (with its op lists remapped
-    to *dst*'s objects and no bound handler table), InvokeSite, and
-    every dict and list of the loader.
+    Layout and MachineCode, whose operands name loader objects by index.
+    Copied: RuntimeClass, RuntimeMethod (with no bound handler table),
+    InvokeSite, and every dict and list of the loader.
     """
     rcs: dict[str, RuntimeClass] = {
         name: RuntimeClass(
@@ -695,10 +664,9 @@ def _copy_tables(src: Loader, dst: Loader, patches: dict[int, tuple]) -> None:
         )
         for name, rc in src.classes.items()
     }
+    # positional: keyword arguments cost ~1.5x, once per method per VM
     methods = [
-        RuntimeMethod(
-            owner=rcs[rm.owner.name], mdef=rm.mdef, method_id=rm.method_id, maps=rm.maps
-        )
+        RuntimeMethod(rcs[rm.owner.name], rm.mdef, rm.method_id, rm.maps, rm.code)
         for rm in src.method_by_id
     ]
     for rc in src.classes.values():
@@ -714,19 +682,6 @@ def _copy_tables(src: Loader, dst: Loader, patches: dict[int, tuple]) -> None:
         )
         for site in src.ic_sites
     ]
-    objs = [*rcs.values(), *methods, *sites]
-    for rm, new_rm in zip(src.method_by_id, methods):
-        code = rm.code
-        if code is None:
-            continue
-        ops_patches, xops_patches = patches[rm.method_id]
-        ops = _patched(code.ops, ops_patches, objs)
-        xops = ops if xops_patches is None else _patched(code.xops, xops_patches, objs)
-        # a direct __dict__ clone: dataclasses.replace re-runs __init__
-        # and costs ~3x as much, once per compiled method per VM
-        clone = object.__new__(type(code))
-        clone.__dict__.update(code.__dict__, ops=ops, xops=xops, entries=None)
-        new_rm.code = clone
 
     dst.classdefs = dict(src.classdefs)
     dst.classes = rcs
@@ -753,16 +708,14 @@ class LoaderImage:
     mutates the template, so concurrent installs need no lock.
     """
 
-    def __init__(self, template: Loader, patches: dict[int, tuple]):
+    def __init__(self, template: Loader):
         self.template = template
-        self.patches = patches
 
     @classmethod
     def capture(cls, booted: Loader) -> "LoaderImage":
-        patches = _operand_patches(booted)
         template = Loader(compile_fn=None)  # type: ignore[arg-type] - never compiles
-        _copy_tables(booted, template, patches)
-        return cls(template, patches)
+        _copy_tables(booted, template)
+        return cls(template)
 
     def install(self, loader: Loader) -> None:
-        _copy_tables(self.template, loader, self.patches)
+        _copy_tables(self.template, loader)

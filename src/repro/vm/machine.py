@@ -115,6 +115,10 @@ def _le9(words: list[int]) -> bytearray:
     return out
 
 
+#: words per chunk of an image's encoded prefix (:meth:`BootImage.digest_into`)
+DIGEST_CHUNK_WORDS = 128
+
+
 class BootImage:
     """The state a fresh load leaves behind, cloned into every later VM.
 
@@ -129,7 +133,9 @@ class BootImage:
       preload)`` and loaded on top of a boot image.
 
     An image keeps the materialised word prefix, the allocation count,
-    and the loader tables (:class:`LoaderImage`).  A VM installed from an
+    the loader tables (:class:`LoaderImage`), and its active extent
+    ``[base, bump)`` in the heap digest's encoding, in chunks of
+    :data:`DIGEST_CHUNK_WORDS` words.  A VM installed from an
     image is equal to one that loaded for real — same heap digest, class
     table, interned strings, method ids and engine statistics — which the
     boot-image tests check for every engine configuration and registry
@@ -144,6 +150,11 @@ class BootImage:
         self.limit = mem.limit
         self.alloc_count = vm.om.alloc_count
         self.loader = LoaderImage.capture(vm.loader)
+        chunks = (
+            self.words[a:min(a + DIGEST_CHUNK_WORDS, self.bump)]
+            for a in range(mem.base[mem.active], self.bump, DIGEST_CHUNK_WORDS)
+        )
+        self._chunks = [(chunk, bytes(_le9(chunk))) for chunk in chunks]
 
     def install(self, vm: "VirtualMachine") -> None:
         mem = vm.memory
@@ -154,6 +165,23 @@ class BootImage:
         vm.om.alloc_count = self.alloc_count
         self.loader.install(vm.loader)
         vm._image = self
+
+    def digest_into(self, h, mem: Memory) -> None:
+        """Feed *h* what :meth:`VirtualMachine.heap_digest` hashes of
+        *mem* — the words of ``[base, bump)`` as :func:`_le9` bytes —
+        reusing the bytes of every image chunk whose words *mem* still
+        holds, and encoding only the rest.  *mem*'s active semispace
+        must be this image's."""
+        words, bump = mem.words, mem.bump
+        a = mem.base[mem.active]
+        for chunk, data in self._chunks:
+            b = a + len(chunk)
+            if b > bump:
+                break
+            seg = words[a:b]
+            h.update(data if seg == chunk else _le9(seg))
+            a = b
+        h.update(_le9(words[a:bump]))
 
     def untouched(self, vm: "VirtualMachine") -> bool:
         """True while *vm* is exactly as this image left it: nothing
@@ -374,14 +402,8 @@ class VirtualMachine:
         if self.dejavu is not None:
             support, preload = self.dejavu.sym.support_classes()
         key = None
-        # a VM with a debug controller attached (a debugger session, the
-        # coverage and profiler tools) loads for real and keeps no image:
-        # nothing it observes depends on this, since class loading runs
-        # no ops, but it keeps image-free the path the interactive tools
-        # rely on (ROADMAP lists dropping the rule)
         if (
             self._unit is not None
-            and self.engine.debug is None
             and (
                 self._unbooted is not None
                 or len(self.loader.classdefs) == self._unit[1]
@@ -528,10 +550,13 @@ class VirtualMachine:
         """Digest of the active semispace — a strong equality witness for
         'identical program state' between record and replay."""
         mem = self.memory
-        lo = mem.base[mem.active]
         h = hashlib.blake2b(digest_size=16)
         h.update(mem.bump.to_bytes(8, "little", signed=False))
-        h.update(_le9(mem.words[lo : mem.bump]))
+        image = self._image
+        if image is not None and mem.active == image.active:
+            image.digest_into(h, mem)
+        else:
+            h.update(_le9(mem.words[mem.base[mem.active] : mem.bump]))
         return h.hexdigest()
 
     @property

@@ -12,6 +12,7 @@ cache (restored afterwards).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 import sys
@@ -28,6 +29,7 @@ from repro.vm import machine
 from repro.vm.compiler import InvokeSite, MachineCode
 from repro.vm.engineconfig import EngineConfig
 from repro.vm.errors import VMError
+from repro.vm.interp import Engine
 from repro.vm.layout import FORWARD_BIT
 from repro.vm.loader import Loader, RuntimeClass, RuntimeMethod
 from repro.vm.machine import VirtualMachine, VMConfig
@@ -50,9 +52,9 @@ def _cfg(engine: EngineConfig, heap: int = HEAP) -> VMConfig:
 
 
 def _named(obj):
-    """An operand with loader objects replaced by their names, and the
-    closures fusion compiles (fresh objects per boot) by their code and
-    captured values."""
+    """An operand or inline-cache site with loader objects replaced by
+    their names, and the closures fusion compiles (fresh objects per
+    load) by their code and captured values."""
     if isinstance(obj, tuple):
         return tuple(_named(x) for x in obj)
     if isinstance(obj, list):
@@ -60,8 +62,6 @@ def _named(obj):
     if isinstance(obj, types.FunctionType) and obj.__closure__:
         cells = tuple(_named(c.cell_contents) for c in obj.__closure__)
         return ("closure", obj.__code__, cells)
-    if isinstance(obj, RuntimeClass):
-        return ("class", obj.name)
     if isinstance(obj, RuntimeMethod):
         return ("method", obj.qualname, obj.method_id)
     if isinstance(obj, InvokeSite):
@@ -78,7 +78,6 @@ def _code_shape(code: MachineCode | None):
         code.xops is code.ops,
         code.bci_of, code.xbci_of, code.xweights, code.pc_of_bci,
         code.nlocals, code.max_stack, code.frame_words, code.fused_groups,
-        code.entries,
     )
 
 
@@ -98,7 +97,7 @@ def post_boot_state(vm: VirtualMachine) -> dict:
         "rc_by_id": {cid: rc.name for cid, rc in loader.rc_by_id.items()},
         "array_layouts": sorted(loader.array_layouts),
         "interned": list(loader.interned.items()),
-        "methods": [(rm.qualname, rm.method_id) for rm in loader.method_by_id],
+        "methods": [(rm.qualname, rm.method_id, rm.entries) for rm in loader.method_by_id],
         "code": [_code_shape(rm.code) for rm in loader.method_by_id],
         "ic": [_named(site) for site in loader.ic_sites],
         "ic_invalidations": loader.ic_invalidations,
@@ -107,7 +106,8 @@ def post_boot_state(vm: VirtualMachine) -> dict:
 
 
 def _mutable_ids(loader: Loader, vm: VirtualMachine | None = None) -> set[int]:
-    """Identities of every mutable object a loader (and VM memory) holds."""
+    """Identities of every mutable object a loader (and VM memory) holds;
+    compiled code is immutable and shared (see TestSharedCode)."""
     objs: list = [
         loader.classdefs, loader.classes, loader.class_table, loader.rc_by_id,
         loader.array_layouts, loader.method_by_id, loader.interned,
@@ -115,10 +115,7 @@ def _mutable_ids(loader: Loader, vm: VirtualMachine | None = None) -> set[int]:
     ]
     for rc in loader.classes.values():
         objs += [rc, rc.methods, rc.vtable]
-    for rm in loader.method_by_id:
-        objs.append(rm)
-        if rm.code is not None:
-            objs += [rm.code, rm.code.ops, rm.code.xops]
+    objs += loader.method_by_id
     objs += loader.ic_sites
     if vm is not None:
         objs.append(vm.memory.words)
@@ -171,21 +168,6 @@ class TestClonesShareNothingMutable:
         assert not ids_a & ids_t
         assert not ids_b & ids_t
 
-    @pytest.mark.parametrize("engine", COMBOS, ids=lambda e: e.describe())
-    def test_operands_point_into_their_own_loader(self, no_images, engine):
-        VirtualMachine(_cfg(engine))
-        vm = VirtualMachine(_cfg(engine))
-        own = {id(o) for o in [*vm.loader.classes.values(), *vm.loader.method_by_id,
-                               *vm.loader.ic_sites]}
-        for rm in vm.loader.method_by_id:
-            if rm.code is None:
-                continue
-            for ops in (rm.code.ops, rm.code.xops):
-                for _, a, b in ops:
-                    for operand in (a, b):
-                        if isinstance(operand, (RuntimeClass, RuntimeMethod, InvokeSite)):
-                            assert id(operand) in own, (rm.qualname, operand)
-
     def test_mutating_one_clone_leaves_the_other_and_the_template(self, no_images):
         VirtualMachine(_cfg(EngineConfig()))
         a = VirtualMachine(_cfg(EngineConfig()))
@@ -201,8 +183,7 @@ class TestClonesShareNothingMutable:
         site.cid, site.target = 3, a.loader.method_by_id[0]
         for rm in a.loader.method_by_id:
             if rm.code is not None:
-                a.engine._bind(rm.code)
-                rm.code.ops[0] = (0, None, None)
+                a.engine._bind(rm)
         a.memory.write(a.memory.bump - 1, 77)
         a.loader.interned["mutated"] = 1
 
@@ -211,12 +192,114 @@ class TestClonesShareNothingMutable:
             (rc.statics_addr, rc.constants_addr) for rc in template.classes.values()
         ] == before_t
         assert all(s.cid == -1 and s.target is None for s in template.ic_sites)
-        assert all(
-            rm.code is None or rm.code.entries is None for rm in template.method_by_id
-        )
+        assert all(rm.entries is None for rm in template.method_by_id)
         assert "mutated" not in template.interned
         c = VirtualMachine(_cfg(EngineConfig()))
         assert post_boot_state(c) == before_b
+
+
+def _bound_objects(fn, seen=None) -> list:
+    """Every loader, class, method and inline-cache site a bound handler
+    reaches through its closure cells (nested closures, tuples and the
+    handler's own engine's loader included)."""
+    seen = set() if seen is None else seen
+    found: list = []
+    if id(fn) in seen:
+        return found
+    seen.add(id(fn))
+    if isinstance(fn, tuple):
+        for x in fn:
+            found += _bound_objects(x, seen)
+    elif isinstance(fn, types.FunctionType):
+        for cell in fn.__closure__ or ():
+            found += _bound_objects(cell.cell_contents, seen)
+    elif isinstance(fn, (Loader, RuntimeClass, RuntimeMethod, InvokeSite)):
+        found.append(fn)
+    elif isinstance(fn, Engine):
+        found.append(fn.vm.loader)
+    return found
+
+
+class TestSharedCode:
+    """Compiled code names loader objects by index, so every VM of an
+    image shares one immutable MachineCode per method, and each VM's
+    handler tables are its own."""
+
+    @pytest.mark.parametrize("engine", COMBOS, ids=lambda e: e.describe())
+    def test_code_objects_are_shared_and_immutable(self, no_images, engine):
+        program = REGISTRY["server"].build()
+        fresh = _started(program, engine)
+        a = _started(program, engine)
+        b = _started(program, engine)
+        template = no_images._IMAGES[_key(program, engine, 80_000, True)].loader.template
+        loaders = (fresh.loader, a.loader, b.loader, template)
+        compiled = 0
+        for rms in zip(*(loader.method_by_id for loader in loaders)):
+            codes = {id(rm.code) for rm in rms}
+            assert len(codes) == 1, rms[0].qualname
+            code = rms[0].code
+            if code is None:
+                continue
+            compiled += 1
+            assert isinstance(code.ops, tuple) and isinstance(code.xops, tuple)
+            assert all(isinstance(op, tuple) for op in code.xops)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                code.ops = ()  # type: ignore[misc]
+            for _, x, y in code.ops:
+                for operand in (x, y):
+                    assert not isinstance(
+                        operand, (Loader, RuntimeClass, RuntimeMethod, InvokeSite)
+                    ), (code.qualname, operand)
+        assert compiled > 20
+
+    def test_handler_tables_are_per_vm(self, no_images):
+        program = REGISTRY["server"].build()
+        engine = EngineConfig()
+        _started(program, engine)
+        a = _started(program, engine)
+        b = _started(program, engine)
+        _finished(a)
+        ran = [rm for rm in a.loader.method_by_id if rm.entries is not None]
+        assert ran
+        assert all(rm.entries is None for rm in b.loader.method_by_id)
+        for rm in ran:
+            b.engine._bind(b.loader.method_by_id[rm.method_id])
+        assert not {id(rm.entries) for rm in ran} & {
+            id(rm.entries) for rm in b.loader.method_by_id if rm.entries is not None
+        }
+        a.engine.debug = _Checker()  # attaching a hook drops a's tables only
+        assert all(rm.entries is None for rm in a.loader.method_by_id)
+        assert all(b.loader.method_by_id[rm.method_id].entries is not None for rm in ran)
+
+    @pytest.mark.parametrize("engine", COMBOS, ids=lambda e: e.describe())
+    def test_bound_handlers_resolve_to_their_own_loader(self, no_images, engine):
+        program = REGISTRY["server"].build()
+        _started(program, engine)
+        vms = [_started(program, engine) for _ in range(2)]
+        vms[1].engine.mem_hook = lambda *args: None
+        vms[1].engine.debug = _Checker()
+        for vm in vms:
+            loader = vm.loader
+            own = {id(o) for o in [loader, *loader.classes.values(),
+                                   *loader.method_by_id, *loader.ic_sites]}
+            reached = 0
+            for rm in loader.method_by_id:
+                if rm.code is None:
+                    continue
+                for fn in vm.engine._bind(rm):
+                    for obj in _bound_objects(fn):
+                        assert id(obj) in own, (rm.qualname, obj)
+                        reached += 1
+            assert reached > 100
+
+
+class _Checker:
+    """A debug controller that never pauses."""
+
+    paused = False
+
+    def check(self, thread, frame, pc) -> bool:
+        return False
 
 
 class TestConcurrentConstruction:
@@ -519,7 +602,8 @@ class TestOnlyUntouchedVMsUseImages:
         replay(program, trace, config=cfg)  # the replay unit's image
         loads.clear()
         session = ReplaySession(program, trace, config=cfg)
-        assert loads == []
+        # a debug controller does not keep a VM from its program image
+        assert loads == [("install", _key(program, cfg.engine, 80_000, True))]
         assert session.run_to_completion().heap_digest == replay(program, trace, config=cfg).heap_digest
 
     def test_recap_transformed_program(self, loads):

@@ -140,7 +140,8 @@ class TestResolution:
         vm.load("T")
         mc = vm.loader.resolve_method_any("T.m()V").code
         call = next(op for op in mc.ops if op[0] == M_INVOKESTATIC)
-        assert call[1] is vm.loader.resolve_method_any("T.callee()V")
+        # operands name loader objects by index: a static call, its method id
+        assert vm.loader.method_by_id[call[1]] is vm.loader.resolve_method_any("T.callee()V")
 
     def test_field_offsets_inlined(self):
         vm = VirtualMachine(TEST_CONFIG)

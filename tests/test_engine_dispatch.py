@@ -369,10 +369,9 @@ def _kinds(vm) -> list:
     """(mop, handler kind) for every op of every bound table."""
     out = []
     for rm in vm.loader.method_by_id:
-        code = rm.code
-        if code is None or code.entries is None:
+        if rm.entries is None:
             continue
-        for (mop, _, _), fn in zip(code.xops, code.entries):
+        for (mop, _, _), fn in zip(rm.code.xops, rm.entries):
             out.append((mop, None if fn is None else fn.__qualname__.split(".")[0]))
     return out
 
@@ -416,7 +415,7 @@ class TestHookBinding:
         assert _kinds(vm)
         vm.engine.debug = _Watcher()
         assert _kinds(vm) == []
-        main = vm.loader.resolve_method_any("Main.main()V").code
+        main = vm.loader.resolve_method_any("Main.main()V")
         vm.engine._bind(main)
         vm.engine.debug = _Watcher()  # a different controller rebinds too
         assert _kinds(vm) == []

@@ -135,6 +135,36 @@ class TestIOWarmup:
         vm.run()
         assert dv.sym.io_warmups == 0
 
+    def test_file_round_trip_runs_once_per_process(self, monkeypatch):
+        """The host I/O path is the process's: over many recordings and
+        replays one temp file is made, and every session still counts
+        its own warm-up."""
+        import tempfile
+
+        from repro.api import build_vm
+        from repro.core import MODE_RECORD, MODE_REPLAY, DejaVu
+        from repro.core import symmetry
+
+        made = []
+        real = tempfile.mkstemp
+
+        def mkstemp(*args, **kwargs):
+            made.append(args or kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+        symmetry._warm_host_io.cache_clear()
+        for _ in range(3):
+            vm = build_vm(gc_churn(iters=10), CHURN_CFG)
+            dv = DejaVu(vm, MODE_RECORD)
+            vm.run()
+            assert dv.sym.io_warmups == 1
+            vm = build_vm(gc_churn(iters=10), CHURN_CFG)
+            again = DejaVu(vm, MODE_REPLAY, trace=dv.trace())
+            vm.run()
+            assert again.sym.io_warmups == 1
+        assert len(made) == 1
+
 
 class TestBuffersLeaveIdenticalHeaps:
     def test_buffers_zeroed_at_end(self):

@@ -36,7 +36,7 @@ COMBOS = EngineConfig.all_combinations()
 def _file_bytes(trace: TraceLog, path) -> bytes:
     """The reference: *trace*'s streams through a streaming writer into a
     sealed file, read back."""
-    writer = TraceWriter(path, slim=bool(trace.slim) or "slim" in trace.meta)
+    writer = TraceWriter(path)
     for w in trace.switches:
         writer.switch_sink.append(w)
     for w in trace.values:
@@ -87,6 +87,27 @@ class TestToBytesEqualsTheFile:
         trace.save(tmp_path / "saved.djv")
         assert (tmp_path / "saved.djv").read_bytes() == trace.to_bytes()
         assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_slim_recording_file_equals_to_bytes(self, name, tmp_path):
+        """``record(slim=True, out=...)`` writes exactly ``to_bytes()``,
+        whether slimming kept a sidecar (v3.2) or fell back at seal
+        (v3.1: slim never costs bytes on disk either)."""
+        spec = REGISTRY[name]
+        versions = set()
+        for explore in (False, True):
+            program = spec.build(spec.merged_kwargs(explore=explore))
+            for seed in (1, 2):
+                out = tmp_path / "t.djv"
+                trace = record(program, slim=True, out=out, **jitter_knobs(seed)).trace
+                data = out.read_bytes()
+                where = (name, explore, seed, trace.meta.get("slim_fallback"))
+                assert data == trace.to_bytes(), where
+                version = FORMAT_VERSION if "slim_fallback" in trace.meta else FORMAT_VERSION_SLIM
+                assert data[:6] == LAYOUTS[version].header(), where
+                versions.add(version)
+        if name.startswith("figure1"):
+            assert FORMAT_VERSION in versions  # these fall back
 
     def test_empty_trace_without_meta(self, tmp_path):
         trace = TraceLog()
