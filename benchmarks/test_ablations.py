@@ -103,5 +103,8 @@ def test_symmetry_cost_is_negligible(benchmark, report):
 
     t_on, t_off = benchmark.pedantic(measure, rounds=1, iterations=1)
     ratio = t_on / t_off
-    report.row(f"record time, all symmetry on/off ratio: {ratio:.2f}x")
+    # the measured ratio varies run to run, so it goes to stdout; the
+    # tracked report holds only the claim, and stays put when it holds
+    print(f"record time, all symmetry on/off ratio: {ratio:.2f}x")
+    report.row("record time, all symmetry on/off ratio below 1.8x")
     assert ratio < 1.8

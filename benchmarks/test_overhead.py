@@ -85,6 +85,9 @@ def test_record_overhead_is_bounded(benchmark, report):
         return ratios
 
     ratios = benchmark.pedantic(measure, rounds=1, iterations=1)
+    # measured ratios vary run to run: stdout only; the tracked report
+    # holds the claim
     for name, ratio in ratios.items():
-        report.row(f"{name}: record/uninstrumented wall-time ratio = {ratio:.2f}x")
+        print(f"{name}: record/uninstrumented wall-time ratio = {ratio:.2f}x")
+        report.row(f"{name}: record/uninstrumented wall-time ratio below 4x")
         assert ratio < 4.0, f"{name} record overhead {ratio:.2f}x"

@@ -27,6 +27,7 @@ from repro.vm.bytecode import BRANCHES, Instr, Op
 from repro.vm.engineconfig import EngineConfig
 from repro.vm.errors import VMError, VMTrap
 from repro.vm.refmaps import field_ref
+from repro.vm.words import I32_MAX, I32_MIN
 
 # -- micro-op codes ----------------------------------------------------------
 
@@ -134,11 +135,9 @@ F_SL_CMPBR = 80  # a=slot, b=(cmp, target)   stack top vs local
 F_SC_CMPBR = 81  # a=const, b=(cmp, target)  stack top vs const
 F_L_BR = 82  # a=slot, b=(test, target)  local load + unary branch
 F_AL_GETFIELD = 83  # a=(slot, offset)     aload + getfield
-F_DUP_PUTFIELD = 84  # a=offset             dup + putfield
 F_ALL_PUTFIELD = 85  # a=(objslot, valslot), b=offset
 F_ALC_PUTFIELD = 86  # a=(objslot, const), b=offset
 F_ALL_ALOAD = 87  # a=(arrslot, idxslot) load, load, array element load
-F_IINC_BR = 88  # a=(slot, delta), b=target   iinc + goto (the loop tail)
 F_YP_GROUP = 89  # a=tag, b=(pre_fn, n_pre)   pure ops + terminal yield point
 
 #: yield-point location tags (carried so tests/traces can tell them apart)
@@ -350,17 +349,6 @@ def _match_group(ops: list, i: int, n: int, targets: frozenset):
             if m1 in _STORES:
                 return ((F_BIN_STORE, a1, fn), 2)
         return None
-    if m0 == M_DUP:
-        if i + 1 < n and (i + 1) not in targets:
-            m1, a1, _ = ops[i + 1]
-            if m1 == M_PUTFIELD:
-                return ((F_DUP_PUTFIELD, a1, None), 2)
-        return None
-    if m0 == M_IINC:
-        if i + 1 < n and (i + 1) not in targets:
-            m1, a1, _ = ops[i + 1]
-            if m1 == M_GOTO:
-                return ((F_IINC_BR, (a0, ops[i][2]), a1), 2)
     return None
 
 
@@ -388,7 +376,8 @@ def _yp_prefix_fn(pre: list):
             to_i32 = words.to_i32
 
             def h(stack, locals_):
-                locals_[a0] = to_i32(locals_[a0] + b0)
+                v = locals_[a0] + b0
+                locals_[a0] = v if I32_MIN <= v <= I32_MAX else to_i32(v)
             return h
 
         def h(stack, locals_):
@@ -413,7 +402,8 @@ def _yp_prefix_fn(pre: list):
             if m == M_ICONST:
                 stack.append(a)
             elif m == M_IINC:
-                locals_[a] = to_i32(locals_[a] + b)
+                v = locals_[a] + b
+                locals_[a] = v if I32_MIN <= v <= I32_MAX else to_i32(v)
             else:
                 stack.append(locals_[a])
     return h
@@ -490,9 +480,6 @@ def _fuse(ops: tuple, bci_of: tuple) -> tuple:
             fn, t = b
             assert old2new[t] >= 0, "branch into the interior of a fused group"
             xops[idx] = (mop, a, (fn, old2new[t]))
-        elif mop == F_IINC_BR:
-            assert old2new[b] >= 0, "branch into the interior of a fused group"
-            xops[idx] = (mop, a, old2new[b])
 
     return tuple(xops), tuple(xbci), tuple(xweights), groups
 

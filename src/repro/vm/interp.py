@@ -60,15 +60,15 @@ from typing import TYPE_CHECKING
 
 from repro.vm import words
 from repro.vm.compiler import (
+    CMP1_FNS,
+    CMP2_FNS,
     F_AL_GETFIELD,
     F_ALC_PUTFIELD,
     F_ALL_ALOAD,
-    F_IINC_BR,
     F_ALL_PUTFIELD,
     F_BIN_STORE,
     F_C_BIN,
     F_CONST_STORE,
-    F_DUP_PUTFIELD,
     F_L_BR,
     F_LC_BIN,
     F_LC_CMPBR,
@@ -148,8 +148,10 @@ from repro.vm.compiler import (
 )
 from repro.vm import corelib
 from repro.vm.errors import VMError, VMTrap
+from repro.vm.layout import HEADER_AUX, HEADER_WORDS, NULL, access_trap
 from repro.vm.native import BLOCK, NativeResult
 from repro.vm.threads import EAGER_STACK_HEADROOM, Frame, GreenThread
+from repro.vm.words import I32_MAX, I32_MIN
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.vm.machine import VirtualMachine
@@ -196,6 +198,19 @@ _STOP = -5  # the debug controller paused before this op was executed
 # arrays) or the loader can rewrite is read through its holder at call
 # time, never captured by address.  Allocating handlers store ``pc``
 # into the frame before allocating (safe-point discipline).
+#
+# Heap handlers index the VM's ``Memory.words`` list, captured here, in
+# place: a VM keeps that one list for life (image installs, collections
+# and checkpoint restores all write into it), and every object's words
+# lie inside it.  They check null and bounds inline and raise the same
+# traps as ``ObjectModel`` (``layout.access_trap``).
+
+
+def _array_trap(heap: list, addr: int, index: int) -> VMTrap:
+    """The trap of an array element access whose inline check failed."""
+    if addr == NULL:
+        return access_trap("array")
+    return access_trap("array", index, heap[addr + HEADER_AUX])
 
 
 def _f_nop(eng, a, b, pc, np):
@@ -233,19 +248,23 @@ def _f_iinc(eng, a, b, pc, np):
     to_i32 = words.to_i32
 
     def h(stack, locals_):
-        locals_[a] = to_i32(locals_[a] + b)
+        v = locals_[a] + b
+        locals_[a] = v if I32_MIN <= v <= I32_MAX else to_i32(v)
         return np
 
     return h
 
 
 def _f_ldc(eng, a, b, pc, np):
-    array_get = eng.vm.om.array_get
+    heap = eng.vm.memory.words
     rc = eng.vm.loader.rc_by_id[a]
 
     def h(stack, locals_):
-        stack.append(array_get(rc.constants_addr, b))
-        return np
+        addr = rc.constants_addr
+        if addr and 0 <= b < heap[addr + HEADER_AUX]:
+            stack.append(heap[addr + HEADER_WORDS + b])
+            return np
+        raise _array_trap(heap, addr, b)
 
     return h
 
@@ -402,77 +421,99 @@ def _f_ineg(eng, a, b, pc, np):
 
 
 def _f_getfield(eng, a, b, pc, np):
-    get_field = eng.vm.om.get_field
+    heap = eng.vm.memory.words
 
     def h(stack, locals_):
-        stack[-1] = get_field(stack[-1], a)
-        return np
+        addr = stack[-1]
+        if addr:
+            stack[-1] = heap[addr + a]
+            return np
+        raise access_trap("getfield")
 
     return h
 
 
 def _f_putfield(eng, a, b, pc, np):
-    put_field = eng.vm.om.put_field
+    heap = eng.vm.memory.words
 
     def h(stack, locals_):
         value = stack.pop()
-        put_field(stack.pop(), a, value)
-        return np
+        addr = stack.pop()
+        if addr:
+            heap[addr + a] = value
+            return np
+        raise access_trap("putfield")
 
     return h
 
 
 def _f_getstatic(eng, a, b, pc, np):
-    get_field = eng.vm.om.get_field
+    heap = eng.vm.memory.words
     rc = eng.vm.loader.rc_by_id[a]
 
     def h(stack, locals_):
-        stack.append(get_field(rc.statics_addr, b))
-        return np
+        addr = rc.statics_addr
+        if addr:
+            stack.append(heap[addr + b])
+            return np
+        raise access_trap("getfield")
 
     return h
 
 
 def _f_putstatic(eng, a, b, pc, np):
-    put_field = eng.vm.om.put_field
+    heap = eng.vm.memory.words
     rc = eng.vm.loader.rc_by_id[a]
 
     def h(stack, locals_):
-        put_field(rc.statics_addr, b, stack.pop())
-        return np
+        value = stack.pop()
+        addr = rc.statics_addr
+        if addr:
+            heap[addr + b] = value
+            return np
+        raise access_trap("putfield")
 
     return h
 
 
 def _f_iaload(eng, a, b, pc, np):
-    array_get = eng.vm.om.array_get
+    heap = eng.vm.memory.words
 
     def h(stack, locals_):
         idx = stack.pop()
-        stack[-1] = array_get(stack[-1], idx)
-        return np
+        addr = stack[-1]
+        if addr and 0 <= idx < heap[addr + HEADER_AUX]:
+            stack[-1] = heap[addr + HEADER_WORDS + idx]
+            return np
+        raise _array_trap(heap, addr, idx)
 
     return h
 
 
 def _f_iastore(eng, a, b, pc, np):
-    array_put = eng.vm.om.array_put
+    heap = eng.vm.memory.words
 
     def h(stack, locals_):
         value = stack.pop()
         idx = stack.pop()
-        array_put(stack.pop(), idx, value)
-        return np
+        addr = stack.pop()
+        if addr and 0 <= idx < heap[addr + HEADER_AUX]:
+            heap[addr + HEADER_WORDS + idx] = value
+            return np
+        raise _array_trap(heap, addr, idx)
 
     return h
 
 
 def _f_arraylength(eng, a, b, pc, np):
-    array_length = eng.vm.om.array_length
+    heap = eng.vm.memory.words
 
     def h(stack, locals_):
-        stack[-1] = array_length(stack[-1])
-        return np
+        addr = stack[-1]
+        if addr:
+            stack[-1] = heap[addr + HEADER_AUX]
+            return np
+        raise access_trap("arraylength")
 
     return h
 
@@ -752,9 +793,25 @@ def _f_lc_bin(eng, a, b, pc, np):
     return h
 
 
+#: the sign a constant takes when ``iadd``/``isub`` of it becomes an add
+_ADD_SIGN = {words.iadd: 1, words.isub: -1}
+
+
 def _f_c_bin(eng, a, b, pc, np):
     fn = b
     fstat = eng._fstat
+    sign = _ADD_SIGN.get(fn)
+    if sign is not None:
+        delta = sign * a
+        to_i32 = words.to_i32
+
+        def h(stack, locals_):
+            fstat[0] += 1
+            v = stack[-1] + delta
+            stack[-1] = v if I32_MIN <= v <= I32_MAX else to_i32(v)
+            return np
+
+        return h
 
     def h(stack, locals_):
         fstat[0] += 1
@@ -777,137 +834,244 @@ def _f_bin_store(eng, a, b, pc, np):
     return h
 
 
-def _f_ll_cmpbr(eng, a, b, pc, np):
-    s1, s2 = a
-    cmp, target = b
-    fstat = eng._fstat
+# Fused compare-branches compare inline.  Each shape has one closure
+# maker per comparison ``<``, ``<=`` and ``==``, called with the branch's
+# outcomes ``(yes, no)``; the other three comparisons are their negations,
+# bound by swapping the outcomes.  The fusion pass names the comparison
+# by its predicate (``compiler.CMP2_FNS`` / ``CMP1_FNS``), which keys the
+# shape's table, so binding one is a dict lookup.
 
+
+#: the branches naming the predicates <, >=, <=, >, ==, != of each arity
+_CMP2_OPS = (M_IF_ICMPLT, M_IF_ICMPGE, M_IF_ICMPLE, M_IF_ICMPGT, M_IF_ICMPEQ, M_IF_ICMPNE)
+_CMP1_OPS = (M_IFLT, M_IFGE, M_IFLE, M_IFGT, M_IFEQ, M_IFNE)
+
+
+def _cmp_table(fns: dict, ops: tuple, lt, le, eq) -> dict:
+    """predicate -> (closure maker, negated) for one compare-branch shape."""
+    makers = ((lt, False), (lt, True), (le, False), (le, True), (eq, False), (eq, True))
+    return {fns[op]: maker for op, maker in zip(ops, makers)}
+
+
+def _bind_cmpbr(table: dict, b, np, fstat, x, y):
+    """Bind compare-branch ``b = (predicate, target)`` of one shape."""
+    cmp, target = b
+    make, negated = table[cmp]
+    if negated:
+        return make(fstat, x, y, np, target)
+    return make(fstat, x, y, target, np)
+
+
+def _ll_lt(fstat, s1, s2, yes, no):
     def h(stack, locals_):
         fstat[1] += 1
-        return target if cmp(locals_[s1], locals_[s2]) else np
+        return yes if locals_[s1] < locals_[s2] else no
 
     return h
+
+
+def _ll_le(fstat, s1, s2, yes, no):
+    def h(stack, locals_):
+        fstat[1] += 1
+        return yes if locals_[s1] <= locals_[s2] else no
+
+    return h
+
+
+def _ll_eq(fstat, s1, s2, yes, no):
+    def h(stack, locals_):
+        fstat[1] += 1
+        return yes if locals_[s1] == locals_[s2] else no
+
+    return h
+
+
+def _lc_lt(fstat, slot, const, yes, no):
+    def h(stack, locals_):
+        fstat[1] += 1
+        return yes if locals_[slot] < const else no
+
+    return h
+
+
+def _lc_le(fstat, slot, const, yes, no):
+    def h(stack, locals_):
+        fstat[1] += 1
+        return yes if locals_[slot] <= const else no
+
+    return h
+
+
+def _lc_eq(fstat, slot, const, yes, no):
+    def h(stack, locals_):
+        fstat[1] += 1
+        return yes if locals_[slot] == const else no
+
+    return h
+
+
+def _sl_lt(fstat, _, slot, yes, no):
+    def h(stack, locals_):
+        fstat[0] += 1
+        return yes if stack.pop() < locals_[slot] else no
+
+    return h
+
+
+def _sl_le(fstat, _, slot, yes, no):
+    def h(stack, locals_):
+        fstat[0] += 1
+        return yes if stack.pop() <= locals_[slot] else no
+
+    return h
+
+
+def _sl_eq(fstat, _, slot, yes, no):
+    def h(stack, locals_):
+        fstat[0] += 1
+        return yes if stack.pop() == locals_[slot] else no
+
+    return h
+
+
+def _sc_lt(fstat, _, const, yes, no):
+    def h(stack, locals_):
+        fstat[0] += 1
+        return yes if stack.pop() < const else no
+
+    return h
+
+
+def _sc_le(fstat, _, const, yes, no):
+    def h(stack, locals_):
+        fstat[0] += 1
+        return yes if stack.pop() <= const else no
+
+    return h
+
+
+def _sc_eq(fstat, _, const, yes, no):
+    def h(stack, locals_):
+        fstat[0] += 1
+        return yes if stack.pop() == const else no
+
+    return h
+
+
+def _l_lt(fstat, _, slot, yes, no):
+    def h(stack, locals_):
+        fstat[0] += 1
+        return yes if locals_[slot] < 0 else no
+
+    return h
+
+
+def _l_le(fstat, _, slot, yes, no):
+    def h(stack, locals_):
+        fstat[0] += 1
+        return yes if locals_[slot] <= 0 else no
+
+    return h
+
+
+def _l_eq(fstat, _, slot, yes, no):
+    def h(stack, locals_):
+        fstat[0] += 1
+        return yes if locals_[slot] == 0 else no
+
+    return h
+
+
+# (``if_acmp*`` share the ``if_icmp*`` predicates and ``ifnull``/
+# ``ifnonnull`` the ``ifeq``/``ifne`` ones, so the tables cover them too)
+_LL_CMPBR = _cmp_table(CMP2_FNS, _CMP2_OPS, _ll_lt, _ll_le, _ll_eq)
+_LC_CMPBR = _cmp_table(CMP2_FNS, _CMP2_OPS, _lc_lt, _lc_le, _lc_eq)
+_SL_CMPBR = _cmp_table(CMP2_FNS, _CMP2_OPS, _sl_lt, _sl_le, _sl_eq)
+_SC_CMPBR = _cmp_table(CMP2_FNS, _CMP2_OPS, _sc_lt, _sc_le, _sc_eq)
+_L_BR = _cmp_table(CMP1_FNS, _CMP1_OPS, _l_lt, _l_le, _l_eq)
+
+
+def _f_ll_cmpbr(eng, a, b, pc, np):
+    return _bind_cmpbr(_LL_CMPBR, b, np, eng._fstat, *a)
 
 
 def _f_lc_cmpbr(eng, a, b, pc, np):
-    slot, const = a
-    cmp, target = b
-    fstat = eng._fstat
-
-    def h(stack, locals_):
-        fstat[1] += 1
-        return target if cmp(locals_[slot], const) else np
-
-    return h
+    return _bind_cmpbr(_LC_CMPBR, b, np, eng._fstat, *a)
 
 
 def _f_sl_cmpbr(eng, a, b, pc, np):
-    cmp, target = b
-    fstat = eng._fstat
-
-    def h(stack, locals_):
-        fstat[0] += 1
-        return target if cmp(stack.pop(), locals_[a]) else np
-
-    return h
+    return _bind_cmpbr(_SL_CMPBR, b, np, eng._fstat, None, a)
 
 
 def _f_sc_cmpbr(eng, a, b, pc, np):
-    cmp, target = b
-    fstat = eng._fstat
-
-    def h(stack, locals_):
-        fstat[0] += 1
-        return target if cmp(stack.pop(), a) else np
-
-    return h
+    return _bind_cmpbr(_SC_CMPBR, b, np, eng._fstat, None, a)
 
 
 def _f_l_br(eng, a, b, pc, np):
-    test, target = b
-    fstat = eng._fstat
-
-    def h(stack, locals_):
-        fstat[0] += 1
-        return target if test(locals_[a]) else np
-
-    return h
+    return _bind_cmpbr(_L_BR, b, np, eng._fstat, None, a)
 
 
 def _f_al_getfield(eng, a, b, pc, np):
     slot, offset = a
-    get_field = eng.vm.om.get_field
+    heap = eng.vm.memory.words
     fstat = eng._fstat
 
     def h(stack, locals_):
         fstat[0] += 1
-        stack.append(get_field(locals_[slot], offset))
-        return np
-
-    return h
-
-
-def _f_dup_putfield(eng, a, b, pc, np):
-    put_field = eng.vm.om.put_field
-    fstat = eng._fstat
-
-    def h(stack, locals_):
-        fstat[0] += 1
-        x = stack.pop()
-        put_field(x, a, x)
-        return np
+        addr = locals_[slot]
+        if addr:
+            stack.append(heap[addr + offset])
+            return np
+        raise access_trap("getfield")
 
     return h
 
 
 def _f_all_putfield(eng, a, b, pc, np):
     objslot, valslot = a
-    put_field = eng.vm.om.put_field
+    heap = eng.vm.memory.words
     fstat = eng._fstat
 
     def h(stack, locals_):
         fstat[1] += 1
-        put_field(locals_[objslot], b, locals_[valslot])
-        return np
+        addr = locals_[objslot]
+        if addr:
+            heap[addr + b] = locals_[valslot]
+            return np
+        raise access_trap("putfield")
 
     return h
 
 
 def _f_alc_putfield(eng, a, b, pc, np):
     objslot, const = a
-    put_field = eng.vm.om.put_field
+    heap = eng.vm.memory.words
     fstat = eng._fstat
 
     def h(stack, locals_):
         fstat[1] += 1
-        put_field(locals_[objslot], b, const)
-        return np
+        addr = locals_[objslot]
+        if addr:
+            heap[addr + b] = const
+            return np
+        raise access_trap("putfield")
 
     return h
 
 
 def _f_all_aload(eng, a, b, pc, np):
     arrslot, idxslot = a
-    array_get = eng.vm.om.array_get
+    heap = eng.vm.memory.words
     fstat = eng._fstat
 
     def h(stack, locals_):
         fstat[1] += 1
-        stack.append(array_get(locals_[arrslot], locals_[idxslot]))
-        return np
-
-    return h
-
-
-def _f_iinc_br(eng, a, b, pc, np):
-    slot, delta = a
-    fstat = eng._fstat
-    to_i32 = words.to_i32
-
-    def h(stack, locals_):
-        fstat[0] += 1
-        locals_[slot] = to_i32(locals_[slot] + delta)
-        return b
+        addr = locals_[arrslot]
+        idx = locals_[idxslot]
+        if addr and 0 <= idx < heap[addr + HEADER_AUX]:
+            stack.append(heap[addr + HEADER_WORDS + idx])
+            return np
+        raise _array_trap(heap, addr, idx)
 
     return h
 
@@ -989,11 +1153,9 @@ _FACTORIES = {
     F_SC_CMPBR: _f_sc_cmpbr,
     F_L_BR: _f_l_br,
     F_AL_GETFIELD: _f_al_getfield,
-    F_DUP_PUTFIELD: _f_dup_putfield,
     F_ALL_PUTFIELD: _f_all_putfield,
     F_ALC_PUTFIELD: _f_alc_putfield,
     F_ALL_ALOAD: _f_all_aload,
-    F_IINC_BR: _f_iinc_br,
 }
 
 

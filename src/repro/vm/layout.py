@@ -30,6 +30,25 @@ FORWARD_BIT = 1 << 62
 
 NULL = 0
 
+#: the NullPointer trap text of each kind of heap access
+_NULL_ACCESS = {
+    "getfield": "getfield on null",
+    "putfield": "putfield on null",
+    "array": "array access on null",
+    "arraylength": "arraylength of null",
+}
+
+
+def access_trap(access: str, index: int | None = None, length: int = 0) -> VMTrap:
+    """The trap of a failed heap *access* (``getfield``, ``putfield``,
+    ``array`` or ``arraylength``): NullPointer on a null reference, or,
+    given *index*, ArrayBounds for an index outside an array of *length*.
+    :class:`ObjectModel` and the engine's in-place handlers both raise
+    these, so each trap's text is defined here once."""
+    if index is None:
+        return VMTrap("NullPointer", _NULL_ACCESS[access])
+    return VMTrap("ArrayBounds", f"index {index}, length {length}")
+
 
 @dataclass
 class FieldSlot:
@@ -137,7 +156,7 @@ class ObjectModel:
 
     def array_length(self, addr: int) -> int:
         if addr == NULL:
-            raise VMTrap("NullPointer", "arraylength of null")
+            raise access_trap("arraylength")
         return self.memory.read(addr + HEADER_AUX)
 
     def object_size_words(self, addr: int) -> int:
@@ -171,22 +190,22 @@ class ObjectModel:
 
     def get_field(self, addr: int, offset: int) -> int:
         if addr == NULL:
-            raise VMTrap("NullPointer", "getfield on null")
+            raise access_trap("getfield")
         return self.memory.read(addr + offset)
 
     def put_field(self, addr: int, offset: int, value: int) -> None:
         if addr == NULL:
-            raise VMTrap("NullPointer", "putfield on null")
+            raise access_trap("putfield")
         self.memory.write(addr + offset, value)
 
     # -- array element access ------------------------------------------------------
 
     def _check_index(self, addr: int, index: int) -> None:
         if addr == NULL:
-            raise VMTrap("NullPointer", "array access on null")
+            raise access_trap("array")
         length = self.memory.read(addr + HEADER_AUX)
         if not (0 <= index < length):
-            raise VMTrap("ArrayBounds", f"index {index}, length {length}")
+            raise access_trap("array", index, length)
 
     def array_get(self, addr: int, index: int) -> int:
         self._check_index(addr, index)

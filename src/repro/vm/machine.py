@@ -158,7 +158,8 @@ class BootImage:
 
     def install(self, vm: "VirtualMachine") -> None:
         mem = vm.memory
-        mem.words = self.words.copy()
+        # in place: handlers bound on this VM index the list they captured
+        mem.words[:] = self.words
         mem.active = self.active
         mem.bump = self.bump
         mem.limit = self.limit
