@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """Dispatch benchmark: host ops/sec for each engine layer, each mode.
 
-Measures the engine's optimisation layers (superinstruction fusion,
-inline caches) over the plain threaded-code loop (``baseline``) on the
+Measures the engine's optimisation layer (superinstruction fusion,
+``full``) over the plain threaded-code loop (``baseline``) on the
 steady-state ``sorter`` and ``server`` workloads, in plain-run, record,
 and replay modes.  Guest behavior is asserted identical across engines
-(same cycles) — the layers may only change how fast the host gets there.
+(same cycles) — the layer may only change how fast the host gets there.
 
 Usage:
 
@@ -57,10 +57,9 @@ RECORD_FLOOR = 0.8
 #: host, so the median needs more pairs than a best-of needs reps
 CHECK_PAIRS = 9
 
-#: ablation layers, innermost first (each row adds one layer)
+#: the ablation: the plain loop, then the loop with fusion
 ENGINES = {
     "baseline": EngineConfig.baseline(),
-    "fused": EngineConfig(fusion=True, inline_caches=False),
     "full": EngineConfig(),
 }
 

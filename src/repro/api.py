@@ -96,7 +96,6 @@ class GuestProgram:
 #: preset resolves to *exactly* the EngineConfig the CLI one-shot uses.
 ENGINE_PRESETS = {
     "baseline": EngineConfig.baseline(),
-    "fused": EngineConfig(fusion=True, inline_caches=False),
     "full": EngineConfig(),
 }
 

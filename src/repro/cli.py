@@ -255,10 +255,6 @@ def cmd_engine_stats(args) -> int:
         "fused_sites",
         "fused_ops_executed",
         "fused_extra_cycles",
-        "ic_sites",
-        "ic_hits",
-        "ic_misses",
-        "ic_invalidations",
     ):
         print(f"   {key + ':':<20}{stats[key]}")
     return 0
@@ -672,8 +668,8 @@ def make_parser() -> argparse.ArgumentParser:
             "--engine",
             choices=sorted(ENGINE_PRESETS),
             default="full",
-            help="optimisation layers: baseline | fused | full "
-            "(guest behavior is identical under all of them)",
+            help="optimisation layer: baseline | full (fusion) "
+            "(guest behavior is identical under both)",
         )
 
     p = sub.add_parser("run", help="execute a guest program")

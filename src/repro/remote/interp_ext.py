@@ -30,6 +30,7 @@ from repro.remote.remote_object import RemoteObject, RemoteResolver
 from repro.vm import words
 from repro.vm.bytecode import Op
 from repro.vm.errors import VMError, VMTrap
+from repro.vm.layout import access_trap
 from repro.vm.refmaps import field_ref
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -323,7 +324,7 @@ class ToolInterpreter:
         elif op is Op.GETFIELD:
             obj = stack.pop()
             if self._is_null(obj):
-                raise VMTrap("NullPointer", "getfield on null")
+                raise access_trap("getfield")
             if isinstance(obj, RemoteObject):
                 stack.append(self._remote_field(obj, instr.arg))
             else:
@@ -360,7 +361,7 @@ class ToolInterpreter:
             index = stack.pop()
             arr = stack.pop()
             if self._is_null(arr):
-                raise VMTrap("NullPointer", "array load on null")
+                raise access_trap("array")
             if isinstance(arr, RemoteObject):
                 self.remote_fetches += 1
                 stack.append(arr.elem(index))
@@ -376,7 +377,7 @@ class ToolInterpreter:
         elif op is Op.ARRAYLENGTH:
             arr = stack.pop()
             if self._is_null(arr):
-                raise VMTrap("NullPointer", "arraylength on null")
+                raise access_trap("arraylength")
             if isinstance(arr, RemoteObject):
                 stack.append(arr.length)
             else:

@@ -38,7 +38,7 @@ names and texts are strings.  Fields:
 * ``source`` (+ ``main``, ``name``) — inline ``.jasm`` text
 * ``seed`` — the CLI ``--seed`` knob (None: host timer/clock)
 * ``engine`` — an :data:`repro.api.ENGINE_PRESETS` name (default
-  ``full``) or a dict of engine flags (the 4-combo ablation space)
+  ``full``) or a dict of engine flags (``{"fusion": bool}``)
 * ``heap`` — semispace words (default 400 000, the CLI default)
 * ``deadline`` — per-job wall-clock budget in seconds; exceeding it
   lands a typed ``JobDeadlineExceeded``, enforced cooperatively at
@@ -241,7 +241,7 @@ def _check_engine(engine) -> None:
                 f"(known: {', '.join(sorted(ENGINE_PRESETS))})"
             )
     elif isinstance(engine, dict):
-        allowed = {"fusion", "inline_caches"}
+        allowed = {"fusion"}
         bad = set(engine) - allowed
         if bad:
             raise ServeError(

@@ -11,10 +11,10 @@ instrumentation layer that could be compiled differently between modes.
 Machine code is a tuple of ``(mop, a, b)`` tuples dispatched by the
 engine in :mod:`repro.vm.interp`.  Symbolic operands are resolved at
 compile time to offsets, vtable keys, or indices into the compiling
-loader's tables — a class id, a method id, an inline-cache site's index
-in ``Loader.ic_sites`` — which the engine turns into that VM's objects
-when it binds a method.  Compiled code therefore holds no loader object,
-and one :class:`MachineCode` serves every VM installed from an image.
+loader's tables — a class id, a method id — which the engine turns into
+that VM's objects when it binds a method.  Compiled code therefore holds
+no loader object, and one :class:`MachineCode` serves every VM installed
+from an image.
 """
 
 from __future__ import annotations
@@ -484,43 +484,6 @@ def _fuse(ops: tuple, bci_of: tuple) -> tuple:
     return tuple(xops), tuple(xbci), tuple(xweights), groups
 
 
-class InvokeSite:
-    """One compiled ``invokevirtual`` site.
-
-    Carries the precomputed arity (so the engine stops chasing
-    ``signature.nargs`` per call) and the site's monomorphic inline
-    cache: the last dispatched ``class_id`` and its resolved target.
-    The loader invalidates every site whenever a class is linked, so a
-    cache can never go stale across dynamic loading.
-    """
-
-    __slots__ = ("key", "proto", "nargs", "recv_index", "cid", "target")
-
-    def __init__(self, key: str, proto):
-        self.key = key
-        self.proto = proto
-        self.nargs = proto.mdef.signature.nargs + 1  # + receiver
-        self.recv_index = -self.nargs  # receiver slot, from stack top
-        self.cid = -1
-        self.target = None
-
-    def invalidate(self) -> None:
-        self.cid = -1
-        self.target = None
-
-    def rebound(self, proto, target) -> "InvokeSite":
-        """A copy of this site (key and cache state) for another loader,
-        whose counterparts of ``proto`` and ``target`` are given."""
-        site = InvokeSite(self.key, proto)
-        site.cid = self.cid
-        site.target = target
-        return site
-
-    def __repr__(self) -> str:  # pragma: no cover
-        state = "empty" if self.cid < 0 else f"cid={self.cid}"
-        return f"<InvokeSite {self.key} {state}>"
-
-
 @dataclass(frozen=True)
 class MachineCode:
     """Compiled body of one method; immutable, so every VM installed from
@@ -651,6 +614,7 @@ def _translate(loader, rc, instr: Instr, bci: int, ops: list, emit, fixups) -> N
         emit(bci, M_INVOKESTATIC, rm.method_id, rm.mdef.signature.nargs)
     elif op is Op.INVOKEVIRTUAL:
         key, proto = loader.resolve_virtual(str(instr.arg))
-        emit(bci, M_INVOKEVIRTUAL, key, loader.register_ic_site(InvokeSite(key, proto)))
+        # b = precomputed arity including the receiver
+        emit(bci, M_INVOKEVIRTUAL, key, proto.mdef.signature.nargs + 1)
     else:  # pragma: no cover - exhaustive over the ISA
         raise VMError(f"cannot compile opcode {op.name}")

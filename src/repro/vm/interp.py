@@ -193,11 +193,11 @@ _STOP = -5  # the debug controller paused before this op was executed
 # Handlers return the next pc (or a negative sentinel).
 #
 # Baking rules: an operand that names a loader object by index (class
-# id, method id, inline-cache site) is resolved against this VM's loader
-# here, at bind time.  Anything the GC can move (statics/constants
-# arrays) or the loader can rewrite is read through its holder at call
-# time, never captured by address.  Allocating handlers store ``pc``
-# into the frame before allocating (safe-point discipline).
+# id, method id) is resolved against this VM's loader here, at bind
+# time.  Anything the GC can move (statics/constants arrays) or the
+# loader can rewrite is read through its holder at call time, never
+# captured by address.  Allocating handlers store ``pc`` into the frame
+# before allocating (safe-point discipline).
 #
 # Heap handlers index the VM's ``Memory.words`` list, captured here, in
 # place: a VM keeps that one list for life (image installs, collections
@@ -604,41 +604,19 @@ def _f_invokestatic(eng, a, b, pc, np):
 
 def _f_invokevirtual(eng, a, b, pc, np):
     key = a
+    nargs = b  # arity including the receiver
+    ridx = -nargs  # receiver slot, from stack top
     loader = eng.vm.loader
-    site = loader.ic_sites[b]
-    nargs = site.nargs
-    ridx = site.recv_index
     mem_read = eng.vm.om.memory.read
-    if eng.cfg.inline_caches:
 
-        def h(stack, locals_):
-            receiver = stack[ridx]
-            if receiver == 0:
-                raise VMTrap("NullPointer", f"invokevirtual {key} on null")
-            cid = mem_read(receiver)  # header word 0 = class id
-            if cid == site.cid:
-                rm = site.target
-                eng.ic_hits += 1
-            else:
-                rm = loader.vtable_lookup(cid, key)
-                site.cid = cid
-                site.target = rm
-                eng.ic_misses += 1
-            args = stack[-nargs:]
-            del stack[-nargs:]
-            eng._call = (rm, args)
-            return _CALL
-
-    else:
-
-        def h(stack, locals_):
-            receiver = stack[ridx]
-            if receiver == 0:
-                raise VMTrap("NullPointer", f"invokevirtual {key} on null")
-            args = stack[-nargs:]
-            del stack[-nargs:]
-            eng._call = (loader.vtable_lookup(mem_read(receiver), key), args)
-            return _CALL
+    def h(stack, locals_):
+        receiver = stack[ridx]
+        if receiver == 0:
+            raise VMTrap("NullPointer", f"invokevirtual {key} on null")
+        args = stack[-nargs:]
+        del stack[-nargs:]
+        eng._call = (loader.vtable_lookup(mem_read(receiver), key), args)
+        return _CALL
 
     return h
 
@@ -1244,8 +1222,6 @@ class Engine:
         #: cycles inline (before the yield point observes the hw bit),
         #: never through the loop's carry-fold.
         self._ypstat = [0, 0]
-        self.ic_hits = 0
-        self.ic_misses = 0
         # dispatch plumbing: the current thread/frame (for heavy handlers
         # and hook wrappers) and the in-flight resolved call (rm, args).
         self._thread: GreenThread | None = None
@@ -1306,8 +1282,6 @@ class Engine:
             "dispatches": self.dispatches,
             "fused_ops_executed": self.fused_ops_executed,
             "fused_extra_cycles": self.fused_extra_cycles,
-            "ic_hits": self.ic_hits,
-            "ic_misses": self.ic_misses,
         }
 
     # ------------------------------------------------------------------

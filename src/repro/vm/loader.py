@@ -124,9 +124,6 @@ class Loader:
         self.interned: dict[str, int] = {}
         self.temp_roots: list[int] = []
         self.bootstrapped = False
-        #: every compiled invokevirtual site (for inline-cache invalidation)
-        self.ic_sites: list = []
-        self.ic_invalidations = 0
 
     # ------------------------------------------------------------------
     # declaration
@@ -266,26 +263,6 @@ class Loader:
         return rm
 
     # ------------------------------------------------------------------
-    # inline-cache bookkeeping
-
-    def register_ic_site(self, site) -> int:
-        """Keep *site*; returns its index, which compiled code names it by."""
-        self.ic_sites.append(site)
-        return len(self.ic_sites) - 1
-
-    def invalidate_inline_caches(self) -> None:
-        """Reset every invokevirtual cache (called on each class link).
-
-        Linking can only *add* vtables, never change an existing class's
-        dispatch, so flushing is stronger than strictly needed — but it
-        makes cache state a pure function of the (deterministic) class
-        load order, which keeps the determinism argument trivial.
-        """
-        for site in self.ic_sites:
-            site.invalidate()
-        self.ic_invalidations += 1
-
-    # ------------------------------------------------------------------
     # layout phase
 
     def ensure_layout(self, name: str) -> RuntimeClass:
@@ -370,7 +347,6 @@ class Loader:
         self._materialize_constants(rc)
         if self.bootstrapped:
             self._materialize_class_metadata(rc)
-        self.invalidate_inline_caches()
         return rc
 
     def load(self, name: str) -> RuntimeClass:
@@ -649,7 +625,7 @@ def _copy_tables(src: Loader, dst: Loader) -> None:
     Shared (immutable once booted): ClassDef, MethodDef, CodeMaps,
     Layout and MachineCode, whose operands name loader objects by index.
     Copied: RuntimeClass, RuntimeMethod (with no bound handler table),
-    InvokeSite, and every dict and list of the loader.
+    and every dict and list of the loader.
     """
     rcs: dict[str, RuntimeClass] = {
         name: RuntimeClass(
@@ -675,13 +651,6 @@ def _copy_tables(src: Loader, dst: Loader) -> None:
             new.super_rc = rcs[rc.super_rc.name]
         new.methods = {key: methods[rm.method_id] for key, rm in rc.methods.items()}
         new.vtable = {key: methods[rm.method_id] for key, rm in rc.vtable.items()}
-    sites = [
-        site.rebound(
-            methods[site.proto.method_id],
-            None if site.target is None else methods[site.target.method_id],
-        )
-        for site in src.ic_sites
-    ]
 
     dst.classdefs = dict(src.classdefs)
     dst.classes = rcs
@@ -692,8 +661,6 @@ def _copy_tables(src: Loader, dst: Loader) -> None:
     dst.interned = dict(src.interned)
     dst.temp_roots = list(src.temp_roots)
     dst.bootstrapped = src.bootstrapped
-    dst.ic_sites = sites
-    dst.ic_invalidations = src.ic_invalidations
 
 
 class LoaderImage:

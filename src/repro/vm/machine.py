@@ -56,9 +56,9 @@ class VMConfig:
     max_stack_words: int = 65_536
     max_cycles: int = 200_000_000
     observe: bool = True
-    #: which dispatch/fusion/inline-cache layers the engine enables; any
-    #: combination produces bit-identical guest behavior (traces, clocks,
-    #: heap digests) — only host-side speed differs
+    #: whether the engine fuses superinstructions; on or off produces
+    #: bit-identical guest behavior (traces, clocks, heap digests) — only
+    #: host-side speed differs
     engine: EngineConfig = field(default_factory=EngineConfig)
 
 
@@ -475,8 +475,8 @@ class VirtualMachine:
             for rm in self.loader.method_by_id
             if rm.code is not None
         )
-        stats["ic_sites"] = len(self.loader.ic_sites)
-        stats["ic_invalidations"] = self.loader.ic_invalidations
+        # read by perfbench/layers.py for vm.ic_hit_ratio until that metric goes
+        stats["ic_hits"] = stats["ic_misses"] = 0
         return stats
 
     # ------------------------------------------------------------------

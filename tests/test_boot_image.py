@@ -26,7 +26,7 @@ from repro.core import MODE_RECORD, MODE_REPLAY, DejaVu
 from repro.core.symmetry import SymmetryConfig
 from repro.vm import FixedTimer, SeededJitterTimer
 from repro.vm import machine
-from repro.vm.compiler import InvokeSite, MachineCode
+from repro.vm.compiler import MachineCode
 from repro.vm.engineconfig import EngineConfig
 from repro.vm.errors import VMError
 from repro.vm.interp import Engine
@@ -52,9 +52,9 @@ def _cfg(engine: EngineConfig, heap: int = HEAP) -> VMConfig:
 
 
 def _named(obj):
-    """An operand or inline-cache site with loader objects replaced by
-    their names, and the closures fusion compiles (fresh objects per
-    load) by their code and captured values."""
+    """An operand with loader objects replaced by their names, and the
+    closures fusion compiles (fresh objects per load) by their code and
+    captured values."""
     if isinstance(obj, tuple):
         return tuple(_named(x) for x in obj)
     if isinstance(obj, list):
@@ -64,8 +64,6 @@ def _named(obj):
         return ("closure", obj.__code__, cells)
     if isinstance(obj, RuntimeMethod):
         return ("method", obj.qualname, obj.method_id)
-    if isinstance(obj, InvokeSite):
-        return ("site", obj.key, obj.proto.qualname, obj.cid, obj.target)
     return obj
 
 
@@ -99,8 +97,6 @@ def post_boot_state(vm: VirtualMachine) -> dict:
         "interned": list(loader.interned.items()),
         "methods": [(rm.qualname, rm.method_id, rm.entries) for rm in loader.method_by_id],
         "code": [_code_shape(rm.code) for rm in loader.method_by_id],
-        "ic": [_named(site) for site in loader.ic_sites],
-        "ic_invalidations": loader.ic_invalidations,
         "engine_stats": vm.engine_stats(),
     }
 
@@ -111,12 +107,11 @@ def _mutable_ids(loader: Loader, vm: VirtualMachine | None = None) -> set[int]:
     objs: list = [
         loader.classdefs, loader.classes, loader.class_table, loader.rc_by_id,
         loader.array_layouts, loader.method_by_id, loader.interned,
-        loader.temp_roots, loader.ic_sites,
+        loader.temp_roots,
     ]
     for rc in loader.classes.values():
         objs += [rc, rc.methods, rc.vtable]
     objs += loader.method_by_id
-    objs += loader.ic_sites
     if vm is not None:
         objs.append(vm.memory.words)
     return {id(o) for o in objs}
@@ -179,8 +174,6 @@ class TestClonesShareNothingMutable:
         ]
 
         a.loader.classes["VM_Dictionary"].statics_addr = 12_345
-        site = a.loader.ic_sites[0]
-        site.cid, site.target = 3, a.loader.method_by_id[0]
         for rm in a.loader.method_by_id:
             if rm.code is not None:
                 a.engine._bind(rm)
@@ -191,7 +184,6 @@ class TestClonesShareNothingMutable:
         assert [
             (rc.statics_addr, rc.constants_addr) for rc in template.classes.values()
         ] == before_t
-        assert all(s.cid == -1 and s.target is None for s in template.ic_sites)
         assert all(rm.entries is None for rm in template.method_by_id)
         assert "mutated" not in template.interned
         c = VirtualMachine(_cfg(EngineConfig()))
@@ -199,9 +191,9 @@ class TestClonesShareNothingMutable:
 
 
 def _bound_objects(fn, seen=None) -> list:
-    """Every loader, class, method and inline-cache site a bound handler
-    reaches through its closure cells (nested closures, tuples and the
-    handler's own engine's loader included)."""
+    """Every loader, class and method a bound handler reaches through
+    its closure cells (nested closures, tuples and the handler's own
+    engine's loader included)."""
     seen = set() if seen is None else seen
     found: list = []
     if id(fn) in seen:
@@ -213,7 +205,7 @@ def _bound_objects(fn, seen=None) -> list:
     elif isinstance(fn, types.FunctionType):
         for cell in fn.__closure__ or ():
             found += _bound_objects(cell.cell_contents, seen)
-    elif isinstance(fn, (Loader, RuntimeClass, RuntimeMethod, InvokeSite)):
+    elif isinstance(fn, (Loader, RuntimeClass, RuntimeMethod)):
         found.append(fn)
     elif isinstance(fn, Engine):
         found.append(fn.vm.loader)
@@ -248,7 +240,7 @@ class TestSharedCode:
             for _, x, y in code.ops:
                 for operand in (x, y):
                     assert not isinstance(
-                        operand, (Loader, RuntimeClass, RuntimeMethod, InvokeSite)
+                        operand, (Loader, RuntimeClass, RuntimeMethod)
                     ), (code.qualname, operand)
         assert compiled > 20
 
@@ -280,8 +272,7 @@ class TestSharedCode:
         vms[1].engine.debug = _Checker()
         for vm in vms:
             loader = vm.loader
-            own = {id(o) for o in [loader, *loader.classes.values(),
-                                   *loader.method_by_id, *loader.ic_sites]}
+            own = {id(o) for o in [loader, *loader.classes.values(), *loader.method_by_id]}
             reached = 0
             for rm in loader.method_by_id:
                 if rm.code is None:

@@ -57,7 +57,7 @@ EXPLORE = {
     "kind": "explore", "workload": "bank",
     "workload_kwargs": {"tellers": 2, "deposits": 6},
     "seed": 0, "env_seed": 0, "bound": 1, "budget": 12,
-    "engine": {"fusion": True, "inline_caches": True}, "heap": 60_000,
+    "engine": {"fusion": True}, "heap": 60_000,
 }
 
 

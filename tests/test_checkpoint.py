@@ -9,6 +9,7 @@ damaged sidecar may cost seek acceleration, never correctness.
 
 import hashlib
 import json
+import re
 import zlib
 
 import pytest
@@ -46,6 +47,7 @@ from repro.vm import SeededJitterTimer
 from repro.vm.engineconfig import EngineConfig
 from repro.vm.errors import (
     CheckpointConfigMismatch,
+    CheckpointEngineMismatch,
     CheckpointError,
     CheckpointFormatError,
 )
@@ -132,7 +134,7 @@ class TestCaptureRestore:
 
     def test_boundaries_identical_across_all_engine_combos(self, recorded):
         """Cycle counting is deterministic under every engine config,
-        so all 4 combos snapshot at identical boundaries — and each
+        so both combos snapshot at identical boundaries — and each
         combo's restore reproduces its own later digests exactly.  (The
         digests themselves are per-combo: the snapshot header carries
         engine statistics, which differ by engine configuration.)"""
@@ -511,24 +513,26 @@ class TestResumeReplay:
         with pytest.raises(CheckpointConfigMismatch):
             restore_vm(snap, racy_bank(), TraceLog.load(sealed), config=baseline)
 
+    @pytest.mark.parametrize("tag", ["switch", "threaded+ic", "threaded+fusion+ic"])
     def test_retired_switch_engine_sidecar_falls_back_to_zero(
-        self, recorded, sealed, tmp_path
+        self, recorded, sealed, tmp_path, tag
     ):
-        """A sidecar tagged with the retired per-micro-op loop's engine
-        ("switch") is refused at restore with the typed mismatch, and a
-        resumed replay walks down the ladder instead of restoring it."""
+        """A sidecar tagged with an engine no build produces any more —
+        the retired per-micro-op loop ("switch") or the retired inline
+        caches ("+ic") — is refused at restore with the typed mismatch,
+        and a resumed replay walks down the ladder instead of restoring it."""
         store = CheckpointStore.load(sidecar_path(sealed))
         trace_path = tmp_path / "old.djv"
         recorded.trace.save(trace_path)
         writer = CheckpointWriter(sidecar_path(trace_path))
         for snap in store.snapshots:
-            header = dict(snap.header, engine="switch")
+            header = dict(snap.header, engine=tag)
             header["digest"] = _digest_of(header, snap.words, snap.events)
             writer.add(Snapshot(header, snap.words, snap.events))
-        writer.seal(dict(store.meta, engine="switch"))
+        writer.seal(dict(store.meta, engine=tag))
         old = CheckpointStore.load(sidecar_path(trace_path))
         assert len(old.snapshots) == len(store.snapshots) > 1 and not old.skipped
-        with pytest.raises(CheckpointConfigMismatch, match="'switch'"):
+        with pytest.raises(CheckpointEngineMismatch, match=re.escape(repr(tag))):
             restore_vm(old.snapshots[0], racy_bank(), TraceLog.load(trace_path), config=CFG)
         resumed = resume_replay(
             racy_bank(), TraceLog.load(trace_path),

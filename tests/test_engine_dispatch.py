@@ -66,12 +66,10 @@ class TestToggleMatrix:
         assert result.behavior_key() == want.behavior_key()
 
     def test_layers_actually_engage(self):
-        # server exercises invokevirtual (Queue.push/pop); bank does not
         vm, _ = _run_bank(EngineConfig(), factory=lambda: server(seed=11))
         stats = vm.engine_stats()
         assert stats["fused_ops_executed"] > 0
         assert stats["fused_sites"] > 0
-        assert stats["ic_hits"] > 0
         # cycle bookkeeping: every cycle is a dispatch or a fused carry
         assert stats["dispatches"] + stats["fused_extra_cycles"] == stats["cycles"]
 
@@ -80,7 +78,6 @@ class TestToggleMatrix:
         stats = vm.engine_stats()
         assert stats["fused_ops_executed"] == 0
         assert stats["fused_sites"] == 0
-        assert stats["ic_hits"] == 0 and stats["ic_misses"] == 0
         assert stats["dispatches"] == stats["cycles"]
 
 
@@ -327,28 +324,6 @@ class TestYieldPointFusion:
 
 
 # ---------------------------------------------------------------------------
-# inline caches
-
-
-class TestInlineCaches:
-    def test_monomorphic_sites_hit(self):
-        vm, _ = _run_bank(EngineConfig(), factory=lambda: server(seed=11))
-        stats = vm.engine_stats()
-        assert stats["ic_sites"] > 0
-        assert stats["ic_misses"] >= 1  # first dispatch per site misses
-        assert stats["ic_hits"] > stats["ic_misses"]
-        assert stats["ic_invalidations"] > 0  # class loads flushed caches
-
-    def test_disabled_caches_never_consulted(self):
-        engine = EngineConfig(fusion=True, inline_caches=False)
-        vm, _ = _run_bank(engine, factory=lambda: server(seed=11))
-        stats = vm.engine_stats()
-        assert stats["ic_hits"] == 0 and stats["ic_misses"] == 0
-        # sites still exist (compiled in), they are just not used
-        assert stats["ic_sites"] > 0
-
-
-# ---------------------------------------------------------------------------
 # hooks bound into the handler tables
 
 
@@ -483,8 +458,8 @@ done:
         )
         assert main(["engine-stats", str(path), "--seed", "3"]) == 0
         out = capsys.readouterr().out
-        assert "engine: threaded+fusion+ic" in out
-        assert "dispatches:" in out and "ic_hits:" in out
+        assert "engine: threaded+fusion\n" in out
+        assert "dispatches:" in out and "ic_hits:" not in out
 
     def test_engine_preset_flag(self, tmp_path, capsys):
         from repro.cli import main
@@ -495,11 +470,19 @@ done:
         assert "-- engine: threaded\n" in capsys.readouterr().out
 
     def test_removed_threaded_preset_is_a_usage_error(self, tmp_path, capsys):
+        """The retired loop's preset and the retired inline-cache
+        ablation's "fused" preset (now the same engine as "full")."""
         from repro.cli import main
 
         path = tmp_path / "p.jasm"
         path.write_text(".class Main\n.method static main ()V\n    return\n.end\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["run", str(path), "--engine", "threaded"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'threaded'" in capsys.readouterr().err
+        out = str(tmp_path / "t.djv")
+        for argv, preset in (
+            (["run", str(path)], "threaded"),
+            (["record", str(path), "-o", out], "fused"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--engine", preset])
+            assert exc.value.code == 2
+            assert f"invalid choice: '{preset}'" in capsys.readouterr().err
+        assert not (tmp_path / "t.djv").exists()

@@ -4,7 +4,7 @@ The daemon's contract has three load-bearing claims, each pinned here:
 
 * **Byte-identity**: a job served from the warm daemon returns stdout
   (and, for record, trace bytes) byte-identical to the CLI one-shot —
-  across every engine preset and all 4 engine-flag combinations, and
+  across every engine preset and both engine-flag combinations, and
   identically warm or cold.  Warm sessions may change latency, never
   results.
 * **Robustness envelope**: typed validation (poison jobs answer with a
@@ -46,12 +46,13 @@ from repro.serve.protocol import (
     TransportError,
     decode_serve_payload,
     encode_serve_message,
+    validate_campaign,
 )
 from repro.serve.supervisor import CancelToken
 from repro.vm.engineconfig import EngineConfig
 
 ALL_ENGINES = EngineConfig.all_combinations()
-PRESETS = ("baseline", "fused", "full")
+PRESETS = ("baseline", "full")
 
 #: an infinite guest loop that still reaches engine safe points: the
 #: loop *body* executes the backedge yield point every iteration (a bare
@@ -159,11 +160,24 @@ class TestValidateJob:
             validate_job(record_job(engine=3))
 
     def test_removed_engine_options_are_rejected(self):
-        # one dispatch loop: the old dispatch toggle and its preset are gone
+        # one dispatch loop: the old dispatch toggle and its preset are gone;
+        # inline caches are gone, and with them the "fused" preset (which
+        # now names the same engine as "full")
+        for flag in ("threaded_dispatch", "inline_caches"):
+            with pytest.raises(ServeError, match="unknown engine flag"):
+                validate_job(record_job(engine={flag: True}))
+        for preset in ("threaded", "fused"):
+            with pytest.raises(ServeError, match="unknown engine preset"):
+                validate_job(record_job(engine=preset))
+        campaign = {
+            "kind": "explore", "workload": "bank", "workload_kwargs": {},
+            "seed": 0, "env_seed": 0, "bound": 1, "budget": 4, "heap": 60_000,
+        }
+        assert validate_campaign({**campaign, "engine": {"fusion": True}})
         with pytest.raises(ServeError, match="unknown engine flag"):
-            validate_job(record_job(engine={"threaded_dispatch": True}))
+            validate_campaign({**campaign, "engine": {"fusion": True, "inline_caches": True}})
         with pytest.raises(ServeError, match="unknown engine preset"):
-            validate_job(record_job(engine="threaded"))
+            validate_campaign({**campaign, "engine": "fused"})
 
     @pytest.mark.parametrize(
         "bad, match",
@@ -579,14 +593,11 @@ class TestByteIdentity:
         "engine", ALL_ENGINES, ids=[e.describe() for e in ALL_ENGINES]
     )
     def test_all_engine_combos_warm_equals_oneshot(self, daemon, engine):
-        """The 4-combo ablation space, via engine-flag dicts: a warm
+        """The 2-combo ablation space, via engine-flag dicts: a warm
         daemon run is identical to a cold one-shot executor run."""
         from repro.serve.jobs import run_job
 
-        flags = {
-            "fusion": engine.fusion,
-            "inline_caches": engine.inline_caches,
-        }
+        flags = {"fusion": engine.fusion}
         job = validate_job(record_job(engine=flags))
         oneshot = run_job(job, None, CancelToken(None))
         warm = _submit(daemon, record_job(engine=flags))

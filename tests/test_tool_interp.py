@@ -197,6 +197,47 @@ class TestDifferential:
         e, t = both_engines(src, "F.go(I)I", [7])
         assert e == t == 7 * 7 * 3
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "    aconst_null\n    getfield P.x I\n",
+            "    aconst_null\n    iconst 0\n    iaload\n",
+            "    aconst_null\n    arraylength\n",
+        ],
+        ids=["getfield", "iaload", "arraylength"],
+    )
+    def test_trap_parity_null_heap_access(self, body):
+        """A null dereference traps with the same kind and message in
+        the tool interpreter as in the compiled engine."""
+        from repro.vm.errors import VMTrap
+
+        src = f"""
+.class P
+.field x I
+.class F
+.method static boom ()I
+{body}    ireturn
+.end
+"""
+        wrapper = """
+.class Main
+.method static main ()V
+    invokestatic F.boom()I
+    pop
+    return
+.end
+"""
+        vm = VirtualMachine(TEST_CONFIG)
+        vm.declare(assemble(src + wrapper))
+        traps = vm.run().traps
+        assert len(traps) == 1
+        tool_vm = VirtualMachine(TEST_CONFIG)
+        tool_vm.declare(assemble(src))
+        tool = ToolInterpreter(tool_vm, DebugPort(tool_vm))
+        with pytest.raises(VMTrap) as exc:
+            tool.call("F.boom()I", [])
+        assert (exc.value.kind, str(exc.value)) == traps[0][1:]
+
     def test_trap_parity_div_zero(self):
         from repro.vm.errors import VMTrap
 
