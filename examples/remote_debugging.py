@@ -8,7 +8,7 @@ Three tiers, as in the paper:
    read-only ptrace-style port and remote reflection — including the
    Figure-3 ``Debugger.lineNumberOf`` *guest* method, interpreted on the
    tool VM against remote objects;
-3. a **frontend** talks to the debugger core over TCP with small JSON
+3. a **frontend** talks to the debugger core over TCP with small typed
    packets.
 
 At the end, the debugged replay is compared event-for-event against the

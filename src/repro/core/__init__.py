@@ -27,20 +27,15 @@ from repro.core.checkpoint import (
 )
 from repro.core.controller import MODE_RECORD, MODE_REPLAY, DejaVu, SymmetryConfig
 from repro.core.doctor import DoctorReport, diagnose
-from repro.core.framing import BackoffPolicy, FrameDecoder, FrameError, TransportError
 from repro.core.tracelog import TraceLog, TraceWriter, config_fingerprint
 from repro.core.verify import ReplayReport, assert_faithful_replay, compare_runs
 
 __all__ = [
-    "BackoffPolicy",
     "CheckpointRecorder",
     "CheckpointStore",
     "CheckpointWriter",
     "DejaVu",
     "DoctorReport",
-    "FrameDecoder",
-    "FrameError",
-    "TransportError",
     "MODE_RECORD",
     "MODE_REPLAY",
     "ReplayReport",

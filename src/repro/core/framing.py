@@ -1,31 +1,43 @@
-"""Length-framed transport primitives shared across the platform.
+"""The platform's one wire: framed, checksummed, typed messages.
 
-The debugger wire protocol (PR 3) introduced u32-big-endian
-length-prefixed frames as the platform's one framing discipline: length
-prefixes make partial reads a non-event (the decoder simply waits for
-the rest) and make garbage *detectable* — random bytes parse as an
-implausible length, which is rejected up front with a bounded read, so
-the receiver never tries to buffer gigabytes on a bad prefix.  The
-serve protocol (:mod:`repro.serve.protocol`, which also carries remote
-campaign items) rides the same carrier, so the framing layer lives
-here, under ``repro.core``, and both protocols import it;
-:mod:`repro.debugger.protocol` re-exports every name for backward
-compatibility.
+Every network peer (the serve daemon, which also carries remote
+campaign items, and the debugger) speaks ``u32-BE length | u32-BE CRC32
+of the body | body``.  A length prefix makes partial reads a non-event
+and garbage detectable (an implausible length is rejected before
+anything is buffered); the CRC makes a bit flipped in flight fail
+instead of decoding into a silently-wrong message.
 
-This module also holds :class:`BackoffPolicy` — the capped, seeded
-exponential-backoff-with-jitter schedule the network clients (the
-debugger frontend and the serve client) retry connects with.  The
-policy is a value object: ``delays()`` returns the *exact* schedule as
-concrete numbers, and ``call`` takes an injectable ``sleep``, so tests
-assert full backoff sequences against a fake clock without ever
-sleeping for real, and a fleet of coordinated clients stays
-deterministic.
+The body is one value in a tagged codec: a tag byte, then the value.
+A *size* (length or count) is one byte below 255, else 0xFF + u32-BE.
+
+=======  ==========================================================
+``N``    None; ``T`` / ``F``: True / False (a bool never becomes an int)
+``i``    int, any precision: size + big-endian two's complement
+``f``    float: 8-byte big-endian IEEE 754 double
+``s``    str: size + UTF-8 (``surrogatepass``)
+``b``    bytes (a bytearray encodes as bytes): size + raw bytes
+``l``    list / ``t`` tuple (stays a tuple): count + values
+``d``    dict: count + key, value pairs
+=======  ==========================================================
+
+Nothing else encodes (:class:`TypeError`).  Decoding runs no code and
+allocates no more than the payload holds: every size is checked against
+the bytes left, nesting stops at :data:`MAX_NESTING`, trailing bytes are
+an error, and every malformed payload ends in :class:`FrameError`.
+
+Also here: :class:`FramedClient`, the one client round trip, and
+:class:`BackoffPolicy`, the capped, seeded exponential-backoff-with-
+jitter schedule clients connect with — a value object whose
+``delays()`` is the exact schedule and whose ``call`` takes an
+injectable ``sleep``, so tests assert it against a fake clock.
 """
 
 from __future__ import annotations
 
 import random
+import struct
 import time
+import zlib
 from dataclasses import dataclass
 
 from repro.vm.errors import VMError
@@ -37,8 +49,17 @@ from repro.vm.errors import VMError
 MAX_FRAME_BYTES = 1 << 20
 #: length prefix size (u32 big-endian)
 LEN_BYTES = 4
-#: CRC32 prefix size inside checksummed pickle frames
+#: CRC32 prefix size at the head of every frame payload
 CRC_BYTES = 4
+#: containers may nest this deep; deeper is a malformed message
+MAX_NESTING = 64
+
+_U32 = struct.Struct(">I")
+_HEADER = struct.Struct(">II")
+_SHORT = struct.Struct(">cB")
+_LONG = struct.Struct(">cBI")
+_FLOAT = struct.Struct(">cd")
+_CONSTANTS = {ord("N"): None, ord("T"): True, ord("F"): False}
 
 
 class TransportError(VMError):
@@ -53,58 +74,157 @@ class TransportTimeout(TransportError):
 
 
 class FrameError(TransportError):
-    """The byte stream cannot be parsed as frames; resync is impossible
-    and the connection must be torn down."""
+    """Bytes that are not a well-formed frame or message: a bad length
+    prefix, a CRC mismatch, or a body the codec cannot decode."""
 
 
-def frame_payload(payload: bytes, max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
-    """One wire frame: u32-BE length prefix + *payload*."""
-    if len(payload) > max_frame_bytes:  # pragma: no cover - defensive
-        raise FrameError(f"outgoing frame of {len(payload)} bytes exceeds cap")
-    return len(payload).to_bytes(LEN_BYTES, "big") + payload
+# ---------------------------------------------------------------------------
+# the codec
 
 
-def encode_pickle_message(message: dict, max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
-    """One wire frame carrying a **u32-BE CRC32 + pickled message dict**.
+def encode_value(value) -> bytes:
+    """The codec bytes of *value* (see the module docstring)."""
+    out = bytearray()
+    _encode(value, out, 0)
+    return bytes(out)
 
-    This is the payload discipline the trusted-host serve protocol
-    rides on the length frames: the checksum makes a corrupted frame
-    *deterministically detectable* — a bit flipped in flight fails the
-    CRC and the receiver tears the connection down with a typed
-    :class:`FrameError` instead of unpickling garbage into a
-    silently-wrong result.
+
+def _head(out: bytearray, tag: bytes, size: int) -> None:
+    out += _SHORT.pack(tag, size) if size < 0xFF else _LONG.pack(tag, 0xFF, size)
+
+
+def _encode(value, out: bytearray, depth: int) -> None:
+    kind = type(value)
+    if kind is str:
+        data = value.encode("utf-8", "surrogatepass")
+        _head(out, b"s", len(data))
+        out += data
+    elif kind is int:
+        size = value.bit_length() // 8 + 1
+        _head(out, b"i", size)
+        out += value.to_bytes(size, "big", signed=True)
+    elif value is None:
+        out += b"N"
+    elif kind is bool:
+        out += b"T" if value else b"F"
+    elif kind is dict or kind is list or kind is tuple:
+        if depth >= MAX_NESTING:
+            raise ValueError(f"message nests deeper than {MAX_NESTING} containers")
+        if kind is dict:
+            _head(out, b"d", len(value))
+            for key, item in value.items():
+                _encode(key, out, depth + 1)
+                _encode(item, out, depth + 1)
+        else:
+            _head(out, b"l" if kind is list else b"t", len(value))
+            for item in value:
+                _encode(item, out, depth + 1)
+    elif kind is bytes or kind is bytearray:
+        _head(out, b"b", len(value))
+        out += value
+    elif kind is float:
+        out += _FLOAT.pack(b"f", value)
+    else:
+        raise TypeError(f"{kind.__name__} values cannot travel on the wire")
+
+
+def decode_value(data: bytes, start: int = 0):
+    """The one value encoded in ``data[start:]``; :class:`FrameError`
+    on anything malformed, trailing bytes included."""
+    value, end = _decode(data, start, 0)
+    if end != len(data):
+        raise FrameError(f"{len(data) - end} trailing byte(s) after the message")
+    return value
+
+
+def _sized(data: bytes, pos: int, unit: int) -> "tuple[int, int]":
+    """Read a size at *pos*; it must fit the bytes left when each
+    counted element takes at least *unit* bytes."""
+    if pos >= len(data):
+        raise FrameError("message truncated before a size")
+    size = data[pos]
+    pos += 1
+    if size == 0xFF:
+        if pos + 4 > len(data):
+            raise FrameError("message truncated inside a size")
+        (size,) = _U32.unpack_from(data, pos)
+        pos += 4
+    if size * unit > len(data) - pos:
+        raise FrameError(f"size {size} runs past the end of the message")
+    return size, pos
+
+
+def _decode(data: bytes, pos: int, depth: int):
+    if pos >= len(data):
+        raise FrameError("message truncated before a value")
+    tag = data[pos]
+    pos += 1
+    if tag in _CONSTANTS:
+        return _CONSTANTS[tag], pos
+    if tag in b"sib":
+        size, pos = _sized(data, pos, 1)
+        raw = data[pos:pos + size]
+        if tag == 0x69:  # i
+            return int.from_bytes(raw, "big", signed=True), pos + size
+        if tag == 0x62:  # b
+            return raw, pos + size
+        try:
+            return str(raw, "utf-8", "surrogatepass"), pos + size
+        except UnicodeDecodeError as exc:
+            raise FrameError(f"string is not UTF-8: {exc}") from None
+    if tag in b"ltd":
+        if depth >= MAX_NESTING:
+            raise FrameError(f"message nests deeper than {MAX_NESTING} containers")
+        width = 2 if tag == 0x64 else 1  # d: a key and a value per entry
+        size, pos = _sized(data, pos, width)
+        items = []
+        for _ in range(size * width):
+            item, pos = _decode(data, pos, depth + 1)
+            items.append(item)
+        if tag == 0x6C:  # l
+            return items, pos
+        if tag == 0x74:  # t
+            return tuple(items), pos
+        try:
+            return dict(zip(items[::2], items[1::2])), pos
+        except TypeError as exc:
+            raise FrameError(f"dict key is unhashable: {exc}") from None
+    if tag == 0x66:  # f
+        if pos + 8 > len(data):
+            raise FrameError("message truncated inside a float")
+        return _FLOAT.unpack_from(data, pos - 1)[1], pos + 8
+    raise FrameError(f"unknown value tag 0x{tag:02x}")
+
+
+# ---------------------------------------------------------------------------
+# frames
+
+
+def encode_message(message, max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
+    """One wire frame: length prefix + CRC32 + the codec body of
+    *message*."""
+    body = encode_value(message)
+    if CRC_BYTES + len(body) > max_frame_bytes:
+        raise FrameError(
+            f"outgoing frame of {CRC_BYTES + len(body)} bytes exceeds the "
+            f"{max_frame_bytes}-byte cap"
+        )
+    return _HEADER.pack(CRC_BYTES + len(body), zlib.crc32(body)) + body
+
+
+def decode_message(payload: bytes):
+    """Check the CRC of one frame payload and decode its body.
+
+    Raises :class:`FrameError` on a checksum mismatch or a body the
+    codec rejects; the value may be of any encodable type (a protocol
+    decides what a message must be).
     """
-    import pickle
-    import zlib
-
-    blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    crc = zlib.crc32(blob) & 0xFFFFFFFF
-    return frame_payload(crc.to_bytes(CRC_BYTES, "big") + blob, max_frame_bytes)
-
-
-def decode_pickle_payload(payload: bytes) -> dict:
-    """Check the CRC and unpickle one frame payload.
-
-    Raises :class:`FrameError` on a checksum mismatch, an unpicklable
-    blob, or a message that is not a dict with an ``"op"`` — all mean
-    the stream is untrustworthy and the connection must close.
-    """
-    import pickle
-    import zlib
-
     if len(payload) < CRC_BYTES:
-        raise FrameError("checksummed frame too short to carry a CRC32")
-    crc = int.from_bytes(payload[:CRC_BYTES], "big")
-    blob = payload[CRC_BYTES:]
-    if zlib.crc32(blob) & 0xFFFFFFFF != crc:
+        raise FrameError("frame too short to carry a CRC32")
+    (crc,) = _U32.unpack_from(payload)
+    if zlib.crc32(memoryview(payload)[CRC_BYTES:]) != crc:
         raise FrameError("frame failed its CRC32 (corrupted in flight)")
-    try:
-        message = pickle.loads(blob)
-    except Exception as exc:  # noqa: BLE001 - anything here is a bad frame
-        raise FrameError(f"frame does not unpickle: {exc}") from exc
-    if not isinstance(message, dict) or "op" not in message:
-        raise FrameError("message must be a dict with an 'op'")
-    return message
+    return decode_value(payload, CRC_BYTES)
 
 
 class FrameDecoder:
@@ -145,6 +265,101 @@ class FrameDecoder:
             payloads.append(self._buf[LEN_BYTES:LEN_BYTES + length])
             self._buf = self._buf[LEN_BYTES + length:]
         return payloads
+
+
+# ---------------------------------------------------------------------------
+# the client round trip
+
+
+class FramedClient:
+    """One framed connection to a daemon: connect (optionally under a
+    :class:`BackoffPolicy`), bounded request/reply round trips, byte
+    counters, and a context manager.
+
+    Subclasses name their ``peer`` (it appears in every error) and may
+    raise ``default_timeout`` and ``max_frame_bytes``.  A reply that
+    does not arrive within the round trip's timeout raises
+    :class:`TransportTimeout`; every other transport failure a plain
+    :class:`TransportError` (:class:`FrameError` for a bad frame).
+    """
+
+    peer = "peer"
+    default_timeout = 10.0
+    max_frame_bytes = MAX_FRAME_BYTES
+
+    def __init__(self, address: "tuple[str, int]", timeout: "float | None" = None):
+        import socket
+
+        self.timeout = self.default_timeout if timeout is None else timeout
+        self._sock = socket.create_connection(address, timeout=self.timeout)
+        self._decoder = FrameDecoder(self.max_frame_bytes)
+        self.bytes_sent = 0
+        self.bytes_received = 0
+
+    @classmethod
+    def connect(
+        cls,
+        address: "tuple[str, int]",
+        *,
+        timeout: "float | None" = None,
+        policy: "BackoffPolicy | None" = None,
+        sleep=time.sleep,
+        **backoff,
+    ):
+        """Connect with capped, seeded exponential backoff + jitter:
+        *policy*, or one built from the :class:`BackoffPolicy` fields
+        passed as keywords.  A constructor that fails with a transport
+        error (a handshake that times out) is retried like a refused
+        connect."""
+        policy = policy or BackoffPolicy(**backoff)
+        return policy.call(
+            lambda: cls(address, timeout=timeout),
+            retry_on=(OSError, TransportError),
+            sleep=sleep,
+            describe=f"could not connect to {cls.peer} at {address[0]}:{address[1]}",
+        )
+
+    def close(self) -> None:
+        self._sock.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def request(self, message: dict, timeout: "float | None" = None) -> dict:
+        """One round trip; *timeout* (default: the connection's) bounds
+        the wait for the reply."""
+        return self.send_frame(encode_message(message, self.max_frame_bytes), timeout)
+
+    def send_frame(self, wire: bytes, timeout: "float | None" = None) -> dict:
+        """Send ready-made frame bytes and return the decoded reply."""
+        timeout = self.timeout if timeout is None else timeout
+        self._sock.settimeout(timeout)
+        try:
+            self._sock.sendall(wire)
+        except OSError as exc:
+            raise TransportError(f"send failed: {exc}") from exc
+        self.bytes_sent += len(wire)
+        frames: list[bytes] = []
+        while not frames:
+            try:
+                chunk = self._sock.recv(65536)
+            except TimeoutError as exc:
+                raise TransportTimeout(
+                    f"{self.peer} request timed out after {timeout:g}s"
+                ) from exc
+            except OSError as exc:
+                raise TransportError(f"receive failed: {exc}") from exc
+            if not chunk:
+                raise TransportError(f"{self.peer} closed the connection")
+            self.bytes_received += len(chunk)
+            frames = self._decoder.feed(chunk)
+        reply = decode_message(frames[0])
+        if not isinstance(reply, dict):
+            raise FrameError(f"{self.peer} reply is a {type(reply).__name__}, not a dict")
+        return reply
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,20 @@
 """Shared accept/serve-loop plumbing for the platform's daemons.
 
-Two daemons speak the :mod:`repro.core.framing` transport — the
-debugger server and the `repro serve` replay service, which is also the
-host of multi-host campaigns — and :class:`SocketServer` is the accept
-loop and hardening posture they share:
+Two daemons speak the :mod:`repro.core.framing` wire — the debugger
+server and the `repro serve` replay service, which is also the host of
+multi-host campaigns — and :class:`SocketServer` is the accept loop,
+the framed receive loop and the hardening posture they share:
 
 * a hostile or vanished client tears down *its connection*, never the
   accept loop — killing the loop kills the session/state it serves;
+* one framing policy for every protocol: a bad length prefix gets one
+  error frame and the connection closes (the stream cannot be
+  resynchronised); a payload that fails its CRC or does not decode, or
+  decodes to something other than a dict, gets one typed in-band error
+  and the connection stays usable;
 * every survived failure is observable through the ``log`` seam and the
-  ``connections_served`` / ``handler_errors`` counters (a hostile client
-  must be *observable*, not just non-fatal);
+  ``connections_served`` / ``frame_errors`` / ``handler_errors``
+  counters (a hostile client must be *observable*, not just non-fatal);
 * connection lifetime is bounded: with ``max_connection_seconds`` set, a
   connection that overstays is shut down from the accept loop, so one
   slow-loris client cannot pin a handler slot forever;
@@ -31,15 +36,29 @@ import socket
 import threading
 import time
 
+from repro.core.framing import (
+    MAX_FRAME_BYTES,
+    FrameDecoder,
+    FrameError,
+    decode_message,
+    encode_message,
+)
+
 
 class SocketServer:
     """A hardened TCP accept loop around a per-connection handler.
 
-    Subclasses implement :meth:`handle_connection` (or pass ``handler``);
-    the handler owns the connection until it returns — it should loop on
-    short ``recv`` timeouts and poll :attr:`stopping` so shutdown is
-    prompt.  The server closes the connection afterwards.
+    A daemon implements :meth:`handle_message` (one decoded message
+    dict) and :meth:`error_message` (its protocol's in-band error), and
+    the framed loop of :meth:`handle_connection` does the rest.  A raw
+    ``handler`` callable instead owns the whole connection until it
+    returns — it should loop on short ``recv`` timeouts and poll
+    :attr:`stopping` so shutdown is prompt.  The server closes the
+    connection afterwards.
     """
+
+    #: the largest frame a client may send
+    max_frame_bytes = MAX_FRAME_BYTES
 
     def __init__(
         self,
@@ -69,6 +88,7 @@ class SocketServer:
         self._live_lock = threading.Lock()
         self.connections_served = 0
         self.handler_errors = 0
+        self.frame_errors = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -135,9 +155,67 @@ class SocketServer:
                 self._live = [rec for rec in self._live if rec[1] is not conn]
 
     def handle_connection(self, conn: socket.socket) -> None:
-        if self._handler is None:  # pragma: no cover - subclass contract
-            raise NotImplementedError("pass handler= or override handle_connection")
-        self._handler(conn)
+        if self._handler is not None:
+            self._handler(conn)
+            return
+        decoder = FrameDecoder(self.max_frame_bytes)
+        conn.settimeout(0.2)
+        while not self.stopping:
+            try:
+                chunk = conn.recv(65536)
+            except TimeoutError:
+                continue
+            except OSError:
+                return  # client vanished: tear down this connection only
+            if not chunk:
+                return  # orderly client disconnect
+            try:
+                payloads = decoder.feed(chunk)
+            except FrameError as exc:
+                # no next frame boundary to find: answer once, then close
+                self.frame_errors += 1
+                self.log(f"unframeable client stream: {exc}")
+                self.send(conn, self.error_message(str(exc)))
+                return
+            for payload in payloads:
+                if not self._handle_payload(conn, payload):
+                    return
+
+    def _handle_payload(self, conn: socket.socket, payload: bytes) -> bool:
+        """Decode and handle one frame payload; False closes the
+        connection."""
+        try:
+            message = decode_message(payload)
+        except FrameError as exc:
+            self.frame_errors += 1
+            self.log(f"undecodable frame payload: {exc}")
+            return self.send(conn, self.error_message(str(exc)))
+        if isinstance(message, dict):
+            return self.handle_message(conn, message)
+        detail = f"message must be a dict, got {type(message).__name__}"
+        return self.send(conn, self.error_message(detail))
+
+    def handle_message(self, conn: socket.socket, message: dict) -> bool:
+        """Handle one decoded message dict; False closes the connection."""
+        raise NotImplementedError("override handle_message or pass handler=")
+
+    def error_message(self, detail: str) -> dict:
+        """The protocol's in-band error message carrying *detail*."""
+        raise NotImplementedError("override error_message or pass handler=")
+
+    def send(self, conn: socket.socket, message: dict) -> bool:
+        """Send one message frame; False means the client is gone."""
+        return self.send_raw(conn, encode_message(message, self.max_frame_bytes))
+
+    @staticmethod
+    def send_raw(conn: socket.socket, data: bytes) -> bool:
+        """Send ready-made bytes; False means the client is gone (stop
+        this connection, never the loop)."""
+        try:
+            conn.sendall(data)
+            return True
+        except OSError:
+            return False
 
     def _reap_overstayers(self) -> None:
         """Bound per-connection lifetime: shut down connections past the

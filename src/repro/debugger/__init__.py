@@ -8,8 +8,8 @@ Three tiers, as in the paper:
    over a :class:`repro.debugger.session.ReplaySession`), which inspects
    the application VM via remote reflection only;
 3. the **frontend** (:mod:`repro.debugger.frontend`), a thin client
-   talking to the debugger core over TCP with small JSON packets ("small
-   packets of data rather than large images").
+   talking to the debugger core over TCP with small typed packets
+   ("small packets of data rather than large images").
 """
 
 from repro.debugger.control import DebugController

@@ -1,7 +1,9 @@
 """The debugger core: command-level operations over a replay session.
 
-Every query returns plain JSON-serialisable data so the TCP frontend can
-ship it as small packets.  The GUI features the paper lists map to:
+Every query returns plain JSON-shaped data — dicts with string keys,
+lists (never tuples), strings, ints, bools and None — so the TCP
+frontend ships it as small packets and a client sees the same shapes
+whichever codec carries them.  The GUI features the paper lists map to:
 
 * source/machine view with breakpoints & stepping — ``source``, ``break_``,
   ``step``, ``cont``;
@@ -195,7 +197,7 @@ class Debugger:
         return {
             "paused": self.session.paused,
             "finished": self.session.finished,
-            "breakpoints": sorted(self.session.control.breakpoints),
+            "breakpoints": [list(bp) for bp in sorted(self.session.control.breakpoints)],
             "port_reads": self.session.port.reads,
             "cycles": self.session.vm.engine.cycles,
         }

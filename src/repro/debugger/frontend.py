@@ -11,7 +11,11 @@ peer that vanishes mid-request — because killing the serve loop kills the
 replay session it is inspecting.  The client, for its part, retries the
 initial connect with capped exponential backoff + jitter (servers take a
 moment to come up), applies a per-request timeout so a dead server cannot
-hang it, and exposes a transport-level keepalive ``ping``.
+hang it, and exposes a transport-level keepalive ``ping``.  Both sides
+are the platform's shared wire pieces: the receive loop of
+:class:`~repro.core.server.SocketServer` and the round trip of
+:class:`~repro.core.framing.FramedClient`, which the serve daemon and
+its client use too.
 
 The server runs on a background (host) thread; the guest VM only executes
 inside request handling, so the session stays single-threaded from the
@@ -22,20 +26,11 @@ from __future__ import annotations
 
 import logging
 import socket
-import time
 
-from repro.core.framing import BackoffPolicy
+from repro.core.framing import FramedClient, TransportError
 from repro.core.server import SocketServer
 from repro.debugger.core import Debugger
-from repro.debugger.protocol import (
-    COMMANDS,
-    FrameDecoder,
-    FrameError,
-    TransportError,
-    decode,
-    dispatch,
-    frame,
-)
+from repro.debugger.protocol import COMMANDS, dispatch
 
 
 logger = logging.getLogger(__name__)
@@ -43,7 +38,7 @@ logger = logging.getLogger(__name__)
 
 class DebuggerServer(SocketServer):
     """One-connection-at-a-time framed server on the shared
-    :class:`~repro.core.server.SocketServer` accept loop.
+    :class:`~repro.core.server.SocketServer` accept and receive loops.
 
     One bad client must never take down the serve loop (and with it the
     replay session it is observing): the base loop logs the drop and
@@ -68,53 +63,15 @@ class DebuggerServer(SocketServer):
             name="repro-debugger",
         )
         self.debugger = debugger
-        self.frame_errors = 0
 
-    def handle_connection(self, conn: socket.socket) -> None:
-        decoder = FrameDecoder()
-        conn.settimeout(0.2)
-        while not self.stopping:
-            try:
-                chunk = conn.recv(4096)
-            except TimeoutError:
-                continue
-            except OSError:
-                return  # client vanished mid-request: tear down gracefully
-            if not chunk:
-                return  # orderly client disconnect
-            try:
-                payloads = decoder.feed(chunk)
-            except FrameError as exc:
-                # the stream cannot be resynchronised: log, answer once
-                # (best effort) and close this connection only
-                self.frame_errors += 1
-                self.log(f"unframeable client stream: {exc}")
-                self._send(conn, {"ok": False, "error": str(exc)})
-                return
-            for payload in payloads:
-                try:
-                    request = decode(payload)
-                except ValueError as exc:
-                    self.log(f"undecodable request payload: {exc}")
-                    if not self._send(conn, {"ok": False, "error": "bad json"}):
-                        return
-                    continue
-                response = dispatch(self.debugger, request)
-                if not self._send(conn, response):
-                    return
+    def error_message(self, detail: str) -> dict:
+        return {"ok": False, "error": detail}
 
-    @staticmethod
-    def _send(conn: socket.socket, message: dict) -> bool:
-        """Send one frame; False means the client is gone (stop serving
-        this connection, but never crash the loop)."""
-        try:
-            conn.sendall(frame(message))
-            return True
-        except OSError:
-            return False
+    def handle_message(self, conn: socket.socket, message: dict) -> bool:
+        return self.send(conn, dispatch(self.debugger, message))
 
 
-class DebuggerClient:
+class DebuggerClient(FramedClient):
     """Thin frontend: one method per protocol command.
 
     ``timeout`` bounds every request round trip.  Construction connects
@@ -122,57 +79,9 @@ class DebuggerClient:
     when the server may not be accepting yet.
     """
 
-    def __init__(self, address: tuple[str, int], timeout: float = 10.0):
-        self._sock = socket.create_connection(address, timeout=timeout)
-        self.timeout = timeout
-        self._decoder = FrameDecoder()
-        self._next_id = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
-
-    @classmethod
-    def connect(
-        cls,
-        address: tuple[str, int],
-        *,
-        timeout: float = 10.0,
-        attempts: int = 6,
-        base_delay: float = 0.05,
-        max_delay: float = 1.0,
-        jitter_seed: int | None = 0,
-        policy: BackoffPolicy | None = None,
-        sleep=time.sleep,
-    ) -> "DebuggerClient":
-        """Connect with capped exponential backoff + jitter.
-
-        The retry schedule is a :class:`~repro.core.framing.BackoffPolicy`
-        (pass one as *policy*, or let the legacy knobs build it): jitter
-        is drawn from a seeded RNG so tests (and coordinated fleets of
-        frontends) stay deterministic, and *sleep* is injectable so
-        backoff-sequence tests run against a fake clock.  Raises
-        :class:`TransportError` after the final attempt fails.
-        """
-        policy = policy or BackoffPolicy(
-            attempts=attempts,
-            base_delay=base_delay,
-            max_delay=max_delay,
-            jitter_seed=jitter_seed,
-        )
-        return policy.call(
-            lambda: cls(address, timeout=timeout),
-            retry_on=(OSError,),
-            sleep=sleep,
-            describe=f"could not connect to debugger at {address[0]}:{address[1]}",
-        )
-
-    def close(self) -> None:
-        self._sock.close()
-
-    def __enter__(self) -> "DebuggerClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    peer = "debugger"
+    #: the id of the last request sent; replies must echo it
+    _next_id = 0
 
     def ping(self) -> bool:
         """Transport keepalive: round-trip a ping without touching the
@@ -184,36 +93,14 @@ class DebuggerClient:
 
     def request(self, cmd: str, timeout: float | None = None, **args):
         self._next_id += 1
-        payload = frame({"id": self._next_id, "cmd": cmd, "args": args})
-        self._sock.settimeout(timeout if timeout is not None else self.timeout)
-        try:
-            self._sock.sendall(payload)
-        except OSError as exc:
-            raise TransportError(f"send failed: {exc}") from exc
-        self.bytes_sent += len(payload)
-        response = decode(self._read_frame())
+        response = super().request(
+            {"id": self._next_id, "cmd": cmd, "args": args}, timeout
+        )
         if response.get("id") != self._next_id:
             raise TransportError("out-of-order debugger response")
         if not response.get("ok"):
             raise TransportError(f"debugger error: {response.get('error')}")
         return response.get("result")
-
-    def _read_frame(self) -> bytes:
-        frames: list[bytes] = []
-        while not frames:
-            try:
-                chunk = self._sock.recv(4096)
-            except TimeoutError as exc:
-                raise TransportError(
-                    f"debugger request timed out after {self.timeout}s"
-                ) from exc
-            except OSError as exc:
-                raise TransportError(f"receive failed: {exc}") from exc
-            if not chunk:
-                raise TransportError("debugger server closed the connection")
-            self.bytes_received += len(chunk)
-            frames = self._decoder.feed(chunk)
-        return frames[0]
 
     def __getattr__(self, name: str):
         if name in COMMANDS:

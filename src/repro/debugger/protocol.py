@@ -1,38 +1,26 @@
-"""Wire protocol between debugger core and frontend: framed JSON over TCP.
+"""Wire protocol between debugger core and frontend: typed messages over TCP.
 
 The paper's GUI runs on a third JVM and talks to the debugger JVM over
 TCP, minimising bandwidth by "transmitting small packets of data rather
-than large images".  Our packets are JSON objects::
+than large images".  Our packets are message dicts::
 
     → {"id": 7, "cmd": "backtrace", "args": {}}
-    ← {"id": 7, "ok": true, "result": [...]}
-    ← {"id": 8, "ok": false, "error": "no such method"}
+    ← {"id": 7, "ok": True, "result": [...]}
+    ← {"id": 8, "ok": False, "error": "no such method"}
 
-each carried in a **length-prefixed frame**: a 4-byte big-endian payload
-length followed by the JSON bytes.  The framing layer itself (length
-validation, incremental reassembly, the retry/backoff policy) lives in
-:mod:`repro.core.framing` — it is shared with the remote campaign
-protocol — and is re-exported here for backward compatibility.  A frame
-whose payload is not a JSON object is an application-level error
-(answered in-band); a frame whose *length* is invalid is a
-transport-level error (the connection cannot be resynchronised and must
-close).
+carried on the platform's one wire, :mod:`repro.core.framing`, which
+the serve protocol shares: a length-prefixed frame holding a CRC32 and
+the message in the typed tagged codec.  A frame that fails its CRC, does
+not decode, or is not a dict is answered in-band with ``ok: False``; a
+frame whose *length* is invalid is a transport-level error (the
+connection cannot be resynchronised and closes).  Results are the
+debugger core's plain data — dicts, lists, strings, ints, bools, None.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Callable
 
-from repro.core.framing import (  # noqa: F401 - re-exported public names
-    LEN_BYTES,
-    MAX_FRAME_BYTES,
-    BackoffPolicy,
-    FrameDecoder,
-    FrameError,
-    TransportError,
-    frame_payload,
-)
 from repro.debugger.core import Debugger
 
 
@@ -59,25 +47,6 @@ COMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
 PING_COMMAND = "ping"
 
 
-def encode(message: dict) -> bytes:
-    """JSON payload bytes (no framing)."""
-    return json.dumps(message, separators=(",", ":")).encode()
-
-
-def decode(data: bytes) -> dict:
-    message = json.loads(data.decode())
-    if not isinstance(message, dict):
-        # valid JSON but not a protocol message; dispatch would blow up
-        # on a list/scalar, and an uncaught error kills the serve loop
-        raise ValueError("protocol message must be a JSON object")
-    return message
-
-
-def frame(message: dict) -> bytes:
-    """One wire frame: length prefix + JSON payload."""
-    return frame_payload(encode(message))
-
-
 def dispatch(debugger: Debugger, request: dict) -> dict:
     """Execute one request against the debugger core."""
     req_id = request.get("id")
@@ -85,9 +54,11 @@ def dispatch(debugger: Debugger, request: dict) -> dict:
     args = request.get("args") or {}
     if cmd == PING_COMMAND:
         return {"id": req_id, "ok": True, "result": "pong"}
-    spec = COMMANDS.get(cmd)
+    spec = COMMANDS.get(cmd) if isinstance(cmd, str) else None
     if spec is None:
         return {"id": req_id, "ok": False, "error": f"unknown command {cmd!r}"}
+    if not isinstance(args, dict):
+        return {"id": req_id, "ok": False, "error": "args must be a dict"}
     method_name, allowed = spec
     unknown = set(args) - set(allowed)
     if unknown:

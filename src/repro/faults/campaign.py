@@ -720,7 +720,6 @@ def _serve_poison_job(
     import socket
 
     from repro.serve import ServeClient, ServeError
-    from repro.serve.protocol import encode_serve_message
 
     (variant,) = spec.params
     if variant == 0:
@@ -738,14 +737,10 @@ def _serve_poison_job(
         how = "garbage bytes landed in a typed frame error"
     elif variant == 1:
         # a CRC-valid frame whose payload is not a message dict at all
-        with socket.create_connection(serve.address, timeout=10) as sock:
-            sock.sendall(encode_serve_message(["not", "a", "message"]))
-            answer = sock.recv(65536)
-        if not answer:
-            return (
-                "undetected",
-                "a non-dict frame closed the connection with no typed answer",
-            )
+        with ServeClient(serve.address) as client:
+            reply = client.request(["not", "a", "message"])
+        if reply.get("op") != "error":
+            return "undetected", f"a non-dict frame was answered with {reply!r}"
         how = "a CRC-valid non-message frame got a typed in-band error"
     else:
         # a malformed job dict: validation must answer, never a worker

@@ -13,9 +13,9 @@ import socket
 import time
 from typing import TYPE_CHECKING
 
+from repro.core.framing import TransportError, encode_message
 from repro.core.segments import Layout, boundaries
 from repro.core.tracelog import FORMAT_VERSION, LAYOUTS
-from repro.debugger.protocol import FrameDecoder, TransportError, decode, frame
 from repro.faults.plan import FaultSpec
 from repro.vm.errors import VMError
 
@@ -145,16 +145,18 @@ def send_faulted_request(
     """One debugger exchange with *spec*'s transport fault applied.
 
     Returns ``(outcome, detail)`` where outcome is ``"recovered"`` (the
-    exchange still worked) or ``"diagnosed:..."`` (a typed transport
-    failure).  Anything else — a hang, an unexpected exception — escapes
+    exchange still worked), ``"diagnosed:..."`` (a typed transport
+    failure) or ``"undetected"`` (a garbled frame was served as if
+    intact).  Anything else — a hang, an unexpected exception — escapes
     to the campaign's watchdog and is a harness failure.
     """
+    from repro.debugger.frontend import DebuggerClient
+
     if spec.kind == "delay-frame":
         (delay,) = spec.params
-        with socket.create_connection(address, timeout=timeout) as sock:
+        with DebuggerClient(address, timeout=timeout) as client:
             time.sleep(delay)  # the frame arrives late, but intact
-            sock.sendall(frame(_PROBE))
-            response = _read_response(sock, timeout)
+            response = client.send_frame(encode_message(_PROBE))
         if response.get("ok"):
             return "recovered", f"frame delayed {delay}s; request still served"
         return "diagnosed:server-error", str(response.get("error"))
@@ -176,19 +178,17 @@ def send_faulted_request(
 
     if spec.kind == "garble-frame":
         frac, bit = spec.params
-        wire = bytearray(frame(_PROBE))
+        wire = bytearray(encode_message(_PROBE))
         wire[min(len(wire) - 1, int(frac * len(wire)))] ^= 1 << bit
-        with socket.create_connection(address, timeout=timeout) as sock:
-            sock.sendall(bytes(wire))
+        with DebuggerClient(address, timeout=timeout) as client:
             try:
-                response = _read_response(sock, min(timeout, 1.0))
+                response = client.send_frame(bytes(wire), min(timeout, 1.0))
             except TransportError as exc:
                 return "diagnosed:transport", str(exc)
-            if response.get("ok"):
-                # the flip missed anything load-bearing (e.g. hit a digit
-                # of the id) and the request still parsed
-                return "recovered", "garbled frame still parsed and was served"
-            return "diagnosed:rejected", str(response.get("error"))
+        if response.get("ok"):
+            # CRC32 catches every single-bit flip: serving one is a miss
+            return "undetected", "garbled frame passed its CRC and was served"
+        return "diagnosed:rejected", str(response.get("error"))
 
     raise ValueError(f"not a transport fault: {spec.kind}")
 
@@ -217,18 +217,3 @@ def remote_sabotage(spec: FaultSpec, replies: int) -> str:
     if spec.kind == "remote-corrupt-frame":
         return f"{spec.kind}:{position}:{spec.params[1]}"
     return f"{spec.kind}:{position}"
-
-
-def _read_response(sock: socket.socket, timeout: float) -> dict:
-    decoder = FrameDecoder()
-    sock.settimeout(timeout)
-    frames: list[bytes] = []
-    while not frames:
-        try:
-            chunk = sock.recv(4096)
-        except TimeoutError as exc:
-            raise TransportError("no response frame within the timeout") from exc
-        if not chunk:
-            raise TransportError("server closed the connection mid-response")
-        frames = decoder.feed(chunk)
-    return decode(frames[0])

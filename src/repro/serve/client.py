@@ -1,35 +1,29 @@
 """The serve client: framed job submission with overload-aware retry.
 
 ``ServeClient`` is the thin, well-behaved frontend the daemon's
-contract is written for: it connects with the shared
-:class:`~repro.core.framing.BackoffPolicy` (seeded jitter, injectable
-sleep), performs the version handshake, bounds every round trip with a
-timeout, and — the part the admission-control story depends on —
-honors the daemon's ``retry_after`` hint in
-:meth:`ServeClient.submit_with_retry`: an ``overloaded`` rejection
-sleeps at least ``retry_after`` (never less, even if the backoff
-schedule says so) before trying again, so a storm of clients converges
-instead of hammering a full queue.
+contract is written for: it is a :class:`~repro.core.framing.FramedClient`
+(connect under the shared :class:`~repro.core.framing.BackoffPolicy`,
+seeded jitter and injectable sleep; every round trip bounded by a
+timeout) that performs the version handshake and — the part the
+admission-control story depends on — honors the daemon's
+``retry_after`` hint in :meth:`ServeClient.submit_with_retry`: an
+``overloaded`` rejection sleeps at least ``retry_after`` (never less,
+even if the backoff schedule says so) before trying again, so a storm
+of clients converges instead of hammering a full queue.
 """
 
 from __future__ import annotations
 
-import socket
 import time
 
-from repro.core.framing import BackoffPolicy
+from repro.core.framing import BackoffPolicy, FramedClient, TransportError
 from repro.serve.protocol import (
     MAX_SERVE_FRAME_BYTES,
     SERVE_PROTOCOL_VERSION,
-    FrameDecoder,
     JobDeadlineExceeded,
     JobCancelled,
     JobRejected,
     ServeError,
-    TransportError,
-    TransportTimeout,
-    decode_serve_payload,
-    encode_serve_message,
 )
 
 #: error types the daemon sends that map back to typed client raises
@@ -40,15 +34,16 @@ _ERROR_TYPES = {
 }
 
 
-class ServeClient:
-    """One framed connection to a serve daemon."""
+class ServeClient(FramedClient):
+    """One framed connection to a serve daemon; construction connects
+    and handshakes (:meth:`connect` retries both under backoff)."""
 
-    def __init__(self, address: "tuple[str, int]", timeout: float = 120.0):
-        self._sock = socket.create_connection(address, timeout=timeout)
-        self.timeout = timeout
-        self._decoder = FrameDecoder(MAX_SERVE_FRAME_BYTES)
-        self.bytes_sent = 0
-        self.bytes_received = 0
+    peer = "serve daemon"
+    default_timeout = 120.0
+    max_frame_bytes = MAX_SERVE_FRAME_BYTES
+
+    def __init__(self, address: "tuple[str, int]", timeout: "float | None" = None):
+        super().__init__(address, timeout)
         try:
             reply = self.request({"op": "hello", "version": SERVE_PROTOCOL_VERSION})
             if reply.get("op") != "hello-ok":
@@ -56,75 +51,9 @@ class ServeClient:
                     f"serve handshake refused: {reply.get('detail', reply)}"
                 )
         except BaseException:
-            self._sock.close()
+            self.close()
             raise
         self.daemon_pid = reply.get("pid")
-
-    @classmethod
-    def connect(
-        cls,
-        address: "tuple[str, int]",
-        *,
-        timeout: float = 120.0,
-        policy: "BackoffPolicy | None" = None,
-        sleep=time.sleep,
-    ) -> "ServeClient":
-        """Connect and handshake with capped, seeded exponential backoff
-        + jitter.  A handshake that times out is retried like a refused
-        connect: a daemon that accepts but never answers hello is a
-        connect failure, not a hang."""
-        policy = policy or BackoffPolicy()
-        return policy.call(
-            lambda: cls(address, timeout=timeout),
-            retry_on=(OSError, TransportError),
-            sleep=sleep,
-            describe=f"could not connect to serve daemon at "
-            f"{address[0]}:{address[1]}",
-        )
-
-    def close(self) -> None:
-        self._sock.close()
-
-    def __enter__(self) -> "ServeClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # transport
-
-    def request(self, message: dict, timeout: "float | None" = None) -> dict:
-        """One round trip.  *timeout* (default: the connection's) bounds
-        the wait for the reply; running out raises
-        :class:`TransportTimeout`, every other transport failure a plain
-        :class:`TransportError` (:class:`FrameError` for a bad frame)."""
-        timeout = timeout if timeout is not None else self.timeout
-        data = encode_serve_message(message)
-        self._sock.settimeout(timeout)
-        try:
-            self._sock.sendall(data)
-        except OSError as exc:
-            raise TransportError(f"send failed: {exc}") from exc
-        self.bytes_sent += len(data)
-        return decode_serve_payload(self._read_frame(timeout))
-
-    def _read_frame(self, timeout: float) -> bytes:
-        frames: list[bytes] = []
-        while not frames:
-            try:
-                chunk = self._sock.recv(65536)
-            except TimeoutError as exc:
-                raise TransportTimeout(
-                    f"serve request timed out after {timeout:g}s"
-                ) from exc
-            except OSError as exc:
-                raise TransportError(f"receive failed: {exc}") from exc
-            if not chunk:
-                raise TransportError("serve daemon closed the connection")
-            self.bytes_received += len(chunk)
-            frames = self._decoder.feed(chunk)
-        return frames[0]
 
     # ------------------------------------------------------------------
     # the ops

@@ -41,16 +41,12 @@ import socket
 import threading
 import time
 
-from repro.core.framing import CRC_BYTES, LEN_BYTES
+from repro.core.framing import CRC_BYTES, LEN_BYTES, TransportError
 from repro.core.server import SocketServer
 from repro.serve.protocol import (
     MAX_SERVE_FRAME_BYTES,
     SERVE_PROTOCOL_VERSION,
-    FrameDecoder,
-    FrameError,
     ServeError,
-    TransportError,
-    decode_serve_payload,
     encode_serve_message,
     error_reply,
     validate_job,
@@ -95,6 +91,8 @@ def parse_sabotage(text: str) -> dict:
 class ServeDaemon(SocketServer):
     """The serve daemon; see the module docstring for the contract."""
 
+    max_frame_bytes = MAX_SERVE_FRAME_BYTES
+
     def __init__(
         self,
         host: str = "127.0.0.1",
@@ -133,7 +131,6 @@ class ServeDaemon(SocketServer):
             executor=executor,
         )
         self.drain_grace = drain_grace
-        self.frame_errors = 0
         self.jobs_served = 0
         #: responses admitted but not yet written to their socket — the
         #: quantity drain waits on (zero accepted-job loss)
@@ -147,45 +144,11 @@ class ServeDaemon(SocketServer):
     # ------------------------------------------------------------------
     # connection handling
 
-    def handle_connection(self, conn: socket.socket) -> None:
-        decoder = FrameDecoder(MAX_SERVE_FRAME_BYTES)
-        conn.settimeout(0.2)
-        while not self.stopping:
-            try:
-                chunk = conn.recv(65536)
-            except TimeoutError:
-                continue
-            except OSError:
-                return  # client vanished: tear down this connection only
-            if not chunk:
-                return  # orderly client disconnect
-            try:
-                payloads = decoder.feed(chunk)
-                messages = [decode_serve_payload(p) for p in payloads]
-            except FrameError as exc:
-                self.frame_errors += 1
-                self.log(f"unframeable client stream: {exc}")
-                self._send(conn, {"op": "error", "detail": str(exc)})
-                return
-            for message in messages:
-                if not self._handle_message(conn, message):
-                    return
+    def error_message(self, detail: str) -> dict:
+        return {"op": "error", "detail": detail}
 
-    def _handle_message(self, conn: socket.socket, message: dict) -> bool:
+    def handle_message(self, conn: socket.socket, message: dict) -> bool:
         """Dispatch one message; False closes the connection."""
-        if not isinstance(message, dict):
-            # a CRC-valid frame whose payload is no message at all: a
-            # typed in-band answer, never a handler traceback
-            return self._send(
-                conn,
-                {
-                    "op": "error",
-                    "detail": (
-                        f"message must be a dict, "
-                        f"got {type(message).__name__}"
-                    ),
-                },
-            )
         op = message.get("op")
         if op == "hello":
             sabotage = self._take_sabotage(hello=True)
@@ -195,19 +158,16 @@ class ServeDaemon(SocketServer):
                 self.log("sabotage firing: remote-slow-connect")
                 time.sleep(sabotage.get("delay", 5.0))
             if message.get("version") != SERVE_PROTOCOL_VERSION:
-                self._send(
+                self.send(
                     conn,
-                    {
-                        "op": "error",
-                        "detail": (
-                            f"protocol version mismatch: daemon speaks "
-                            f"{SERVE_PROTOCOL_VERSION}, client sent "
-                            f"{message.get('version')!r}"
-                        ),
-                    },
+                    self.error_message(
+                        f"protocol version mismatch: daemon speaks "
+                        f"{SERVE_PROTOCOL_VERSION}, client sent "
+                        f"{message.get('version')!r}"
+                    ),
                 )
                 return False
-            return self._send(
+            return self.send(
                 conn,
                 {
                     "op": "hello-ok",
@@ -216,9 +176,9 @@ class ServeDaemon(SocketServer):
                 },
             )
         if op == "ping":
-            return self._send(conn, {"op": "pong"})
+            return self.send(conn, {"op": "pong"})
         if op == "health":
-            return self._send(conn, self._health())
+            return self.send(conn, self._health())
         if op == "submit":
             return self._handle_submit(conn, message)
         if op in ("drain", "shutdown"):
@@ -230,12 +190,12 @@ class ServeDaemon(SocketServer):
                 self._busy += 1
             try:
                 self.request_stop()
-                self._send(conn, {"op": "draining" if op == "drain" else "bye"})
+                self.send(conn, {"op": "draining" if op == "drain" else "bye"})
             finally:
                 with self._busy_lock:
                     self._busy -= 1
             return False
-        return self._send(conn, {"op": "error", "detail": f"unknown op {op!r}"})
+        return self.send(conn, self.error_message(f"unknown op {op!r}"))
 
     def _handle_submit(self, conn: socket.socket, message: dict) -> bool:
         with self._busy_lock:
@@ -247,7 +207,7 @@ class ServeDaemon(SocketServer):
             except ServeError as exc:
                 # poison payloads and overload land here: a typed in-band
                 # answer, the connection stays usable
-                return self._send(conn, error_reply(exc))
+                return self.send(conn, error_reply(exc))
             budget = job["deadline"] or self.supervisor.default_deadline
             # generous envelope over the cooperative deadline: the token
             # fires first in any live run; this only catches a dead seam
@@ -260,7 +220,7 @@ class ServeDaemon(SocketServer):
             )
             if sabotage is not None:
                 return self._sabotage_reply(conn, sabotage, frame)
-            return self._send_raw(conn, frame)
+            return self.send_raw(conn, frame)
         finally:
             with self._busy_lock:
                 self._busy -= 1
@@ -300,10 +260,10 @@ class ServeDaemon(SocketServer):
             corrupted[(len(frame) + LEN_BYTES + CRC_BYTES) // 2] ^= 1 << (
                 sabotage.get("bit", 0) % 8
             )
-            return self._send_raw(conn, bytes(corrupted))
+            return self.send_raw(conn, bytes(corrupted))
         if kind == "remote-truncate-frame":
             # half a frame, then a dead connection
-            self._send_raw(conn, frame[: max(1, len(frame) // 2)])
+            self.send_raw(conn, frame[: max(1, len(frame) // 2)])
             try:
                 conn.shutdown(socket.SHUT_RDWR)
             except OSError:
@@ -311,7 +271,7 @@ class ServeDaemon(SocketServer):
             return False
         if kind == "remote-kill-worker":
             # deliver the reply, then die: the crash path end to end
-            self._send_raw(conn, frame)
+            self.send_raw(conn, frame)
             os._exit(13)
         # the stall kind: alive but mute until the daemon stops
         while not self.stopping:
@@ -344,8 +304,6 @@ class ServeDaemon(SocketServer):
         """The drain window: every accepted job completes and delivers
         its response before any connection is torn down."""
         self.supervisor.drain(self.drain_grace)
-        import time
-
         deadline = time.monotonic() + min(self.drain_grace, 30.0)
         while time.monotonic() < deadline:
             with self._busy_lock:
@@ -357,22 +315,6 @@ class ServeDaemon(SocketServer):
         self.supervisor.shutdown(grace=1.0)
         if self.pool is not None:
             self.pool.close()
-
-    # ------------------------------------------------------------------
-    # send helpers
-
-    def _send(self, conn: socket.socket, message: dict) -> bool:
-        return self._send_raw(conn, encode_serve_message(message))
-
-    @staticmethod
-    def _send_raw(conn: socket.socket, data: bytes) -> bool:
-        """False means the client is gone (stop this connection, never
-        the loop)."""
-        try:
-            conn.sendall(data)
-            return True
-        except OSError:
-            return False
 
 
 def spawn_serve_process(

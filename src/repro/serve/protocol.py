@@ -1,11 +1,14 @@
 """The `repro serve` wire protocol: job schema, typed errors, codec.
 
-The serve daemon rides the platform's one framing discipline — the
-u32-big-endian length-prefixed frames of :mod:`repro.core.framing` —
-with checksummed-pickle payloads
-(:func:`~repro.core.framing.encode_pickle_message`).  It is for hosts
-you already trust to run your code (a lab cluster, loopback CI); it is
-not an internet-facing protocol.
+The serve daemon rides the platform's one wire, :mod:`repro.core.framing`:
+u32-big-endian length-prefixed frames whose payload is a CRC32 and one
+message in the typed tagged codec (None, bools, ints, floats, strings,
+bytes, lists, tuples and dicts — nothing that runs code when decoded).
+A frame that fails its CRC or does not decode gets a typed in-band
+``error`` and the connection stays usable; a bad length prefix closes
+it.  Any peer that can reach the port can still submit jobs, which run
+guest programs, so serve on hosts and networks you trust (a lab
+cluster, loopback CI).
 
 Message ops (every message is ``{"op": ..., ...}``):
 
@@ -66,14 +69,7 @@ Its result is the dict a local fork worker produces for the same
 
 from __future__ import annotations
 
-from repro.core.framing import (
-    FrameDecoder,
-    FrameError,
-    TransportError,
-    TransportTimeout,
-    decode_pickle_payload,
-    encode_pickle_message,
-)
+from repro.core.framing import FrameError, decode_message, encode_message
 from repro.vm.errors import VMError
 
 __all__ = [
@@ -89,14 +85,10 @@ __all__ = [
     "validate_job",
     "validate_campaign",
     "error_reply",
-    "FrameDecoder",
-    "FrameError",
-    "TransportError",
-    "TransportTimeout",
 ]
 
 #: serve protocol revision; bumped on any wire-incompatible change
-SERVE_PROTOCOL_VERSION = 1
+SERVE_PROTOCOL_VERSION = 2
 #: jobs and results carry sealed trace blobs, so the cap is far above
 #: the debugger's small packets
 MAX_SERVE_FRAME_BYTES = 64 << 20
@@ -141,14 +133,18 @@ class JobCancelled(ServeError):
 
 
 def encode_serve_message(message: dict) -> bytes:
-    """One wire frame: length prefix + CRC32 + pickled message."""
-    return encode_pickle_message(message, MAX_SERVE_FRAME_BYTES)
+    """One wire frame: length prefix + CRC32 + the encoded message."""
+    return encode_message(message, MAX_SERVE_FRAME_BYTES)
 
 
 def decode_serve_payload(payload: bytes) -> dict:
-    """Check the CRC and unpickle one frame payload (typed
-    :class:`FrameError` on anything untrustworthy)."""
-    return decode_pickle_payload(payload)
+    """Check the CRC and decode one frame payload; typed
+    :class:`FrameError` on anything malformed or on a message that is
+    not a dict with an ``"op"``."""
+    message = decode_message(payload)
+    if not isinstance(message, dict) or "op" not in message:
+        raise FrameError("message must be a dict with an 'op'")
+    return message
 
 
 def _is_int(value) -> bool:

@@ -17,7 +17,6 @@ subprocess.  The slowest sabotage kinds (stall, slow-connect) are
 
 import glob
 import os
-import pickle
 import socket
 import tempfile
 import threading
@@ -33,6 +32,7 @@ from repro.core.framing import (
     FrameError,
     TransportError,
     TransportTimeout,
+    encode_value,
 )
 from repro.faults import KINDS, LAYER_REMOTE, FaultPlan
 from repro.faults.inject import remote_sabotage
@@ -175,7 +175,7 @@ class TestWireProtocol:
 
     def test_corrupted_frame_fails_its_crc(self):
         frame = bytearray(encode_serve_message({"op": "pong"}))
-        frame[-1] ^= 0x01  # flip a bit inside the pickled region
+        frame[-1] ^= 0x01  # flip a bit inside the encoded body
         payloads = FrameDecoder(MAX_SERVE_FRAME_BYTES).feed(bytes(frame))
         with pytest.raises(FrameError, match="CRC32"):
             decode_serve_payload(payloads[0])
@@ -185,18 +185,19 @@ class TestWireProtocol:
             decode_serve_payload(b"\x00\x01")
 
     def test_unpicklable_payload_rejected(self):
+        """A CRC-valid blob that is neither a pickle nor a codec value."""
         import zlib
 
         blob = b"not a pickle at all"
-        crc = (zlib.crc32(blob) & 0xFFFFFFFF).to_bytes(4, "big")
-        with pytest.raises(FrameError, match="does not unpickle"):
+        crc = zlib.crc32(blob).to_bytes(4, "big")
+        with pytest.raises(FrameError, match="unknown value tag"):
             decode_serve_payload(crc + blob)
 
     def test_non_dict_message_rejected(self):
         import zlib
 
-        blob = pickle.dumps(["op", "hello"])
-        crc = (zlib.crc32(blob) & 0xFFFFFFFF).to_bytes(4, "big")
+        blob = encode_value(["op", "hello"])
+        crc = zlib.crc32(blob).to_bytes(4, "big")
         with pytest.raises(FrameError, match="dict with an 'op'"):
             decode_serve_payload(crc + blob)
 
@@ -486,7 +487,10 @@ class TestWorkerServer:
         try:
             client.send_raw(bytes(frame))
             reply = client.recv()
-            assert reply is None or "CRC32" in reply.get("detail", "")
+            assert reply["op"] == "error" and "CRC32" in reply["detail"]
+            # the error is in-band: the same connection keeps serving
+            client.send({"op": "ping"})
+            assert client.recv() == {"op": "pong"}
         finally:
             client.close()
         assert server.frame_errors == 1

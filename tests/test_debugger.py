@@ -1,5 +1,8 @@
 """The three-tier debugger: control, inspection, TCP protocol, perturbation."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.api import record, replay
@@ -215,7 +218,28 @@ class TestProtocolAndFrontend:
         assert out["status"] == "done"
 
     def test_protocol_encoding_roundtrip(self):
-        from repro.debugger.protocol import decode, encode
+        from repro.core.framing import FrameDecoder, decode_message, encode_message
 
         msg = {"id": 1, "cmd": "break", "args": {"method": "X.y()V"}}
-        assert decode(encode(msg).strip()) == msg
+        assert decode_message(FrameDecoder().feed(encode_message(msg))[0]) == msg
+
+    def test_every_command_keeps_its_wire_shape(self):
+        """Each command's result, as the client sees it over TCP, equals
+        the pinned value the JSON-framed protocol returned before the
+        typed codec: lists stay lists (never tuples), keys stay strings."""
+        from repro.debugger.protocol import COMMANDS
+
+        pins = json.loads(
+            (Path(__file__).parent / "data" / "debugger_wire_pins.json").read_text()
+        )
+        assert {cmd for cmd, _, _ in pins} == set(COMMANDS) | {"ping"}
+        program = racy_bank(tellers=2, deposits=10)
+        run = record(program, config=CFG, timer=SeededJitterTimer(5, 40, 160))
+        session = ReplaySession(racy_bank(tellers=2, deposits=10), run.trace, config=CFG)
+        server = DebuggerServer(Debugger(session)).start()
+        try:
+            with DebuggerClient(server.address) as client:
+                for cmd, args, expected in pins:
+                    assert client.request(cmd, **args) == expected, (cmd, args)
+        finally:
+            server.stop()

@@ -2,29 +2,32 @@
 
 The frontend tests exercise the happy path through ``DebuggerClient``;
 these go underneath it: frames split across sends, oversized length
-prefixes, garbage on the wire, protocol-shaped requests the dispatcher
-must reject, and connections that die mid-response.  The invariant
-throughout is that the *server* survives — a broken frontend must never
-take down the replay it is inspecting.
+prefixes, payloads that fail their CRC or do not decode,
+protocol-shaped requests the dispatcher must reject, and connections
+that die mid-response.  The invariant throughout is that the *server*
+survives — a broken frontend must never take down the replay it is
+inspecting.
 """
 
 import socket
 import time
+import zlib
 
 import pytest
 
 from repro.api import record
-from repro.debugger import Debugger, DebuggerClient, DebuggerServer, ReplaySession
-from repro.debugger.protocol import (
+from repro.core.framing import (
     LEN_BYTES,
     MAX_FRAME_BYTES,
     FrameDecoder,
     FrameError,
     TransportError,
-    decode,
-    encode,
-    frame,
+    TransportTimeout,
+    decode_message,
+    encode_message,
+    encode_value,
 )
+from repro.debugger import Debugger, DebuggerClient, DebuggerServer, ReplaySession
 from repro.vm import SeededJitterTimer
 from repro.vm.machine import VMConfig
 from repro.workloads import racy_bank
@@ -52,42 +55,50 @@ def _recv_frame(sock: socket.socket) -> dict:
         chunk = sock.recv(4096)
         assert chunk, "server closed the connection"
         frames = decoder.feed(chunk)
-    return decode(frames[0])
+    return decode_message(frames[0])
 
 
 def _roundtrip(sock: socket.socket, message: dict) -> dict:
-    sock.sendall(frame(message))
+    sock.sendall(encode_message(message))
     return _recv_frame(sock)
 
 
 def _send_raw(sock: socket.socket, raw: bytes) -> dict:
-    """Frame arbitrary (possibly non-JSON) payload bytes and read the reply."""
+    """Frame arbitrary payload bytes (CRC included or not) and read the
+    reply."""
     sock.sendall(len(raw).to_bytes(LEN_BYTES, "big") + raw)
     return _recv_frame(sock)
+
+
+def _checksummed(body: bytes) -> bytes:
+    """A frame payload whose CRC32 is right for *body*."""
+    return zlib.crc32(body).to_bytes(4, "big") + body
 
 
 class TestFrameDecoder:
     def test_frame_split_across_two_feeds(self):
         decoder = FrameDecoder()
-        wire = frame({"id": 1, "cmd": "info", "args": {}})
+        wire = encode_message({"id": 1, "cmd": "info", "args": {}})
         cut = len(wire) // 2
         assert decoder.feed(wire[:cut]) == []
         payloads = decoder.feed(wire[cut:])
-        assert [decode(p) for p in payloads] == [{"id": 1, "cmd": "info", "args": {}}]
+        assert [decode_message(p) for p in payloads] == [
+            {"id": 1, "cmd": "info", "args": {}}
+        ]
         assert decoder.pending_bytes == 0
 
     def test_many_frames_in_one_feed(self):
         decoder = FrameDecoder()
-        wire = b"".join(frame({"id": i}) for i in range(5))
-        assert [decode(p)["id"] for p in decoder.feed(wire)] == [0, 1, 2, 3, 4]
+        wire = b"".join(encode_message({"id": i}) for i in range(5))
+        assert [decode_message(p)["id"] for p in decoder.feed(wire)] == [0, 1, 2, 3, 4]
 
     def test_byte_at_a_time_delivery(self):
         decoder = FrameDecoder()
-        wire = frame({"id": 9, "cmd": "ping"})
+        wire = encode_message({"id": 9, "cmd": "ping"})
         got = []
         for i in range(len(wire)):
             got.extend(decoder.feed(wire[i:i + 1]))
-        assert decode(got[0])["id"] == 9
+        assert decode_message(got[0])["id"] == 9
 
     def test_oversized_length_prefix_rejected_without_buffering(self):
         decoder = FrameDecoder()
@@ -106,22 +117,33 @@ class TestFrameDecoder:
 
 
 class TestMalformedInput:
-    def test_non_json_payload(self, server):
+    def test_undecodable_payload(self, server):
+        # the CRC holds, but the body is no codec value
         with _connect(server) as sock:
-            resp = _send_raw(sock, b"this is not json {{{")
-            assert resp == {"ok": False, "error": "bad json"}
+            resp = _send_raw(sock, _checksummed(b"\x00\xff garbage"))
+            assert resp == {"ok": False, "error": "unknown value tag 0x00"}
+            # in-band: the connection keeps serving
+            assert _roundtrip(sock, {"id": 2, "cmd": "info", "args": {}})["ok"]
+        assert server.frame_errors == 1
 
-    def test_truncated_json_payload(self, server):
+    def test_crc_failing_payload(self, server):
+        # a payload cut short no longer matches its CRC
+        payload = encode_message({"id": 1, "cmd": "info"})[LEN_BYTES:]
         with _connect(server) as sock:
-            resp = _send_raw(sock, b'{"id": 1, "cmd": "info"')
-            assert resp == {"ok": False, "error": "bad json"}
-
-    def test_json_but_not_an_object_is_handled(self, server):
-        # a bare array is valid JSON but not a protocol message; it must
-        # be rejected as bad json, not crash the serve loop
-        with _connect(server) as sock:
-            resp = _send_raw(sock, b"[1, 2, 3]")
+            resp = _send_raw(sock, payload[:-3])
             assert resp["ok"] is False
+            assert "CRC32" in resp["error"]
+            assert _roundtrip(sock, {"id": 2, "cmd": "info", "args": {}})["ok"]
+        assert server.frame_errors == 1
+
+    def test_non_dict_payload_is_handled(self, server):
+        # a well-formed value that is not a protocol message must be
+        # rejected in-band, not crash the serve loop
+        with _connect(server) as sock:
+            resp = _send_raw(sock, _checksummed(encode_value([1, 2, 3])))
+            assert resp == {"ok": False, "error": "message must be a dict, got list"}
+            assert _roundtrip(sock, {"id": 2, "cmd": "info", "args": {}})["ok"]
+        assert server.frame_errors == 0  # well-framed: not a frame error
 
     def test_server_usable_after_bad_payload(self, server):
         with _connect(server) as sock:
@@ -192,7 +214,7 @@ class TestDisconnects:
 
     def test_disconnect_with_partial_frame_in_flight(self, server):
         with _connect(server) as sock:
-            wire = frame({"id": 1, "cmd": "info", "args": {}})
+            wire = encode_message({"id": 1, "cmd": "info", "args": {}})
             sock.sendall(wire[: len(wire) - 3])  # frame never completes, then gone
         with DebuggerClient(server.address) as client:
             assert client.request("info")["finished"] is False
@@ -203,7 +225,7 @@ class TestDisconnects:
         with _connect(server) as sock:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
                             b"\x01\x00\x00\x00\x00\x00\x00\x00")  # RST on close
-            sock.sendall(frame({"id": 1, "cmd": "info", "args": {}}))
+            sock.sendall(encode_message({"id": 1, "cmd": "info", "args": {}}))
         time.sleep(0.1)  # let the server hit the dead socket
         with DebuggerClient(server.address) as client:
             assert client.request("info")["finished"] is False
@@ -239,6 +261,21 @@ class TestClientHardening:
             with pytest.raises(TransportError, match="timed out"):
                 client.request("info")
             client.close()
+        finally:
+            quiet.close()
+
+    def test_per_call_timeout_is_named_and_typed(self):
+        # the call's own timeout bounds the wait and names itself, not
+        # the connection's default, and a silent peer is a timeout
+        quiet = socket.socket()
+        quiet.bind(("127.0.0.1", 0))
+        quiet.listen(1)
+        try:
+            with DebuggerClient(quiet.getsockname(), timeout=10) as client:
+                start = time.monotonic()
+                with pytest.raises(TransportTimeout, match=r"after 0\.2s"):
+                    client.request("info", timeout=0.2)
+                assert time.monotonic() - start < 5
         finally:
             quiet.close()
 
@@ -291,9 +328,6 @@ class TestClientHardening:
 class TestEncodeFrameSymmetry:
     def test_frame_roundtrip(self):
         msg = {"id": 42, "cmd": "step", "args": {"mode": "into"}}
-        wire = frame(msg)
+        wire = encode_message(msg)
         assert int.from_bytes(wire[:LEN_BYTES], "big") == len(wire) - LEN_BYTES
-        assert decode(FrameDecoder().feed(wire)[0]) == msg
-
-    def test_encode_is_compact_json(self):
-        assert b"\n" not in encode({"id": 1, "cmd": "info"})
+        assert decode_message(FrameDecoder().feed(wire)[0]) == msg

@@ -17,16 +17,15 @@ import socket
 import pytest
 
 from repro.api import record
-from repro.core.tracelog import MAGIC, FORMAT_VERSION, TraceLog
-from repro.debugger import Debugger, DebuggerClient, DebuggerServer, ReplaySession
-from repro.debugger.protocol import (
+from repro.core.framing import (
     LEN_BYTES,
     FrameDecoder,
     FrameError,
-    decode,
-    encode,
-    frame,
+    decode_message,
+    encode_message,
 )
+from repro.core.tracelog import MAGIC, FORMAT_VERSION, TraceLog
+from repro.debugger import Debugger, DebuggerClient, DebuggerServer, ReplaySession
 from repro.faults.inject import segment_boundaries
 from repro.vm import SeededJitterTimer
 from repro.vm.errors import TraceFormatError
@@ -104,27 +103,27 @@ class TestSalvageDegenerates:
 class TestFrameDecoderPins:
     def test_partial_length_prefix_at_eof_buffers(self):
         decoder = FrameDecoder()
-        wire = frame({"id": 1, "cmd": "ping", "args": {}})
+        wire = encode_message({"id": 1, "cmd": "ping", "args": {}})
         assert decoder.feed(wire[: LEN_BYTES - 2]) == []
         assert decoder.pending_bytes == LEN_BYTES - 2
         # the rest arrives in a later chunk: the frame completes
-        assert [decode(p) for p in decoder.feed(wire[LEN_BYTES - 2:])] == [
+        assert [decode_message(p) for p in decoder.feed(wire[LEN_BYTES - 2:])] == [
             {"id": 1, "cmd": "ping", "args": {}}
         ]
         assert decoder.pending_bytes == 0
 
     def test_frame_split_across_many_feeds_reassembles(self):
         decoder = FrameDecoder()
-        wire = frame({"id": 2, "cmd": "info", "args": {}})
+        wire = encode_message({"id": 2, "cmd": "info", "args": {}})
         got = []
         for i in range(len(wire)):  # one byte at a time
             got.extend(decoder.feed(wire[i: i + 1]))
-        assert [decode(p) for p in got] == [{"id": 2, "cmd": "info", "args": {}}]
+        assert [decode_message(p) for p in got] == [{"id": 2, "cmd": "info", "args": {}}]
 
     def test_two_frames_in_one_chunk(self):
         decoder = FrameDecoder()
-        wire = frame({"id": 1}) + frame({"id": 2})
-        assert [decode(p)["id"] for p in decoder.feed(wire)] == [1, 2]
+        wire = encode_message({"id": 1}) + encode_message({"id": 2})
+        assert [decode_message(p)["id"] for p in decoder.feed(wire)] == [1, 2]
 
     def test_absurd_length_prefix_rejected_before_buffering(self):
         decoder = FrameDecoder()
@@ -133,8 +132,7 @@ class TestFrameDecoderPins:
 
     def test_exact_cap_length_is_allowed(self):
         decoder = FrameDecoder(max_frame_bytes=8)
-        payload = encode({"a": 1})
-        assert len(payload) <= 8
+        payload = bytes(8)  # any payload bytes: the decoder only frames
         wire = len(payload).to_bytes(LEN_BYTES, "big") + payload
         assert decoder.feed(wire) == [payload]
 
@@ -171,7 +169,7 @@ class TestServeLoopLogsNotCrashes:
 
     def test_undecodable_payload_is_logged_and_answered(self, served):
         srv, logged = served
-        payload = b"[1, 2, 3]"  # valid JSON, not a protocol object
+        payload = b"\x00\x00\x00\x00[1, 2, 3]"  # a CRC that does not match
         wire = len(payload).to_bytes(LEN_BYTES, "big") + payload
         with socket.create_connection(srv.address, timeout=5.0) as sock:
             sock.sendall(wire)
@@ -181,9 +179,13 @@ class TestServeLoopLogsNotCrashes:
                 chunk = sock.recv(4096)
                 assert chunk
                 frames = decoder.feed(chunk)
-            response = decode(frames[0])
-        assert response == {"ok": False, "error": "bad json"}
-        assert any("undecodable request payload" in line for line in logged)
-        # same connection keeps serving after the bad payload
+            response = decode_message(frames[0])
+        assert response == {
+            "ok": False,
+            "error": "frame failed its CRC32 (corrupted in flight)",
+        }
+        assert any("undecodable frame payload" in line for line in logged)
+        assert srv.frame_errors == 1
+        # the loop keeps serving after the bad payload
         with DebuggerClient.connect(srv.address) as client:
             assert client.ping()

@@ -1,9 +1,9 @@
-"""Untyped deserialization is confined to one module.
+"""No untyped deserialization: nothing under ``src/repro`` imports pickle.
 
-Every frame a serve client or a campaign host sends is unpickled in
-:mod:`repro.core.framing` and nowhere else; campaign payloads and cache
-keys are plain data.  This test keeps it that way until the wire moves
-to a typed codec and the allowed set becomes empty.
+Every frame a serve client, a campaign host or a debugger frontend
+sends is decoded by the typed codec of :mod:`repro.core.framing`, which
+runs no code; campaign payloads and cache keys are plain data.  This
+test keeps ``pickle`` out of the package.
 """
 
 import ast
@@ -12,7 +12,6 @@ from pathlib import Path
 import repro
 
 SRC = Path(repro.__file__).resolve().parent
-ALLOWED = {"core/framing.py"}
 
 
 def _imports_pickle(tree: ast.AST) -> bool:
@@ -26,10 +25,10 @@ def _imports_pickle(tree: ast.AST) -> bool:
     return False
 
 
-def test_pickle_is_imported_only_by_the_framing_module():
+def test_no_module_imports_pickle():
     importers = {
         path.relative_to(SRC).as_posix()
         for path in SRC.rglob("*.py")
         if _imports_pickle(ast.parse(path.read_text(), filename=str(path)))
     }
-    assert importers == ALLOWED
+    assert importers == set()

@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core.framing import BackoffPolicy
+from repro.core.framing import BackoffPolicy, FrameDecoder, TransportError
 from repro.serve import (
     JobDeadlineExceeded,
     JobRejected,
@@ -41,9 +41,9 @@ from repro.serve import (
     validate_job,
 )
 from repro.serve.protocol import (
+    MAX_SERVE_FRAME_BYTES,
     SERVE_PROTOCOL_VERSION,
     JobCancelled,
-    TransportError,
     decode_serve_payload,
     encode_serve_message,
     validate_campaign,
@@ -465,6 +465,24 @@ class TestDaemonProtocol:
             assert reply["op"] == "error"
             assert "protocol version mismatch" in reply["detail"]
 
+    def test_pickle_hello_gets_a_typed_error_and_the_daemon_serves_on(self, daemon):
+        """A client of the checksummed-pickle protocol (version 1): its
+        hello passes the CRC but is no codec value, so it gets a typed
+        in-band error, is counted, and nothing is unpickled."""
+        import pickle
+        import zlib
+
+        blob = pickle.dumps({"op": "hello", "version": 1}, protocol=5)
+        payload = zlib.crc32(blob).to_bytes(4, "big") + blob
+        before = daemon.frame_errors
+        with socket.create_connection(daemon.address, timeout=5) as sock:
+            sock.sendall(len(payload).to_bytes(4, "big") + payload)
+            reply = _read_reply(sock)
+        assert reply == {"op": "error", "detail": "unknown value tag 0x80"}
+        assert daemon.frame_errors == before + 1
+        with ServeClient(daemon.address) as client:
+            assert client.ping()
+
     def test_ping_health_and_unknown_op(self, daemon):
         with ServeClient(daemon.address) as client:
             assert client.daemon_pid is not None
@@ -487,8 +505,6 @@ class TestDaemonProtocol:
 
 
 def _read_reply(sock):
-    from repro.serve.protocol import MAX_SERVE_FRAME_BYTES, FrameDecoder
-
     decoder = FrameDecoder(MAX_SERVE_FRAME_BYTES)
     while True:
         chunk = sock.recv(65536)
