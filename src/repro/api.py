@@ -14,7 +14,7 @@ Typical use (also ``examples/quickstart.py``)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable
 
@@ -26,7 +26,7 @@ from repro.core.tracelog import TraceLog, TraceWriter, config_fingerprint
 from repro.core.verify import ReplayReport, compare_runs
 from repro.vm.asm import assemble
 from repro.vm.classfile import ClassDef, content_digest
-from repro.vm.engineconfig import EngineConfig
+from repro.vm.engineconfig import EngineConfig, hooked_config
 from repro.vm.errors import (
     CheckpointConfigMismatch,
     CheckpointEngineMismatch,
@@ -90,10 +90,11 @@ class GuestProgram:
         return content_digest(self.classdefs)
 
 
-#: named engine configurations for ``--engine`` and serve jobs — the
-#: ablation layers in order.  One shared table is what makes the
-#: daemon's byte-identity guarantee meaningful: a serve job naming a
-#: preset resolves to *exactly* the EngineConfig the CLI one-shot uses.
+#: the ablation table: the engine's optimisation layers by name, in
+#: order.  No user option selects one (a plain VM always fuses; hooked
+#: tools go through :func:`~repro.vm.engineconfig.hooked_config`); the
+#: fused-vs-unfused differential tests and the dispatch benchmarks
+#: build their VMs from it.
 ENGINE_PRESETS = {
     "baseline": EngineConfig.baseline(),
     "full": EngineConfig(),
@@ -212,7 +213,7 @@ def record(
             slim_fallback = "schedule-policy recording"
         else:
             # the detector hooks canonical memory micro-ops: unfused code
-            config = replace(config or VMConfig(), engine=EngineConfig(fusion=False))
+            config = hooked_config(config)
     vm = build_vm(program, config, timer=timer, clock=clock, env=env)
     if vm_hook is not None:
         vm_hook(vm)
@@ -246,10 +247,8 @@ def record(
                 # slim recording keeps switch deltas host-side so the
                 # seal-time partition can rewrite the stream; push the
                 # final streams through the writer's spilling sinks now
-                for w in trace.switches:
-                    writer.switch_sink.append(w)
-                for w in trace.slim:
-                    writer.slim_sink.append(w)
+                writer.switch_sink.extend(trace.switches)
+                writer.slim_sink.extend(trace.slim)
             writer.seal(trace.meta)
         if recorder is not None:
             recorder.seal(program=program.name)

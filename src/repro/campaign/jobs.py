@@ -13,7 +13,7 @@ Two kinds convert the existing single-process engines onto the shared
   checkpoint baseline and transport server) and injects per item.
 
 A campaign's *payload* is plain data — workload name and kwargs,
-seeds, plan parameters, ``engine`` + ``heap`` for the VM config — checked
+seeds, plan parameters, ``heap`` for the VM config — checked
 by :func:`repro.serve.protocol.validate_campaign`.  Every backend (inline,
 local fork, a remote ``repro serve`` daemon) builds its runner from that
 same payload through :func:`make_item_runner`.
@@ -31,7 +31,7 @@ import hashlib
 import itertools
 import shutil
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.campaign.corpus import Corpus
 from repro.campaign.runner import Campaign, CampaignHarnessError, WorkerIncident
@@ -47,21 +47,19 @@ from repro.vm.errors import VMError
 
 
 def config_fields(config) -> dict:
-    """*config* as campaign payload data: ``heap`` + ``engine`` flags
-    (both None for None, the platform default).  A config that varies
-    anything else cannot travel as data and is refused."""
+    """*config* as campaign payload data: ``heap`` (None for None, the
+    platform default).  A config that varies anything else — the
+    engine included — cannot travel as data and is refused."""
     if config is None:
-        return {"engine": None, "heap": None}
-    fields = {"engine": asdict(config.engine), "heap": config.semispace_words}
+        return {"heap": None}
+    fields = {"heap": config.semispace_words}
     if campaign_config(fields) != config:
-        raise VMError(
-            "campaign VM configs may set only semispace_words and the engine"
-        )
+        raise VMError("campaign VM configs may set only semispace_words")
     return fields
 
 
 def campaign_config(payload: dict):
-    """The VMConfig a payload's ``engine`` + ``heap`` name (or None)."""
+    """The VMConfig a payload's ``heap`` names (or None)."""
     from repro.jobs import vm_config
 
     return None if payload["heap"] is None else vm_config(payload)

@@ -57,7 +57,6 @@ from pathlib import Path
 
 from repro import jobs
 from repro.api import (
-    ENGINE_PRESETS,
     GuestProgram,
     build_vm,
     replay as api_replay,
@@ -103,7 +102,6 @@ def _job(args, **fields) -> dict:
         "workload": getattr(args, "workload", None),
         "workload_args": _workload_overrides(args),
         "seed": args.seed,
-        "engine": args.engine,
         "heap": args.heap,
         **fields,
     }
@@ -663,13 +661,6 @@ def make_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="seeded non-determinism (default: host timer/clock)",
-        )
-        p.add_argument(
-            "--engine",
-            choices=sorted(ENGINE_PRESETS),
-            default="full",
-            help="optimisation layer: baseline | full (fusion) "
-            "(guest behavior is identical under both)",
         )
 
     p = sub.add_parser("run", help="execute a guest program")

@@ -25,8 +25,11 @@ the framed receive loop and the hardening posture they share:
 
 ``concurrency=1`` handles connections inline on the accept thread (the
 debugger serialises on one session); ``concurrency>1`` gives each
-connection its own named handler thread, bounded by a semaphore (the
-serve daemon multiplexes clients).
+connection its own named handler thread (the serve daemon multiplexes
+clients).  Either way a semaphore of ``concurrency`` slots bounds the
+connections in service: while every slot is busy the accept loop stops
+accepting, so new clients wait in the listen backlog, and it keeps
+polling :attr:`stopping` and reaping overstayers meanwhile.
 """
 
 from __future__ import annotations
@@ -86,6 +89,8 @@ class SocketServer:
         #: live (thread, conn, started_at) records, for reaping + joining
         self._live: "list[tuple[threading.Thread | None, socket.socket, float]]" = []
         self._live_lock = threading.Lock()
+        #: one slot per connection in service; released as its handler ends
+        self._slots = threading.BoundedSemaphore(self.concurrency)
         self.connections_served = 0
         self.handler_errors = 0
         self.frame_errors = 0
@@ -112,14 +117,20 @@ class SocketServer:
             # request_stop() closed the listener before the serving
             # thread got here; fall through to the drain hooks
             self._stop.set()
+        have_slot = False
         while not self._stop.is_set():
             self._reap_overstayers()
+            if not have_slot:
+                have_slot = self._slots.acquire(timeout=0.2)
+                if not have_slot:
+                    continue  # every slot busy: the next client waits in the backlog
             try:
                 conn, _ = self._sock.accept()
             except TimeoutError:
                 continue
             except OSError:
                 break  # listening socket closed: shutdown path
+            have_slot = False  # the slot is the connection's now
             self.connections_served += 1
             serial = self.connections_served
             if self.concurrency == 1:
@@ -153,6 +164,7 @@ class SocketServer:
         finally:
             with self._live_lock:
                 self._live = [rec for rec in self._live if rec[1] is not conn]
+            self._slots.release()
 
     def handle_connection(self, conn: socket.socket) -> None:
         if self._handler is not None:

@@ -859,6 +859,16 @@ class _SpillList(list):
         if len(self) - self._spilled >= self._segment_words:
             self.spill()
 
+    def extend(self, words) -> None:
+        # spill exactly the segments word-by-word appends would have, so
+        # the trace bytes do not depend on how the words arrived
+        super().extend(words)
+        size = self._segment_words
+        while len(self) - self._spilled >= size:
+            end = self._spilled + size
+            self._segments.stream(self._kind, self[self._spilled:end])
+            self._spilled = end
+
     def spill(self) -> None:
         pending = self[self._spilled:]
         if not pending:
@@ -963,6 +973,11 @@ class TraceBuffer:
 
     Replay mode: ``take`` words; when the array empties, the next chunk of
     the trace refills it (a "refill", the mirror-image side effect).
+
+    The words are staged in place in the VM's ``Memory.words`` list (one
+    list for life, and allocation materialised the whole array), bypassing
+    the object model's per-element checks.  A collection may move the
+    array, so its base is recomputed from ``addr`` on every call.
     """
 
     def __init__(self, vm: "VirtualMachine", capacity_words: int, *, boot_slot: int | None = None):
@@ -996,13 +1011,12 @@ class TraceBuffer:
             self.allocate()
         if self._fill >= self.capacity:
             self.flush(sink)
-        self.vm.om.array_put(self.addr, self._fill, word)
+        self.vm.memory.words[self.addr + HEADER_WORDS + self._fill] = word
         self._fill += 1
 
     def flush(self, sink: list[int]) -> None:
-        om = self.vm.om
-        for i in range(self._fill):
-            sink.append(om.array_get(self.addr, i))
+        base = self.addr + HEADER_WORDS
+        sink.extend(self.vm.memory.words[base : base + self._fill])
         self._fill = 0
         self.flushes += 1
         if self.on_drain is not None:
@@ -1018,15 +1032,14 @@ class TraceBuffer:
             cursor = self._refill(source, cursor)
             if self._fill == 0:
                 return None, cursor
-        word = self.vm.om.array_get(self.addr, self._pos)
+        word = self.vm.memory.words[self.addr + HEADER_WORDS + self._pos]
         self._pos += 1
         return word, cursor
 
     def _refill(self, source: list[int], cursor: int) -> int:
-        om = self.vm.om
         n = min(self.capacity, len(source) - cursor)
-        for i in range(n):
-            om.array_put(self.addr, i, source[cursor + i])
+        base = self.addr + HEADER_WORDS
+        self.vm.memory.words[base : base + n] = source[cursor : cursor + n]
         self._fill = n
         self._pos = 0
         self.refills += 1

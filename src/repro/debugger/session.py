@@ -17,7 +17,6 @@ canonical micro-ops; the controller is consulted before every one.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.core.controller import MODE_REPLAY, DejaVu
@@ -27,7 +26,7 @@ from repro.remote.mapping import default_mappings
 from repro.remote.ptrace import DebugPort
 from repro.remote.reflector import RemoteReflector
 from repro.vm.errors import VMError
-from repro.vm.engineconfig import EngineConfig
+from repro.vm.engineconfig import hooked_config
 from repro.vm.machine import VirtualMachine, VMConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -55,7 +54,7 @@ class ReplaySession:
         #: what a rebuilt or checkpoint-restored session is built from
         self.base_config = config
         # breakpoints and steps address canonical micro-ops: unfused code
-        app_config = replace(config or VMConfig(), engine=EngineConfig(fusion=False))
+        app_config = hooked_config(config)
         if resume_from is not None:
             # rehydrate mid-flight: the snapshot must have been captured
             # by a debugger session (they all run this same engine)

@@ -33,9 +33,9 @@ the recorded execution without the recorded execution being able to
 tell; attached to a *record* run it leaves the trace bit-identical to an
 undetected run (asserted by test).  Its memory hook is bound into the
 engine's handler tables around the memory micro-ops only; the code runs
-unfused (``EngineConfig(fusion=False)``) because a superinstruction would
-hide the accesses inside it, which by the EngineConfig determinism
-contract changes nothing guest-visible.
+unfused (:func:`~repro.vm.engineconfig.hooked_config`) because a
+superinstruction would hide the accesses inside it, which by the
+EngineConfig determinism contract changes nothing guest-visible.
 
 Known blind spots, accepted and documented: memory touched only from
 inside native methods (e.g. ``System.arraycopy``) bypasses the bytecode
@@ -47,7 +47,7 @@ an edge: the join native reports them to ``on_wakeup`` directly.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.controller import MODE_REPLAY, DejaVu
@@ -62,7 +62,7 @@ from repro.vm.compiler import (
     M_PUTSTATIC,
 )
 from repro.vm.layout import HEADER_AUX, HEADER_WORDS
-from repro.vm.engineconfig import EngineConfig
+from repro.vm.engineconfig import hooked_config
 from repro.vm.machine import VMConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -426,7 +426,7 @@ def detect_races(
     recorded one, and the detector itself changes nothing observable."""
     from repro.api import build_vm
 
-    vm = build_vm(program, replace(config or VMConfig(), engine=EngineConfig(fusion=False)))
+    vm = build_vm(program, hooked_config(config))
     DejaVu(vm, MODE_REPLAY, trace=trace, symmetry=symmetry)
     detector = RaceDetector(vm)
     result = vm.run(program.main)

@@ -45,15 +45,8 @@ def error_exit(exc: VMError, err) -> int:
 
 
 def vm_config(job: dict) -> VMConfig:
-    """The job's heap and engine: a preset name or a dict of flags."""
-    engine = job["engine"]
-    if isinstance(engine, dict):
-        from repro.vm.engineconfig import EngineConfig
-
-        engine = EngineConfig(**engine)
-    else:
-        engine = api.ENGINE_PRESETS[engine]
-    return VMConfig(semispace_words=job["heap"], engine=engine)
+    """The job's VM config: its heap; the engine is the default."""
+    return VMConfig(semispace_words=job["heap"])
 
 
 def resolve_workload(job: dict, trace=None, *, explore: bool = False):

@@ -88,6 +88,12 @@ def parse_sabotage(text: str) -> dict:
     return sabotage
 
 
+#: open client connections served at once (one handler thread each):
+#: a bound on threads, not on work — admission bounds the work — so it
+#: is generous, since clients hold their connection across jobs
+MAX_CONNECTIONS = 64
+
+
 class ServeDaemon(SocketServer):
     """The serve daemon; see the module docstring for the contract."""
 
@@ -113,7 +119,7 @@ class ServeDaemon(SocketServer):
             host,
             port,
             log=log,
-            concurrency=max(4, workers * 4),
+            concurrency=MAX_CONNECTIONS,
             name="repro-serve",
             max_connection_seconds=max_connection_seconds,
         )

@@ -40,8 +40,6 @@ names and texts are strings.  Fields:
 * ``workload`` + ``workload_args`` — a registered workload build, or
 * ``source`` (+ ``main``, ``name``) — inline ``.jasm`` text
 * ``seed`` — the CLI ``--seed`` knob (None: host timer/clock)
-* ``engine`` — an :data:`repro.api.ENGINE_PRESETS` name (default
-  ``full``) or a dict of engine flags (``{"fusion": bool}``)
 * ``heap`` — semispace words (default 400 000, the CLI default)
 * ``deadline`` — per-job wall-clock budget in seconds; exceeding it
   lands a typed ``JobDeadlineExceeded``, enforced cooperatively at
@@ -54,6 +52,9 @@ names and texts are strings.  Fields:
   diagnoses from a temp file; this substitutes the client's path so
   stdout matches the CLI one-shot)
 * ``slim`` — record a slim trace (the CLI ``--slim``)
+
+There is no engine field: the engine's optimisation layer is guest-
+and trace-invisible, so it is the engine's decision, never the job's.
 
 Results carry ``stdout`` (byte-identical to the CLI one-shot's stdout),
 ``exit`` (the CLI exit status), and for record jobs ``trace`` (sealed
@@ -87,8 +88,9 @@ __all__ = [
     "error_reply",
 ]
 
-#: serve protocol revision; bumped on any wire-incompatible change
-SERVE_PROTOCOL_VERSION = 2
+#: serve protocol revision; bumped on any wire-incompatible change (3:
+#: jobs and campaign payloads lost their ``engine`` field)
+SERVE_PROTOCOL_VERSION = 3
 #: jobs and results carry sealed trace blobs, so the cap is far above
 #: the debugger's small packets
 MAX_SERVE_FRAME_BYTES = 64 << 20
@@ -98,8 +100,8 @@ JOB_KINDS = ("record", "replay", "explore", "doctor", "trace-stats", "campaign-i
 #: every field a job may carry (see the module docstring)
 JOB_KEYS = frozenset({
     "kind", "workload", "workload_args", "source", "main", "name", "seed",
-    "engine", "heap", "deadline", "trace", "bound", "budget", "out_name",
-    "trace_name", "slim",
+    "heap", "deadline", "trace", "bound", "budget", "out_name", "trace_name",
+    "slim",
 })
 _STRING_KEYS = ("workload", "source", "main", "name", "out_name", "trace_name")
 
@@ -173,7 +175,6 @@ def validate_job(job) -> dict:
     out = dict(job)
     out.setdefault("workload_args", {})
     out.setdefault("seed", None)
-    out.setdefault("engine", "full")
     out.setdefault("heap", 400_000)
     out.setdefault("deadline", None)
     out.setdefault("main", "Main.main()V")
@@ -214,7 +215,6 @@ def validate_job(job) -> dict:
     if kind == "record":
         out.setdefault("out_name", "run.djv")
         out.setdefault("slim", False)
-    _check_engine(out["engine"])
     return out
 
 
@@ -227,31 +227,6 @@ def _deadline(deadline):
     return float(deadline)
 
 
-def _check_engine(engine) -> None:
-    if isinstance(engine, str):
-        from repro.api import ENGINE_PRESETS
-
-        if engine not in ENGINE_PRESETS:
-            raise ServeError(
-                f"unknown engine preset {engine!r} "
-                f"(known: {', '.join(sorted(ENGINE_PRESETS))})"
-            )
-    elif isinstance(engine, dict):
-        allowed = {"fusion"}
-        bad = set(engine) - allowed
-        if bad:
-            raise ServeError(
-                f"unknown engine flag(s) {sorted(bad)} "
-                f"(known: {sorted(allowed)})"
-            )
-        if not all(isinstance(flag, bool) for flag in engine.values()):
-            raise ServeError(f"job engine flags must be bools, got {engine!r}")
-    else:
-        raise ServeError(
-            f"job engine must be a preset name or a flag dict, got {engine!r}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # campaign items
 
@@ -260,9 +235,8 @@ def _is_count(minimum: int):
     return lambda value: _is_int(value) and value >= minimum
 
 
-#: the fields of a campaign payload besides ``kind`` and ``engine``
-#: (checked with ``heap``), per campaign kind: the check each value must
-#: pass and what that check means
+#: the fields of a campaign payload besides ``kind``, per campaign kind:
+#: the check each value must pass and what that check means
 _CAMPAIGN_COMMON = {
     "workload": (lambda v: isinstance(v, str), "a workload name"),
     "workload_kwargs": (
@@ -311,7 +285,7 @@ def validate_campaign(payload) -> dict:
             f"unknown campaign kind {kind!r} (known: {', '.join(CAMPAIGN_FIELDS)})"
         )
     fields = CAMPAIGN_FIELDS[kind]
-    keys = {"kind", "engine", *fields}
+    keys = {"kind", *fields}
     if set(payload) != keys:
         raise ServeError(
             f"{kind} campaign fields must be exactly {', '.join(sorted(keys))} "
@@ -320,10 +294,6 @@ def validate_campaign(payload) -> dict:
     for key, (check, meaning) in fields.items():
         if not check(payload[key]):
             raise ServeError(f"campaign {key} must be {meaning}, got {payload[key]!r}")
-    if payload["heap"] is not None:
-        _check_engine(payload["engine"])
-    elif payload["engine"] is not None:
-        raise ServeError("campaign engine needs a heap (both or neither)")
     from repro.workloads.registry import get_workload
 
     try:

@@ -11,11 +11,11 @@ the unfused code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.controller import MODE_REPLAY, DejaVu
-from repro.vm.engineconfig import EngineConfig
+from repro.vm.engineconfig import hooked_config
 from repro.vm.machine import VMConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -99,7 +99,7 @@ class ReplayCoverage:
     def run(self) -> CoverageReport:
         from repro.api import build_vm
 
-        vm = build_vm(self.program, replace(self.config or VMConfig(), engine=EngineConfig(fusion=False)))
+        vm = build_vm(self.program, hooked_config(self.config))
         DejaVu(vm, MODE_REPLAY, trace=self.trace)
         hook = _CoverageHook()
         vm.engine.debug = hook

@@ -16,11 +16,11 @@ the observer stream and the monitor table after the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.controller import MODE_REPLAY, DejaVu
-from repro.vm.engineconfig import EngineConfig
+from repro.vm.engineconfig import hooked_config
 from repro.vm.machine import VMConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -105,7 +105,7 @@ class ReplayProfiler:
     def run(self) -> ProfileReport:
         from repro.api import build_vm
 
-        vm = build_vm(self.program, replace(self.config or VMConfig(), engine=EngineConfig(fusion=False)))
+        vm = build_vm(self.program, hooked_config(self.config))
         DejaVu(vm, MODE_REPLAY, trace=self.trace)
         hook = _ProfilerHook()
         vm.engine.debug = hook

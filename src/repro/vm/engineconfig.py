@@ -15,18 +15,21 @@ without it and its speed attributed:
 
 Fusion may not change anything the guest (or DejaVu) can observe:
 logical clocks, ``nyp`` deltas, cycle counts, traces, and event streams
-are bit-identical with it on and off.  The toggle exists precisely so
-tests can assert that.
+are bit-identical with it on and off.  Fusion is therefore the engine's
+decision, not a user option: a plain VM always fuses, and the toggle
+exists only so tests and benchmarks can assert and attribute that.
 
-Hook clients (debugger, time travel, profiler, coverage, the race
-detector and slim recording) ask for ``EngineConfig(fusion=False)``: a
-hook sees one call per executable op, and only unfused code makes those
-the canonical micro-ops.
+The one place the engine chooses unfused code is :func:`hooked_config`,
+which every hooked tool builds its VM from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.vm.machine import VMConfig
 
 
 @dataclass(frozen=True)
@@ -43,9 +46,24 @@ class EngineConfig:
     @classmethod
     def all_combinations(cls) -> "list[EngineConfig]":
         """Every toggle combination, baseline first (for ablation tests)."""
-        return [cls(fusion=False), cls(fusion=True)]
+        return [cls.baseline(), cls()]
 
     def describe(self) -> str:
         # "threaded" names the dispatch loop; it stays in the tag so that
         # checkpoint headers written under the same engine keep matching
         return "threaded+fusion" if self.fusion else "threaded"
+
+
+def hooked_config(config: "VMConfig | None" = None) -> "VMConfig":
+    """*config* (or the default) with fusion off, for a VM a hook rides.
+
+    The hooked tools (slim recording, the replay debugger and its time
+    travel, the profiler, coverage and the race detector) attach an
+    engine hook that must see one call per executable op, and only
+    unfused code makes those the canonical micro-ops: a superinstruction
+    would hide the ops inside it.  By the contract above this changes
+    nothing the guest or the trace can observe.
+    """
+    from repro.vm.machine import VMConfig
+
+    return replace(config or VMConfig(), engine=EngineConfig.baseline())

@@ -1196,7 +1196,7 @@ class Engine:
         #: detection): called before every memory micro-op executes, with
         #: the operand stack still holding the op's inputs.  Host-side and
         #: read-only.  A superinstruction would hide the accesses inside
-        #: it, so clients run unfused code (``EngineConfig(fusion=False)``).
+        #: it, so clients run unfused code (``engineconfig.hooked_config``).
         self._mem_hook = None
         #: the methods whose handler tables this engine bound, so
         #: attaching or detaching a hook can drop them for rebinding

@@ -55,7 +55,6 @@ class VMConfig:
     #: deterministic StackOverflow trap (Java's StackOverflowError)
     max_stack_words: int = 65_536
     max_cycles: int = 200_000_000
-    observe: bool = True
     #: whether the engine fuses superinstructions; on or off produces
     #: bit-identical guest behavior (traces, clocks, heap digests) — only
     #: host-side speed differs
@@ -293,7 +292,7 @@ class VirtualMachine:
             self.timer = timer  # type: ignore[assignment]
         self.clock: WallClock = clock or FixedClock()
         self.env = env or Environment(seed=0)
-        self.observer = ExecutionObserver(self.config.observe)
+        self.observer = ExecutionObserver()
 
         memory = Memory(self.config.semispace_words)
         engine_config = self.config.engine

@@ -15,13 +15,11 @@ from __future__ import annotations
 class ExecutionObserver:
     """Collects ``(kind, *details)`` tuples in execution order."""
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self.events: list[tuple] = []
 
     def emit(self, kind: str, *details) -> None:
-        if self.enabled:
-            self.events.append((kind, *details))
+        self.events.append((kind, *details))
 
     def of_kind(self, kind: str) -> list[tuple]:
         return [e for e in self.events if e[0] == kind]

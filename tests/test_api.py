@@ -5,7 +5,6 @@ import pytest
 from repro.api import GuestProgram, build_vm, record, record_and_replay, replay
 from repro.core.verify import ReplayReport, compare_runs
 from repro.vm.errors import VMError
-from repro.vm.machine import VMConfig
 from repro.vm.observer import ExecutionObserver, first_divergence
 from repro.vm.scheduler_types import RunResult
 from repro.workloads import racy_bank
@@ -62,11 +61,6 @@ class TestRecordReplayApi:
 
 
 class TestObserver:
-    def test_disabled_observer_records_nothing(self):
-        obs = ExecutionObserver(enabled=False)
-        obs.emit("x", 1)
-        assert len(obs) == 0
-
     def test_of_kind_filters(self):
         obs = ExecutionObserver()
         obs.emit("a", 1)
@@ -80,12 +74,6 @@ class TestObserver:
         assert first_divergence(a, [("x", 1), ("y", 3)]) == 1
         assert first_divergence(a, [("x", 1)]) == 1
         assert first_divergence([], []) is None
-
-    def test_observe_can_be_disabled_per_vm(self):
-        cfg = VMConfig(semispace_words=40_000, observe=False)
-        result = build_vm(racy_bank(), cfg).run()
-        assert result.events == []
-        assert result.output  # output still captured
 
 
 class TestVerifier:

@@ -124,3 +124,15 @@ class TestFaultsDifferential:
             run_faults_campaign(
                 plan, workload="bank", layers=("trace",), config=CFG, jobs=2
             )
+
+    def test_configs_beyond_the_heap_are_refused(self):
+        """A campaign payload carries the heap only: a config that varies
+        the engine or the stack cannot travel as data."""
+        from dataclasses import replace
+
+        from repro.vm.engineconfig import hooked_config
+        from repro.vm.errors import VMError
+
+        for config in (hooked_config(CFG), replace(CFG, max_stack_words=1024)):
+            with pytest.raises(VMError, match="may set only semispace_words"):
+                run_explore_campaign("bank", bound=1, budget=4, jobs=1, config=config)

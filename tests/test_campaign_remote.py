@@ -56,8 +56,7 @@ FAST = BackoffPolicy(attempts=3, base_delay=0.01, max_delay=0.05, jitter_seed=0)
 EXPLORE = {
     "kind": "explore", "workload": "bank",
     "workload_kwargs": {"tellers": 2, "deposits": 6},
-    "seed": 0, "env_seed": 0, "bound": 1, "budget": 12,
-    "engine": {"fusion": True}, "heap": 60_000,
+    "seed": 0, "env_seed": 0, "bound": 1, "budget": 12, "heap": 60_000,
 }
 
 
@@ -65,7 +64,7 @@ def faults_payload(seed):
     return {
         "kind": "faults", "workload": "bank", "workload_kwargs": {},
         "seed": seed, "count": 2, "layers": ["trace"], "fault_timeout": 30.0,
-        "engine": None, "heap": None,
+        "heap": None,
     }
 
 
@@ -207,7 +206,7 @@ class TestWireProtocol:
         shuffled = dict(reversed(list(EXPLORE.items())))
         assert _digest(EXPLORE) == _digest(shuffled)
         assert _digest(EXPLORE) != _digest({**EXPLORE, "seed": 1})
-        assert _digest(EXPLORE) != _digest({**EXPLORE, "engine": None, "heap": None})
+        assert _digest(EXPLORE) != _digest({**EXPLORE, "heap": None})
 
     def test_parse_sabotage_forms(self):
         assert parse_sabotage("remote-drop-frame") == {"kind": "remote-drop-frame"}
@@ -298,8 +297,8 @@ class TestCampaignItemJob:
             ({"campaign": {**EXPLORE, "kind": "fuzz"}}, "unknown campaign kind"),
             ({"campaign": {**EXPLORE, "workload": "nope"}}, "unknown workload"),
             ({"campaign": {**EXPLORE, "bound": True}}, "bound"),
-            ({"campaign": {**EXPLORE, "engine": None}}, "preset name or a flag dict"),
-            ({"campaign": {**EXPLORE, "heap": None}}, "both or neither"),
+            ({"campaign": {**EXPLORE, "engine": None}}, "fields must be exactly"),
+            ({"campaign": {**EXPLORE, "heap": 0}}, "heap must be None or an int >= 1"),
             ({"campaign": {**EXPLORE, "workload_kwargs": {"x": object()}}}, "workload_kwargs"),
             ({"item": "0,1"}, "list of positions"),
             ({"item": [-1]}, "list of positions"),

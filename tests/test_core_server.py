@@ -98,6 +98,40 @@ class TestSocketServer:
         finally:
             server.stop()
 
+    def test_concurrency_bounds_the_handler_threads(self):
+        """With every slot busy the accept loop leaves the next client in
+        the backlog; it is served once a slot frees, and stop() joins
+        every handler."""
+        before = {t.name for t in threading.enumerate()}
+        server = SocketServer(
+            handler=_echo_handler, concurrency=2, name="bounded"
+        ).start()
+
+        def handlers():
+            return [t for t in threading.enumerate() if t.name.startswith("bounded-conn-")]
+
+        try:
+            first, second, third = (_connect(server) for _ in range(3))
+            for conn in (first, second):
+                conn.sendall(b"x")
+                assert conn.recv(16) == b"x"
+            third.sendall(b"waiting")
+            third.settimeout(0.5)
+            with pytest.raises(TimeoutError):
+                third.recv(16)  # connected in the backlog, not served
+            assert len(handlers()) == 2
+            assert server.connections_served == 2
+            first.close()
+            third.settimeout(5)
+            assert third.recv(16) == b"waiting"
+            assert len(handlers()) <= 2
+            second.close()
+            third.close()
+        finally:
+            server.stop()
+        leftover = {t.name for t in threading.enumerate()} - before
+        assert not leftover, f"orphaned threads: {leftover}"
+
     def test_request_stop_is_prompt_and_stop_leaves_no_threads(self):
         before = {t.name for t in threading.enumerate()}
         server = SocketServer(handler=_echo_handler, concurrency=4).start()

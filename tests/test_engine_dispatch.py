@@ -462,16 +462,22 @@ done:
         assert "dispatches:" in out and "ic_hits:" not in out
 
     def test_engine_preset_flag(self, tmp_path, capsys):
+        """Fusion is the engine's decision: ``--engine`` is gone, and a
+        plain run always reports the fused engine."""
         from repro.cli import main
 
         path = tmp_path / "p.jasm"
         path.write_text(".class Main\n.method static main ()V\n    return\n.end\n")
-        assert main(["engine-stats", str(path), "--seed", "3", "--engine", "baseline"]) == 0
-        assert "-- engine: threaded\n" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["engine-stats", str(path), "--seed", "3", "--engine", "baseline"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
+        assert main(["engine-stats", str(path), "--seed", "3"]) == 0
+        assert "-- engine: threaded+fusion\n" in capsys.readouterr().out
 
     def test_removed_threaded_preset_is_a_usage_error(self, tmp_path, capsys):
-        """The retired loop's preset and the retired inline-cache
-        ablation's "fused" preset (now the same engine as "full")."""
+        """The retired loop's preset, the retired inline-cache ablation's
+        "fused" preset and the retired ``--engine`` flag's own "full"."""
         from repro.cli import main
 
         path = tmp_path / "p.jasm"
@@ -480,9 +486,10 @@ done:
         for argv, preset in (
             (["run", str(path)], "threaded"),
             (["record", str(path), "-o", out], "fused"),
+            (["record", str(path), "-o", out], "full"),
         ):
             with pytest.raises(SystemExit) as exc:
                 main([*argv, "--engine", preset])
             assert exc.value.code == 2
-            assert f"invalid choice: '{preset}'" in capsys.readouterr().err
+            assert "unrecognized arguments: --engine" in capsys.readouterr().err
         assert not (tmp_path / "t.djv").exists()

@@ -5,7 +5,6 @@ import hashlib
 import itertools
 import json
 import signal
-from dataclasses import replace
 
 import pytest
 
@@ -21,7 +20,7 @@ from repro.explore import (
     explore,
     positions_from_deltas,
 )
-from repro.vm.engineconfig import EngineConfig
+from repro.vm.engineconfig import hooked_config
 from repro.vm.errors import VMError
 from repro.vm.machine import Environment, VMConfig
 from repro.vm.timerdev import FixedClock, NeverTimer
@@ -323,7 +322,7 @@ class TestPerturbationFreedom:
 
     @staticmethod
     def _record_bank(with_detector: bool):
-        config = replace(CFG, engine=EngineConfig(fusion=False))  # mem hooks need canonical ops
+        config = hooked_config(CFG)  # mem hooks need canonical ops
         program = racy_bank(tellers=2, deposits=6)
         vm = build_vm(
             program,

@@ -3,8 +3,7 @@
 The daemon's contract has three load-bearing claims, each pinned here:
 
 * **Byte-identity**: a job served from the warm daemon returns stdout
-  (and, for record, trace bytes) byte-identical to the CLI one-shot —
-  across every engine preset and both engine-flag combinations, and
+  (and, for record, trace bytes) byte-identical to the CLI one-shot,
   identically warm or cold.  Warm sessions may change latency, never
   results.
 * **Robustness envelope**: typed validation (poison jobs answer with a
@@ -49,10 +48,6 @@ from repro.serve.protocol import (
     validate_campaign,
 )
 from repro.serve.supervisor import CancelToken
-from repro.vm.engineconfig import EngineConfig
-
-ALL_ENGINES = EngineConfig.all_combinations()
-PRESETS = ("baseline", "full")
 
 #: an infinite guest loop that still reaches engine safe points: the
 #: loop *body* executes the backedge yield point every iteration (a bare
@@ -82,13 +77,12 @@ TINY_SRC = """\
 """
 
 
-def record_job(seed=7, engine="full", out_name="run.djv", **extra):
+def record_job(seed=7, out_name="run.djv", **extra):
     job = {
         "kind": "record",
         "workload": "bank",
         "workload_args": {},
         "seed": seed,
-        "engine": engine,
         "out_name": out_name,
     }
     job.update(extra)
@@ -152,32 +146,22 @@ class TestValidateJob:
             validate_job({"kind": "replay", "workload": "bank", "trace": ""})
 
     def test_unknown_engine_preset_and_flags(self):
-        with pytest.raises(ServeError, match="unknown engine preset"):
-            validate_job(record_job(engine="warp"))
-        with pytest.raises(ServeError, match="unknown engine flag"):
-            validate_job(record_job(engine={"jit": True}))
-        with pytest.raises(ServeError, match="preset name or a flag dict"):
-            validate_job(record_job(engine=3))
+        # fusion is the engine's decision: a job names no engine, in
+        # either of the spellings it once had
+        for engine in ("full", "baseline", {"fusion": True}, None):
+            with pytest.raises(ServeError, match="unknown job key.*'engine'"):
+                validate_job(record_job(engine=engine))
 
     def test_removed_engine_options_are_rejected(self):
-        # one dispatch loop: the old dispatch toggle and its preset are gone;
-        # inline caches are gone, and with them the "fused" preset (which
-        # now names the same engine as "full")
-        for flag in ("threaded_dispatch", "inline_caches"):
-            with pytest.raises(ServeError, match="unknown engine flag"):
-                validate_job(record_job(engine={flag: True}))
-        for preset in ("threaded", "fused"):
-            with pytest.raises(ServeError, match="unknown engine preset"):
-                validate_job(record_job(engine=preset))
+        # nor does a campaign payload (it carries the heap only)
         campaign = {
             "kind": "explore", "workload": "bank", "workload_kwargs": {},
             "seed": 0, "env_seed": 0, "bound": 1, "budget": 4, "heap": 60_000,
         }
-        assert validate_campaign({**campaign, "engine": {"fusion": True}})
-        with pytest.raises(ServeError, match="unknown engine flag"):
-            validate_campaign({**campaign, "engine": {"fusion": True, "inline_caches": True}})
-        with pytest.raises(ServeError, match="unknown engine preset"):
-            validate_campaign({**campaign, "engine": "fused"})
+        assert validate_campaign(campaign)
+        for engine in ({"fusion": True}, "full", None):
+            with pytest.raises(ServeError, match="fields must be exactly"):
+                validate_campaign({**campaign, "engine": engine})
 
     @pytest.mark.parametrize(
         "bad, match",
@@ -192,7 +176,7 @@ class TestValidateJob:
             ({"out_name": 1}, "out_name must be a string"),
             ({"trace_name": 1}, "trace_name must be a string"),
             ({"slim": 1}, "slim must be a bool"),
-            ({"engine": {"fusion": 1}}, "engine flags must be bools"),
+            ({"engine": {"fusion": True}}, "unknown job key"),
             ({"trace": b"DJVU"}, "takes no 'trace'"),
         ],
     )
@@ -212,7 +196,7 @@ class TestValidateJob:
 
     def test_defaults_are_filled(self):
         job = validate_job({"kind": "record", "workload": "bank"})
-        assert job["engine"] == "full"
+        assert "engine" not in job
         assert job["heap"] == 400_000
         assert job["seed"] is None
         assert job["deadline"] is None
@@ -458,12 +442,15 @@ class TestSupervisor:
 
 class TestDaemonProtocol:
     def test_hello_version_mismatch_is_refused(self, daemon):
-        with socket.create_connection(daemon.address, timeout=5) as sock:
-            sock.sendall(encode_serve_message({"op": "hello", "version": 999}))
-            sock.settimeout(5)
-            reply = _read_reply(sock)
-            assert reply["op"] == "error"
-            assert "protocol version mismatch" in reply["detail"]
+        # version 2 is the last protocol whose jobs carried an engine
+        assert SERVE_PROTOCOL_VERSION == 3
+        for version in (2, 999):
+            with socket.create_connection(daemon.address, timeout=5) as sock:
+                sock.sendall(encode_serve_message({"op": "hello", "version": version}))
+                sock.settimeout(5)
+                reply = _read_reply(sock)
+                assert reply["op"] == "error"
+                assert "protocol version mismatch" in reply["detail"]
 
     def test_pickle_hello_gets_a_typed_error_and_the_daemon_serves_on(self, daemon):
         """A client of the checksummed-pickle protocol (version 1): its
@@ -519,44 +506,25 @@ class TestByteIdentity:
     """The differential guarantee: daemon output == CLI one-shot output,
     byte for byte."""
 
-    @pytest.mark.parametrize("preset", PRESETS)
-    def test_record_matches_cli_across_presets(
-        self, daemon, preset, tmp_path, capsys
-    ):
-        out = str(tmp_path / f"{preset}.djv")
+    def test_record_matches_cli(self, daemon, tmp_path, capsys):
+        out = str(tmp_path / "run.djv")
         code, cli_stdout, _ = run_cli(
-            ["record", "--workload", "bank", "--seed", "7",
-             "--engine", preset, "-o", out],
-            capsys,
+            ["record", "--workload", "bank", "--seed", "7", "-o", out], capsys
         )
         assert code == 0
-        result = _submit(daemon, record_job(engine=preset, out_name=out))
+        result = _submit(daemon, record_job(out_name=out))
         assert result["exit"] == 0 and result["stderr"] == ""
         assert result["stdout"] == cli_stdout
         assert result["trace"] == Path(out).read_bytes()
 
-    @pytest.mark.parametrize("preset", PRESETS)
-    def test_replay_matches_cli_across_presets(
-        self, daemon, preset, tmp_path, capsys
-    ):
-        out = str(tmp_path / f"{preset}.djv")
-        run_cli(
-            ["record", "--workload", "bank", "--seed", "7",
-             "--engine", preset, "-o", out],
-            capsys,
-        )
-        code, cli_stdout, _ = run_cli(
-            ["replay", out, "--workload", "bank", "--engine", preset], capsys
-        )
+    def test_replay_matches_cli(self, daemon, tmp_path, capsys):
+        out = str(tmp_path / "run.djv")
+        run_cli(["record", "--workload", "bank", "--seed", "7", "-o", out], capsys)
+        code, cli_stdout, _ = run_cli(["replay", out, "--workload", "bank"], capsys)
         assert code == 0
         result = _submit(
             daemon,
-            {
-                "kind": "replay",
-                "workload": "bank",
-                "engine": preset,
-                "trace": Path(out).read_bytes(),
-            },
+            {"kind": "replay", "workload": "bank", "trace": Path(out).read_bytes()},
         )
         assert result["exit"] == 0
         assert result["stdout"] == cli_stdout
@@ -605,29 +573,19 @@ class TestByteIdentity:
         assert results[0]["trace"] == results[1]["trace"]
         assert results[0]["stdout"] == results[1]["stdout"]
 
-    @pytest.mark.parametrize(
-        "engine", ALL_ENGINES, ids=[e.describe() for e in ALL_ENGINES]
-    )
-    def test_all_engine_combos_warm_equals_oneshot(self, daemon, engine):
-        """The 2-combo ablation space, via engine-flag dicts: a warm
-        daemon run is identical to a cold one-shot executor run."""
+    def test_warm_equals_oneshot(self, daemon):
+        """A warm daemon run is identical to a cold one-shot executor
+        run."""
         from repro.serve.jobs import run_job
 
-        flags = {"fusion": engine.fusion}
-        job = validate_job(record_job(engine=flags))
+        job = validate_job(record_job())
         oneshot = run_job(job, None, CancelToken(None))
-        warm = _submit(daemon, record_job(engine=flags))
+        warm = _submit(daemon, record_job())
         assert warm["exit"] == oneshot["exit"] == 0
         assert warm["stdout"] == oneshot["stdout"]
         assert warm["trace"] == oneshot["trace"]
         replayed = _submit(
-            daemon,
-            {
-                "kind": "replay",
-                "workload": "bank",
-                "engine": flags,
-                "trace": warm["trace"],
-            },
+            daemon, {"kind": "replay", "workload": "bank", "trace": warm["trace"]}
         )
         assert replayed["exit"] == 0
 

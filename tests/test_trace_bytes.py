@@ -88,6 +88,27 @@ class TestToBytesEqualsTheFile:
         assert (tmp_path / "saved.djv").read_bytes() == trace.to_bytes()
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_chunked_extends_spill_the_segments_appends_do(self, tmp_path):
+        """A trace buffer flush extends a sink by a whole chunk; the sink
+        must still spill SEGMENT_WORDS-sized segments, word-by-word or
+        not, so the file bytes do not depend on the buffer size."""
+        rng = random.Random(2)
+        trace = TraceLog(
+            switches=[rng.randrange(1, 300) for _ in range(3 * SEGMENT_WORDS + 17)],
+            values=[rng.randrange(-(1 << 40), 1 << 40) for _ in range(2 * SEGMENT_WORDS)],
+            meta={"program": "synthetic", "config": "x"},
+        )
+        path = tmp_path / "chunked.djv"
+        writer = TraceWriter(path)
+        for sink, words in ((writer.switch_sink, trace.switches), (writer.value_sink, trace.values)):
+            at = 0
+            while at < len(words):
+                step = rng.choice((1, 7, 64, SEGMENT_WORDS - 1, SEGMENT_WORDS + 5))
+                sink.extend(words[at : at + step])
+                at += step
+        writer.seal(trace.meta)
+        assert path.read_bytes() == _file_bytes(trace, tmp_path / "t.djv")
+
     @pytest.mark.parametrize("name", sorted(REGISTRY))
     def test_slim_recording_file_equals_to_bytes(self, name, tmp_path):
         """``record(slim=True, out=...)`` writes exactly ``to_bytes()``,

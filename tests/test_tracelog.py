@@ -213,3 +213,42 @@ class TestTraceBuffer:
         for _ in range(5):
             _, cursor = buf2.take(sink, cursor)
         assert kinds.count("refill") == 3
+
+    def test_guest_array_holds_the_staged_words(self):
+        vm, buf = self.make(4)
+        sink: list[int] = []
+        for w in (7, -8, 9):
+            buf.put(w, sink)
+        assert [vm.om.array_get(buf.addr, i) for i in range(4)] == [7, -8, 9, 0]
+        buf2 = TraceBuffer(vm, 3)
+        assert buf2.take([1, 2, 3, 4], 0) == (1, 3)
+        assert [vm.om.array_get(buf2.addr, i) for i in range(3)] == [1, 2, 3]
+
+    def test_recording_stages_words_without_the_object_model(self, monkeypatch):
+        """Trace words move through ``Memory.words`` directly: neither a
+        recording nor its replay calls the object model's checked
+        per-element accessors from the trace buffer."""
+        import sys
+
+        from repro.api import record, replay
+        from repro.vm.layout import ObjectModel
+        from repro.workloads import racy_bank
+        from tests.conftest import jitter_knobs
+
+        calls = []
+        for name in ("array_put", "array_get"):
+            original = getattr(ObjectModel, name)
+
+            def spy(self, *args, _original=original, _name=name):
+                if sys._getframe(1).f_code.co_filename.endswith("tracelog.py"):
+                    calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(ObjectModel, name, spy)
+        program = racy_bank()
+        session = record(
+            program, config=TEST_CONFIG, switch_buffer_words=8, **jitter_knobs(3)
+        )
+        assert len(session.trace.switches) > 2 * 8  # the buffer drained
+        replay(program, session.trace, config=TEST_CONFIG, switch_buffer_words=8)
+        assert calls == []

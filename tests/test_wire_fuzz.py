@@ -75,8 +75,7 @@ def messages() -> dict:
     explore = {
         "kind": "explore", "workload": "bank",
         "workload_kwargs": {"tellers": 2, "deposits": 6},
-        "seed": 0, "env_seed": 0, "bound": 1, "budget": 12,
-        "engine": {"fusion": True}, "heap": 60_000,
+        "seed": 0, "env_seed": 0, "bound": 1, "budget": 12, "heap": 60_000,
     }
     item = make_item_runner(explore).run((5,))
     assert isinstance(item.get("trace"), bytes)  # a failing schedule
@@ -93,7 +92,7 @@ def messages() -> dict:
             "job": {
                 "kind": "record", "workload": "racy_bank",
                 "workload_args": {"tellers": 2, "deposits": 10}, "seed": 7,
-                "engine": {"fusion": True}, "heap": 60_000, "deadline": 30.0,
+                "heap": 60_000, "deadline": 30.0,
                 "out_name": "run.djv", "slim": False,
             },
         },
