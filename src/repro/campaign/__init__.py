@@ -8,7 +8,7 @@ The package has three layers:
   watchdog with crash/hang reassignment, inline coverage fallback;
 * :mod:`repro.campaign.jobs` — the job kinds (explore sweeps over
   schedules, fault-injection sweeps over plans) plus the parent-side
-  merge into :class:`ExploreCampaignReport` / :class:`FaultsCampaignSweep`;
+  merge into :class:`ExploreCampaignReport` / :class:`FaultsCampaignReport`;
 * :mod:`repro.campaign.corpus` — the content-addressed failure corpus
   every sweep can stream its failing traces into;
 * :mod:`repro.campaign.pool` — the multi-host rung: the fault-tolerant
@@ -24,7 +24,7 @@ failures, byte-identical corpus.
 from repro.campaign.corpus import Corpus, CorpusEntry, entry_name
 from repro.campaign.jobs import (
     ExploreCampaignReport,
-    FaultsCampaignSweep,
+    FaultsCampaignReport,
     SweepFailure,
     run_explore_campaign,
     run_faults_campaign,
@@ -46,7 +46,7 @@ __all__ = [
     "Corpus",
     "CorpusEntry",
     "ExploreCampaignReport",
-    "FaultsCampaignSweep",
+    "FaultsCampaignReport",
     "ForkBackend",
     "RemoteWorkerPool",
     "SweepFailure",

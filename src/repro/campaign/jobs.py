@@ -22,7 +22,9 @@ Item results are plain dicts; anything that should land in
 the corpus travels as sealed trace bytes under ``"trace"`` with its
 reproduction meta under ``"meta"`` — the parent ingests them in
 work-list order, so the corpus a sweep leaves behind is independent of
-worker count and message arrival order.
+worker count and message arrival order.  Both kinds share that parent
+side (:func:`_sweep`); ``jobs=1`` runs the items inline, which is how
+``repro faults`` runs a plan by default.
 """
 
 from __future__ import annotations
@@ -31,13 +33,14 @@ import hashlib
 import itertools
 import shutil
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.campaign.corpus import Corpus
 from repro.campaign.runner import Campaign, CampaignHarnessError, WorkerIncident
 from repro.explore.digestset import DigestSet
 from repro.explore.explorer import Explorer
-from repro.faults.campaign import CampaignReport, FaultOutcome, FaultRunContext
+from repro.faults.campaign import FaultOutcome, FaultRunContext
 from repro.faults.plan import FaultPlan
 from repro.vm.errors import VMError
 
@@ -77,8 +80,7 @@ class _ExploreRunner:
 
         spec = get_workload(payload["workload"])
         kwargs = dict(payload["workload_kwargs"])
-        self.spec = spec
-        self.kwargs = kwargs
+        self.payload = dict(payload, workload=spec.name, workload_kwargs=kwargs)
         self.explorer = Explorer(
             spec.program_factory(kwargs),
             oracle=spec.oracle(kwargs),
@@ -89,30 +91,35 @@ class _ExploreRunner:
             config=campaign_config(payload),
             minimize=False,
         )
-        self.heap = payload["heap"]
 
     def run(self, item) -> dict:
         evaluated = self.explorer.evaluate(tuple(item))
         result = {"digest": evaluated.digest, "reason": evaluated.reason}
         if evaluated.failed:
-            evaluated.trace.meta["workload"] = self.spec.name
-            evaluated.trace.meta["workload_kwargs"] = dict(self.kwargs)
-            result["trace"] = evaluated.trace.to_bytes()
-            result["meta"] = {
-                "kind": "explore",
-                "workload": self.spec.name,
-                "workload_kwargs": dict(self.kwargs),
-                "seed": self.explorer.seed,
-                "env_seed": self.explorer.env_seed,
-                "schedule": list(evaluated.positions),
-                "reason": evaluated.reason,
-                "behavior": evaluated.digest,
-                "heap": self.heap,
-            }
+            result["trace"], result["meta"] = _explore_entry(evaluated, self.payload)
         return result
 
     def close(self) -> None:
         pass
+
+
+def _explore_entry(evaluated, payload: dict) -> "tuple[bytes, dict]":
+    """A failing schedule as a corpus entry: its trace, tagged with the
+    workload, and the meta that reproduces it from *payload*."""
+    workload, kwargs = payload["workload"], payload["workload_kwargs"]
+    evaluated.trace.meta["workload"] = workload
+    evaluated.trace.meta["workload_kwargs"] = dict(kwargs)
+    return evaluated.trace.to_bytes(), {
+        "kind": "explore",
+        "workload": workload,
+        "workload_kwargs": dict(kwargs),
+        "seed": payload["seed"],
+        "env_seed": payload["env_seed"],
+        "schedule": list(evaluated.positions),
+        "reason": evaluated.reason,
+        "behavior": evaluated.digest,
+        "heap": payload["heap"],
+    }
 
 
 class _FaultsRunner:
@@ -194,6 +201,74 @@ def _resolve_backend(backend, hosts):
 
 
 # ---------------------------------------------------------------------------
+# the parent side every sweep shares
+
+
+@dataclass(kw_only=True)
+class SweepReport:
+    """What every sweep reports besides its own merge: the worker
+    count, the worker incidents the runner survived, and where the
+    failures landed in the corpus."""
+
+    jobs: int
+    incidents: "list[WorkerIncident]" = field(default_factory=list)
+    corpus_dir: "str | None" = None
+    corpus_new: int = 0
+    corpus_dup: int = 0
+
+    def _campaign_lines(self) -> "list[str]":
+        lines = [f"  incident: {incident.describe()}" for incident in self.incidents]
+        if self.corpus_dir is not None:
+            stored = self.corpus_new + self.corpus_dup
+            lines.append(
+                f"corpus: {self.corpus_new} new, {self.corpus_dup} duplicate "
+                f"entr{'y' if stored == 1 else 'ies'} -> {self.corpus_dir}"
+            )
+        return lines
+
+
+def _sweep(
+    report: SweepReport,
+    payload: dict,
+    items: list,
+    merge,
+    *,
+    pending=(),
+    corpus_dir=None,
+    hosts=None,
+    backend=None,
+    **campaign,
+):
+    """Run *items* as one :class:`Campaign` and merge into *report*.
+
+    ``merge(item, result)`` folds one item's result into the report, in
+    work-list order (never arrival order), and returns the corpus entry
+    it yields — ``(trace bytes, meta, failure or None)`` — or None.
+    Entries land in *corpus_dir* after *pending* (the parent's own), in
+    that order, so the corpus is independent of worker count.
+    """
+    outcome = Campaign(
+        payload, items, backend=_resolve_backend(backend, hosts), **campaign
+    ).run()
+    report.incidents = outcome.incidents
+    entries = list(pending)
+    for index, item in enumerate(items):
+        entry = merge(item, outcome.results[index])
+        if entry is not None:
+            entries.append(entry)
+    if corpus_dir is not None:
+        corpus = Corpus(corpus_dir, create=True)
+        report.corpus_dir = str(corpus_dir)
+        stored = corpus.ingest_many((blob, meta) for blob, meta, _ in entries)
+        for (_, _, failure), (name, _) in zip(entries, stored):
+            if failure is not None:
+                failure.entry = name
+        report.corpus_new = sum(new for _, new in stored)
+        report.corpus_dup = len(stored) - report.corpus_new
+    return report
+
+
+# ---------------------------------------------------------------------------
 # explore sweep (parent side)
 
 
@@ -208,21 +283,16 @@ class SweepFailure:
 
 
 @dataclass
-class ExploreCampaignReport:
+class ExploreCampaignReport(SweepReport):
     workload: str
     horizon: int
     bound: int
     budget: int
     seed: int
-    jobs: int
     schedules_run: int = 0
     behaviors: DigestSet = field(default_factory=DigestSet)
     failures: "list[SweepFailure]" = field(default_factory=list)
     errors: "list[tuple[tuple, str]]" = field(default_factory=list)
-    incidents: "list[WorkerIncident]" = field(default_factory=list)
-    corpus_dir: "str | None" = None
-    corpus_new: int = 0
-    corpus_dup: int = 0
 
     @property
     def unique_behaviors(self) -> int:
@@ -252,6 +322,16 @@ class ExploreCampaignReport:
             h.update(f"e:{list(positions)}:{error}\n".encode())
         return h.hexdigest()[:16]
 
+    def _add(self, positions, digest, reason) -> "SweepFailure | None":
+        """Merge one judged schedule; its failure, if it failed."""
+        self.schedules_run += 1
+        self.behaviors.add(digest)
+        if reason is None:
+            return None
+        failure = SweepFailure(positions, reason, digest)
+        self.failures.append(failure)
+        return failure
+
     def format(self) -> str:
         lines = [
             f"campaign: workload={self.workload} jobs={self.jobs} "
@@ -271,15 +351,7 @@ class ExploreCampaignReport:
             lines.append("no failing schedule found")
         for positions, error in self.errors:
             lines.append(f"  ERROR at {list(positions)}: {error}")
-        for incident in self.incidents:
-            lines.append(f"  incident: {incident.describe()}")
-        if self.corpus_dir is not None:
-            lines.append(
-                f"corpus: {self.corpus_new} new, {self.corpus_dup} duplicate "
-                f"entr{'y' if self.corpus_new + self.corpus_dup == 1 else 'ies'} "
-                f"-> {self.corpus_dir}"
-            )
-        return "\n".join(lines)
+        return "\n".join(lines + self._campaign_lines())
 
 
 def run_explore_campaign(
@@ -342,17 +414,6 @@ def run_explore_campaign(
         "env_seed": env_seed,
         **config_fields(config),
     }
-    outcome = Campaign(
-        payload,
-        items,
-        jobs=jobs,
-        watchdog=watchdog,
-        max_restarts=max_restarts,
-        progress=progress,
-        backend=_resolve_backend(backend, hosts),
-        _sabotage=_sabotage,
-    ).run()
-
     report = ExploreCampaignReport(
         workload=spec.name,
         horizon=horizon,
@@ -360,59 +421,38 @@ def run_explore_campaign(
         budget=budget,
         seed=seed,
         jobs=jobs,
-        incidents=outcome.incidents,
         behaviors=DigestSet(behavior_cap),
     )
-    corpus = Corpus(corpus_dir, create=True) if corpus_dir is not None else None
-    report.corpus_dir = str(corpus_dir) if corpus_dir is not None else None
+    # schedule #0 merges first: the parent judged it before sharding
+    pending = []
+    failure = report._add((), base.digest, base.reason)
+    if failure is not None:
+        pending.append((*_explore_entry(base, payload), failure))
 
-    # merge in work-list order (never arrival order): schedule #0 first
-    report.schedules_run = 1
-    report.behaviors.add(base.digest)
-    pending_entries = []
-    if base.failed:
-        base.trace.meta["workload"] = spec.name
-        base.trace.meta["workload_kwargs"] = dict(kwargs)
-        failure = SweepFailure((), base.reason, base.digest)
-        report.failures.append(failure)
-        pending_entries.append(
-            (
-                failure,
-                base.trace.to_bytes(),
-                {
-                    "kind": "explore",
-                    "workload": spec.name,
-                    "workload_kwargs": dict(kwargs),
-                    "seed": seed,
-                    "env_seed": env_seed,
-                    "schedule": [],
-                    "reason": base.reason,
-                    "behavior": base.digest,
-                    "heap": config.semispace_words if config is not None else None,
-                },
-            )
-        )
-    for index, positions in enumerate(items):
-        result = outcome.results.get(index)
-        if result is None:  # pragma: no cover - runner guarantees coverage
-            report.errors.append((positions, "item result missing"))
-            continue
+    def merge(positions, result):
         if "error" in result:
             report.errors.append((positions, result["error"]))
-            continue
-        report.schedules_run += 1
-        report.behaviors.add(result["digest"])
-        if result["reason"] is not None:
-            failure = SweepFailure(positions, result["reason"], result["digest"])
-            report.failures.append(failure)
-            pending_entries.append((failure, result["trace"], result["meta"]))
-    if corpus is not None:
-        stored = corpus.ingest_many((blob, meta) for _, blob, meta in pending_entries)
-        for (failure, _, _), (name, new) in zip(pending_entries, stored):
-            failure.entry = name
-        report.corpus_new = sum(new for _, new in stored)
-        report.corpus_dup = len(stored) - report.corpus_new
-    return report
+            return None
+        failure = report._add(positions, result["digest"], result["reason"])
+        if failure is None:
+            return None
+        return result["trace"], result["meta"], failure
+
+    return _sweep(
+        report,
+        payload,
+        items,
+        merge,
+        pending=pending,
+        corpus_dir=corpus_dir,
+        jobs=jobs,
+        watchdog=watchdog,
+        max_restarts=max_restarts,
+        progress=progress,
+        hosts=hosts,
+        backend=backend,
+        _sabotage=_sabotage,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -420,35 +460,55 @@ def run_explore_campaign(
 
 
 @dataclass
-class FaultsCampaignSweep:
-    """A sharded fault campaign's merged outcome: the classic
-    :class:`CampaignReport` plus the campaign-level bookkeeping."""
+class FaultsCampaignReport(SweepReport):
+    """A fault campaign's classified outcomes, in plan order."""
 
-    report: CampaignReport
-    jobs: int
-    incidents: "list[WorkerIncident]" = field(default_factory=list)
-    corpus_dir: "str | None" = None
-    corpus_new: int = 0
-    corpus_dup: int = 0
+    seed: int
+    workload: str
+    outcomes: "list[FaultOutcome]" = field(default_factory=list)
+
+    @property
+    def bad(self) -> "list[FaultOutcome]":
+        return [o for o in self.outcomes if not o.ok]
 
     @property
     def ok(self) -> bool:
-        return self.report.ok
+        return not self.bad
+
+    def tally(self) -> "dict[str, int]":
+        return dict(Counter(o.outcome for o in self.outcomes))
 
     def digest(self) -> str:
-        return self.report.digest()
+        """Order-insensitive digest of the classified outcomes: the thing
+        a campaign must reproduce regardless of sharding.  The free-text
+        ``detail`` is excluded on purpose — it may name worker scratch
+        paths; the (index, kind, outcome) triple may not vary."""
+        h = hashlib.sha256()
+        for o in sorted(self.outcomes, key=lambda o: o.spec.index):
+            h.update(f"{o.spec.index}:{o.spec.kind}:{o.outcome}\n".encode())
+        return h.hexdigest()[:16]
 
     def format(self) -> str:
-        lines = [self.report.format()]
-        lines[0:0] = [f"jobs: {self.jobs}"]
-        for incident in self.incidents:
-            lines.append(f"  incident: {incident.describe()}")
-        if self.corpus_dir is not None:
-            lines.append(
-                f"corpus: {self.corpus_new} new, {self.corpus_dup} duplicate "
-                f"-> {self.corpus_dir}"
-            )
-        return "\n".join(lines)
+        lines = [
+            f"jobs: {self.jobs}",
+            f"fault campaign: workload={self.workload} seed={self.seed} "
+            f"faults={len(self.outcomes)}",
+        ]
+        for outcome, n in sorted(self.tally().items()):
+            lines.append(f"  {outcome:<36}{n}")
+        if self.bad:
+            lines.append("FINDINGS (contract violations):")
+            for o in self.bad:
+                lines.append(f"  {o.spec.describe()}: {o.outcome} — {o.detail}")
+        else:
+            lines.append("every fault ended in clean recovery or a typed diagnostic")
+        return "\n".join(lines + self._campaign_lines())
+
+
+def _fault_outcome(spec, result: dict) -> FaultOutcome:
+    if "error" in result:
+        return FaultOutcome(spec, "unclassified:CampaignItemError", result["error"])
+    return FaultOutcome(spec, result["outcome"], result["detail"])
 
 
 def run_faults_campaign(
@@ -467,15 +527,17 @@ def run_faults_campaign(
     hosts: "list[tuple[str, int]] | None" = None,
     backend=None,
     _sabotage: "dict | None" = None,
-) -> FaultsCampaignSweep:
-    """Shard *plan* across *jobs* warm workers and merge the outcomes.
+) -> FaultsCampaignReport:
+    """Run every fault of *plan* on *jobs* warm workers (inline in this
+    process at ``jobs=1``) and merge the classified outcomes.
 
     The plan is regenerated inside each worker from ``(seed, count,
     layers)`` — cheaper to ship than the specs and reproducible by
     construction — so *layers* must name the layers *plan* was built
-    with.  Outcomes merge by spec index; the merged report is identical
-    to a serial :func:`repro.faults.run_campaign` run modulo the
-    free-text details (which may name per-worker scratch paths).
+    with.  Outcomes merge by spec index, so the report is the same for
+    every *jobs*, modulo the free-text details (which may name
+    per-worker scratch paths).  *progress*, if given, is called with
+    each :class:`FaultOutcome` as it arrives.
     """
     from repro.workloads.registry import get_workload
 
@@ -497,43 +559,31 @@ def run_faults_campaign(
             "pass the layers the plan was generated with"
         )
     items = [s.index for s in plan]
-    outcome = Campaign(
+    spec_by_index = {s.index: s for s in plan}
+    report = FaultsCampaignReport(
+        seed=plan.seed, workload=get_workload(workload).name, jobs=jobs
+    )
+
+    def merge(index, result):
+        report.outcomes.append(_fault_outcome(spec_by_index[index], result))
+        if "trace" not in result:
+            return None
+        return result["trace"], result["meta"], None
+
+    def on_item(position, result):
+        progress(_fault_outcome(spec_by_index[items[position]], result))
+
+    return _sweep(
+        report,
         payload,
         items,
+        merge,
+        corpus_dir=corpus_dir,
         jobs=jobs,
         watchdog=watchdog,
         max_restarts=max_restarts,
-        progress=progress,
-        backend=_resolve_backend(backend, hosts),
+        progress=None if progress is None else on_item,
+        hosts=hosts,
+        backend=backend,
         _sabotage=_sabotage,
-    ).run()
-
-    spec_by_index = {s.index: s for s in plan}
-    report = CampaignReport(seed=plan.seed, workload=get_workload(workload).name)
-    sweep = FaultsCampaignSweep(
-        report=report, jobs=jobs, incidents=outcome.incidents
     )
-    corpus = Corpus(corpus_dir, create=True) if corpus_dir is not None else None
-    sweep.corpus_dir = str(corpus_dir) if corpus_dir is not None else None
-    pending_entries = []
-    for position, index in enumerate(items):
-        result = outcome.results.get(position)
-        spec = spec_by_index[index]
-        if result is None:  # pragma: no cover - runner guarantees coverage
-            report.outcomes.append(
-                FaultOutcome(spec, "unclassified:CampaignLost", "no result")
-            )
-            continue
-        if "error" in result:
-            report.outcomes.append(
-                FaultOutcome(spec, "unclassified:CampaignItemError", result["error"])
-            )
-            continue
-        report.outcomes.append(FaultOutcome(spec, result["outcome"], result["detail"]))
-        if "trace" in result:
-            pending_entries.append((result["trace"], result["meta"]))
-    if corpus is not None:
-        stored = corpus.ingest_many(pending_entries)
-        sweep.corpus_new = sum(new for _, new in stored)
-        sweep.corpus_dup = len(stored) - sweep.corpus_new
-    return sweep

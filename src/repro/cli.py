@@ -25,8 +25,10 @@ Commands:
   ``repro serve`` daemons instead)
 * ``races program.jasm t.djv``    — happens-before race detection on a trace
 * ``doctor t.djv``                — classify why a trace fails to replay
-* ``faults --seed 42 -W bank``    — run a fault-injection campaign
-  (``--jobs N`` / ``--corpus DIR`` / ``--hosts`` as for explore)
+* ``faults --seed 42 -W bank``    — run a fault-injection campaign: one
+  path, inline by default (``--jobs N`` / ``--corpus DIR`` / ``--hosts``
+  shard it and stream violations as for explore; ``-v`` prints each
+  outcome as it arrives)
 * ``corpus list|stats|prune|replay`` — inspect, thin, or re-verify a
   campaign's failure corpus (every entry is a standard replayable trace)
 * ``checkpoint list t.djv``       — inspect/verify/prune a trace's
@@ -361,17 +363,48 @@ def cmd_serve(args) -> int:
     return 0
 
 
+#: REPL spellings of :data:`repro.debugger.protocol.COMMANDS` names
+_DEBUG_ALIASES = {"bt": "backtrace", "static": "print_static", "lines": "source"}
+
+#: the lines the REPL prints for a command's result (default: the result)
+_DEBUG_PRINTERS = {
+    "backtrace": lambda frames: [
+        f"  {f['method']} @bci {f['bci']} (line {f['line']})" for f in frames
+    ],
+    "threads": lambda threads: [f"  tid {t['tid']}: {t['state']}" for t in threads],
+    "print_static": lambda result: [result["value"]],
+    "source": lambda listing: [
+        f"  {row['bci']:4d}: {row['instr']:<30s} ; line {row['line']}"
+        for row in listing["code"]
+    ],
+    "output": lambda result: [result["output"]],
+}
+
+
+def _debug_request(words: "list[str]") -> dict:
+    """One REPL line's words as a debugger protocol request: the words
+    after the command fill its arguments in order, integers as ints."""
+    from repro.debugger.protocol import COMMANDS
+
+    cmd = _DEBUG_ALIASES.get(words[0], words[0])
+    names = COMMANDS[cmd][1] if cmd in COMMANDS else ()
+    values = [int(w) if w.lstrip("-").isdigit() else w for w in words[1:]]
+    return {"cmd": cmd, "args": dict(zip(names, values))}
+
+
 def cmd_debug(args) -> int:
-    """A small interactive (or scripted) debugger REPL."""
+    """A small interactive (or scripted) debugger REPL: each line is a
+    request to the same command table the TCP debugger server serves."""
     from repro.debugger import Debugger, ReplaySession
+    from repro.debugger.protocol import dispatch
 
     trace = TraceLog.load(args.trace)
     program = _resolve_program(args, trace)
     session = ReplaySession(program, trace, config=_config(args))
     dbg = Debugger(session)
     print("dejavu debugger — commands: break M [bci] | cont | step [mode] | "
-          "jump CYCLES | bt | threads | static Cls field | lines M | output | "
-          "info | finish | quit")
+          "jump CYCLES | bt | threads | static Cls field | inspect ADDR | "
+          "locals | lines M | output | info | finish | quit")
     while True:
         try:
             line = input("(djv) ") if sys.stdin.isatty() else sys.stdin.readline()
@@ -379,44 +412,19 @@ def cmd_debug(args) -> int:
             break
         if not line:
             break
-        parts = line.split()
-        if not parts:
+        words = line.split()
+        if not words:
             continue
-        cmd, *rest = parts
-        try:
-            if cmd == "quit":
-                break
-            elif cmd == "break":
-                bci = int(rest[1]) if len(rest) > 1 else 0
-                print(dbg.break_(rest[0], bci=bci))
-            elif cmd == "cont":
-                print(dbg.cont())
-            elif cmd == "step":
-                print(dbg.step(rest[0] if rest else "into"))
-            elif cmd == "jump":
-                print(dbg.jump(int(rest[0])))
-            elif cmd == "bt":
-                for frame in dbg.backtrace():
-                    print(f"  {frame['method']} @bci {frame['bci']} (line {frame['line']})")
-            elif cmd == "threads":
-                for t in dbg.threads():
-                    print(f"  tid {t['tid']}: {t['state']}")
-            elif cmd == "static":
-                print(dbg.print_static(rest[0], rest[1])["value"])
-            elif cmd == "lines":
-                listing = dbg.source(rest[0])
-                for row in listing["code"]:
-                    print(f"  {row['bci']:4d}: {row['instr']:<30s} ; line {row['line']}")
-            elif cmd == "output":
-                print(dbg.output()["output"])
-            elif cmd == "info":
-                print(dbg.info())
-            elif cmd == "finish":
-                print(dbg.finish())
-            else:
-                print(f"unknown command {cmd!r}")
-        except Exception as exc:
-            print(f"error: {exc}")
+        if words[0] == "quit":
+            break
+        request = _debug_request(words)
+        reply = dispatch(dbg, request)
+        if not reply["ok"]:
+            print(f"error: {reply['error']}")
+            continue
+        printer = _DEBUG_PRINTERS.get(request["cmd"], lambda result: [result])
+        for text in printer(reply["result"]):
+            print(text)
     return 0
 
 
@@ -514,46 +522,32 @@ def cmd_doctor(args) -> int:
 def cmd_faults(args) -> int:
     """Run a seeded fault-injection campaign against a workload.
 
-    Exit status 1 means the recovery contract was violated (a hang, a raw
-    traceback, or silent corruption); 0 means every fault ended in clean
-    recovery or a typed diagnostic."""
-    import tempfile
+    The plan always runs as a campaign: inline at ``--jobs 1`` (the
+    default), sharded otherwise.  Exit status 1 means the recovery
+    contract was violated (a hang, a raw traceback, or silent
+    corruption); 0 means every fault ended in clean recovery or a typed
+    diagnostic."""
+    from repro.campaign import run_faults_campaign
+    from repro.faults import FaultPlan
 
-    from repro.faults import FaultPlan, run_campaign
-
-    seed = args.seed if args.seed is not None else 42
     layers = tuple(args.layers) if args.layers else ("trace", "native", "transport")
-    plan = FaultPlan.generate(seed, args.count, layers=layers)
-    if args.jobs is not None or args.corpus is not None or args.hosts:
-        from repro.campaign import run_faults_campaign
-
-        sweep = run_faults_campaign(
-            plan,
-            workload=args.workload,
-            layers=layers,
-            config=VMConfig(semispace_words=args.heap),
-            jobs=args.jobs if args.jobs is not None else 1,
-            fault_timeout=args.watchdog,
-            watchdog=args.campaign_watchdog,
-            corpus_dir=args.corpus,
-            hosts=_parse_hosts(args.hosts),
-        )
-        print(sweep.format())
-        return 0 if sweep.ok else 1
     progress = None
     if args.verbose:
         progress = lambda o: print(  # noqa: E731
-            f"  {o.spec.describe()}: {o.outcome}"
+            f"  {o.spec.describe()}: {o.outcome}", flush=True
         )
-    with tempfile.TemporaryDirectory(prefix="repro-faults-") as workdir:
-        report = run_campaign(
-            plan,
-            workload=args.workload,
-            config=VMConfig(semispace_words=args.heap),
-            workdir=workdir,
-            fault_timeout=args.watchdog,
-            progress=progress,
-        )
+    report = run_faults_campaign(
+        FaultPlan.generate(args.seed, args.count, layers=layers),
+        workload=args.workload,
+        layers=layers,
+        config=VMConfig(semispace_words=args.heap),
+        jobs=args.jobs,
+        fault_timeout=args.watchdog,
+        watchdog=args.campaign_watchdog,
+        corpus_dir=args.corpus,
+        progress=progress,
+        hosts=_parse_hosts(args.hosts),
+    )
     print(report.format())
     return 0 if report.ok else 1
 
@@ -899,10 +893,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs",
         type=int,
-        default=None,
+        default=1,
         metavar="N",
         help="shard the plan across N worker processes (each builds its "
-        "baselines once and injects its shard against them)",
+        "baselines once and injects its shard against them; default 1 "
+        "runs the plan in this process)",
     )
     p.add_argument(
         "--corpus",
@@ -926,7 +921,7 @@ def make_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="HOST:PORT",
         help="shard across `repro serve` daemons instead of local forks "
-        "(repeatable; implies campaign mode)",
+        "(repeatable)",
     )
     p.set_defaults(fn=cmd_faults)
 

@@ -63,16 +63,16 @@ from repro.vm.errors import (
 )
 
 CLASS_CLEAN = "clean"
-CLASS_NOT_A_TRACE = "not-a-trace"
-CLASS_VERSION_SKEW = "version-skew"
-CLASS_TRUNCATED = "truncated-tail"
-CLASS_CORRUPT = "corrupt-segment"
+CLASS_NOT_A_TRACE = TraceFormatError.NOT_A_TRACE
+CLASS_VERSION_SKEW = TraceFormatError.VERSION_SKEW
+CLASS_TRUNCATED = TraceFormatError.TORN_TAIL
+CLASS_CORRUPT = TraceFormatError.CORRUPT_SEGMENT
 CLASS_CONFIG_MISMATCH = "engine-config-mismatch"
 CLASS_KWARGS_MISMATCH = "workload-kwargs-mismatch"
 CLASS_NONDETERMINISM = "nondeterminism"
 CLASS_CKPT_CORRUPT = "corrupt-checkpoint"
 CLASS_CKPT_CONFIG = "checkpoint-config-mismatch"
-CLASS_CODEC = "codec-mismatch"
+CLASS_CODEC = TraceFormatError.CODEC_MISMATCH
 CLASS_SLIM = "slim-underdetermined"
 
 #: classifications that mean "the file itself is not usable as input"
@@ -82,25 +82,6 @@ FORMAT_CLASSES = (CLASS_NOT_A_TRACE, CLASS_VERSION_SKEW, CLASS_CODEC, CLASS_SLIM
 
 #: words of context shown on each side of a stream cursor
 STREAM_NEIGHBORHOOD = 5
-
-#: substrings of TraceFormatError messages that mean damage, not a torn
-#: tail (a torn tail is what a mid-run death leaves; damage means the
-#: bytes that ARE there have been altered)
-_CORRUPTION_MARKERS = (
-    "CRC mismatch",
-    "footer mismatch",
-    "unknown segment kind",
-    "implausible segment length",
-    "undecodable",
-    "trailing data",
-)
-
-#: substrings that mean the segment framing is fine but the payload uses
-#: an encoding this build does not implement (newer writer, older reader)
-_CODEC_MARKERS = (
-    "unknown segment codec",
-    "group-codec",
-)
 
 
 def _stream_window(words: list[int], cursor: int, radius: int = STREAM_NEIGHBORHOOD) -> str:
@@ -135,6 +116,8 @@ class DoctorReport:
     #: ±N-word windows of the switch and value streams at the cursors
     switch_neighborhood: str = ""
     value_neighborhood: str = ""
+    #: whether a salvaged prefix replayed cleanly (None: none was replayed)
+    prefix_replays: bool | None = None
 
     @property
     def ok(self) -> bool:
@@ -175,17 +158,9 @@ class DoctorReport:
 
 
 def classify_format_error(exc: TraceFormatError) -> str:
-    """Map a load failure to its doctor classification."""
-    text = str(exc)
-    if "not a DejaVu trace" in text or "empty file" in text:
-        return CLASS_NOT_A_TRACE
-    if "unsupported trace version" in text:
-        return CLASS_VERSION_SKEW
-    if any(marker in text for marker in _CODEC_MARKERS):
-        return CLASS_CODEC
-    if any(marker in text for marker in _CORRUPTION_MARKERS):
-        return CLASS_CORRUPT
-    return CLASS_TRUNCATED
+    """Map a load failure to its doctor classification: the class the
+    raising decoder typed it with."""
+    return exc.format_class
 
 
 def diagnose(
@@ -340,12 +315,14 @@ def _replay_stage(report: DoctorReport, trace: TraceLog, program, config) -> Non
         except VMError as exc:
             # the prefix itself misbehaves — keep the truncation verdict
             # but record that even the surviving prefix is suspect
+            report.prefix_replays = False
             report.checks.append(
                 f"prefix replay: FAILED ({type(exc).__name__}: {exc})"
             )
             report.detail = f"{report.detail} — and the salvaged prefix does " \
                             f"not replay ({exc})"
             return
+        report.prefix_replays = True
         report.checks.append(
             f"prefix replay: consumed {prefix.words_consumed} value words, "
             + ("ran to completion" if prefix.complete

@@ -384,7 +384,7 @@ def _decode_group_huff(data: bytes, pos: int, n: int, stream: str) -> list[int]:
     if n_syms == 0 or n_syms > n:
         raise TraceFormatError(
             f"undecodable Huffman group ({n_syms} symbols for {n} words)",
-            stream=stream, offset=pos,
+            stream=stream, offset=pos, format_class=TraceFormatError.CORRUPT_SEGMENT,
         )
     syms = []
     for i in range(n_syms):
@@ -396,6 +396,7 @@ def _decode_group_huff(data: bytes, pos: int, n: int, stream: str) -> list[int]:
                 raise TraceFormatError(
                     "undecodable Huffman group (duplicate symbol)",
                     stream=stream, offset=pos,
+                    format_class=TraceFormatError.CORRUPT_SEGMENT,
                 )
             s = syms[-1] + d
         syms.append(s)
@@ -414,13 +415,14 @@ def _decode_group_huff(data: bytes, pos: int, n: int, stream: str) -> list[int]:
             raise TraceFormatError(
                 f"undecodable Huffman group (code length {length})",
                 stream=stream, offset=pos - 1,
+                format_class=TraceFormatError.CORRUPT_SEGMENT,
             )
         lengths[s] = length
     by_code = {lc: s for s, lc in _canonical_codes(lengths).items()}
     if len(by_code) != n_syms:
         raise TraceFormatError(
             "undecodable Huffman group (code lengths collide)",
-            stream=stream, offset=pos,
+            stream=stream, offset=pos, format_class=TraceFormatError.CORRUPT_SEGMENT,
         )
     words = []
     acc = 0
@@ -444,6 +446,7 @@ def _decode_group_huff(data: bytes, pos: int, n: int, stream: str) -> list[int]:
             raise TraceFormatError(
                 "undecodable Huffman group (no code matches)",
                 stream=stream, offset=pos,
+                format_class=TraceFormatError.CORRUPT_SEGMENT,
             )
         sym = by_code.get((length, code))
         if sym is not None:
@@ -471,7 +474,8 @@ def decode_group(data: bytes, stream: str = "trace") -> list[int]:
         return decode_words(data[1:], stream)
     if mode not in (GROUP_PACK, GROUP_HUFF):
         raise TraceFormatError(
-            f"unknown group-codec mode {mode}", stream=stream, offset=0
+            f"unknown group-codec mode {mode}", stream=stream, offset=0,
+            format_class=TraceFormatError.CODEC_MISMATCH,
         )
     n, pos = _read_uvarint(data, 1, stream)
     if n > _MAX_GROUP_WORDS:
@@ -499,7 +503,8 @@ def _decode_meta(blob: bytes, stream: str = "meta") -> dict:
         return dict(ast.literal_eval(blob.decode()))
     except Exception as exc:
         raise TraceFormatError(
-            f"undecodable {stream} blob: {exc}", stream=stream, offset=0
+            f"undecodable {stream} blob: {exc}", stream=stream, offset=0,
+            format_class=TraceFormatError.CORRUPT_SEGMENT,
         ) from exc
 
 
@@ -653,11 +658,12 @@ class TraceLog:
                name: str = "trace bytes") -> "tuple[TraceLog, SalvageReport]":
         if len(data) == 0:
             raise TraceFormatError("empty file (not a DejaVu trace)",
-                                   stream="header", offset=0)
+                                   stream="header", offset=0,
+                                   format_class=TraceFormatError.NOT_A_TRACE)
         if data[:4] != MAGIC:
             raise TraceFormatError(
                 f"not a DejaVu trace: {name} (bad magic {data[:4]!r})",
-                stream="header", offset=0,
+                stream="header", offset=0, format_class=TraceFormatError.NOT_A_TRACE,
             )
         if len(data) < 6:
             raise TraceFormatError("header torn before version field",
@@ -667,7 +673,7 @@ class TraceLog:
             raise TraceFormatError(
                 f"unsupported trace version {version} "
                 f"(this build reads {', '.join(map(str, READABLE_VERSIONS))})",
-                stream="header", offset=4,
+                stream="header", offset=4, format_class=TraceFormatError.VERSION_SKEW,
             )
         return cls._read_segments(data, version=version, salvage=salvage)
 
@@ -743,19 +749,28 @@ class TraceLog:
                 raise TraceFormatError(
                     f"footer mismatch on {key}: footer says {want!r}, "
                     f"file holds {got!r}",
-                    stream="footer",
+                    stream="footer", format_class=TraceFormatError.CORRUPT_SEGMENT,
                 )
 
 
-#: what the reader says where :func:`~repro.core.segments.scan` stopped
+_TORN, _CORRUPT = TraceFormatError.TORN_TAIL, TraceFormatError.CORRUPT_SEGMENT
+
+#: what the reader says where :func:`~repro.core.segments.scan` stopped,
+#: and the doctor's class for it: damage to bytes that are there is
+#: corruption, bytes that stop early are a torn tail
 _SCAN_ERRORS = {
-    segments.TRAILING: "{have} bytes of trailing data after the footer",
-    segments.TORN_HEADER: "torn segment header (segment {index}: {have} of {hdr} header bytes)",
-    segments.UNKNOWN_KIND: "unknown segment kind {kind!r} (segment {index})",
-    segments.BAD_CODEC: "unknown segment codec 0x{codec:02x} (segment {index}, {stream} stream)",
-    segments.TOO_LONG: "implausible segment length {length} (segment {index}; cap is {cap})",
-    segments.TORN_PAYLOAD: "torn segment payload (segment {index}, {stream}: {have} of {length} bytes)",
-    segments.BAD_CRC: "segment CRC mismatch (segment {index}, {stream} stream)",
+    segments.TRAILING: ("{have} bytes of trailing data after the footer", _CORRUPT),
+    segments.TORN_HEADER: (
+        "torn segment header (segment {index}: {have} of {hdr} header bytes)", _TORN),
+    segments.UNKNOWN_KIND: ("unknown segment kind {kind!r} (segment {index})", _CORRUPT),
+    segments.BAD_CODEC: (
+        "unknown segment codec 0x{codec:02x} (segment {index}, {stream} stream)",
+        TraceFormatError.CODEC_MISMATCH),
+    segments.TOO_LONG: (
+        "implausible segment length {length} (segment {index}; cap is {cap})", _CORRUPT),
+    segments.TORN_PAYLOAD: (
+        "torn segment payload (segment {index}, {stream}: {have} of {length} bytes)", _TORN),
+    segments.BAD_CRC: ("segment CRC mismatch (segment {index}, {stream} stream)", _CORRUPT),
 }
 
 
@@ -767,10 +782,11 @@ def _scan_error(stop: Stop, layout: Layout) -> TraceFormatError:
               else _STREAM_OF_KIND.get(stop.kind, "segment"))
     offset = stop.offset + {segments.BAD_CODEC: 1,
                             segments.TORN_PAYLOAD: layout.header_bytes}.get(stop.reason, 0)
-    message = _SCAN_ERRORS[stop.reason].format(
+    message, format_class = _SCAN_ERRORS[stop.reason]
+    message = message.format(
         stream=stream, hdr=layout.header_bytes, cap=layout.max_payload, **stop._asdict()
     )
-    return TraceFormatError(message, stream=stream, offset=offset)
+    return TraceFormatError(message, stream=stream, offset=offset, format_class=format_class)
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,6 @@ class DebugController:
     def add_breakpoint(self, method_id: int, bci: int) -> None:
         self.breakpoints.add((method_id, bci))
 
-    def remove_breakpoint(self, method_id: int, bci: int) -> None:
-        self.breakpoints.discard((method_id, bci))
-
     def clear_breakpoints(self) -> None:
         self.breakpoints.clear()
 

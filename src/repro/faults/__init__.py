@@ -8,19 +8,12 @@ wrong answer.
 * :mod:`repro.faults.plan`     — seeded, reproducible fault plans;
 * :mod:`repro.faults.inject`   — the injectors (trace bytes, native
   layer, debugger transport, checkpoint sidecars);
-* :mod:`repro.faults.campaign` — the campaign runner and outcome
-  classification (``repro faults`` on the CLI).
-
-Pytest integration: ``from repro.faults.fixtures import *`` in a
-conftest exposes the ``fault_plan`` fixture.
+* :mod:`repro.faults.campaign` — the warm injection context and
+  outcome classification; :func:`repro.campaign.run_faults_campaign`
+  runs a whole plan (``repro faults`` on the CLI).
 """
 
-from repro.faults.campaign import (
-    CampaignReport,
-    FaultOutcome,
-    FaultRunContext,
-    run_campaign,
-)
+from repro.faults.campaign import FaultOutcome, FaultRunContext
 from repro.faults.inject import (
     InjectedFault,
     apply_checkpoint_fault,
@@ -41,7 +34,6 @@ from repro.faults.plan import (
 )
 
 __all__ = [
-    "CampaignReport",
     "FaultOutcome",
     "FaultPlan",
     "FaultRunContext",
@@ -56,7 +48,6 @@ __all__ = [
     "apply_checkpoint_fault",
     "apply_trace_fault",
     "arm_native_fault",
-    "run_campaign",
     "segment_boundaries",
     "send_faulted_request",
 ]

@@ -1,7 +1,9 @@
-"""The fault-injection campaign runner.
+"""The fault-injection harness: inject one planned fault, classify it.
 
-``run_campaign`` executes every fault in a :class:`FaultPlan` against one
-workload and classifies each outcome.  The platform's contract is that a
+:class:`FaultRunContext` holds a campaign's warm fixtures and classifies
+one :class:`~repro.faults.plan.FaultSpec` at a time; a whole plan runs
+through :func:`repro.campaign.run_faults_campaign` (``repro faults`` on
+the CLI), inline at ``jobs=1``.  The platform's contract is that a
 fault may cost data but never correctness: every run must end in
 
 * ``recovered``        — the operation completed (salvage + prefix replay
@@ -15,16 +17,15 @@ fault may cost data but never correctness: every run must end in
 Everything else is a harness finding: ``undetected`` (damage the format
 layer failed to notice — a silent wrong answer waiting to happen),
 ``hang`` (no outcome within the watchdog), or ``unclassified:<Type>``
-(a raw, untyped exception).  ``CampaignReport.ok`` is True only when no
-such findings occurred.
+(a raw, untyped exception).  :attr:`FaultOutcome.ok` is False exactly
+for such findings.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.api import record as api_record, replay_prefix, resume_replay
@@ -40,10 +41,11 @@ from repro.faults.inject import (
 )
 from repro.faults.plan import (
     LAYER_CHECKPOINT,
+    LAYER_NATIVE,
     LAYER_REMOTE,
     LAYER_SERVE,
+    LAYER_TRACE,
     LAYER_TRANSPORT,
-    FaultPlan,
     FaultSpec,
 )
 from repro.vm.errors import CheckpointConfigMismatch, VMError
@@ -74,65 +76,21 @@ class FaultOutcome:
         return self.outcome in _OK_OUTCOMES or self.outcome.startswith("diagnosed:")
 
 
-@dataclass
-class CampaignReport:
-    seed: int
-    workload: str
-    outcomes: list[FaultOutcome] = field(default_factory=list)
-
-    @property
-    def bad(self) -> list[FaultOutcome]:
-        return [o for o in self.outcomes if not o.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.bad
-
-    def tally(self) -> dict[str, int]:
-        return dict(Counter(o.outcome for o in self.outcomes))
-
-    def digest(self) -> str:
-        """Order-insensitive digest of the classified outcomes: the thing
-        a parallel campaign must reproduce regardless of sharding.  The
-        free-text ``detail`` is excluded on purpose — it may name worker
-        scratch paths; the (index, kind, outcome) triple may not vary."""
-        import hashlib
-
-        h = hashlib.sha256()
-        for o in sorted(self.outcomes, key=lambda o: o.spec.index):
-            h.update(f"{o.spec.index}:{o.spec.kind}:{o.outcome}\n".encode())
-        return h.hexdigest()[:16]
-
-    def format(self) -> str:
-        lines = [
-            f"fault campaign: workload={self.workload} seed={self.seed} "
-            f"faults={len(self.outcomes)}"
-        ]
-        for outcome, n in sorted(self.tally().items()):
-            lines.append(f"  {outcome:<36}{n}")
-        if self.bad:
-            lines.append("FINDINGS (contract violations):")
-            for o in self.bad:
-                lines.append(f"  {o.spec.describe()}: {o.outcome} — {o.detail}")
-        else:
-            lines.append("every fault ended in clean recovery or a typed diagnostic")
-        return "\n".join(lines)
-
-
 class FaultRunContext:
-    """The warm per-process fixtures a fault campaign runs against.
+    """The warm per-process fixtures a fault campaign runs against, and
+    the injection of one fault against them.
 
     Setting up a campaign is the expensive part — a clean baseline
     recording, optionally a checkpointed replay (for the checkpoint
-    layer) and a live debugger server (for the transport layer).  The
-    serial runner builds one context for the whole plan; a parallel
-    campaign worker builds one per process and amortises it across its
-    shard instead of cold-starting per fault (the iReplayer warm-VM
-    model applied to fault injection).  The program is built once too
-    (:attr:`program`): programs are immutable, so every injection runs
-    that one object on a VM of its own.  Everything the context builds is
-    deterministic in (*seed*, workload, config), so two contexts in two
-    processes inject against byte-identical baselines.
+    layer) and a live debugger server (for the transport layer).  Each
+    campaign worker (the parent itself at ``jobs=1``) builds one context
+    and amortises it across its shard instead of cold-starting per fault
+    (the iReplayer warm-VM model applied to fault injection).  The
+    program is built once too (:attr:`program`): programs are immutable,
+    so every injection runs that one object on a VM of its own.
+    Everything the context builds is deterministic in (*seed*, workload,
+    config), so two contexts in two processes inject against
+    byte-identical baselines.
 
     Use as a context manager; :meth:`run_spec` classifies one fault.
     """
@@ -142,51 +100,32 @@ class FaultRunContext:
         *,
         seed: int,
         layers: "tuple[str, ...] | frozenset[str]",
-        workload: str | None = None,
-        program_factory=None,
+        workload: str,
         workload_kwargs: dict | None = None,
         config: VMConfig | None = None,
         workdir: str | Path,
         fault_timeout: float = 30.0,
     ):
-        if (workload is None) == (program_factory is None):
-            raise ValueError("pass exactly one of workload / program_factory")
-        kwargs = dict(workload_kwargs or {})
-        self._workload = workload
-        self._workload_overrides = dict(workload_kwargs or {})
-        if workload is not None:
-            from repro.workloads.registry import get_workload
+        from repro.workloads.registry import get_workload
 
-            spec = get_workload(workload)
-            kwargs = spec.merged_kwargs(kwargs)
-            self.program = spec.build(kwargs)
-            self.workload_name = spec.name
-            self._extra_meta = {"workload": spec.name, "workload_kwargs": kwargs}
-        else:
-            self.program = program_factory()
-            self.workload_name = self.program.name
-            self._extra_meta = {}
+        spec = get_workload(workload)
+        #: the caller's build overrides: the remote and serve families
+        #: hand them on, and each re-resolves the workload's defaults
+        self.overrides = dict(workload_kwargs or {})
+        kwargs = spec.merged_kwargs(self.overrides)
+        self.program = spec.build(kwargs)
+        self.workload_name = spec.name
+        self._extra_meta = {"workload": spec.name, "workload_kwargs": kwargs}
         self.seed = seed
         self.layers = frozenset(layers)
         self.config = config or VMConfig(semispace_words=200_000)
         self.workdir = Path(workdir)
         self.fault_timeout = fault_timeout
         self.baseline_blob: bytes | None = None
-        self._ckpt = None
+        self._ckpt: "_CheckpointBaseline | None" = None
         self._server = None
         self._remote_ref: "str | None" = None
         self._serve: "_ServeFixture | None" = None
-        if LAYER_REMOTE in self.layers and workload is None:
-            raise ValueError(
-                "the remote fault layer needs a registered workload name "
-                "(the sabotaged loopback campaign re-resolves it in the "
-                "worker daemon)"
-            )
-        if LAYER_SERVE in self.layers and workload is None:
-            raise ValueError(
-                "the serve fault layer needs a registered workload name "
-                "(the loopback daemon's reference job re-resolves it)"
-            )
 
     def __enter__(self) -> "FaultRunContext":
         self.workdir.mkdir(parents=True, exist_ok=True)
@@ -229,8 +168,8 @@ class FaultRunContext:
             from repro.campaign.jobs import run_explore_campaign
 
             self._remote_ref = run_explore_campaign(
-                self._workload,
-                overrides=self._workload_overrides,
+                self.workload_name,
+                overrides=self.overrides,
                 bound=_REMOTE_BOUND,
                 budget=_REMOTE_BUDGET,
                 seed=self.seed,
@@ -243,7 +182,7 @@ class FaultRunContext:
         # follow-up well-formed job must reproduce byte-for-byte
         if LAYER_SERVE in self.layers:
             self._serve = _ServeFixture.start(
-                self._workload, self._workload_overrides, self.seed
+                self.workload_name, self.overrides, self.seed
             )
         return self
 
@@ -262,137 +201,217 @@ class FaultRunContext:
                 f"context built without layer {fault_spec.layer!r} "
                 f"(have {sorted(self.layers)})"
             )
-        outcome, detail = _run_one_guarded(
-            fault_spec,
-            baseline_blob=self.baseline_blob,
-            program=self.program,
-            config=self.config,
-            workdir=self.workdir,
-            seed=self.seed,
-            server=self._server,
-            ckpt=self._ckpt,
-            remote_ref=self._remote_ref,
-            serve=self._serve,
-            workload=self._workload,
-            workload_overrides=self._workload_overrides,
-            timeout=self.fault_timeout,
-        )
-        return FaultOutcome(fault_spec, outcome, detail)
+        return FaultOutcome(fault_spec, *self._run_one_guarded(fault_spec))
 
+    def _run_one_guarded(self, spec: FaultSpec) -> tuple[str, str]:
+        """One fault under the watchdog: a fault that produces no outcome
+        in :attr:`fault_timeout` seconds is itself a finding (``hang``)."""
+        box: dict = {}
 
-def run_campaign(
-    plan: FaultPlan,
-    *,
-    workload: str | None = None,
-    program_factory=None,
-    workload_kwargs: dict | None = None,
-    config: VMConfig | None = None,
-    workdir: str | Path,
-    fault_timeout: float = 30.0,
-    progress=None,
-) -> CampaignReport:
-    """Run every fault in *plan*; returns the classified outcomes.
+        def _runner():
+            try:
+                box["outcome"] = self._run_one(spec)
+            except VMError as exc:
+                box["outcome"] = (f"diagnosed:{type(exc).__name__}", str(exc))
+            except Exception as exc:  # noqa: BLE001 - the whole point
+                box["outcome"] = (f"unclassified:{type(exc).__name__}", str(exc))
 
-    The target program comes from a registered *workload* name or a
-    *program_factory* callable, called once: every injection runs that
-    one immutable :class:`GuestProgram` on a VM of its own.  *workdir*
-    holds the baseline recording and the damaged copies.
-    """
-    context = FaultRunContext(
-        seed=plan.seed,
-        layers={s.layer for s in plan},
-        workload=workload,
-        program_factory=program_factory,
-        workload_kwargs=workload_kwargs,
-        config=config,
-        workdir=workdir,
-        fault_timeout=fault_timeout,
-    )
-    report = CampaignReport(seed=plan.seed, workload=context.workload_name)
-    with context:
-        for fault_spec in plan:
-            report.outcomes.append(context.run_spec(fault_spec))
-            if progress is not None:
-                progress(report.outcomes[-1])
-    return report
+        thread = threading.Thread(target=_runner, daemon=True)
+        thread.start()
+        thread.join(self.fault_timeout)
+        if thread.is_alive():
+            return "hang", f"no outcome within {self.fault_timeout}s"
+        return box["outcome"]
 
+    def _run_one(self, spec: FaultSpec) -> tuple[str, str]:
+        runner = {
+            LAYER_TRACE: self._run_trace_fault,
+            LAYER_NATIVE: self._run_native_fault,
+            LAYER_CHECKPOINT: self._run_checkpoint_fault,
+            LAYER_REMOTE: self._run_remote_fault,
+            LAYER_SERVE: self._run_serve_fault,
+            LAYER_TRANSPORT: self._run_transport_fault,
+        }[spec.layer]
+        return runner(spec)
 
-def _run_one_guarded(spec: FaultSpec, *, timeout: float, **ctx) -> tuple[str, str]:
-    """One fault under a watchdog: a fault that produces no outcome in
-    *timeout* seconds is itself a finding (``hang``)."""
-    box: dict = {}
+    def _run_trace_fault(self, spec: FaultSpec) -> tuple[str, str]:
+        damaged = apply_trace_fault(self.baseline_blob, spec)
+        path = self.workdir / f"fault-{spec.index:03d}.djv"
+        path.write_bytes(damaged)
+        report = diagnose(path, program=self.program, config=self.config)
+        path.unlink()
+        if report.classification == CLASS_CLEAN:
+            return (
+                "undetected",
+                f"{len(self.baseline_blob) - len(damaged) or 'bit'}-level damage "
+                f"loaded and replayed as clean — silent corruption",
+            )
+        if report.classification == CLASS_TRUNCATED and report.prefix_replays:
+            return "recovered", f"salvaged prefix replays ({report.detail})"
+        return f"diagnosed:{report.classification}", report.detail
 
-    def _runner():
+    def _run_checkpoint_fault(self, spec: FaultSpec) -> tuple[str, str]:
+        """Damage a copy of the checkpoint sidecar per *spec* and resume
+        the replay through the fallback ladder.  Contract: the resumed run
+        either reproduces the clean result exactly (``recovered``, possibly
+        from cycle zero) or dies with a typed checkpoint diagnostic — a
+        resumed run that *completes with a different result* restored
+        silently-wrong state, the one failure the digest verification
+        exists to prevent."""
+        from repro.core.checkpoint import sidecar_path
+
+        trace_copy = self.workdir / f"ckpt-{spec.index:03d}.djv"
+        trace_copy.write_bytes(self.baseline_blob)
+        sidecar = sidecar_path(trace_copy)
+        tmp = Path(str(sidecar) + ".tmp")
+        damaged, destination = apply_checkpoint_fault(self._ckpt.blob, spec)
+        if destination == "sidecar":
+            sidecar.write_bytes(damaged)
+        elif destination == "tmp":
+            tmp.write_bytes(damaged)
+        # "absent": neither file exists — resume must go from cycle zero
         try:
-            box["outcome"] = _run_one(spec, **ctx)
-        except VMError as exc:
-            box["outcome"] = (f"diagnosed:{type(exc).__name__}", str(exc))
-        except Exception as exc:  # noqa: BLE001 - the whole point
-            box["outcome"] = (f"unclassified:{type(exc).__name__}", str(exc))
-
-    thread = threading.Thread(target=_runner, daemon=True)
-    thread.start()
-    thread.join(timeout)
-    if thread.is_alive():
-        return "hang", f"no outcome within {timeout}s"
-    return box["outcome"]
-
-
-def _run_one(
-    spec: FaultSpec,
-    *,
-    baseline_blob: bytes,
-    program,
-    config,
-    workdir: Path,
-    seed: int,
-    server,
-    ckpt,
-    remote_ref=None,
-    serve=None,
-    workload=None,
-    workload_overrides=None,
-) -> tuple[str, str]:
-    if spec.layer == "trace":
-        return _run_trace_fault(spec, baseline_blob, program, config, workdir)
-    if spec.layer == "native":
-        return _run_native_fault(spec, program, config, workdir, seed)
-    if spec.layer == LAYER_CHECKPOINT:
-        assert ckpt is not None
-        return _run_checkpoint_fault(
-            spec, baseline_blob, ckpt, program, config, workdir
+            resumed = resume_replay(
+                self.program,
+                TraceLog.load(trace_copy),
+                checkpoints=sidecar,
+                config=self.config,
+            )
+        except CheckpointConfigMismatch as exc:
+            return "diagnosed:checkpoint-config-mismatch", str(exc)
+        finally:
+            for p in (trace_copy, sidecar, tmp):
+                p.unlink(missing_ok=True)
+        clean = self._ckpt.result
+        got = resumed.result
+        if (
+            got.heap_digest != clean.heap_digest
+            or got.output_text != clean.output_text
+            or got.cycles != clean.cycles
+        ):
+            return (
+                "undetected",
+                f"resumed run diverged from the clean replay "
+                f"(cycles {got.cycles} vs {clean.cycles}) — silent wrong-state "
+                f"restore past the digest check",
+            )
+        origin = (
+            "from cycle zero"
+            if resumed.from_zero
+            else f"from checkpoint @{resumed.resumed_from}"
         )
-    if spec.layer == LAYER_REMOTE:
-        assert remote_ref is not None
-        return _run_remote_fault(
-            spec, remote_ref, workload, workload_overrides, config, seed
-        )
-    if spec.layer == LAYER_SERVE:
-        assert serve is not None
-        return _run_serve_fault(spec, serve)
-    assert server is not None
-    return send_faulted_request(server.address, spec)
+        return "recovered", f"resumed {origin}; result matches clean replay"
 
+    def _run_remote_fault(self, spec: FaultSpec) -> tuple[str, str]:
+        """Run the tiny loopback campaign against a serve daemon armed
+        with *spec*.
 
-def _run_trace_fault(
-    spec: FaultSpec, baseline_blob: bytes, program, config, workdir: Path
-) -> tuple[str, str]:
-    damaged = apply_trace_fault(baseline_blob, spec)
-    path = workdir / f"fault-{spec.index:03d}.djv"
-    path.write_bytes(damaged)
-    report = diagnose(path, program=program, config=config)
-    path.unlink()
-    if report.classification == CLASS_CLEAN:
-        return (
-            "undetected",
-            f"{len(baseline_blob) - len(damaged) or 'bit'}-level damage loaded "
-            f"and replayed as clean — silent corruption",
+        Contract: whatever the armed fault does — a dropped, truncated or
+        corrupted reply, a killed or stalled daemon, a slow-loris
+        handshake — the pool's reassignment/degradation ladder must
+        deliver the exact reference report (``recovered``).  A diverging
+        digest means a host fault leaked into merged results
+        (``undetected``) — the one failure multi-host sharding must never
+        introduce.
+        """
+        from repro.campaign.jobs import run_explore_campaign
+        from repro.campaign.pool import RemoteWorkerPool
+        from repro.core.framing import BackoffPolicy
+        from repro.serve import spawn_serve_process
+
+        # the one daemon answers every item of the budget-minus-baseline
+        # work list, so that is the span a reply position falls in
+        sabotage = remote_sabotage(spec, replies=_REMOTE_BUDGET - 1)
+        proc, address = spawn_serve_process(extra_args=["--sabotage", sabotage])
+        try:
+            report = run_explore_campaign(
+                self.workload_name,
+                overrides=self.overrides,
+                bound=_REMOTE_BOUND,
+                budget=_REMOTE_BUDGET,
+                seed=self.seed,
+                config=self.config,
+                jobs=_REMOTE_JOBS,
+                watchdog=_REMOTE_WATCHDOG,
+                backend=RemoteWorkerPool(
+                    [address],
+                    backoff=BackoffPolicy(attempts=4, base_delay=0.05, max_delay=0.3),
+                    hello_timeout=_REMOTE_HELLO_TIMEOUT,
+                    breaker_threshold=2,
+                ),
+            )
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+            proc.stdout.close()
+        if report.digest() != self._remote_ref:
+            return (
+                "undetected",
+                f"sabotaged remote campaign digest {report.digest()} diverged "
+                f"from the clean reference {self._remote_ref} — a worker fault "
+                f"perturbed merged results",
+            )
+        kinds = sorted({i.kind for i in report.incidents})
+        how = (
+            f"absorbed via {', '.join(kinds)}"
+            if kinds
+            else "absorbed without a recorded incident"
         )
-    if report.classification == CLASS_TRUNCATED:
-        if any("prefix replay: FAILED" in c for c in report.checks):
-            return f"diagnosed:{report.classification}", report.detail
-        return "recovered", f"salvaged prefix replays ({report.detail})"
-    return f"diagnosed:{report.classification}", report.detail
+        return "recovered", f"report digest matches the clean reference; {how}"
+
+    def _run_native_fault(self, spec: FaultSpec) -> tuple[str, str]:
+        (fail_at,) = spec.params
+        out = self.workdir / f"native-{spec.index:03d}.djv"
+        tmp = out.with_name(out.name + ".tmp")
+        try:
+            api_record(
+                self.program,
+                config=self.config,
+                timer=SeededJitterTimer(self.seed, 40, 160),
+                out=out,
+                vm_hook=lambda vm: arm_native_fault(vm, fail_at),
+            )
+            return (
+                "not-triggered",
+                f"run completed before non-deterministic native call #{fail_at}",
+            )
+        except InjectedFault as exc:
+            # the record run died exactly as a real environment failure
+            # would; the crash-consistency contract says the tmp file
+            # salvages
+            trace = TraceLog.salvage(tmp)
+            prefix = replay_prefix(self.program, trace, config=self.config)
+            return (
+                "recovered",
+                f"{exc}; salvaged tmp replays "
+                f"({prefix.words_consumed} value words consumed)",
+            )
+        finally:
+            for p in (out, tmp):
+                p.unlink(missing_ok=True)
+
+    def _run_serve_fault(self, spec: FaultSpec) -> tuple[str, str]:
+        """Attack the loopback serve daemon per *spec*.
+
+        Contract: the hostile act costs at most its own job and
+        connection — it is absorbed outright (``recovered``) or lands in a
+        typed diagnostic the client can read (``diagnosed:<Type>``) — and
+        a follow-up well-formed job still returns a result byte-identical
+        to the clean reference.  Any divergence is ``undetected``: a
+        hostile client perturbed an unrelated client's replay result.
+        """
+        runner = {
+            "serve-client-vanish": _serve_client_vanish,
+            "serve-poison-job": _serve_poison_job,
+            "serve-hung-workload": _serve_hung_workload,
+            "serve-deadline-exceeded": _serve_deadline_exceeded,
+            "serve-queue-storm": _serve_queue_storm,
+            "serve-kill-during-drain": _serve_kill_during_drain,
+        }[spec.kind]
+        return runner(spec, self._serve)
+
+    def _run_transport_fault(self, spec: FaultSpec) -> tuple[str, str]:
+        return send_faulted_request(self._server.address, spec)
 
 
 @dataclass
@@ -426,162 +445,6 @@ def _build_checkpoint_baseline(
     blob = sidecar.read_bytes()
     sidecar.unlink()  # each fault places its own damaged copy
     return _CheckpointBaseline(blob=blob, result=result, every=every)
-
-
-def _run_checkpoint_fault(
-    spec: FaultSpec,
-    baseline_blob: bytes,
-    ckpt: _CheckpointBaseline,
-    program,
-    config,
-    workdir: Path,
-) -> tuple[str, str]:
-    """Damage a copy of the checkpoint sidecar per *spec* and resume the
-    replay through the fallback ladder.  Contract: the resumed run either
-    reproduces the clean result exactly (``recovered``, possibly from
-    cycle zero) or dies with a typed checkpoint diagnostic — a resumed
-    run that *completes with a different result* restored silently-wrong
-    state, the one failure the digest verification exists to prevent."""
-    from repro.core.checkpoint import sidecar_path
-
-    trace_copy = workdir / f"ckpt-{spec.index:03d}.djv"
-    trace_copy.write_bytes(baseline_blob)
-    sidecar = sidecar_path(trace_copy)
-    tmp = Path(str(sidecar) + ".tmp")
-    damaged, destination = apply_checkpoint_fault(ckpt.blob, spec)
-    if destination == "sidecar":
-        sidecar.write_bytes(damaged)
-    elif destination == "tmp":
-        tmp.write_bytes(damaged)
-    # "absent": neither file exists — resume must go from cycle zero
-    try:
-        resumed = resume_replay(
-            program,
-            TraceLog.load(trace_copy),
-            checkpoints=sidecar,
-            config=config,
-        )
-    except CheckpointConfigMismatch as exc:
-        return "diagnosed:checkpoint-config-mismatch", str(exc)
-    finally:
-        for p in (trace_copy, sidecar, tmp):
-            p.unlink(missing_ok=True)
-    clean = ckpt.result
-    got = resumed.result
-    if (
-        got.heap_digest != clean.heap_digest
-        or got.output_text != clean.output_text
-        or got.cycles != clean.cycles
-    ):
-        return (
-            "undetected",
-            f"resumed run diverged from the clean replay "
-            f"(cycles {got.cycles} vs {clean.cycles}) — silent wrong-state "
-            f"restore past the digest check",
-        )
-    origin = (
-        "from cycle zero"
-        if resumed.from_zero
-        else f"from checkpoint @{resumed.resumed_from}"
-    )
-    return "recovered", f"resumed {origin}; result matches clean replay"
-
-
-def _run_remote_fault(
-    spec: FaultSpec,
-    remote_ref: str,
-    workload: str,
-    workload_overrides: "dict | None",
-    config,
-    seed: int,
-) -> tuple[str, str]:
-    """Run the tiny loopback campaign against a serve daemon armed with
-    *spec*.
-
-    Contract: whatever the armed fault does — a dropped, truncated or
-    corrupted reply, a killed or stalled daemon, a slow-loris handshake —
-    the pool's reassignment/degradation ladder must deliver the exact
-    reference report (``recovered``).  A diverging digest means a host
-    fault leaked into merged results (``undetected``) — the one failure
-    multi-host sharding must never introduce.
-    """
-    from repro.campaign.jobs import run_explore_campaign
-    from repro.campaign.pool import RemoteWorkerPool
-    from repro.core.framing import BackoffPolicy
-    from repro.serve import spawn_serve_process
-
-    # the one daemon answers every item of the budget-minus-baseline
-    # work list, so that is the span a reply position falls in
-    sabotage = remote_sabotage(spec, replies=_REMOTE_BUDGET - 1)
-    proc, address = spawn_serve_process(extra_args=["--sabotage", sabotage])
-    try:
-        report = run_explore_campaign(
-            workload,
-            overrides=workload_overrides,
-            bound=_REMOTE_BOUND,
-            budget=_REMOTE_BUDGET,
-            seed=seed,
-            config=config,
-            jobs=_REMOTE_JOBS,
-            watchdog=_REMOTE_WATCHDOG,
-            backend=RemoteWorkerPool(
-                [address],
-                backoff=BackoffPolicy(attempts=4, base_delay=0.05, max_delay=0.3),
-                hello_timeout=_REMOTE_HELLO_TIMEOUT,
-                breaker_threshold=2,
-            ),
-        )
-    finally:
-        proc.kill()
-        proc.wait(timeout=10)
-        proc.stdout.close()
-    if report.digest() != remote_ref:
-        return (
-            "undetected",
-            f"sabotaged remote campaign digest {report.digest()} diverged "
-            f"from the clean reference {remote_ref} — a worker fault "
-            f"perturbed merged results",
-        )
-    kinds = sorted({i.kind for i in report.incidents})
-    how = (
-        f"absorbed via {', '.join(kinds)}"
-        if kinds
-        else "absorbed without a recorded incident"
-    )
-    return "recovered", f"report digest matches the clean reference; {how}"
-
-
-def _run_native_fault(
-    spec: FaultSpec, program, config, workdir: Path, seed: int
-) -> tuple[str, str]:
-    (fail_at,) = spec.params
-    out = workdir / f"native-{spec.index:03d}.djv"
-    tmp = out.with_name(out.name + ".tmp")
-    try:
-        api_record(
-            program,
-            config=config,
-            timer=SeededJitterTimer(seed, 40, 160),
-            out=out,
-            vm_hook=lambda vm: arm_native_fault(vm, fail_at),
-        )
-        return (
-            "not-triggered",
-            f"run completed before non-deterministic native call #{fail_at}",
-        )
-    except InjectedFault as exc:
-        # the record run died exactly as a real environment failure would;
-        # the crash-consistency contract says the tmp file salvages
-        trace = TraceLog.salvage(tmp)
-        prefix = replay_prefix(program, trace, config=config)
-        return (
-            "recovered",
-            f"{exc}; salvaged tmp replays "
-            f"({prefix.words_consumed} value words consumed)",
-        )
-    finally:
-        for p in (out, tmp):
-            p.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -668,27 +531,6 @@ loop:
     goto loop
 .end
 """
-
-
-def _run_serve_fault(spec: FaultSpec, serve: "_ServeFixture") -> tuple[str, str]:
-    """Attack the loopback serve daemon per *spec*.
-
-    Contract: the hostile act costs at most its own job and connection —
-    it is absorbed outright (``recovered``) or lands in a typed
-    diagnostic the client can read (``diagnosed:<Type>``) — and a
-    follow-up well-formed job still returns a result byte-identical to
-    the clean reference.  Any divergence is ``undetected``: a hostile
-    client perturbed an unrelated client's replay result.
-    """
-    runner = {
-        "serve-client-vanish": _serve_client_vanish,
-        "serve-poison-job": _serve_poison_job,
-        "serve-hung-workload": _serve_hung_workload,
-        "serve-deadline-exceeded": _serve_deadline_exceeded,
-        "serve-queue-storm": _serve_queue_storm,
-        "serve-kill-during-drain": _serve_kill_during_drain,
-    }[spec.kind]
-    return runner(spec, serve)
 
 
 def _serve_client_vanish(

@@ -206,6 +206,3 @@ class FaultPlan:
                 params = ()
             specs.append(FaultSpec(index=i, kind=kind, params=params))
         return cls(seed=seed, specs=specs)
-
-    def by_layer(self, layer: str) -> list[FaultSpec]:
-        return [s for s in self.specs if s.layer == layer]

@@ -62,11 +62,6 @@ class _Parser:
 
     # -- types ---------------------------------------------------------------
 
-    def at_type_start(self) -> bool:
-        return (self.cur.kind == "kw" and self.cur.text in _BASE_TYPES) or (
-            self.cur.kind == "ident"
-        )
-
     def parse_type(self, *, allow_void: bool = False) -> str:
         tok = self.advance()
         if tok.kind == "kw" and tok.text in _BASE_TYPES:

@@ -67,13 +67,6 @@ class RemoteReflector:
             raise VMError(f"no remote method with id {method_id}")
         return obj
 
-    def method_count(self) -> int:
-        fn = self.mappings.lookup("VM_Dictionary.getMethodCount()I")
-        assert fn is not None
-        count = fn(self.resolver)
-        assert isinstance(count, int)
-        return count
-
     def method_name(self, method_id: int) -> str:
         vmm = self.method(method_id)
         name = vmm.field("name")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.remote.ptrace import DebugPort
-from repro.vm.descriptors import class_name, is_array, is_reference
+from repro.vm.descriptors import is_reference
 from repro.vm.errors import VMError
 from repro.vm.layout import HEADER_AUX, HEADER_CLASS, HEADER_WORDS, Layout
 from repro.vm.memory import BOOT_DICTIONARY
@@ -124,11 +124,6 @@ class RemoteResolver:
             if vmc and self.port.peek(vmc + id_off) == class_id:
                 return self.port.peek(vmc + super_off)
         return -1
-
-    def layout_for_desc(self, desc: str) -> Layout:
-        if is_array(desc):
-            return self.loader.array_layout(desc)
-        return self.loader.ensure_layout(class_name(desc)).layout
 
 
 class RemoteObject:

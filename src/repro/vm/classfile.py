@@ -11,7 +11,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.vm.bytecode import Instr, Op, OPERAND_KIND, OperandKind
-from repro.vm.descriptors import Signature, parse_signature, validate
+from repro.vm.descriptors import Signature, validate
 from repro.vm.errors import VMError
 
 
@@ -117,28 +117,6 @@ def content_digest(classdefs: list[ClassDef]) -> str:
         ]
         h.update(repr((cd.name, cd.super_name, cd.source, fields, methods, cd.strings)).encode())
     return h.hexdigest()
-
-
-def make_method(
-    name: str,
-    sig: str,
-    code: list[Instr] | None = None,
-    *,
-    static: bool = False,
-    native: bool = False,
-    line_table: dict[int, int] | None = None,
-) -> MethodDef:
-    """Convenience constructor used by the builder and tests."""
-    m = MethodDef(
-        name=name,
-        signature=parse_signature(sig),
-        code=list(code or []),
-        static=static,
-        native=native,
-        line_table=dict(line_table or {}),
-    )
-    m.compute_max_locals()
-    return m
 
 
 def validate_classdef(cd: ClassDef) -> None:

@@ -71,7 +71,18 @@ class TraceFormatError(VMError):
     ``"value"``, ``"meta"``, ``"footer"``, ``"header"``, or a segment
     label) and ``offset`` is the byte offset into that stream/file where
     decoding stopped — the two facts a salvage or a doctor report needs.
+    ``format_class`` is the doctor's classification of the damage, set
+    where the error is raised: a torn tail (the default: the bytes stop
+    early, as a mid-run death leaves them), altered bytes, an encoding
+    this build does not implement, a version it cannot read, or not a
+    trace at all.
     """
+
+    TORN_TAIL = "truncated-tail"
+    CORRUPT_SEGMENT = "corrupt-segment"
+    CODEC_MISMATCH = "codec-mismatch"
+    VERSION_SKEW = "version-skew"
+    NOT_A_TRACE = "not-a-trace"
 
     def __init__(
         self,
@@ -79,9 +90,11 @@ class TraceFormatError(VMError):
         *,
         stream: str | None = None,
         offset: int | None = None,
+        format_class: str = TORN_TAIL,
     ):
         self.stream = stream
         self.offset = offset
+        self.format_class = format_class
         where = ""
         if stream is not None:
             where = f"[{stream}"

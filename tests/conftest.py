@@ -57,3 +57,19 @@ def jitter_knobs(seed: int, lo: int = 40, hi: int = 200) -> dict:
 @pytest.fixture
 def vm() -> VirtualMachine:
     return VirtualMachine(TEST_CONFIG, timer=FixedTimer(1000))
+
+
+@pytest.fixture
+def fault_seed(request) -> int:
+    """The ``fault_seed(N)`` marker's seed (default 42)."""
+    marker = request.node.get_closest_marker("fault_seed")
+    return marker.args[0] if marker else 42
+
+
+@pytest.fixture
+def fault_plan(request, fault_seed):
+    """A seeded fault plan; ``fault_count(N)`` sets its size (default 20)."""
+    from repro.faults.plan import FaultPlan
+
+    marker = request.node.get_closest_marker("fault_count")
+    return FaultPlan.generate(fault_seed, marker.args[0] if marker else 20)

@@ -16,10 +16,6 @@ from repro.campaign import (
     run_explore_campaign,
     run_faults_campaign,
 )
-from repro.faults.fixtures import (  # noqa: F401 - pytest fixtures
-    fault_plan,
-    fault_seed,
-)
 from repro.vm.errors import VMError
 from repro.vm.machine import VMConfig
 
@@ -73,7 +69,7 @@ class TestExploreWorkerCrash:
 
 class TestFaultsWorkerCrash:
     @pytest.mark.fault_seed(5)
-    def test_crash_mid_shard_is_reassigned(self, fault_seed):  # noqa: F811
+    def test_crash_mid_shard_is_reassigned(self, fault_seed):
         from repro.faults import FaultPlan
 
         plan = FaultPlan.generate(fault_seed, 6, layers=("trace",))
@@ -90,7 +86,7 @@ class TestFaultsWorkerCrash:
             _sabotage={"worker": 0, "after": 1},
         )
         assert [i.kind for i in survived.incidents].count("crash") >= 1
-        assert len(survived.report.outcomes) == len(plan)  # 100% coverage
+        assert len(survived.outcomes) == len(plan)  # 100% coverage
         assert survived.digest() == undisturbed.digest()
 
 

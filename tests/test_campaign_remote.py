@@ -583,7 +583,7 @@ class TestRemoteDifferential:
         }
         digests = {name: run.digest() for name, run in runs.items()}
         assert len(set(digests.values())) == 1, digests
-        tallies = [run.report.tally() for run in runs.values()]
+        tallies = [run.tally() for run in runs.values()]
         assert all(tally == tallies[0] for tally in tallies)
         assert not runs["one"].incidents and not runs["three"].incidents
         corpora = [corpus_files(tmp_path / name) for name in runs]
@@ -754,16 +754,14 @@ class TestRemoteFaultPlan:
             remote_sabotage(plan.specs[0], replies=7)
 
     @pytest.mark.fuzz
-    def test_remote_fault_campaign_recovers(self, tmp_path):
+    def test_remote_fault_campaign_recovers(self):
         """The serial `repro faults --layers remote` path end to end:
         every injected remote fault is absorbed and classified."""
-        from repro.faults import run_campaign
-
-        report = run_campaign(
+        report = run_faults_campaign(
             FaultPlan.generate(7, 3, layers=(LAYER_REMOTE,)),
             workload="bank",
             config=CFG,
-            workdir=tmp_path,
+            jobs=1,
         )
         assert report.ok, report.format()
         for outcome in report.outcomes:

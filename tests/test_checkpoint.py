@@ -41,7 +41,8 @@ from repro.core.checkpoint import (
 )
 from repro.core.doctor import CLASS_CKPT_CORRUPT, diagnose
 from repro.core.tracelog import TraceLog
-from repro.faults import FaultPlan, run_campaign
+from repro.campaign import run_faults_campaign
+from repro.faults import FaultPlan, FaultRunContext
 from repro.faults.plan import LAYER_CHECKPOINT
 from repro.vm import SeededJitterTimer
 from repro.vm.engineconfig import EngineConfig
@@ -981,43 +982,41 @@ class TestLiveExtent:
 
 
 class TestCheckpointFaultCampaign:
-    def test_small_campaign_recovers(self, tmp_path):
+    def test_small_campaign_recovers(self):
         plan = FaultPlan.generate(11, 8, layers=(LAYER_CHECKPOINT,))
-        report = run_campaign(
+        report = run_faults_campaign(
             plan,
             workload="bank",
             workload_kwargs={"tellers": 2, "deposits": 10},
             config=CFG,
-            workdir=tmp_path,
+            jobs=1,
         )
         assert report.ok, report.format()
         assert len(report.outcomes) == 8
 
     @pytest.mark.fuzz
-    def test_acceptance_campaign(self, tmp_path):
+    def test_acceptance_campaign(self):
         plan = FaultPlan.generate(42, 50, layers=(LAYER_CHECKPOINT,))
-        report = run_campaign(plan, workload="bank", config=CFG, workdir=tmp_path)
+        report = run_faults_campaign(plan, workload="bank", config=CFG, jobs=1)
         assert report.ok, report.format()
 
 
 class TestWatchdog:
-    def test_hung_fault_is_classified_not_waited_on(self, tmp_path, monkeypatch):
+    def test_hung_fault_is_classified_not_waited_on(self, monkeypatch):
         """A fault runner that never returns must surface as ``hang``
         within the configured watchdog — the harness may not block."""
         import time
 
-        import repro.faults.campaign as campaign_mod
-
         monkeypatch.setattr(
-            campaign_mod, "_run_one", lambda spec, **ctx: time.sleep(30)
+            FaultRunContext, "_run_one", lambda self, spec: time.sleep(30)
         )
         plan = FaultPlan.generate(1, 1, layers=("trace",))
-        report = run_campaign(
+        report = run_faults_campaign(
             plan,
             workload="bank",
             workload_kwargs={"tellers": 2, "deposits": 8},
             config=CFG,
-            workdir=tmp_path,
+            jobs=1,
             fault_timeout=0.3,
         )
         assert report.outcomes[0].outcome == "hang"

@@ -191,13 +191,18 @@ class TestDebugRepl:
     def test_scripted_session(self, mj_file, tmp_path, capsys, monkeypatch):
         trace = str(tmp_path / "t.djv")
         run_cli(["record", mj_file, "--seed", "7", "-o", trace], capsys)
-        script = "break Main.main()V 0\ncont\nbt\nstatic Main total\nfinish\nquit\n"
+        script = (
+            "break Main.main()V 0\ncont\nbt\nlocals\nstatic Main total\n"
+            "frobnicate 3\nfinish\nquit\n"
+        )
         monkeypatch.setattr(sys, "stdin", io.StringIO(script))
         code, out, _ = run_cli(["debug", mj_file, trace], capsys)
         assert code == 0
         assert "breakpoint" in out
         assert "Main.main @bci 0" in out
         assert "'status': 'done'" in out
+        assert "{'locals': [" in out
+        assert "unknown command 'frobnicate'" in out
 
     def test_repl_survives_bad_commands(self, mj_file, tmp_path, capsys, monkeypatch):
         trace = str(tmp_path / "t.djv")

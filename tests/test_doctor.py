@@ -7,6 +7,7 @@ import pytest
 from repro.api import record
 from repro.core.doctor import (
     CLASS_CLEAN,
+    CLASS_CODEC,
     CLASS_CONFIG_MISMATCH,
     CLASS_CORRUPT,
     CLASS_KWARGS_MISMATCH,
@@ -14,12 +15,14 @@ from repro.core.doctor import (
     CLASS_NOT_A_TRACE,
     CLASS_TRUNCATED,
     CLASS_VERSION_SKEW,
+    classify_format_error,
     diagnose,
 )
 from repro.core.tracelog import MAGIC
 from repro.core.verify import event_thread, format_neighborhood
 from repro.faults.inject import segment_boundaries
 from repro.vm import SeededJitterTimer
+from repro.vm.errors import TraceFormatError
 from repro.vm.machine import VMConfig
 from repro.workloads import racy_bank, server
 
@@ -78,6 +81,7 @@ class TestClassifications:
         assert report.exit_code == 1
         assert report.salvage is not None
         assert any("prefix replay" in c for c in report.checks)
+        assert report.prefix_replays is True
 
     def test_single_byte_corruption(self, sealed):
         blob = bytearray(sealed.read_bytes())
@@ -89,6 +93,19 @@ class TestClassifications:
         assert report.classification == CLASS_CORRUPT
         assert report.exit_code == 1
         assert "segment" in report.detail
+
+    @pytest.mark.parametrize(
+        "format_class",
+        [CLASS_TRUNCATED, CLASS_CORRUPT, CLASS_CODEC, CLASS_VERSION_SKEW,
+         CLASS_NOT_A_TRACE],
+    )
+    def test_format_class_is_the_raisers_not_the_messages(self, format_class):
+        # the message quotes every class's wording; only the field counts
+        text = ("not a DejaVu trace; unsupported trace version; unknown "
+                "segment codec; group-codec; CRC mismatch; undecodable; "
+                "footer mismatch; trailing data; empty file")
+        exc = TraceFormatError(text, stream="value", format_class=format_class)
+        assert classify_format_error(exc) == format_class
 
     def test_engine_config_mismatch(self, sealed):
         report = diagnose(

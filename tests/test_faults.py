@@ -9,6 +9,7 @@ the CI faults-smoke job; a small campaign runs in tier 1.
 import pytest
 
 from repro.api import record, replay_prefix, standard_knobs
+from repro.campaign import run_faults_campaign
 from repro.core.tracelog import TraceLog
 from repro.faults import (
     FaultPlan,
@@ -16,13 +17,7 @@ from repro.faults import (
     InjectedFault,
     apply_trace_fault,
     arm_native_fault,
-    run_campaign,
     segment_boundaries,
-)
-from repro.faults.fixtures import (  # noqa: F401 - pytest fixtures
-    fault_plan,
-    fault_seed,
-    fault_workdir,
 )
 from repro.vm import SeededJitterTimer
 from repro.vm.machine import VMConfig
@@ -46,7 +41,7 @@ class TestFaultPlan:
 
     @pytest.mark.fault_seed(7)
     @pytest.mark.fault_count(15)
-    def test_fixture_honours_markers(self, fault_plan):  # noqa: F811
+    def test_fixture_honours_markers(self, fault_plan):
         assert fault_plan.seed == 7
         assert len(fault_plan) == 15
 
@@ -154,38 +149,38 @@ class TestNativeInjector:
 
 
 class TestCampaign:
-    def test_small_campaign_meets_the_contract(self, fault_workdir):  # noqa: F811
+    def test_small_campaign_meets_the_contract(self):
         plan = FaultPlan.generate(11, 15)
-        report = run_campaign(
+        report = run_faults_campaign(
             plan,
             workload="bank",
             workload_kwargs=SMALL_BANK,
             config=CFG,
-            workdir=fault_workdir,
+            jobs=1,
         )
         assert len(report.outcomes) == 15
         assert report.ok, report.format()
         assert "typed diagnostic" in report.format()
 
-    def test_campaign_on_value_stream_workload(self, fault_workdir):  # noqa: F811
+    def test_campaign_on_value_stream_workload(self):
         # the server workload records real value words, so trace faults
         # can land in the value stream too
         plan = FaultPlan.generate(23, 12, layers=("trace", "native"))
-        report = run_campaign(
+        report = run_faults_campaign(
             plan,
             workload="server",
             workload_kwargs={"n_workers": 2, "n_requests": 8, "work_scale": 1},
             config=CFG,
-            workdir=fault_workdir,
+            jobs=1,
         )
         assert report.ok, report.format()
 
     @pytest.mark.fuzz
-    def test_acceptance_campaign_seed42_100_faults(self, fault_workdir):  # noqa: F811
-        report = run_campaign(
+    def test_acceptance_campaign_seed42_100_faults(self):
+        report = run_faults_campaign(
             FaultPlan.generate(42, 100),
             workload="bank",
-            workdir=fault_workdir,
+            jobs=1,
         )
         assert len(report.outcomes) == 100
         assert report.ok, report.format()

@@ -18,7 +18,8 @@ and runs in the CI serve-smoke job.
 
 import pytest
 
-from repro.faults import FaultPlan, run_campaign
+from repro.campaign import run_faults_campaign
+from repro.faults import FaultPlan
 from repro.faults.plan import KINDS, LAYER_SERVE, FaultSpec
 from repro.faults.campaign import FaultRunContext
 from repro.vm.machine import VMConfig
@@ -76,18 +77,6 @@ class TestPlanStability:
             elif spec.kind == "serve-kill-during-drain":
                 assert 0.05 <= spec.params[0] <= 0.3
         assert seen == set(SERVE_KINDS)  # 60 draws cover all six kinds
-
-    def test_context_requires_a_workload_name(self, tmp_path):
-        class FakeProgram:
-            name = "fake"
-
-        with pytest.raises(ValueError, match="workload name"):
-            FaultRunContext(
-                seed=1,
-                layers=(LAYER_SERVE,),
-                program_factory=FakeProgram,
-                workdir=tmp_path,
-            )
 
 
 @pytest.fixture(scope="module")
@@ -148,15 +137,15 @@ class TestServeFaultOutcomes:
 
 
 @pytest.mark.fuzz
-def test_seeded_serve_campaign_recovers(tmp_path):
+def test_seeded_serve_campaign_recovers():
     """The acceptance gate: `repro faults --layers serve --seed 42` —
     100% of planned faults land in clean recovery or a typed
     diagnostic."""
-    report = run_campaign(
+    report = run_faults_campaign(
         FaultPlan.generate(42, 12, layers=(LAYER_SERVE,)),
         workload="bank",
         config=CFG,
-        workdir=tmp_path,
+        jobs=1,
     )
     assert report.ok, report.format()
     assert len(report.outcomes) == 12
