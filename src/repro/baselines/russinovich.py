@@ -40,10 +40,11 @@ class RussinovichCogswell(DejaVu):
 
     DISPATCH_NATURAL = 0
     DISPATCH_PREEMPTIVE = 1
+    #: its yield-point instrumentation counts every yield point
+    EVERY_YIELDPOINT = True
 
     def __init__(self, vm, mode, trace=None, **kwargs):
         super().__init__(vm, mode, trace=trace, **kwargs)
-        self._yp_count = 0
         self._yp_at_last_dispatch = 0
         self._last_was_preempt = False
         self._countdown: int | None = None
@@ -63,20 +64,17 @@ class RussinovichCogswell(DejaVu):
     # record side
 
     def _record_dispatch(self, thread: "GreenThread") -> None:
-        delta = self._yp_count - self._yp_at_last_dispatch
-        self._yp_at_last_dispatch = self._yp_count
+        clock = self.vm.engine.yp_clock()  # it sees every yield point
+        delta = clock - self._yp_at_last_dispatch
+        self._yp_at_last_dispatch = clock
         kind = (
             self.DISPATCH_PREEMPTIVE if self._last_was_preempt else self.DISPATCH_NATURAL
         )
         self._last_was_preempt = False
-        prev = self.liveclock
-        self.liveclock = False
-        try:
+        with self._clock_paused():
             self._put_switch(delta)
             self._put_switch(thread.tid)
             self._put_switch(kind)
-        finally:
-            self.liveclock = prev
         self.stats["dispatch_records"] += 1
 
     # ------------------------------------------------------------------
@@ -84,7 +82,6 @@ class RussinovichCogswell(DejaVu):
 
     def at_yieldpoint(self, thread: "GreenThread", tag: int) -> None:
         self.sym.stack_check(thread)
-        self._yp_count += 1
         if self.recording:
             engine = self.vm.engine
             if engine.hw_bit:
@@ -157,7 +154,6 @@ class RussinovichCogswell(DejaVu):
             raise ReplayDivergenceError(
                 f"dispatched thread {thread.tid}, recorded {self._expected_tid}"
             )
-        self._yp_count = self._yp_at_last_dispatch = 0
         self._advance_log()
 
     def _verify_end(self) -> str:

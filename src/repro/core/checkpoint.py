@@ -504,7 +504,7 @@ def _capture(
         "dv": (
             ("liveclock", dv.liveclock),
             ("nyp", dv.nyp),
-            ("replay_nyp", dv._replay_nyp),
+            ("replay_nyp", dv.replay_nyp),
             ("stats", tuple(sorted(dv.stats.items()))),
             ("switch_buf", _pack_buffer(dv.switch_buf)),
             ("switch_cursor", dv._switch_cursor),
@@ -684,6 +684,7 @@ def _restore(snapshot: Snapshot, program, trace, config, symmetry) -> "VirtualMa
         engine._deadline = 1 << 62
     engine._fstat[:] = list(h["fstat"])
     engine._thread = None
+    engine.yp_base = sum(t.yieldpoints for t in threads)  # the logical clock
     engine._frame = None
     engine._call = None
 
@@ -700,10 +701,13 @@ def _restore(snapshot: Snapshot, program, trace, config, symmetry) -> "VirtualMa
     # -- DejaVu controller
     dv._switch_cursor = d["switch_cursor"]
     dv._value_cursor = d["value_cursor"]
-    dv.nyp = d["nyp"]
     dv.liveclock = d["liveclock"]
     dv.threadswitch_bit = d["threadswitch_bit"]
-    dv._replay_nyp = d["replay_nyp"]
+    # Figure 2's counters, against the restored logical clock
+    dv._nyp_origin = engine.yp_base - d["nyp"]
+    at = d["replay_nyp"]
+    dv._replay_at = None if at is None else engine.yp_base + at
+    dv._set_limit()
     dv.stats = dict(d["stats"])
     _unpack_buffer(dv.switch_buf, d["switch_buf"])
     _unpack_buffer(dv.value_buf, d["value_buf"])

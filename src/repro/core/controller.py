@@ -3,9 +3,10 @@
 The controller attaches to a :class:`~repro.vm.machine.VirtualMachine` and
 interposes on exactly three funnels:
 
-1. **yield points** — every compiled yield point calls
-   :meth:`DejaVu.at_yieldpoint`, which executes the Figure-2
-   instrumentation (structurally identical in record and replay mode);
+1. **yield points** — a compiled yield point calls
+   :meth:`DejaVu.at_yieldpoint`, the Figure-2 instrumentation
+   (structurally identical in record and replay mode), once the logical
+   clock reaches the engine's limit (see :meth:`DejaVu._set_limit`);
 2. **wall-clock reads** — :meth:`clock_read` records/replays every value;
 3. **non-deterministic natives** — :meth:`native_call` records/replays
    return values and callback (upcall) parameters, per §2.5.
@@ -17,6 +18,7 @@ state machines once these three funnels are pinned.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable
 
 from repro.core import events as ev
@@ -28,6 +30,7 @@ from repro.vm.errors import (
     TracePrefixEnd,
     VMError,
 )
+from repro.vm.interp import NEVER
 from repro.vm.memory import BOOT_DEJAVU
 from repro.vm.native import BLOCK, NativeCall, NativeResult
 from repro.vm.timerdev import timer_from_model
@@ -192,10 +195,10 @@ class ScheduleReconstructor:
     *Explicit phase* — the next recorded delta counts down exactly like a
     classic replay; at zero the firing is cross-checked against the model
     timer's hardware bit.  *Model phase* — inside a drop run there is no
-    countdown at all (``_replay_nyp`` is None, the record-mode fast path
-    is enabled); the model timer raises the hardware bit and the slow
-    path lands in :meth:`model_fire`.  Any firing the schedule cannot
-    account for, and any sync-witness mismatch, raises
+    countdown at all (``_replay_at`` is None); the model timer raises the
+    hardware bit, which drops the engine's yield-point limit, and the
+    next yield point lands in :meth:`model_fire`.  Any firing the
+    schedule cannot account for, and any sync-witness mismatch, raises
     :class:`SlimReconstructError`.
     """
 
@@ -254,11 +257,8 @@ class ScheduleReconstructor:
 
     # -- phase transitions ------------------------------------------------
 
-    def begin(self, dv: "DejaVu") -> None:
-        dv._replay_nyp = self._arm(dv)
-
     def _arm(self, dv: "DejaVu") -> int | None:
-        """Arm the next firing: enter a drop run, or prefetch a delta."""
+        """Arm the next firing: enter a drop run (None), or prefetch a delta."""
         if (
             self._next_run < len(self.runs)
             and self.runs[self._next_run][0] == self._kept_since_run
@@ -268,14 +268,8 @@ class ScheduleReconstructor:
             self._remaining = run_len
             self._sync_want = sync_delta
             self._anchor = dv._slim_witness.count
-            dv._fast_record = dv._slim_fast  # model phase: count, don't count down
             return None
-        delta = dv._take_switch()
-        if delta is None:
-            dv._fast_record = dv._slim_fast  # tail: nothing left to count down
-        else:
-            dv._fast_record = False
-        return delta
+        return dv._take_switch()
 
     def explicit_fire(self, dv: "DejaVu") -> int | None:
         """An explicit countdown hit zero (a kept delta fired)."""
@@ -364,6 +358,8 @@ class DejaVu:
             raise VMError("VM already has a DejaVu attached")
         self.vm = vm
         self.mode = mode
+        self.recording = mode == MODE_RECORD
+        self.replaying = mode == MODE_REPLAY
         #: optional record-side schedule source (repro.explore): when set,
         #: it — not the timer's hardware bit — decides preemption at each
         #: yield point, so a chosen schedule becomes an ordinary switch
@@ -398,11 +394,21 @@ class DejaVu:
         #: of the prefix and stop cleanly instead of raising divergence
         self.tolerate_truncation = bool(trace is not None and trace.truncated)
 
-        # Figure 2 state
-        self.nyp = 0
+        # Figure 2 state, on the logical clock (Engine.yp_clock): nyp is
+        # the clock's distance from _nyp_origin, and a replay countdown
+        # reaches zero when the clock reaches _replay_at
+        self._nyp_origin = 0
+        self._replay_at: int | None = None
         self.liveclock = True
         self.threadswitch_bit = False
-        self._replay_nyp: int | None = None
+        #: see every yield point: a schedule policy decides at each, and
+        #: the liveclock and eager-growth ablations act at each
+        self._every_yp = (
+            self.EVERY_YIELDPOINT
+            or schedule is not None
+            or not self.symmetry_config.liveclock
+            or not self.symmetry_config.eager_stack_growth
+        )
 
         self.stats = {
             "switch_records": 0,
@@ -417,27 +423,8 @@ class DejaVu:
         #: checkpoint recorder attached later continues it rather than
         #: encoding the restored event prefix again
         self.restored_events = None
-        # -- engine fast-path gates.  With the liveclock mechanism and
-        # symmetric eager stack growth both on, a *non-firing* yield
-        # point reduces to a single counter bump (record: nyp += 1;
-        # replay: _replay_nyp -= 1) — the dispatch loop inlines exactly
-        # that case and call at_yieldpoint() whenever any gate is off
-        # (see interp.py).  Gated per-session here so ablations and
-        # schedule-driven recording always take the full path.
-        # A subclass overriding at_yieldpoint (e.g. the Russinovich &
-        # Cogswell baseline) has different per-yield-point semantics, so
-        # the inlined body would be wrong for it: gate on the method
-        # actually being the one the loop inlines.
-        _sym_fast = (
-            type(self).at_yieldpoint is DejaVu.at_yieldpoint
-            and self.symmetry_config.liveclock
-            and self.symmetry_config.eager_stack_growth
-        )
-        self._fast_record = self.recording and schedule is None and _sym_fast
-        self._fast_replay = self.replaying and _sym_fast
 
         # -- trace-v3.2 slim mode state
-        self._slim_fast = _sym_fast
         self._slim_rec: SlimRecorder | None = None
         self._slim_replay: ScheduleReconstructor | None = None
         self._slim_witness: SyncWitness | None = None
@@ -451,16 +438,56 @@ class DejaVu:
             inner = timer_from_model(self._slim_replay.model)
             self._slim_timer = _CountingTimer(inner) if inner is not None else None
         vm.dejavu = self
+        self._set_limit()
 
     # ------------------------------------------------------------------
+    # the logical clock and the engine's yield-point limit
+
+    #: set by a subclass whose instrumentation acts at every yield point
+    EVERY_YIELDPOINT = False
+
+    def _set_limit(self) -> None:
+        """Point the engine's yield-point limit at the next yield point
+        this session must see."""
+        engine = self.vm.engine
+        if self._replay_at is not None and not self._every_yp:
+            engine.yp_limit = self._replay_at
+        else:
+            engine.yp_limit = 0 if self._every_yp or engine.hw_bit else NEVER
+
+    def _arm_countdown(self, delta: int | None) -> None:
+        """Arm the replay countdown *delta* yield points ahead (None: none;
+        a slim model phase counts nyp from here)."""
+        clock = self.vm.engine.yp_clock()
+        self._nyp_origin = clock
+        self._replay_at = None if delta is None else clock + delta
 
     @property
-    def recording(self) -> bool:
-        return self.mode == MODE_RECORD
+    def nyp(self) -> int:
+        """Figure 2's ``nyp``, as snapshot headers carry it.  Replay keeps
+        none, except that a slim model phase counts the yield points that
+        neither fired nor grew the stack since it began or last fired."""
+        if self.replaying and (
+            self._slim_replay is None or self._every_yp or self._replay_at is not None
+        ):
+            return 0
+        return self.vm.engine.yp_clock() - self._nyp_origin
 
     @property
-    def replaying(self) -> bool:
-        return self.mode == MODE_REPLAY
+    def replay_nyp(self) -> int | None:
+        """Yield points left on the replay countdown (None: none armed)."""
+        at = self._replay_at
+        return None if at is None else at - self.vm.engine.yp_clock()
+
+    @contextmanager
+    def _clock_paused(self):
+        """Figure 2's ``liveclock = false`` around DejaVu's own work."""
+        prev = self.liveclock
+        self.liveclock = False
+        try:
+            yield
+        finally:
+            self.liveclock = prev
 
     # ------------------------------------------------------------------
     # raw word I/O (always with the logical clock paused)
@@ -506,25 +533,17 @@ class DejaVu:
             # detector's, usually) — identical attach point in both modes
             self._slim_witness.attach(self.vm)
         if self.replaying:
-            if self._slim_replay is not None:
-                # slim replay: the modelled timer device re-raises the
-                # hardware bit at exactly the recorded cycles, so the
-                # timer stays LIVE (classic replay disables it)
-                self.vm.timer = self._slim_timer
-                prev = self.liveclock
-                self.liveclock = False
-                try:
-                    self._slim_replay.begin(self)
-                finally:
-                    self.liveclock = prev
-                return
-            self.vm.engine.timer_enabled = False  # hw bit is ignored anyway
-            prev = self.liveclock
-            self.liveclock = False
-            try:
-                self._replay_nyp = self._take_switch()
-            finally:
-                self.liveclock = prev
+            with self._clock_paused():
+                if self._slim_replay is not None:
+                    # slim replay: the modelled timer device re-raises the
+                    # hardware bit at exactly the recorded cycles, so the
+                    # timer stays LIVE (classic replay disables it)
+                    self.vm.timer = self._slim_timer
+                    self._arm_countdown(self._slim_replay._arm(self))
+                else:
+                    self.vm.engine.timer_enabled = False  # hw bit is ignored anyway
+                    self._arm_countdown(self._take_switch())
+            self._set_limit()
 
     def on_run_end(self) -> "str | None":
         """Seal the run: flush (record) or check (replay) the END record.
@@ -535,16 +554,12 @@ class DejaVu:
         if self._finished:
             return None
         self._finished = True
-        prev = self.liveclock
-        self.liveclock = False
-        try:
+        with self._clock_paused():
             if self.recording:
                 self.switch_buf.flush(self._switch_sink)
                 self.value_buf.flush(self._value_sink)
                 if self._slim_rec is not None:
                     self._slim_rec.finish()
-        finally:
-            self.liveclock = prev
         # leave byte-identical heaps behind in both modes
         self.switch_buf.zero()
         self.value_buf.zero()
@@ -592,7 +607,7 @@ class DejaVu:
         in_buffer = self.switch_buf._fill - self.switch_buf._pos
         # one pre-fetched delta that never fired is fine (the run ended
         # before the next preemption); more than that means lost events —
-        # but _replay_nyp holds the prefetched one, so any unconsumed
+        # but _replay_at holds the prefetched one, so any unconsumed
         # buffered/stream words are a divergence.
         if leftover_switches > 0 or in_buffer > 0:
             raise ReplayDivergenceError(
@@ -647,48 +662,54 @@ class DejaVu:
     # Figure 2: the yield-point instrumentation
 
     def at_yieldpoint(self, thread: "GreenThread", tag: int) -> None:
-        """Executed at every compiled yield point, in either mode.
+        """Executed where a switch fires or the stack grows eagerly (at
+        every yield point for ``_every_yp``); elsewhere it changes nothing.
 
         The two halves below are transliterations of Figure 2-(A) and
         2-(B); note they are *structurally identical* — same guard, same
         clock pause, same switch-bit epilogue — which is the symmetric-
-        instrumentation property."""
-        self.sym.stack_check(thread)
+        instrumentation property.  ``nyp`` is read off the logical clock,
+        which already counts this yield point."""
+        grew = self.sym.stack_check(thread)
         engine = self.vm.engine
         live = self.liveclock if self.symmetry_config.liveclock else True
+        clock = engine.yp_base + thread.yieldpoints
         if self.recording:
             if live:
                 self.liveclock = False  # pause the clock
-                self.nyp += 1
+                nyp = clock - self._nyp_origin
                 if self.schedule is not None:
                     # a schedule policy replaces the interrupt bit: the
                     # recorded delta is the policy's decision, verbatim
-                    fire = self.schedule.should_preempt(thread, self.nyp)
+                    fire = self.schedule.should_preempt(thread, nyp)
                 else:
                     fire = engine.hw_bit  # preemption required by system clock
                 if fire:
-                    self._record_thread_switch(self.nyp)
-                    self.nyp = 0  # initialize the counter for the next switch
+                    self._record_thread_switch(nyp)
+                    self._nyp_origin = clock  # initialize the counter for the next switch
                     self.threadswitch_bit = True  # set the software switch bit
                 self.liveclock = True  # resume the clock
         else:
             if live:
                 self.liveclock = False  # pause the clock
-                if self._replay_nyp is not None:
-                    self._replay_nyp -= 1
-                    if self._replay_nyp == 0:  # preemption performed during record
-                        self._replay_nyp = self._replay_thread_switch()
+                if self._replay_at is not None:
+                    if clock == self._replay_at:  # preemption performed during record
+                        self._arm_countdown(self._replay_thread_switch())
                         self.threadswitch_bit = True  # set the software switch bit
-                elif self._slim_replay is not None and engine.hw_bit:
-                    # model phase of a slim replay: no countdown is armed,
-                    # the modelled timer device re-created this preemption
-                    self._replay_nyp = self._slim_replay.model_fire(self)
-                    self.nyp = 0
-                    self.threadswitch_bit = True
+                elif self._slim_replay is not None:
+                    if engine.hw_bit:
+                        # model phase of a slim replay: no countdown is armed,
+                        # the modelled timer device re-created this preemption
+                        self._arm_countdown(self._slim_replay.model_fire(self))
+                        self.threadswitch_bit = True
+                    elif grew:
+                        self._nyp_origin += 1  # the model-phase nyp skips growth
                 self.liveclock = True  # resume the clock
         if self.threadswitch_bit:
             self.threadswitch_bit = False
             self._perform_thread_switch()
+        if not self._every_yp:
+            self._set_limit()
 
     def _record_thread_switch(self, nyp: int) -> None:
         self._put_switch(nyp)
@@ -699,12 +720,10 @@ class DejaVu:
     def _replay_thread_switch(self) -> int | None:
         if self._slim_replay is not None:
             return self._slim_replay.explicit_fire(self)
-        delta = self._take_switch()
-        return delta
+        return self._take_switch()
 
     def _perform_thread_switch(self) -> None:
-        engine = self.vm.engine
-        engine.hw_bit = False  # cleared by performThreadSwitch() (Figure 2)
+        self.vm.engine.hw_bit = False  # cleared by performThreadSwitch() (Figure 2)
         self.vm.scheduler.preempt()
 
     def internal_yieldpoint(self) -> None:
@@ -716,25 +735,21 @@ class DejaVu:
         the write path's yield points, replay burns the countdown on the
         read path's — and replay diverges."""
         self.stats["internal_yieldpoints"] += 1
-        live = self.liveclock if self.symmetry_config.liveclock else True
-        if not live:
+        if self.symmetry_config.liveclock and not self.liveclock:
             return
-        if self.recording:
-            self.nyp += 1
-        else:
-            if self._replay_nyp is not None:
-                self._replay_nyp -= 1
-                if self._replay_nyp == 0:
-                    self._replay_nyp = self._replay_thread_switch()
-                    self.threadswitch_bit = True
+        if self.recording:  # one more tick: move the origin / target back
+            self._nyp_origin -= 1
+        elif self._replay_at is not None:
+            self._replay_at -= 1
+            if self._replay_at == self.vm.engine.yp_clock():
+                self._arm_countdown(self._replay_thread_switch())
+                self.threadswitch_bit = True
 
     # ------------------------------------------------------------------
     # wall-clock funnel
 
     def clock_read(self) -> int:
-        prev = self.liveclock
-        self.liveclock = False
-        try:
+        with self._clock_paused():
             if self.recording:
                 value = self.vm.clock.read()
                 self._put_value(ev.K_CLOCK)
@@ -744,8 +759,6 @@ class DejaVu:
                 kind = self._take_value()
                 ev.expect_kind(kind, ev.K_CLOCK, self._value_cursor)
                 value = self._take_value()
-        finally:
-            self.liveclock = prev
         self.vm.observer.emit("clock", value)
         return value
 
@@ -774,9 +787,7 @@ class DejaVu:
         return result
 
     def _record_native(self, rm: "RuntimeMethod", result: NativeResult) -> None:
-        prev = self.liveclock
-        self.liveclock = False
-        try:
+        with self._clock_paused():
             if result.string_value is not None:
                 has_value = 2
             elif result.value is not None:
@@ -803,13 +814,9 @@ class DejaVu:
                 for a in up_args:
                     self._put_value(a)
                 self.stats["upcall_records"] += 1
-        finally:
-            self.liveclock = prev
 
     def _replay_native(self, rm: "RuntimeMethod") -> NativeResult:
-        prev = self.liveclock
-        self.liveclock = False
-        try:
+        with self._clock_paused():
             kind = self._take_value()
             ev.expect_kind(kind, ev.K_NATIVE, self._value_cursor)
             mid = self._take_value()
@@ -844,8 +851,6 @@ class DejaVu:
                 string_value=string_value,
                 upcalls=upcalls,
             )
-        finally:
-            self.liveclock = prev
 
     # ------------------------------------------------------------------
     # checkpoint support (slim replay has live timer/reconstructor state)
@@ -869,7 +874,8 @@ class DejaVu:
             "deadline": engine._deadline,
             "timer_armed": engine._timer_armed,
             "timer_enabled": engine.timer_enabled,
-            "fast_record": self._fast_record,
+            # no countdown armed: the model phase (or the tail)
+            "fast_record": not self._every_yp and self._replay_at is None,
         }.items()))
 
     def _slim_restore_state(self, state: tuple) -> None:
@@ -901,7 +907,6 @@ class DejaVu:
         r.kept_done = d["kept_done"]
         r.dropped_done = d["dropped_done"]
         self._slim_witness.count = d["witness"]
-        self._fast_record = d["fast_record"]
 
     # ------------------------------------------------------------------
     # GC support

@@ -193,21 +193,23 @@ class SymmetryManager:
     # ------------------------------------------------------------------
     # per-yield-point stack discipline
 
-    def stack_check(self, thread: GreenThread) -> None:
-        """Grow the thread stack before 'calling into DejaVu'.
+    def stack_check(self, thread: GreenThread) -> bool:
+        """Grow the thread stack before 'calling into DejaVu'; True if it grew.
 
         Symmetric: grow eagerly below a mode-independent threshold.
         Ablated: grow only when this mode's transient cost actually
         overflows — record and replay then grow at different points.
         """
-        scheduler = self.dejavu.vm.scheduler
-        headroom = scheduler.stack_headroom(thread)
-        if self.config.eager_stack_growth:
-            if headroom < EAGER_STACK_HEADROOM:
-                scheduler.grow_stack(thread, EAGER_STACK_HEADROOM)
-                self.eager_grows += 1
+        eager = self.config.eager_stack_growth
+        if eager:
+            need = EAGER_STACK_HEADROOM
         else:
             need = RECORD_STACK_WORDS if self.dejavu.recording else REPLAY_STACK_WORDS
-            if headroom < need:
-                scheduler.grow_stack(thread, need)
-                self.overflow_grows += 1
+        if thread.stack_capacity - thread.stack_used >= need:
+            return False
+        self.dejavu.vm.scheduler.grow_stack(thread, need)
+        if eager:
+            self.eager_grows += 1
+        else:
+            self.overflow_grows += 1
+        return True

@@ -52,6 +52,17 @@ The timer device is folded into the loop: each micro-op is one cycle, and
 when the cycle counter passes the armed deadline the
 ``preemptive_hardware_bit`` is set — observed at the next yield point,
 exactly Jalapeño's quasi-preemption.
+
+Yield points are batched the same way.  Each thread counts the yield
+points it runs; the sum is the logical clock (``Engine.yp_clock``) that
+DejaVu reads Figure 2's ``nyp`` off.  A yield point makes one comparison,
+the clock against ``Engine.yp_limit``, and only at the limit runs the
+controller's ``at_yieldpoint`` (or, with no controller, the hw-bit
+check).  The limit drops to 0 ("now") when a deadline crossing raises
+the hw bit and when a frame push or a switch-in leaves a controlled
+thread below ``EAGER_STACK_HEADROOM`` (every method opens with a yield
+point); the controller sets it to its replay countdown's target, or
+keeps it at 0 when it must see every yield point.
 """
 
 from __future__ import annotations
@@ -156,7 +167,8 @@ from repro.vm.words import I32_MAX, I32_MIN
 if TYPE_CHECKING:  # pragma: no cover
     from repro.vm.machine import VirtualMachine
 
-_NEVER = 1 << 62
+#: a deadline or yield-point limit no clock reaches
+NEVER = 1 << 62
 
 #: canonical micro-ops that touch guest shared memory — the set the
 #: engine's ``mem_hook`` observes (repro.explore race detection)
@@ -1183,8 +1195,13 @@ class Engine:
         self.hw_bit = False  # preemptive_hardware_bit (Figure 2)
         self.timer_enabled = True
         self.switch_pending = False
-        self._deadline = _NEVER
+        self._deadline = NEVER
         self._timer_armed = False
+        #: a yield point reaches the controller (or the hw-bit check) only
+        #: once the logical clock reaches this limit; see the module doc
+        self.yp_limit = NEVER
+        #: the clock is ``yp_base + thread.yieldpoints`` (rebased at switch-in)
+        self.yp_base = 0
         #: optional debug controller (breakpoints, stepping, time travel,
         #: the profiler, coverage): ``check(thread, frame, pc)`` is called
         #: before every executable op and returns True to pause; ``run``
@@ -1291,7 +1308,7 @@ class Engine:
         if self.timer_enabled and timer is not None:
             self._deadline = self.cycles + timer.next_interval()
         else:
-            self._deadline = _NEVER
+            self._deadline = NEVER
 
     def _check_limit(self, cycles: int) -> int:
         """Batched deadline/budget accounting; returns the next limit.
@@ -1318,6 +1335,7 @@ class Engine:
         d = self._deadline
         if d <= cycles:
             self.hw_bit = True
+            self.yp_limit = 0  # the next yield point observes the bit
             if self._debug is None:
                 self.cycles = cycles
             else:
@@ -1327,9 +1345,14 @@ class Engine:
                 while d <= cycles:
                     d += timer.next_interval()
             else:
-                d = _NEVER
+                d = NEVER
             self._deadline = d
         return d if d <= max_cycles else max_cycles + 1
+
+    def yp_clock(self) -> int:
+        """The logical clock: yield points executed so far, all threads."""
+        t = self._thread
+        return self.yp_base + (t.yieldpoints if t is not None else 0)
 
     def run(self) -> None:
         """Run until completion, deadlock, or a debug pause.
@@ -1357,6 +1380,8 @@ class Engine:
             self.switch_pending = False
             try:
                 self._execute(thread)
+                # every exit stored its frame's pc: publish the bci
+                scheduler.shadow_sync_bci(thread)
             except VMTrap as trap:
                 self._kill(thread, trap)
 
@@ -1418,7 +1443,12 @@ class Engine:
         fstat = self._fstat
         ypstat = self._ypstat
 
-        self._thread = thread
+        if self._thread is not thread:  # switch-in: rebase the logical clock
+            self.yp_base = self.yp_clock() - thread.yieldpoints
+            self._thread = thread
+        if vm.dejavu is not None and thread.stack_capacity - thread.stack_used < EAGER_STACK_HEADROOM:
+            self.yp_limit = 0
+        ypbase = self.yp_base
         frame = thread.frames[-1]
         self._frame = frame
         entries = frame.method.entries
@@ -1435,6 +1465,8 @@ class Engine:
         ln3 = fstat[1]
         d = self._deadline
         limit = d if d <= max_cycles else max_cycles + 1
+        # the yield-point limit in this thread's own count
+        yplimit = self.yp_limit - ypbase
 
         try:
             while True:
@@ -1446,6 +1478,7 @@ class Engine:
                         ln3 = fstat[1]
                         cycles += x
                     limit = self._check_limit(cycles)
+                    yplimit = self.yp_limit - ypbase
 
                 fn = entries[pc]
                 if fn is not None:
@@ -1469,8 +1502,8 @@ class Engine:
                         if rm.native:
                             result = vm.call_native(thread, rm, args)
                             if result is BLOCK:
-                                scheduler.shadow_sync_bci(thread)
                                 return  # switch_pending is set
+                            upcalls = ()
                             if isinstance(result, NativeResult):
                                 if rm.mdef.signature.ret != "V":
                                     if result.string_value is not None:
@@ -1484,50 +1517,30 @@ class Engine:
                                                 result.value if result.value is not None else 0
                                             )
                                         )
-                                for ref, up_args in reversed(result.upcalls):
+                                upcalls = result.upcalls
+                                for ref, up_args in reversed(upcalls):
                                     up_rm = loader.resolve_static_method(ref)
                                     scheduler.shadow_sync_bci(thread)
                                     scheduler.push_frame(thread, Frame(up_rm, list(up_args)))
-                                if result.upcalls:
-                                    frame = thread.frames[-1]
-                                    self._frame = frame
-                                    entries = frame.method.entries
-                                    if entries is None:
-                                        entries = self._bind(frame.method)
-                                    xops = frame.code.xops
-                                    pc = frame.pc
-                                    stack = frame.stack
-                                    locals_ = frame.locals
-                                    if self.switch_pending:
-                                        scheduler.shadow_sync_bci(thread)
-                                        return
-                                    continue
                             elif rm.mdef.signature.ret != "V":
                                 stack.append(words.to_i32(result if result is not None else 0))
-                            pc += 1
                             if self.switch_pending:
-                                frame.pc = pc
-                                scheduler.shadow_sync_bci(thread)
                                 return
+                            yplimit = self.yp_limit - ypbase
+                            if not upcalls:
+                                pc += 1
+                                continue
                         else:
                             scheduler.shadow_sync_bci(thread)
-                            callee = Frame(rm, args)
-                            scheduler.push_frame(thread, callee)
-                            frame = callee
-                            self._frame = frame
-                            entries = rm.entries
-                            if entries is None:
-                                entries = self._bind(rm)
-                            xops = frame.code.xops
-                            pc = 0
-                            stack = frame.stack
-                            locals_ = frame.locals
-                        continue
+                            scheduler.push_frame(thread, Frame(rm, args))
+                            yplimit = self.yp_limit - ypbase  # a push may lower it
+                        r = _RELOAD  # enter the frame now on top
 
                     if r == _RELOAD:
-                        # a return handler popped back into the caller frame
-                        # (no clock commit: nothing reads it before the next
-                        # commit, and a debugger must not see one here)
+                        # a return handler popped back into the caller frame,
+                        # or a call pushed a frame (no clock commit at a
+                        # return: nothing reads it before the next commit,
+                        # and a debugger must not see one here)
                         frame = thread.frames[-1]
                         self._frame = frame
                         entries = frame.method.entries
@@ -1541,14 +1554,12 @@ class Engine:
 
                     if r == _PARK:  # the handler stored frame.pc (or emptied frames)
                         self.cycles = cycles
-                        scheduler.shadow_sync_bci(thread)
                         return
 
                     if r == _STOP:
                         # the debugger paused before this op: take back its count
                         frame.pc = pc
                         self.cycles = cycles - 1
-                        scheduler.shadow_sync_bci(thread)
                         return
 
                     # _YIELD: a debugged yield point.  The clock is committed
@@ -1575,43 +1586,26 @@ class Engine:
                     cycles += x
                 if cycles >= limit:
                     limit = self._check_limit(cycles)
-                thread.yieldpoints += 1
-                dejavu = vm.dejavu
-                if dejavu is None:
-                    if self.hw_bit:
-                        self.hw_bit = False
-                        scheduler.preempt()
-                # -- inline non-firing fast paths (see DejaVu.__init__):
-                # with liveclock + eager stacks on and nothing pending,
-                # the full Figure-2 body reduces to one counter bump.
-                elif (
-                    dejavu._fast_record
-                    and dejavu.liveclock
-                    and not self.hw_bit
-                    and not dejavu.threadswitch_bit
-                    and thread.stack_capacity - thread.stack_used
-                    >= EAGER_STACK_HEADROOM
-                ):
-                    dejavu.nyp += 1
-                elif (
-                    dejavu._fast_replay
-                    and dejavu.liveclock
-                    and not dejavu.threadswitch_bit
-                    and dejavu._replay_nyp is not None
-                    and dejavu._replay_nyp > 1
-                    and thread.stack_capacity - thread.stack_used
-                    >= EAGER_STACK_HEADROOM
-                ):
-                    dejavu._replay_nyp -= 1
-                else:
-                    frame.pc = pc  # instrumentation may grow the stack (alloc)
-                    self.cycles = cycles
-                    dejavu.at_yieldpoint(thread, tag)
+                    yplimit = self.yp_limit - ypbase
+                # -- the one yield-point test (both sides offset by ypbase)
+                yp = thread.yieldpoints + 1
+                thread.yieldpoints = yp
+                if yp >= yplimit:
+                    dejavu = vm.dejavu
+                    if dejavu is None:
+                        self.yp_limit = NEVER
+                        if self.hw_bit:
+                            self.hw_bit = False
+                            scheduler.preempt()
+                    else:
+                        frame.pc = pc  # instrumentation may grow the stack (alloc)
+                        self.cycles = cycles
+                        dejavu.at_yieldpoint(thread, tag)
+                    yplimit = self.yp_limit - ypbase
                 pc += 1
                 if self.switch_pending:
                     frame.pc = pc
                     self.cycles = cycles
-                    scheduler.shadow_sync_bci(thread)
                     return
         except VMTrap:
             # the trapping op (and every op before it) has been counted

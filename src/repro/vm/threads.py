@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.vm import corelib
 from repro.vm.errors import VMTrap
+from repro.vm.layout import HEADER_AUX, HEADER_WORDS
 from repro.vm.memory import BOOT_THREADS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -101,7 +102,8 @@ class GreenThread:
         self.interrupted = False
         self.joiners: list[GreenThread] = []
         self.name = name
-        self.yieldpoints = 0  # per-thread logical clock (DejaVu reads this)
+        #: yield points run; their sum over threads is the logical clock
+        self.yieldpoints = 0
 
     @property
     def alive(self) -> bool:
@@ -184,21 +186,19 @@ class Scheduler:
 
     def _table_append(self, thread: GreenThread) -> None:
         """Mirror the thread into the guest Thread[] table (BOOT_THREADS)."""
-        vm = self.vm
-        om = vm.om
+        om = self.vm.om
+        words = om.memory.words
         if self._table_addr == 0:
             self._table_addr = om.new_array("[LThread;", 8)
             om.memory.boot_write(BOOT_THREADS, self._table_addr)
-        cap = om.array_length(self._table_addr)
+        cap = words[self._table_addr + HEADER_AUX]
         if thread.tid >= cap:
-            depth = len(vm.loader.temp_roots)
-            bi = vm.loader._tr_push(om.new_array("[LThread;", cap * 2))
-            for i in range(cap):
-                om.array_put(vm.loader._tr_get(bi), i, om.array_get(self._table_addr, i))
-            self._table_addr = vm.loader._tr_get(bi)
-            om.memory.boot_write(BOOT_THREADS, self._table_addr)
-            vm.loader._tr_reset(depth)
-        om.array_put(self._table_addr, thread.tid, thread.guest_addr)
+            new = om.new_array("[LThread;", cap * 2)  # may GC: take the old base after
+            old = self._table_addr + HEADER_WORDS
+            words[new + HEADER_WORDS : new + HEADER_WORDS + cap] = words[old : old + cap]
+            self._table_addr = new
+            om.memory.boot_write(BOOT_THREADS, new)
+        words[self._table_addr + HEADER_WORDS + thread.tid] = thread.guest_addr
 
     def _set_state(self, thread: GreenThread, state: int) -> None:
         thread.state = state
@@ -215,9 +215,6 @@ class Scheduler:
         if thread.stack_used + needed > thread.stack_capacity:
             self.grow_stack(thread, needed)
         thread.stack_used += needed
-
-    def _uncharge_stack(self, thread: GreenThread, frame: Frame) -> None:
-        thread.stack_used -= frame.code.frame_words
 
     def grow_stack(self, thread: GreenThread, needed: int) -> None:
         """Reallocate the thread's stack array — the GC-visible overflow event."""
@@ -239,45 +236,42 @@ class Scheduler:
         )
         vm.observer.emit("stack_grow", thread.tid, new_cap)
 
-    def stack_headroom(self, thread: GreenThread) -> int:
-        return thread.stack_capacity - thread.stack_used
-
     # ------------------------------------------------------------------
     # shadow call stacks (remote-debugger-readable stack traces)
 
+    # Word 0 is the depth, then a (method id, bci) pair per frame, indexed
+    # in place in ``Memory.words`` from a base recomputed per call (GC moves it).
+
     def _shadow_push(self, thread: GreenThread, method_id: int) -> None:
         om = self.vm.om
-        addr = thread.shadow_addr
-        depth = om.array_get(addr, 0)
-        needed = 1 + 2 * (depth + 1)
-        cap = om.array_length(addr)
-        if needed > cap:
-            new = om.new_array("[I", cap * 2)
-            for i in range(1 + 2 * depth):
-                om.array_put(new, i, om.array_get(thread.shadow_addr, i))
+        words = om.memory.words
+        depth = words[thread.shadow_addr + HEADER_WORDS]
+        top = 1 + 2 * depth
+        cap = words[thread.shadow_addr + HEADER_AUX]
+        if top + 2 > cap:
+            new = om.new_array("[I", cap * 2)  # may GC: take the old base after
+            old = thread.shadow_addr + HEADER_WORDS
+            words[new + HEADER_WORDS : new + HEADER_WORDS + top] = words[old : old + top]
             thread.shadow_addr = new
-            om.put_field(
-                thread.guest_addr, self._thread_layout_field("shadow").offset, new
-            )
-            addr = new
-        om.array_put(addr, 1 + 2 * depth, method_id)
-        om.array_put(addr, 2 + 2 * depth, 0)
-        om.array_put(addr, 0, depth + 1)
+            om.put_field(thread.guest_addr, self._thread_layout_field("shadow").offset, new)
+        base = thread.shadow_addr + HEADER_WORDS
+        words[base + top : base + top + 2] = (method_id, 0)
+        words[base] = depth + 1
 
     def _shadow_pop(self, thread: GreenThread) -> None:
-        om = self.vm.om
-        depth = om.array_get(thread.shadow_addr, 0)
-        if depth > 0:
-            om.array_put(thread.shadow_addr, 0, depth - 1)
+        words = self.vm.om.memory.words
+        base = thread.shadow_addr + HEADER_WORDS
+        if words[base] > 0:
+            words[base] -= 1
 
     def shadow_sync_bci(self, thread: GreenThread) -> None:
         """Record the running frame's bci so remote stack traces are exact."""
-        if not thread.frames:
-            return
-        om = self.vm.om
-        depth = om.array_get(thread.shadow_addr, 0)
-        if depth > 0:
-            om.array_put(thread.shadow_addr, 2 * depth, thread.frames[-1].bci)
+        if thread.frames:
+            words = self.vm.om.memory.words
+            base = thread.shadow_addr + HEADER_WORDS
+            depth = words[base]
+            if depth > 0:
+                words[base + 2 * depth] = thread.frames[-1].bci
 
     # ------------------------------------------------------------------
     # call/return hooks used by the engine
@@ -286,10 +280,13 @@ class Scheduler:
         thread.frames.append(frame)
         self._charge_stack(thread, frame)
         self._shadow_push(thread, frame.method.method_id)
+        vm = self.vm
+        if vm.dejavu is not None and thread.stack_capacity - thread.stack_used < EAGER_STACK_HEADROOM:
+            vm.engine.yp_limit = 0  # the callee's prologue yield point grows it eagerly
 
     def pop_frame(self, thread: GreenThread) -> Frame:
         frame = thread.frames.pop()
-        self._uncharge_stack(thread, frame)
+        thread.stack_used -= frame.code.frame_words
         self._shadow_pop(thread)
         return frame
 

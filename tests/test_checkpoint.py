@@ -8,6 +8,7 @@ damaged sidecar may cost seek acceleration, never correctness.
 """
 
 import hashlib
+import itertools
 import json
 import re
 import zlib
@@ -864,6 +865,55 @@ class TestResumeEqualsReplay:
             assert got.cycles == want.cycles, slim
             assert got.heap_digest == want.heap_digest, slim
             assert got.events == want.events, slim
+
+
+class TestResumeMidCountdown:
+    """Resumes from snapshots taken while a countdown is under way — a
+    classic replay's, and a slim replay's in its explicit phase and in
+    its model phase (inside a drop run) — end exactly where the from-zero
+    replay does, events included.  ``philosophers`` at seed 2 keeps some
+    switch deltas explicit and drops others, so its slim replay has both
+    phases."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        from tests.conftest import jitter_knobs
+
+        program = REGISTRY["philosophers"].build()
+        full = record(program, config=CFG, **jitter_knobs(2))
+        slim = record(program, config=CFG, slim=True, **jitter_knobs(2))
+        assert slim.trace.slim_info is not None
+        # logical-clock positions of every recorded preemption
+        fires = set(itertools.accumulate(full.trace.switches))
+        return program, fires, full.trace, slim.trace
+
+    @staticmethod
+    def _phase(snap, fires):
+        dv = dict(snap.header["dv"])
+        if sum(t[15] for t in snap.header["threads"]) in fires:
+            return None  # taken at a preemption: the countdown just re-armed
+        slim = dict(dv.get("slim", ()))
+        if dv["replay_nyp"] is not None:
+            return "explicit" if slim else "classic"
+        if slim and slim["remaining"] and dv["nyp"]:
+            return "model"
+        return None
+
+    @pytest.mark.parametrize("phase", ["classic", "explicit", "model"])
+    def test_resume_mid_countdown_equals_full_replay(self, runs, phase):
+        program, fires, full, slim = runs
+        trace = full if phase == "classic" else slim
+        want = replay(program, trace, config=CFG)
+        vm = build_vm(program, CFG)
+        DejaVu(vm, MODE_REPLAY, trace=trace)
+        rec = CheckpointRecorder(vm, 150)
+        assert vm.run(program.main) == want
+        picked = [snap for snap in rec.snapshots if self._phase(snap, fires) == phase]
+        assert picked
+        for snap in picked:
+            resumed = restore_vm(snap, program, trace, config=CFG)
+            resumed.engine.run()
+            assert resumed.finish() == want, snap.cycles
 
 
 @pytest.mark.fuzz
