@@ -12,7 +12,10 @@ continues the replay, and when it completes, DejaVu's END verification
 still passes — inspection left no trace in the guest.
 
 The application VM runs unfused, so breakpoints and steps address
-canonical micro-ops; the controller is consulted before every one.
+canonical micro-ops.  The controller is consulted before every one only
+in the methods it can stop in: the methods holding a breakpoint, or all
+of them while a step is armed.  ``run_to_completion`` clears the
+breakpoints, so it runs the plain handler tables throughout.
 """
 
 from __future__ import annotations

@@ -51,10 +51,14 @@ class TimePoint:
 
 
 class _CycleStop:
-    """A debug controller that pauses once a cycle target is reached."""
+    """A debug controller that pauses once a cycle target is reached.
+
+    It declares ``stops_from``, so on unfused code the engine arms it and
+    runs the plain handlers until the clock reaches the target."""
 
     def __init__(self, target_cycles: int, engine):
         self.target = target_cycles
+        self.stops_from = target_cycles
         self.engine = engine
         self.paused = False
 
@@ -181,8 +185,11 @@ class TimeTravelSession:
         return self.session.resume()
 
     def goto_cycles(self, target: int) -> TimePoint:
-        """Position the session at the first safe point with cycles ≥ target,
-        travelling backwards by re-replaying when needed."""
+        """Stop the session before the first op after the committed clock
+        reaches *target*, travelling backwards by re-replaying when needed.
+
+        The session's own controller is back in place when this returns or
+        raises, so a failed seek leaves its breakpoints working."""
         if target < 0:
             raise VMError(f"bad time target {target}")
         if target < self.now or self.session.finished:
@@ -191,11 +198,14 @@ class TimeTravelSession:
             self.session = self._rewind_session(target)
             self._attach_recorder()
         if target > 0:
-            stopper = _CycleStop(target, self.session.vm.engine)
+            engine = self.session.vm.engine
+            stopper = _CycleStop(target, engine)
             saved = self.session.control
-            self.session.vm.engine.debug = stopper
-            self.session.vm.engine.run()
-            self.session.vm.engine.debug = saved
+            engine.debug = stopper
+            try:
+                engine.run()
+            finally:
+                engine.debug = saved  # also drops a stop still armed
             saved.paused = stopper.paused
             if not stopper.paused and not self.session.vm.completed:
                 raise VMError("replay stalled before reaching the time target")

@@ -16,9 +16,24 @@ each charging exactly the cycles of the micro-ops it replaces.
 Hooks are bound into the handler tables, not run on a second loop: with
 a debug controller or memory hook attached, ``Engine._bind`` wraps the
 handlers in closures that call the hook before the op — the memory hook
-around memory micro-ops only, a debug controller around every op — and
-an unhooked table holds the plain handlers.  Hook clients run unfused
-code, so the hooks see canonical micro-ops.
+around memory micro-ops only, a debug controller around every op of the
+methods it can stop in — and an unhooked table holds the plain handlers.
+Hook clients run unfused code, so the hooks see canonical micro-ops.
+
+A debug controller declares where it can stop, and pays only there:
+
+* ``wraps(rm)`` (optional): False promises ``check`` stays False, with
+  no effect, before every op of *rm*, so *rm*'s table stays plain.  A
+  controller whose answers change calls ``Engine.rebind``, and one
+  defining ``attached(engine)`` is told the engine it was attached to.
+* ``stops_from`` (optional): ``check`` stays False, with no effect,
+  while the committed clock is below it.  On unfused code the engine
+  arms such a controller instead of wrapping: the plain tables run, the
+  loop's batched ``limit`` folds in the target, and when the local count
+  reaches it the slow path attaches the controller (the committed clock
+  never runs ahead of the local count, so no stop is missed).  Fused
+  carries fold late, so on fused code the controller is wrapped from
+  the start.
 
 Cycle accounting is batched: instead of comparing against the timer
 deadline and the cycle budget on every op, the loop keeps a single
@@ -31,10 +46,10 @@ leaves ``cycles == max_cycles + 1`` (the seed engine could run one op past
 an armed deadline reset before noticing the budget).
 
 ``Engine.cycles`` is the *committed* clock, stored from the loop's local
-count at calls, parks, traps and yield-point slow paths.  A debug
-controller sees it exactly as the per-micro-op seed loop exposed it
-(consulted before its op is counted; commits at every yield point and,
-held until after the check, at each deadline crossing), so
+count at calls, parks, traps and yield-point slow paths.  A wrapped op's
+debug controller sees it exactly as the per-micro-op seed loop exposed
+it (consulted before its op is counted; commits at every debugged yield
+point and, held until after the check, at each deadline crossing), so
 cycle-addressed stops land where they always did.
 
 Safe-point discipline (what makes the type-accurate GC sound):
@@ -1204,11 +1219,15 @@ class Engine:
         self.yp_base = 0
         #: optional debug controller (breakpoints, stepping, time travel,
         #: the profiler, coverage): ``check(thread, frame, pc)`` is called
-        #: before every executable op and returns True to pause; ``run``
-        #: returns while ``paused`` is set.  Host-side only — attaching
-        #: one perturbs nothing the guest can observe.  Set through the
-        #: ``debug`` property, which rebinds the handler tables.
+        #: before every executable op of the methods it ``wraps`` (all by
+        #: default) and returns True to pause; ``run`` returns while
+        #: ``paused`` is set.  Host-side only — attaching one perturbs
+        #: nothing the guest can observe.  Set through the ``debug``
+        #: property, which rebinds the handler tables.
         self._debug = None
+        #: while a controller with ``stops_from`` is armed (see the module
+        #: doc), the local count at which the loop attaches it; else NEVER
+        self._arm_at = NEVER
         #: optional shared-memory observation hook (repro.explore race
         #: detection): called before every memory micro-op executes, with
         #: the operand stack still holding the op's inputs.  Host-side and
@@ -1254,9 +1273,19 @@ class Engine:
 
     @debug.setter
     def debug(self, controller) -> None:
-        if controller is not self._debug:
-            self._debug = controller
-            self._unbind()
+        """Attach *controller* (None detaches), replacing any pending arm;
+        on unfused code one declaring ``stops_from`` is armed, not wrapped."""
+        if controller is self._debug:
+            return
+        self._debug = controller
+        self._arm_at = NEVER
+        if controller is not None:
+            if not self.cfg.fusion:
+                self._arm_at = getattr(controller, "stops_from", NEVER)
+            attached = getattr(controller, "attached", None)
+            if attached is not None:
+                attached(self)
+        self.rebind()
 
     @property
     def mem_hook(self):
@@ -1266,10 +1295,12 @@ class Engine:
     def mem_hook(self, hook) -> None:
         if hook is not self._mem_hook:
             self._mem_hook = hook
-            self._unbind()
+            self.rebind()
 
-    def _unbind(self) -> None:
-        """Drop every bound handler table; frames rebind on entry."""
+    def rebind(self) -> None:
+        """Drop every bound handler table; frames rebind on entry, under
+        the hooks' current scope (a debug controller whose ``wraps``
+        answers change calls this)."""
         for rm in self._bound:
             rm.entries = None
         self._bound.clear()
@@ -1323,6 +1354,10 @@ class Engine:
           crossing the per-op scheme would have seen fires at its exact
           cycle even when a fused op advanced the counter by 2-3 at once.
 
+        An armed debug controller is attached once the count reaches its
+        ``stops_from``, after the budget test and before the deadline
+        commit, which it then holds; the loop rebinds the current frame.
+
         With a debug controller attached the crossing's commit is held
         until the op's check has run (``_consult_debug``); the budget
         trap is not, so it pre-empts a stop at the budget-exhausting op.
@@ -1332,11 +1367,14 @@ class Engine:
         if cycles > max_cycles:
             self.cycles = max_cycles + 1
             raise VMError(f"cycle budget exceeded ({max_cycles})")
+        if cycles >= self._arm_at:
+            self._arm_at = NEVER
+            self.rebind()
         d = self._deadline
         if d <= cycles:
             self.hw_bit = True
             self.yp_limit = 0  # the next yield point observes the bit
-            if self._debug is None:
+            if self._debug is None or self._arm_at != NEVER:
                 self.cycles = cycles
             else:
                 self._held = cycles
@@ -1347,7 +1385,8 @@ class Engine:
             else:
                 d = NEVER
             self._deadline = d
-        return d if d <= max_cycles else max_cycles + 1
+        limit = d if d <= max_cycles else max_cycles + 1
+        return limit if limit <= self._arm_at else self._arm_at
 
     def yp_clock(self) -> int:
         """The logical clock: yield points executed so far, all threads."""
@@ -1411,11 +1450,17 @@ class Engine:
         groups (F_YP_GROUP) do too — the loop tells them apart by the
         op's ``b`` operand.  Everything else becomes a pre-bound
         closure.  Attached hooks are wrapped around the closures: the
-        memory hook around the memory micro-ops, the debug controller
-        around every op, yield points included (its wrapper returns
-        ``_YIELD`` and the loop then runs the yield point inline)."""
+        memory hook around the memory micro-ops, an attached (not armed)
+        debug controller around every op of a method it ``wraps``, yield
+        points included (its wrapper returns ``_YIELD`` and the loop then
+        runs the yield point inline)."""
         memhook = self._mem_hook
-        check = self._debug.check if self._debug is not None else None
+        debug = self._debug
+        check = None
+        if debug is not None and self._arm_at == NEVER:
+            wraps = getattr(debug, "wraps", None)
+            if wraps is None or wraps(rm):
+                check = debug.check
         entries: list = []
         append = entries.append
         for pc, (mop, a, b) in enumerate(rm.code.xops):
@@ -1465,6 +1510,8 @@ class Engine:
         ln3 = fstat[1]
         d = self._deadline
         limit = d if d <= max_cycles else max_cycles + 1
+        if self._arm_at < limit:
+            limit = self._arm_at
         # the yield-point limit in this thread's own count
         yplimit = self.yp_limit - ypbase
 
@@ -1479,6 +1526,8 @@ class Engine:
                         cycles += x
                     limit = self._check_limit(cycles)
                     yplimit = self.yp_limit - ypbase
+                    if frame.method.entries is None:  # a debug controller attached
+                        entries = self._bind(frame.method)
 
                 fn = entries[pc]
                 if fn is not None:
