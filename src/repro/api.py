@@ -26,7 +26,7 @@ from repro.core.tracelog import TraceLog, TraceWriter, config_fingerprint
 from repro.core.verify import ReplayReport, compare_runs
 from repro.vm.asm import assemble
 from repro.vm.classfile import ClassDef, content_digest
-from repro.vm.engineconfig import EngineConfig, hooked_config
+from repro.vm.engineconfig import EngineConfig
 from repro.vm.errors import (
     CheckpointConfigMismatch,
     CheckpointEngineMismatch,
@@ -91,9 +91,10 @@ class GuestProgram:
 
 
 #: the ablation table: the engine's optimisation layers by name, in
-#: order.  No user option selects one (a plain VM always fuses; hooked
-#: tools go through :func:`~repro.vm.engineconfig.hooked_config`); the
-#: fused-vs-unfused differential tests and the dispatch benchmarks
+#: order.  No user option selects one: every VM fuses, the hooked tools
+#: included, except the replay debugger's (``ReplaySession``), which runs
+#: unfused code because a breakpoint can sit inside a superinstruction.
+#: The fused-vs-unfused differential tests and the dispatch benchmarks
 #: build their VMs from it.
 ENGINE_PRESETS = {
     "baseline": EngineConfig.baseline(),
@@ -211,9 +212,6 @@ def record(
             slim_fallback = "non-default symmetry"
         elif dejavu_kwargs.get("schedule") is not None:
             slim_fallback = "schedule-policy recording"
-        else:
-            # the detector hooks canonical memory micro-ops: unfused code
-            config = hooked_config(config)
     vm = build_vm(program, config, timer=timer, clock=clock, env=env)
     if vm_hook is not None:
         vm_hook(vm)

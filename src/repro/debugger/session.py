@@ -11,15 +11,18 @@ through the read-only :class:`~repro.remote.ptrace.DebugPort`; resuming
 continues the replay, and when it completes, DejaVu's END verification
 still passes — inspection left no trace in the guest.
 
-The application VM runs unfused, so breakpoints and steps address
-canonical micro-ops.  The controller is consulted before every one only
-in the methods it can stop in: the methods holding a breakpoint, or all
-of them while a step is armed.  ``run_to_completion`` clears the
-breakpoints, so it runs the plain handler tables throughout.
+The application VM runs unfused code, unlike every other tool's: a
+breakpoint can sit at a bci inside a superinstruction, and fused carries
+fold the clock late, so stops and seeks address canonical micro-ops.
+The controller is consulted before every op only in the methods it can
+stop in: the methods holding a breakpoint, or all of them while a step
+is armed.  ``run_to_completion`` clears the breakpoints, so it runs the
+plain handler tables throughout.  A pause writes nothing to the heap.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.core.controller import MODE_REPLAY, DejaVu
@@ -29,7 +32,7 @@ from repro.remote.mapping import default_mappings
 from repro.remote.ptrace import DebugPort
 from repro.remote.reflector import RemoteReflector
 from repro.vm.errors import VMError
-from repro.vm.engineconfig import hooked_config
+from repro.vm.engineconfig import EngineConfig
 from repro.vm.machine import VirtualMachine, VMConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,7 +60,7 @@ class ReplaySession:
         #: what a rebuilt or checkpoint-restored session is built from
         self.base_config = config
         # breakpoints and steps address canonical micro-ops: unfused code
-        app_config = hooked_config(config)
+        app_config = replace(config or VMConfig(), engine=EngineConfig.baseline())
         if resume_from is not None:
             # rehydrate mid-flight: the snapshot must have been captured
             # by a debugger session (they all run this same engine)

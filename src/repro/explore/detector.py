@@ -32,10 +32,10 @@ never touches the logical clocks.  Attached to a *replay*, it analyses
 the recorded execution without the recorded execution being able to
 tell; attached to a *record* run it leaves the trace bit-identical to an
 undetected run (asserted by test).  Its memory hook is bound into the
-engine's handler tables around the memory micro-ops only; the code runs
-unfused (:func:`~repro.vm.engineconfig.hooked_config`) because a
-superinstruction would hide the accesses inside it, which by the
-EngineConfig determinism contract changes nothing guest-visible.
+engine's handler tables around the ops that end in a memory micro-op
+only, and it rides the ordinary fused program: the engine hands it the
+canonical access behind a superinstruction (op, bci and operand stack),
+so the analysis sees exactly what it would see on unfused code.
 
 Known blind spots, accepted and documented: memory touched only from
 inside native methods (e.g. ``System.arraycopy``) bypasses the bytecode
@@ -62,7 +62,6 @@ from repro.vm.compiler import (
     M_PUTSTATIC,
 )
 from repro.vm.layout import HEADER_AUX, HEADER_WORDS
-from repro.vm.engineconfig import hooked_config
 from repro.vm.machine import VMConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -231,7 +230,7 @@ class RaceDetector:
     # ------------------------------------------------------------------
     # memory accesses
 
-    def _on_mem(self, thread, frame, pc, mop, a, b, stack) -> None:
+    def _on_mem(self, thread, frame, bci, mop, a, b, stack) -> None:
         if mop == M_GETFIELD:
             x = stack[-1]
             if not x:
@@ -272,7 +271,6 @@ class RaceDetector:
         vc = self._vc.get(tid) or self._clock(tid)
         clock = vc[tid]
         method = frame.method
-        bci = frame.code.xbci_of[pc]
         last_write = self._write.get(word)
         if last_write is not None:
             wt, wc, wmethod, wbci, wregion = last_write
@@ -426,7 +424,7 @@ def detect_races(
     recorded one, and the detector itself changes nothing observable."""
     from repro.api import build_vm
 
-    vm = build_vm(program, hooked_config(config))
+    vm = build_vm(program, config)
     DejaVu(vm, MODE_REPLAY, trace=trace, symmetry=symmetry)
     detector = RaceDetector(vm)
     result = vm.run(program.main)

@@ -13,6 +13,9 @@ freedom argument:
 
 Every read is counted, so tests can assert both that inspection happened
 and that nothing else did.
+
+Like ptrace it also reads a stopped thread's registers
+(:meth:`DebugPort.top_bci`): a debugger pause writes nothing to the heap.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ class DebugPort:
         self._memory = target.memory
         if self._memory.boot_read(0) != MAGIC:
             raise VMError("target does not look like a VM (bad boot magic)")
+        self._scheduler = target.scheduler
         self.reads = 0
 
     def peek(self, addr: int) -> int:
@@ -51,6 +55,14 @@ class DebugPort:
             raise VMError(f"bad boot slot {slot}")
         self.reads += 1
         return self._memory.boot_read(slot)
+
+    def top_bci(self, tid: int) -> int | None:
+        """The bci of thread *tid*'s innermost frame (its saved pc), or None."""
+        threads = self._scheduler.threads
+        if 0 <= tid < len(threads) and threads[tid].frames:
+            self.reads += 1
+            return threads[tid].frames[-1].bci
+        return None
 
     # NOTE deliberately absent: poke().  See module docstring.
 

@@ -128,17 +128,19 @@ class RemoteReflector:
         return RemoteThreadInfo(tid=tid, state=state, frames=self.stack_trace(thread))
 
     def stack_trace(self, thread: RemoteObject) -> list[RemoteFrameInfo]:
-        """Decode the thread's heap-resident shadow call stack."""
+        """Decode the thread's heap-resident shadow call stack (the
+        innermost bci from its saved pc: a pause does not publish it)."""
         shadow = thread.field("shadow")
         if shadow is None:
             return []
         assert isinstance(shadow, RemoteObject)
         depth = shadow.elem(0)
         assert isinstance(depth, int)
+        top = self.port.top_bci(thread.field("tid"))
         frames = []
         for level in range(depth):
             mid = shadow.elem(1 + 2 * level)
-            bci = shadow.elem(2 + 2 * level)
+            bci = top if level == depth - 1 and top is not None else shadow.elem(2 + 2 * level)
             assert isinstance(mid, int) and isinstance(bci, int)
             qual = self.method_name(mid)
             cls, _, name = qual.rpartition(".")

@@ -6,7 +6,8 @@ coverage of a production recording, after the fact, with zero probe
 effect.  Results map to source lines through the same line tables the
 reflection interface (Figure 3) exposes.  The observer is a debug hook
 the engine binds into its handler tables, consulted before every op of
-the unfused code.
+the ordinary fused program; a superinstruction covers the bcis of every
+canonical op it runs (``MachineCode.xstart``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.controller import MODE_REPLAY, DejaVu
-from repro.vm.engineconfig import hooked_config
 from repro.vm.machine import VMConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -84,7 +84,8 @@ class _CoverageHook:
         bucket = self.hits.get(qual)
         if bucket is None:
             bucket = self.hits[qual] = set()
-        bucket.add(frame.code.xbci_of[pc])
+        code = frame.code
+        bucket.update(code.bci_of[code.xstart[pc]:code.xstart[pc + 1]])
         return False
 
 
@@ -99,7 +100,7 @@ class ReplayCoverage:
     def run(self) -> CoverageReport:
         from repro.api import build_vm
 
-        vm = build_vm(self.program, hooked_config(self.config))
+        vm = build_vm(self.program, self.config)
         DejaVu(vm, MODE_REPLAY, trace=self.trace)
         hook = _CoverageHook()
         vm.engine.debug = hook

@@ -8,9 +8,10 @@ run N+1 exactly.  That determinism is itself asserted by the tests.
 
 Implementation: the profiler attaches through the engine's debug-hook
 slot (the same host-side seam the breakpoint controller uses), which the
-engine binds into its handler tables; on unfused code its ``check`` is
-called before every micro-op and attributes that cycle to the executing
-method and thread.  Switch/GC/monitor statistics come from
+engine binds into its handler tables of the ordinary fused program; its
+``check`` is called before every executable op and attributes the
+cycles of the canonical ops that op runs (``MachineCode.xstart``) to the
+executing method and thread.  Switch/GC/monitor statistics come from
 the observer stream and the monitor table after the run.
 """
 
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.controller import MODE_REPLAY, DejaVu
-from repro.vm.engineconfig import hooked_config
 from repro.vm.machine import VMConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -86,8 +86,10 @@ class _ProfilerHook:
 
     def check(self, thread, frame, pc) -> bool:
         qual = frame.method.qualname
-        self.method_cycles[qual] = self.method_cycles.get(qual, 0) + 1
-        self.thread_cycles[thread.tid] = self.thread_cycles.get(thread.tid, 0) + 1
+        xstart = frame.code.xstart
+        n = xstart[pc + 1] - xstart[pc]
+        self.method_cycles[qual] = self.method_cycles.get(qual, 0) + n
+        self.thread_cycles[thread.tid] = self.thread_cycles.get(thread.tid, 0) + n
         if pc == 0 and id(frame) != self._last_frame_id:
             self.method_entries[qual] = self.method_entries.get(qual, 0) + 1
         self._last_frame_id = id(frame)
@@ -105,7 +107,7 @@ class ReplayProfiler:
     def run(self) -> ProfileReport:
         from repro.api import build_vm
 
-        vm = build_vm(self.program, hooked_config(self.config))
+        vm = build_vm(self.program, self.config)
         DejaVu(vm, MODE_REPLAY, trace=self.trace)
         hook = _ProfilerHook()
         vm.engine.debug = hook

@@ -106,7 +106,7 @@ M_YIELDPOINT = 62
 # Emitted only into the *executable* program (``MachineCode.xops``) by the
 # peephole pass below; the canonical listing ``MachineCode.ops`` never
 # contains them.  Each fused op charges exactly as many cycles as the
-# micro-ops it replaces (its entry in ``xweights``).  Legality rules:
+# micro-ops it replaces (its span of ``xstart``).  Legality rules:
 #
 #   * a group never contains an *interior* yield point (logical clocks
 #     are sacred); the one exception is :data:`F_YP_GROUP`, whose
@@ -362,40 +362,19 @@ _MAX_YP_PREFIX = 3
 def _yp_prefix_fn(pre: list):
     """Executor closure for the pure ops preceding a fused yield point.
 
-    Common shapes get specialised closures; anything else falls back to a
-    generic loop.  All of them mutate ``stack``/``locals_`` exactly as the
-    unfused micro-ops would.
+    The one prefix programs form is a lone ``iinc`` (a loop counter bumped
+    just before its backedge), which gets its own closure; anything else
+    falls back to a generic loop.  Both mutate ``stack``/``locals_``
+    exactly as the unfused micro-ops would.
     """
-    if len(pre) == 1:
-        m0, a0, b0 = pre[0]
-        if m0 == M_ICONST:
-            def h(stack, locals_):
-                stack.append(a0)
-            return h
-        if m0 == M_IINC:
-            to_i32 = words.to_i32
-
-            def h(stack, locals_):
-                v = locals_[a0] + b0
-                locals_[a0] = v if I32_MIN <= v <= I32_MAX else to_i32(v)
-            return h
+    to_i32 = words.to_i32
+    if len(pre) == 1 and pre[0][0] == M_IINC:
+        _, a0, b0 = pre[0]
 
         def h(stack, locals_):
-            stack.append(locals_[a0])
+            v = locals_[a0] + b0
+            locals_[a0] = v if I32_MIN <= v <= I32_MAX else to_i32(v)
         return h
-    if len(pre) == 2:
-        (m0, a0, _), (m1, a1, _) = pre
-        if m0 in _LOADS and m1 in _LOADS:
-            def h(stack, locals_):
-                stack.append(locals_[a0])
-                stack.append(locals_[a1])
-            return h
-        if m0 in _LOADS and m1 == M_ICONST:
-            def h(stack, locals_):
-                stack.append(locals_[a0])
-                stack.append(a1)
-            return h
-    to_i32 = words.to_i32
 
     def h(stack, locals_):
         for m, a, b in pre:
@@ -436,7 +415,7 @@ def _match_yp_group(ops: list, i: int, n: int, targets: frozenset):
 
 def _fuse(ops: tuple, bci_of: tuple) -> tuple:
     """The fused executable program of *ops*: ``(xops, xbci_of,
-    xweights, fused_groups)``.
+    xstart, fused_groups)``.
 
     Branch targets (which, by legality, can only name group heads) are
     remapped from canonical to executable pc space at the end.
@@ -450,25 +429,24 @@ def _fuse(ops: tuple, bci_of: tuple) -> tuple:
 
     xops: list[tuple] = []
     xbci: list[int] = []
-    xweights: list[int] = []
+    xstart: list[int] = []
     old2new = [-1] * (n + 1)
     groups = 0
     i = 0
     while i < n:
         old2new[i] = len(xops)
+        xstart.append(i)
         match = _match_yp_group(ops, i, n, targets)
         if match is None:
             match = _match_group(ops, i, n, targets)
         if match is None:
             xops.append(ops[i])
             xbci.append(bci_of[i])
-            xweights.append(1)
             i += 1
         else:
             (mop, a, b), width = match
             xops.append((mop, a, b))
             xbci.append(bci_of[i])
-            xweights.append(width)
             groups += 1
             i += width
 
@@ -481,7 +459,8 @@ def _fuse(ops: tuple, bci_of: tuple) -> tuple:
             assert old2new[t] >= 0, "branch into the interior of a fused group"
             xops[idx] = (mop, a, (fn, old2new[t]))
 
-    return tuple(xops), tuple(xbci), tuple(xweights), groups
+    xstart.append(n)
+    return tuple(xops), tuple(xbci), tuple(xstart), groups
 
 
 @dataclass(frozen=True)
@@ -512,8 +491,10 @@ class MachineCode:
     #: executable program (fused); aliases ops/bci_of when fusion is off
     xops: tuple
     xbci_of: tuple
-    #: cycles charged per executable op (None ⇒ every op charges 1)
-    xweights: tuple | None
+    #: executable pc -> first canonical pc of the ops it stands for, plus
+    #: ``len(ops)`` at the end: op ``pc`` runs canonical ops
+    #: ``xstart[pc]:xstart[pc + 1]`` and charges that many cycles
+    xstart: tuple | range
     #: number of superinstructions emitted (static count)
     fused_groups: int
 
@@ -553,15 +534,15 @@ def compile_method(loader, rc, rm, config: EngineConfig | None = None) -> Machin
 
     canonical, bcis = tuple(ops), tuple(bci_of)
     if config is not None and config.fusion:
-        xops, xbci_of, xweights, fused = _fuse(canonical, bcis)
+        xops, xbci_of, xstart, fused = _fuse(canonical, bcis)
     else:
-        xops, xbci_of, xweights, fused = canonical, bcis, None, 0
+        xops, xbci_of, xstart, fused = canonical, bcis, range(len(canonical) + 1), 0
     max_stack = rm.maps.max_stack
     return MachineCode(
         qualname=rm.qualname, ops=canonical, bci_of=bcis, pc_of_bci=tuple(pc_of_bci),
         nlocals=mdef.max_locals, max_stack=max_stack,
         frame_words=mdef.max_locals + max_stack + FRAME_OVERHEAD_WORDS,
-        n_yieldpoints=n_yieldpoints, xops=xops, xbci_of=xbci_of, xweights=xweights,
+        n_yieldpoints=n_yieldpoints, xops=xops, xbci_of=xbci_of, xstart=xstart,
         fused_groups=fused,
     )
 

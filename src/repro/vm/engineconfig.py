@@ -19,17 +19,14 @@ are bit-identical with it on and off.  Fusion is therefore the engine's
 decision, not a user option: a plain VM always fuses, and the toggle
 exists only so tests and benchmarks can assert and attribute that.
 
-The one place the engine chooses unfused code is :func:`hooked_config`,
-which every hooked tool builds its VM from.
+The hooked replay analyses fuse too; only the replay debugger
+(``ReplaySession``) runs unfused code, since a breakpoint can sit inside a
+superinstruction and fused carries fold the clock late.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.vm.machine import VMConfig
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -52,18 +49,3 @@ class EngineConfig:
         # "threaded" names the dispatch loop; it stays in the tag so that
         # checkpoint headers written under the same engine keep matching
         return "threaded+fusion" if self.fusion else "threaded"
-
-
-def hooked_config(config: "VMConfig | None" = None) -> "VMConfig":
-    """*config* (or the default) with fusion off, for a VM a hook rides.
-
-    The hooked tools (slim recording, the replay debugger and its time
-    travel, the profiler, coverage and the race detector) attach an
-    engine hook that must see one call per executable op, and only
-    unfused code makes those the canonical micro-ops: a superinstruction
-    would hide the ops inside it.  By the contract above this changes
-    nothing the guest or the trace can observe.
-    """
-    from repro.vm.machine import VMConfig
-
-    return replace(config or VMConfig(), engine=EngineConfig.baseline())

@@ -16,9 +16,10 @@ each charging exactly the cycles of the micro-ops it replaces.
 Hooks are bound into the handler tables, not run on a second loop: with
 a debug controller or memory hook attached, ``Engine._bind`` wraps the
 handlers in closures that call the hook before the op — the memory hook
-around memory micro-ops only, a debug controller around every op of the
-methods it can stop in — and an unhooked table holds the plain handlers.
-Hook clients run unfused code, so the hooks see canonical micro-ops.
+around the ops that end in a memory micro-op, a debug controller around
+every op of the methods it can stop in — and an unhooked table holds the
+plain handlers.  Hooks see the canonical ops behind a superinstruction
+(``MachineCode.xstart``; ``_observe_mem``).
 
 A debug controller declares where it can stop, and pays only there:
 
@@ -185,20 +186,14 @@ if TYPE_CHECKING:  # pragma: no cover
 #: a deadline or yield-point limit no clock reaches
 NEVER = 1 << 62
 
-#: canonical micro-ops that touch guest shared memory — the set the
-#: engine's ``mem_hook`` observes (repro.explore race detection)
-_MEM_OPS = frozenset(
-    (
-        M_GETFIELD,
-        M_PUTFIELD,
-        M_GETSTATIC,
-        M_PUTSTATIC,
-        M_IALOAD,
-        M_IASTORE,
-        M_AALOAD,
-        M_AASTORE,
-    )
-)
+#: the ops whose last canonical op touches guest shared memory — the
+#: accesses the engine's ``mem_hook`` observes (repro.explore race
+#: detection); fusion makes a memory op a group's terminal, never interior
+_MEM_OPS = frozenset((
+    M_GETFIELD, M_PUTFIELD, M_GETSTATIC, M_PUTSTATIC,
+    M_IALOAD, M_IASTORE, M_AALOAD, M_AASTORE,
+    F_AL_GETFIELD, F_ALL_PUTFIELD, F_ALC_PUTFIELD, F_ALL_ALOAD,
+))
 
 # Sentinel returns from threaded handlers (real pcs are >= 0).  A handler
 # that returns one of these has left the fast path: the loop folds pending
@@ -1168,14 +1163,31 @@ _FACTORIES = {
 # when hooks are attached; an unhooked table holds the plain handlers only.
 
 
-def _observe_mem(eng, hook, fn, pc, mop, a, b):
-    """Call the memory hook before the op, operands still on the stack;
-    a static access passes its holder class, resolved from its id."""
+def _observe_mem(eng, hook, fn, code, pc):
+    """Call the memory hook before op *pc* of *code* as before its
+    canonical memory op: with that op's ``(mop, a, b)``, its bci, and the
+    stack it would see (a copy, with a fused op's pure loads and
+    ``iconst``s pushed).  A static access passes its holder class."""
+    start, last = code.xstart[pc], code.xstart[pc + 1] - 1
+    mop, a, b = code.ops[last]
+    bci = code.bci_of[last]
     if mop == M_GETSTATIC or mop == M_PUTSTATIC:
         a = eng.vm.loader.rc_by_id[a]
+    if start == last:
+
+        def h(stack, locals_):
+            hook(eng._thread, eng._frame, bci, mop, a, b, stack)
+            return fn(stack, locals_)
+
+        return h
+
+    pushes = [(m == M_ICONST, x) for m, x, _ in code.ops[start:last]]
 
     def h(stack, locals_):
-        hook(eng._thread, eng._frame, pc, mop, a, b, stack)
+        seen = stack[:]
+        for const, x in pushes:
+            seen.append(x if const else locals_[x])
+        hook(eng._thread, eng._frame, bci, mop, a, b, seen)
         return fn(stack, locals_)
 
     return h
@@ -1229,10 +1241,10 @@ class Engine:
         #: doc), the local count at which the loop attaches it; else NEVER
         self._arm_at = NEVER
         #: optional shared-memory observation hook (repro.explore race
-        #: detection): called before every memory micro-op executes, with
-        #: the operand stack still holding the op's inputs.  Host-side and
-        #: read-only.  A superinstruction would hide the accesses inside
-        #: it, so clients run unfused code (``engineconfig.hooked_config``).
+        #: detection): ``hook(thread, frame, bci, mop, a, b, stack)`` is
+        #: called before every canonical memory micro-op executes, fused or
+        #: not, with the operand stack holding the op's inputs.  Host-side
+        #: and read-only.
         self._mem_hook = None
         #: the methods whose handler tables this engine bound, so
         #: attaching or detaching a hook can drop them for rebinding
@@ -1419,8 +1431,10 @@ class Engine:
             self.switch_pending = False
             try:
                 self._execute(thread)
-                # every exit stored its frame's pc: publish the bci
-                scheduler.shadow_sync_bci(thread)
+                # every exit stored its frame's pc: publish the bci, but
+                # not at a pause (a debugger reads the pc; DebugPort.top_bci)
+                if self._debug is None or not self._debug.paused:
+                    scheduler.shadow_sync_bci(thread)
             except VMTrap as trap:
                 self._kill(thread, trap)
 
@@ -1450,10 +1464,10 @@ class Engine:
         groups (F_YP_GROUP) do too — the loop tells them apart by the
         op's ``b`` operand.  Everything else becomes a pre-bound
         closure.  Attached hooks are wrapped around the closures: the
-        memory hook around the memory micro-ops, an attached (not armed)
-        debug controller around every op of a method it ``wraps``, yield
-        points included (its wrapper returns ``_YIELD`` and the loop then
-        runs the yield point inline)."""
+        memory hook around the ops ending in a memory micro-op, an
+        attached (not armed) debug controller around every op of a
+        method it ``wraps``, yield points included (its wrapper returns
+        ``_YIELD`` and the loop then runs the yield point inline)."""
         memhook = self._mem_hook
         debug = self._debug
         check = None
@@ -1472,7 +1486,7 @@ class Engine:
                     raise VMError(f"unknown micro-op {mop}")
                 fn = factory(self, a, b, pc, pc + 1)
                 if memhook is not None and mop in _MEM_OPS:
-                    fn = _observe_mem(self, memhook, fn, pc, mop, a, b)
+                    fn = _observe_mem(self, memhook, fn, rm.code, pc)
             if check is not None:
                 fn = _consult_debug(self, check, fn, pc)
             append(fn)

@@ -74,7 +74,7 @@ def _code_shape(code: MachineCode | None):
         [(m, _named(a), _named(b)) for m, a, b in code.ops],
         [(m, _named(a), _named(b)) for m, a, b in code.xops],
         code.xops is code.ops,
-        code.bci_of, code.xbci_of, code.xweights, code.pc_of_bci,
+        code.bci_of, code.xbci_of, code.xstart, code.pc_of_bci,
         code.nlocals, code.max_stack, code.frame_words, code.fused_groups,
     )
 

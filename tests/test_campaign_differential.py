@@ -127,9 +127,10 @@ class TestFaultsDifferential:
         the engine or the stack cannot travel as data."""
         from dataclasses import replace
 
-        from repro.vm.engineconfig import hooked_config
+        from repro.vm.engineconfig import EngineConfig
         from repro.vm.errors import VMError
 
-        for config in (hooked_config(CFG), replace(CFG, max_stack_words=1024)):
+        unfused = replace(CFG, engine=EngineConfig.baseline())
+        for config in (unfused, replace(CFG, max_stack_words=1024)):
             with pytest.raises(VMError, match="may set only semispace_words"):
                 run_explore_campaign("bank", bound=1, budget=4, jobs=1, config=config)

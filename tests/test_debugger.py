@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import record, replay
+from repro.api import record, replay, standard_knobs
 from repro.core import compare_runs
 from repro.debugger import (
     DebugController,
@@ -18,6 +18,7 @@ from repro.vm import SeededJitterTimer
 from repro.vm.errors import VMError
 from repro.vm.machine import VMConfig
 from repro.workloads import racy_bank
+from repro.workloads.registry import REGISTRY
 from tests.conftest import jitter_knobs
 
 CFG = VMConfig(semispace_words=60_000)
@@ -142,6 +143,27 @@ class TestPerturbationFreedom:
         session.clear_breakpoints()
         debugged = session.run_to_completion()
         assert plain.behavior_key() == debugged.behavior_key()
+
+    def test_a_pause_leaves_the_heap_as_an_undebugged_replay(self):
+        """A pause writes nothing to the guest heap.  The breakpoint sits
+        after ``main``'s last backedge, so no later exit rewrites the
+        paused frame's shadow-stack slot: a pause that published its bci
+        there ended the replay with a heap the recording never had.
+        Backtraces while paused still show the paused bci."""
+        spec = REGISTRY["sorter"]
+        kwargs = spec.merged_kwargs(explore=True)
+        rec = record(spec.build(kwargs), **standard_knobs(11))
+        session = ReplaySession(spec.build(kwargs), rec.trace)
+        session.add_breakpoint("Main.main()V", 90)
+        assert session.resume() == "breakpoint"
+        top = session.where()[0]
+        assert (top.class_name, top.method_name, top.bci) == ("Main", "main", 90)
+        tid = session.current_thread().tid
+        (info,) = [t for t in session.threads() if t.tid == tid]
+        assert info.frames[0].bci == 90
+        result = session.run_to_completion()
+        assert result.cycles == rec.result.cycles == 1646
+        assert result.heap_digest == rec.result.heap_digest
 
     def test_in_process_reflection_breaks_replay(self, recorded):
         """The contrast the paper draws in §3: running reflective queries

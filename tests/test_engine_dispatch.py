@@ -217,8 +217,11 @@ class TestFusionInvariants:
             if rm.code is None:
                 continue
             mc = rm.code
-            assert sum(mc.xweights) == len(mc.ops), rm.qualname
-            assert len(mc.xops) == len(mc.xbci_of) == len(mc.xweights)
+            assert mc.xstart[0] == 0 and mc.xstart[-1] == len(mc.ops), rm.qualname
+            assert len(mc.xops) == len(mc.xbci_of) == len(mc.xstart) - 1
+            for pc in range(len(mc.xops)):
+                assert mc.xstart[pc] < mc.xstart[pc + 1], rm.qualname
+                assert mc.xbci_of[pc] == mc.bci_of[mc.xstart[pc]], rm.qualname
 
     def test_every_yieldpoint_survives_fusion(self, loader):
         # A canonical yield point appears in the executable program either
@@ -273,7 +276,7 @@ class TestYieldPointFusion:
                 assert callable(pre_fn)
                 assert 1 <= n_pre <= 3
                 # the group charges exactly the micro-ops it replaced
-                assert rm.code.xweights[pc] == n_pre + 1
+                assert rm.code.xstart[pc + 1] - rm.code.xstart[pc] == n_pre + 1
         assert seen > 0  # backedge yield points do fuse somewhere
 
     def test_group_prefix_semantics_match_canonical(self, fused_vm):
@@ -287,12 +290,10 @@ class TestYieldPointFusion:
             if rm.code is None:
                 continue
             mc = rm.code
-            # reconstruct each group's canonical slice via the weights
-            ci = 0
+            # each group's canonical slice, via xstart
             for pc, (mop, a, b) in enumerate(mc.xops):
-                width = mc.xweights[pc]
                 if mop == F_YP_GROUP:
-                    pre = mc.ops[ci:ci + width - 1]
+                    pre = mc.ops[mc.xstart[pc]:mc.xstart[pc + 1] - 1]
                     pre_fn, n_pre = b
                     assert len(pre) == n_pre
                     stack, locals_ = [], list(range(mc.nlocals))
@@ -308,7 +309,6 @@ class TestYieldPointFusion:
                             want_stack.append(want_locals[pa])
                     assert stack == want_stack and locals_ == want_locals
                     checked += 1
-                ci += width
         assert checked > 0
 
     def test_yp_groups_execute_with_exact_accounting(self):

@@ -20,7 +20,6 @@ from repro.explore import (
     explore,
     positions_from_deltas,
 )
-from repro.vm.engineconfig import hooked_config
 from repro.vm.errors import VMError
 from repro.vm.machine import Environment, VMConfig
 from repro.vm.timerdev import FixedClock, NeverTimer
@@ -322,11 +321,10 @@ class TestPerturbationFreedom:
 
     @staticmethod
     def _record_bank(with_detector: bool):
-        config = hooked_config(CFG)  # mem hooks need canonical ops
         program = racy_bank(tellers=2, deposits=6)
         vm = build_vm(
             program,
-            config,
+            CFG,
             timer=NeverTimer(),
             clock=FixedClock(),
             env=Environment(seed=0),
