@@ -29,7 +29,6 @@ from repro.vm.classfile import ClassDef, content_digest
 from repro.vm.engineconfig import EngineConfig
 from repro.vm.errors import (
     CheckpointConfigMismatch,
-    CheckpointEngineMismatch,
     CheckpointError,
     TracePrefixEnd,
     VMError,
@@ -199,7 +198,10 @@ def record(
     with a reconstruction model (the VM default fixed timer, a pristine
     seeded jitter timer, ``NeverTimer``, or ``timer=None``) and the
     default symmetry/schedule setup; anything else falls back to a full
-    recording with the reason in ``trace.meta["slim_fallback"]``.  The
+    recording with the reason in ``trace.meta["slim_fallback"]``, except
+    a seeded jitter timer that has already drawn intervals (a reused
+    :func:`standard_knobs` dict), which raises
+    :class:`~repro.vm.errors.UsageError`.  The
     recording itself is guest-bit-identical either way — classification
     is entirely host-side and happens after the run.
 
@@ -350,8 +352,10 @@ def resume_replay(
     replay fails falls back to the next earlier one; and when nothing
     survives the replay runs from cycle zero.  The only non-recoverable
     case is :class:`CheckpointConfigMismatch` — every checkpoint shares
-    the config, so it propagates as a typed diagnostic instead — except
-    :class:`CheckpointEngineMismatch`, which goes on down the ladder.
+    the config, so it propagates as a typed diagnostic instead.  A
+    snapshot restores under either engine (its frames store canonical
+    micro-op pcs), so *config* may fuse or not whatever engine captured
+    the sidecar.
     """
     from repro.core.checkpoint import CheckpointStore, restore_vm
 
@@ -374,9 +378,6 @@ def resume_replay(
                 vm = restore_vm(
                     snap, program, trace, config=config, symmetry=symmetry
                 )
-            except CheckpointEngineMismatch as exc:
-                attempts.append(f"checkpoint @{snap.cycles} unusable: {exc}")
-                continue
             except CheckpointConfigMismatch:
                 raise
             except VMError as exc:

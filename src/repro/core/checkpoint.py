@@ -85,8 +85,19 @@ digest and is skipped; a restore or resumed replay that errors falls
 back to the next earlier checkpoint; and when nothing survives, replay
 starts from cycle zero.  Only :class:`CheckpointConfigMismatch` refuses
 to fall back — all checkpoints share the config, and a different heap
-or budget is a different machine — except its engine-tag variant
-(:class:`CheckpointEngineMismatch`): engine toggles are guest-invisible.
+or budget is a different machine.
+
+Engine-free snapshots
+---------------------
+A snapshot describes the machine, not the engine that ran it: each
+frame stores its *canonical* micro-op pc (``MachineCode.xstart`` of its
+executable pc), and restore maps it back into whatever program the
+restoring VM executes.  At a safe point every parked frame sits at a
+superinstruction boundary, so a snapshot taken with fusion on or off
+has the same digest and restores under either; a pc inside a
+superinstruction is a :class:`CheckpointFormatError`.  Engine
+statistics are not machine state: a restored VM counts them from the
+restore.
 """
 
 from __future__ import annotations
@@ -103,7 +114,6 @@ from repro.core.segments import Layout, SegmentWriter, scan
 from repro.core.tracelog import config_fingerprint
 from repro.vm.errors import (
     CheckpointConfigMismatch,
-    CheckpointEngineMismatch,
     CheckpointError,
     CheckpointFormatError,
 )
@@ -116,7 +126,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.vm.machine import VMConfig, VirtualMachine
 
 CKPT_MAGIC = b"DJVC"
-CKPT_VERSION = 3
+CKPT_VERSION = 4
 
 SEG_EVENTS = b"E"
 SEG_SNAPSHOT = b"C"
@@ -378,7 +388,7 @@ def _pack_thread(t: GreenThread) -> tuple:
         t.name,
         t.yieldpoints,
         tuple(
-            (f.method.method_id, f.pc, tuple(f.locals), tuple(f.stack))
+            (f.method.method_id, f.code.xstart[f.pc], tuple(f.locals), tuple(f.stack))
             for f in t.frames
         ),
     )
@@ -444,7 +454,6 @@ def _capture(
         "format": CKPT_VERSION,
         "mode": dv.mode,
         "config": config_fingerprint(vm.config),
-        "engine": vm.config.engine.describe(),
         "cycles": engine.cycles,
         "current": sched.current.tid if sched.current is not None else -1,
         # memory frontier (the live words travel alongside the header)
@@ -454,7 +463,6 @@ def _capture(
         # engine
         "hw_bit": engine.hw_bit,
         "switch_pending": engine.switch_pending,
-        "fstat": tuple(engine._fstat),
         # scheduler / thread package
         "threads": tuple(_pack_thread(t) for t in sched.threads),
         "ready": tuple(t.tid for t in sched.ready),
@@ -503,7 +511,6 @@ def _capture(
         # DejaVu controller (trace cursors + guest-heap buffer positions)
         "dv": (
             ("liveclock", dv.liveclock),
-            ("nyp", dv.nyp),
             ("replay_nyp", dv.replay_nyp),
             ("stats", tuple(sorted(dv.stats.items()))),
             ("switch_buf", _pack_buffer(dv.switch_buf)),
@@ -596,12 +603,6 @@ def _restore(snapshot: Snapshot, program, trace, config, symmetry) -> "VirtualMa
             f"checkpoint captured under [{h['config']}] but the restore "
             f"VM is [{fp}]"
         )
-    engine_desc = vm.config.engine.describe()
-    if engine_desc != h["engine"]:
-        raise CheckpointEngineMismatch(
-            f"checkpoint frame pcs index {h['engine']!r}-compiled code "
-            f"but the restore engine is {engine_desc!r}"
-        )
 
     dv = DejaVu(vm, MODE_REPLAY, trace=trace, symmetry=symmetry)
     vm.start(program.main)
@@ -682,7 +683,6 @@ def _restore(snapshot: Snapshot, program, trace, config, symmetry) -> "VirtualMa
         engine.timer_enabled = False
         engine._timer_armed = True
         engine._deadline = 1 << 62
-    engine._fstat[:] = list(h["fstat"])
     engine._thread = None
     engine.yp_base = sum(t.yieldpoints for t in threads)  # the logical clock
     engine._frame = None
@@ -703,8 +703,7 @@ def _restore(snapshot: Snapshot, program, trace, config, symmetry) -> "VirtualMa
     dv._value_cursor = d["value_cursor"]
     dv.liveclock = d["liveclock"]
     dv.threadswitch_bit = d["threadswitch_bit"]
-    # Figure 2's counters, against the restored logical clock
-    dv._nyp_origin = engine.yp_base - d["nyp"]
+    # the replay countdown, against the restored logical clock
     at = d["replay_nyp"]
     dv._replay_at = None if at is None else engine.yp_base + at
     dv._set_limit()
@@ -776,14 +775,22 @@ def _unpack_thread(packed: tuple, loader) -> GreenThread:
     frames = []
     for method_id, pc, locals_, stack in packed[16]:
         rm = loader.method_by_id[method_id]
-        if rm.code is None:
+        code = rm.code
+        if code is None:
             raise CheckpointError(
                 f"frame references uncompiled method {rm.qualname}"
             )
+        try:
+            xpc = code.xstart.index(pc)  # canonical pc -> executable pc
+        except ValueError:
+            raise CheckpointFormatError(
+                f"frame of {rm.qualname} is at canonical pc {pc}, inside a "
+                "superinstruction (or past the end) of this engine's code"
+            ) from None
         frame = Frame.__new__(Frame)
         frame.method = rm
-        frame.code = rm.code
-        frame.pc = pc
+        frame.code = code
+        frame.pc = xpc
         frame.locals = list(locals_)
         frame.stack = list(stack)
         frames.append(frame)
@@ -1188,7 +1195,6 @@ class CheckpointRecorder:
         meta = {
             "every": self.every,
             "config": config_fingerprint(vm.config),
-            "engine": vm.config.engine.describe(),
             "mode": vm.dejavu.mode if vm.dejavu is not None else "?",
         }
         meta.update(extra)

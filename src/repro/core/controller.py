@@ -394,9 +394,9 @@ class DejaVu:
         #: of the prefix and stop cleanly instead of raising divergence
         self.tolerate_truncation = bool(trace is not None and trace.truncated)
 
-        # Figure 2 state, on the logical clock (Engine.yp_clock): nyp is
-        # the clock's distance from _nyp_origin, and a replay countdown
-        # reaches zero when the clock reaches _replay_at
+        # Figure 2 state, on the logical clock (Engine.yp_clock): a
+        # recorded nyp is the clock's distance from _nyp_origin, and a
+        # replay countdown reaches zero when the clock reaches _replay_at
         self._nyp_origin = 0
         self._replay_at: int | None = None
         self.liveclock = True
@@ -456,22 +456,9 @@ class DejaVu:
             engine.yp_limit = 0 if self._every_yp or engine.hw_bit else NEVER
 
     def _arm_countdown(self, delta: int | None) -> None:
-        """Arm the replay countdown *delta* yield points ahead (None: none;
-        a slim model phase counts nyp from here)."""
-        clock = self.vm.engine.yp_clock()
-        self._nyp_origin = clock
-        self._replay_at = None if delta is None else clock + delta
-
-    @property
-    def nyp(self) -> int:
-        """Figure 2's ``nyp``, as snapshot headers carry it.  Replay keeps
-        none, except that a slim model phase counts the yield points that
-        neither fired nor grew the stack since it began or last fired."""
-        if self.replaying and (
-            self._slim_replay is None or self._every_yp or self._replay_at is not None
-        ):
-            return 0
-        return self.vm.engine.yp_clock() - self._nyp_origin
+        """Arm the replay countdown *delta* yield points ahead (None: none,
+        as in a slim model phase)."""
+        self._replay_at = None if delta is None else self.vm.engine.yp_clock() + delta
 
     @property
     def replay_nyp(self) -> int | None:
@@ -670,7 +657,7 @@ class DejaVu:
         clock pause, same switch-bit epilogue — which is the symmetric-
         instrumentation property.  ``nyp`` is read off the logical clock,
         which already counts this yield point."""
-        grew = self.sym.stack_check(thread)
+        self.sym.stack_check(thread)
         engine = self.vm.engine
         live = self.liveclock if self.symmetry_config.liveclock else True
         clock = engine.yp_base + thread.yieldpoints
@@ -702,8 +689,6 @@ class DejaVu:
                         # the modelled timer device re-created this preemption
                         self._arm_countdown(self._slim_replay.model_fire(self))
                         self.threadswitch_bit = True
-                    elif grew:
-                        self._nyp_origin += 1  # the model-phase nyp skips growth
                 self.liveclock = True  # resume the clock
         if self.threadswitch_bit:
             self.threadswitch_bit = False
@@ -874,8 +859,6 @@ class DejaVu:
             "deadline": engine._deadline,
             "timer_armed": engine._timer_armed,
             "timer_enabled": engine.timer_enabled,
-            # no countdown armed: the model phase (or the tail)
-            "fast_record": not self._every_yp and self._replay_at is None,
         }.items()))
 
     def _slim_restore_state(self, state: tuple) -> None:

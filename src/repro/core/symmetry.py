@@ -193,8 +193,8 @@ class SymmetryManager:
     # ------------------------------------------------------------------
     # per-yield-point stack discipline
 
-    def stack_check(self, thread: GreenThread) -> bool:
-        """Grow the thread stack before 'calling into DejaVu'; True if it grew.
+    def stack_check(self, thread: GreenThread) -> None:
+        """Grow the thread stack before 'calling into DejaVu'.
 
         Symmetric: grow eagerly below a mode-independent threshold.
         Ablated: grow only when this mode's transient cost actually
@@ -206,10 +206,9 @@ class SymmetryManager:
         else:
             need = RECORD_STACK_WORDS if self.dejavu.recording else REPLAY_STACK_WORDS
         if thread.stack_capacity - thread.stack_used >= need:
-            return False
+            return
         self.dejavu.vm.scheduler.grow_stack(thread, need)
         if eager:
             self.eager_grows += 1
         else:
             self.overflow_grows += 1
-        return True

@@ -14,6 +14,8 @@ still passes — inspection left no trace in the guest.
 The application VM runs unfused code, unlike every other tool's: a
 breakpoint can sit at a bci inside a superinstruction, and fused carries
 fold the clock late, so stops and seeks address canonical micro-ops.
+A session can resume from any replay's snapshot, fused or not:
+snapshots store canonical micro-op pcs (:mod:`repro.core.checkpoint`).
 The controller is consulted before every op only in the methods it can
 stop in: the methods holding a breakpoint, or all of them while a step
 is armed.  ``run_to_completion`` clears the breakpoints, so it runs the
@@ -62,8 +64,6 @@ class ReplaySession:
         # breakpoints and steps address canonical micro-ops: unfused code
         app_config = replace(config or VMConfig(), engine=EngineConfig.baseline())
         if resume_from is not None:
-            # rehydrate mid-flight: the snapshot must have been captured
-            # by a debugger session (they all run this same engine)
             from repro.core.checkpoint import restore_vm
 
             self.vm = restore_vm(

@@ -120,19 +120,13 @@ class CheckpointFormatError(CheckpointError):
 
 
 class CheckpointConfigMismatch(CheckpointError):
-    """A checkpoint was captured under a different VM or engine
-    configuration than the restore target.  Frame pcs index the compiled
-    (possibly fused) instruction stream, so restoring across engine
-    configs would silently execute the wrong code — refuse instead.
-    Unlike other checkpoint errors this is not repaired by an earlier
-    checkpoint (they all share the config), so it propagates as a typed
-    diagnostic rather than falling back."""
-
-
-class CheckpointEngineMismatch(CheckpointConfigMismatch):
-    """The checkpoint's engine tag differs (e.g. the retired loop's
-    ``"switch"``): its frame pcs cannot be restored, but the trace replays
-    under any engine, so a resumed replay falls back instead."""
+    """A checkpoint was captured under a different VM configuration (heap,
+    stack or cycle budget) than the restore target: a different machine.
+    Engine toggles are not part of it — snapshots store canonical
+    micro-op pcs, which restore under either engine.  Unlike other
+    checkpoint errors this is not repaired by an earlier checkpoint (they
+    all share the config), so it propagates as a typed diagnostic rather
+    than falling back."""
 
 
 class ReplayDivergenceError(VMError):

@@ -20,6 +20,8 @@ import random
 import time
 from typing import Protocol
 
+from repro.vm.errors import UsageError
+
 
 class TimerSource(Protocol):
     """Yields the number of micro-ops until the next timer interrupt."""
@@ -72,11 +74,16 @@ class SeededJitterTimer:
         self._consumed = True
         return self._rng.randint(self.lo, self.hi)
 
-    def slim_model(self) -> tuple | None:
+    def slim_model(self) -> tuple:
         # The PRNG stream is only reconstructible from the seed while the
-        # timer is pristine; a pre-used timer has unrecoverable state.
+        # timer is pristine.  A pre-used one is a knobs dict reused across
+        # recordings: refuse it rather than silently record in full.
         if self._consumed:
-            return None
+            raise UsageError(
+                f"SeededJitterTimer(seed={self.seed}) has already drawn "
+                "intervals, so a slim recording cannot model it; build "
+                "fresh knobs for each recording with standard_knobs(seed)"
+            )
         return ("jitter", self.seed, self.lo, self.hi)
 
 
@@ -105,9 +112,9 @@ def slim_model_of(timer) -> tuple | None:
 
     A spec is a small tuple from which :func:`timer_from_model` rebuilds a
     device whose interval stream is *identical* to what the original would
-    have produced from this point on.  Host timers (and any pre-used
-    jitter timer) have no spec — slim recording then falls back to full
-    switch logging.  ``timer=None`` (no preemption source) is modelled as
+    have produced from this point on.  Host timers have no spec — slim
+    recording then falls back to full switch logging; a pre-used jitter
+    timer raises :class:`~repro.vm.errors.UsageError`.  ``timer=None`` (no preemption source) is modelled as
     ``("none",)``.
     """
     if timer is None:

@@ -10,7 +10,6 @@ damaged sidecar may cost seek acceleration, never correctness.
 import hashlib
 import itertools
 import json
-import re
 import zlib
 
 import pytest
@@ -49,7 +48,6 @@ from repro.vm import SeededJitterTimer
 from repro.vm.engineconfig import EngineConfig
 from repro.vm.errors import (
     CheckpointConfigMismatch,
-    CheckpointEngineMismatch,
     CheckpointError,
     CheckpointFormatError,
 )
@@ -135,21 +133,18 @@ class TestCaptureRestore:
             assert result.cycles == clean.cycles
 
     def test_boundaries_identical_across_all_engine_combos(self, recorded):
-        """Cycle counting is deterministic under every engine config,
-        so both combos snapshot at identical boundaries — and each
-        combo's restore reproduces its own later digests exactly.  (The
-        digests themselves are per-combo: the snapshot header carries
-        engine statistics, which differ by engine configuration.)"""
-        reference_cycles = None
+        """A snapshot describes the machine, not the engine: both combos
+        snapshot at identical boundaries with identical digests, and each
+        combo's restore reproduces the later digests exactly."""
+        reference = None
         for combo in EngineConfig.all_combinations():
             cfg = VMConfig(semispace_words=60_000, engine=combo)
             snapshots, _ = _replay_with_recorder(recorded.trace, config=cfg)
             witness = [(s.cycles, s.digest) for s in snapshots]
-            cycles = [c for c, _ in witness]
-            if reference_cycles is None:
-                reference_cycles = cycles
+            if reference is None:
+                reference = witness
             else:
-                assert cycles == reference_cycles, combo.describe()
+                assert witness == reference, combo.describe()
             # restore the middle snapshot under the same combo
             mid = len(snapshots) // 2
             vm = restore_vm(snapshots[mid], racy_bank(), recorded.trace, config=cfg)
@@ -173,6 +168,36 @@ class TestCaptureRestore:
         )
         assert plain.read_bytes() == ckpt.read_bytes()
         assert sidecar_path(ckpt).exists()
+
+    def test_frame_pc_inside_a_superinstruction_is_refused(self, recorded):
+        """A frame's stored pc is canonical; restore maps it to an
+        executable op of the restoring engine's code, and a pc that falls
+        inside a superinstruction is a typed format error, never a frame
+        parked mid-group."""
+        snapshots, _ = _replay_with_recorder(recorded.trace)
+        snap = snapshots[len(snapshots) // 2]
+        methods = restore_vm(snap, racy_bank(), recorded.trace, config=CFG).loader.method_by_id
+
+        def inside(frame):
+            """A canonical pc inside a superinstruction of the frame's method."""
+            xs = methods[frame[0]].code.xstart
+            return next((a + 1 for a, b in zip(xs, xs[1:]) if b - a > 1), None)
+
+        threads = [list(t) for t in snap.header["threads"]]
+        ti, fi, pc = next(
+            (ti, fi, inside(f))
+            for ti, t in enumerate(threads)
+            for fi, f in enumerate(t[16])
+            if inside(f) is not None
+        )
+        frames = [list(f) for f in threads[ti][16]]
+        frames[fi][1] = pc
+        threads[ti][16] = frames
+        header = dict(snap.header, threads=threads)
+        header["digest"] = _digest_of(header, snap.words, snap.events)
+        forged = Snapshot(header, snap.words, snap.events)
+        with pytest.raises(CheckpointFormatError, match="inside a superinstruction"):
+            restore_vm(forged, racy_bank(), recorded.trace, config=CFG)
 
     def test_machine_digest_changes_with_execution(self, recorded):
         snapshots, _ = _replay_with_recorder(recorded.trace)
@@ -325,7 +350,12 @@ class TestSidecar:
         head, words_blob, words = self._first_payload(sidecar)
         header = json.loads(head[PREFIX:])
         assert head[PREFIX:] == json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        assert header["format"] == 3 and "digest" not in header
+        assert header["format"] == 4 and "digest" not in header
+        # the machine, not the engine that ran it: no engine tag or
+        # engine counters, nor a derived counter that restore ignores
+        assert not {"engine", "fstat"} & header.keys()
+        dv = dict(header["dv"])
+        assert "nyp" not in dv and "replay_nyp" in dv
         lo = BOOT_WORDS + header["active"] * header["semi"]
         assert len(words) == BOOT_WORDS + header["bump"] - lo
         # the prefix repeats the cycle and event count the header holds
@@ -369,15 +399,20 @@ class TestSidecar:
         assert "undecodable snapshot header" in store.notes[0]
         assert not marker.exists()
 
+    @staticmethod
+    def _as_version(sealed, version: int):
+        """*sealed*'s sidecar with its file header saying *version*."""
+        sidecar = sidecar_path(sealed)
+        blob = bytearray(sidecar.read_bytes())
+        blob[len(CKPT_MAGIC) : len(CKPT_MAGIC) + 2] = version.to_bytes(2, "little")
+        sidecar.write_bytes(bytes(blob))
+        return sidecar
+
     @pytest.fixture
     def v1_sidecar(self, sealed):
         """A sidecar whose file header says version 1 — the format that
         stored every heap word under a Python-repr header."""
-        sidecar = sidecar_path(sealed)
-        blob = bytearray(sidecar.read_bytes())
-        blob[len(CKPT_MAGIC) : len(CKPT_MAGIC) + 2] = (1).to_bytes(2, "little")
-        sidecar.write_bytes(bytes(blob))
-        return sidecar
+        return self._as_version(sealed, 1)
 
     def test_v1_load_names_the_version(self, v1_sidecar):
         with pytest.raises(CheckpointFormatError, match="version 1"):
@@ -405,11 +440,7 @@ class TestSidecar:
     def v2_sidecar(self, sealed):
         """A sidecar whose file header says version 2 — the format whose
         every snapshot header repeated the whole event log."""
-        sidecar = sidecar_path(sealed)
-        blob = bytearray(sidecar.read_bytes())
-        blob[len(CKPT_MAGIC) : len(CKPT_MAGIC) + 2] = (2).to_bytes(2, "little")
-        sidecar.write_bytes(bytes(blob))
-        return sidecar
+        return self._as_version(sealed, 2)
 
     def test_v2_load_names_the_version(self, v2_sidecar):
         with pytest.raises(CheckpointFormatError, match="version 2"):
@@ -431,6 +462,35 @@ class TestSidecar:
         report = diagnose(sealed, program=racy_bank(), config=CFG)
         assert report.classification == CLASS_CKPT_CORRUPT
         assert "version 2" in report.detail
+        assert "regenerate with --checkpoint-every" in report.detail
+
+    @pytest.fixture
+    def v3_sidecar(self, sealed):
+        """A sidecar whose file header says version 3 — the format whose
+        frames stored executable (engine-specific) pcs under an engine
+        tag."""
+        return self._as_version(sealed, 3)
+
+    def test_v3_load_names_the_version(self, v3_sidecar):
+        with pytest.raises(CheckpointFormatError, match="version 3"):
+            CheckpointStore.load(v3_sidecar)
+
+    def test_v3_resume_falls_back_to_zero(self, recorded, sealed, v3_sidecar):
+        resumed = resume_replay(
+            racy_bank(), TraceLog.load(sealed), checkpoints=v3_sidecar, config=CFG
+        )
+        assert resumed.from_zero
+        assert any("version 3" in a for a in resumed.attempts)
+        assert resumed.result.heap_digest == recorded.result.heap_digest
+
+    def test_v3_cli_verify_exits_2(self, sealed, v3_sidecar, capsys):
+        assert cli_main(["checkpoint", "verify", str(sealed)]) == 2
+        assert "version 3" in capsys.readouterr().err
+
+    def test_v3_doctor_says_regenerate(self, sealed, v3_sidecar):
+        report = diagnose(sealed, program=racy_bank(), config=CFG)
+        assert report.classification == CLASS_CKPT_CORRUPT
+        assert "version 3" in report.detail
         assert "regenerate with --checkpoint-every" in report.detail
 
 
@@ -507,44 +567,6 @@ class TestResumeReplay:
                 checkpoints=sidecar_path(sealed),
                 config=VMConfig(semispace_words=80_000),
             )
-
-    def test_engine_combo_mismatch_is_typed(self, recorded, sealed):
-        store = CheckpointStore.load(sidecar_path(sealed))
-        snap = store.snapshots[0]
-        baseline = VMConfig(semispace_words=60_000, engine=EngineConfig.baseline())
-        with pytest.raises(CheckpointConfigMismatch):
-            restore_vm(snap, racy_bank(), TraceLog.load(sealed), config=baseline)
-
-    @pytest.mark.parametrize("tag", ["switch", "threaded+ic", "threaded+fusion+ic"])
-    def test_retired_switch_engine_sidecar_falls_back_to_zero(
-        self, recorded, sealed, tmp_path, tag
-    ):
-        """A sidecar tagged with an engine no build produces any more —
-        the retired per-micro-op loop ("switch") or the retired inline
-        caches ("+ic") — is refused at restore with the typed mismatch,
-        and a resumed replay walks down the ladder instead of restoring it."""
-        store = CheckpointStore.load(sidecar_path(sealed))
-        trace_path = tmp_path / "old.djv"
-        recorded.trace.save(trace_path)
-        writer = CheckpointWriter(sidecar_path(trace_path))
-        for snap in store.snapshots:
-            header = dict(snap.header, engine=tag)
-            header["digest"] = _digest_of(header, snap.words, snap.events)
-            writer.add(Snapshot(header, snap.words, snap.events))
-        writer.seal(dict(store.meta, engine=tag))
-        old = CheckpointStore.load(sidecar_path(trace_path))
-        assert len(old.snapshots) == len(store.snapshots) > 1 and not old.skipped
-        with pytest.raises(CheckpointEngineMismatch, match=re.escape(repr(tag))):
-            restore_vm(old.snapshots[0], racy_bank(), TraceLog.load(trace_path), config=CFG)
-        resumed = resume_replay(
-            racy_bank(), TraceLog.load(trace_path),
-            checkpoints=sidecar_path(trace_path), config=CFG,
-        )
-        assert resumed.from_zero
-        unusable = [a for a in resumed.attempts if "unusable" in a]
-        assert len(unusable) == len(old.snapshots)
-        assert resumed.attempts[-1] == "replayed from cycle zero"
-        self._assert_matches_clean(resumed, recorded)
 
 
 def _tamper_snapshot_words(sidecar, which: int) -> None:
@@ -844,11 +866,16 @@ class TestResumeEqualsReplay:
     def test_resumed_replay_equals_full_replay(self, name, combo, tmp_path):
         """Full and slim recordings of every registry workload, under
         every engine combination: a resume from the newest snapshot ends
-        exactly where the full replay does."""
+        exactly where the full replay does, restored under the capturing
+        engine and under the other one."""
         from tests.conftest import jitter_knobs
 
         program = REGISTRY[name].build()
         cfg = VMConfig(semispace_words=60_000, engine=combo)
+        other = VMConfig(
+            semispace_words=60_000,
+            engine=next(c for c in EngineConfig.all_combinations() if c != combo),
+        )
         for slim in (False, True):
             rec = record(program, config=cfg, slim=slim, **jitter_knobs(9))
             full = replay(program, rec.trace, config=cfg)
@@ -858,13 +885,17 @@ class TestResumeEqualsReplay:
                 checkpoint_every=max(1, rec.result.cycles // 3),
                 checkpoint_out=sidecar,
             )
-            resumed = resume_replay(program, rec.trace, checkpoints=sidecar, config=cfg)
-            assert not resumed.from_zero, (slim, resumed.attempts)
-            got, want = resumed.result, full
-            assert got.output_text == want.output_text, slim
-            assert got.cycles == want.cycles, slim
-            assert got.heap_digest == want.heap_digest, slim
-            assert got.events == want.events, slim
+            for restore_cfg in (cfg, other):
+                where = (slim, restore_cfg.engine.describe())
+                resumed = resume_replay(
+                    program, rec.trace, checkpoints=sidecar, config=restore_cfg
+                )
+                assert not resumed.from_zero, (where, resumed.attempts)
+                got, want = resumed.result, full
+                assert got.output_text == want.output_text, where
+                assert got.cycles == want.cycles, where
+                assert got.heap_digest == want.heap_digest, where
+                assert got.events == want.events, where
 
 
 class TestResumeMidCountdown:
@@ -895,7 +926,8 @@ class TestResumeMidCountdown:
         slim = dict(dv.get("slim", ()))
         if dv["replay_nyp"] is not None:
             return "explicit" if slim else "classic"
-        if slim and slim["remaining"] and dv["nyp"]:
+        # a drop run under way, the model timer's next firing still ahead
+        if slim and slim["remaining"] and slim["deadline"] > snap.header["cycles"]:
             return "model"
         return None
 

@@ -249,3 +249,25 @@ def test_slim_trace_file_roundtrip(recordings, tmp_path):
     assert reloaded.switches == slim.trace.switches
     r = replay(factory(), reloaded, config=CFG)
     assert r.behavior_key() == reference.behavior_key()
+
+
+def test_reused_knobs_refuse_a_slim_record():
+    """A ``standard_knobs`` dict shared by two recordings hands the second
+    a jitter timer that has already drawn intervals; a slim record then
+    fails loudly, naming the fix, instead of silently recording in full.
+    A host timer keeps its documented full-recording fallback."""
+    from repro.api import standard_knobs
+    from repro.vm.errors import UsageError
+    from repro.vm.timerdev import HostTimer
+
+    program = WORKLOADS["synced_bank"]()
+    knobs = standard_knobs(3)
+    first = record(program, config=CFG, slim=True, **knobs)
+    assert first.trace.slim_info is not None
+    with pytest.raises(UsageError, match=r"standard_knobs\(seed\)"):
+        record(program, config=CFG, slim=True, **knobs)
+    fresh = record(program, config=CFG, slim=True, **standard_knobs(3))
+    assert fresh.trace.to_bytes() == first.trace.to_bytes()
+
+    host = record(program, config=CFG, slim=True, timer=HostTimer())
+    assert host.trace.meta["slim_fallback"] == "timer has no reconstruction model"

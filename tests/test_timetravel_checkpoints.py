@@ -9,8 +9,8 @@ the fallback ladder bottoms out at replay-from-zero.
 
 import pytest
 
-from repro.api import record
-from repro.core.checkpoint import Snapshot, machine_digest
+from repro.api import record, replay
+from repro.core.checkpoint import CheckpointStore, Snapshot, machine_digest
 from repro.debugger import Debugger, ReplaySession
 from repro.debugger.timetravel import TimeTravelSession
 from repro.vm import SeededJitterTimer
@@ -55,6 +55,31 @@ class TestSeekEquivalence:
                 plain.session.vm
             )
         assert fast.restores > 0, "no seek was checkpoint-accelerated"
+
+    def test_plain_replay_sidecar_seeds_the_unfused_seeks(self, recorded, tmp_path):
+        """Snapshots of a plain (fused) ``api.replay`` restore into the
+        debugger's unfused session: frames store canonical micro-op pcs,
+        so backward seeks restore them and land where from-zero does."""
+        sidecar = tmp_path / "t.djv.ckpt"
+        replay(
+            racy_bank(), recorded.trace, config=CFG,
+            checkpoint_every=EVERY, checkpoint_out=sidecar,
+        )
+        snapshots = CheckpointStore.load(sidecar).snapshots
+        assert len(snapshots) > 2
+        plain = TimeTravelSession(racy_bank(), recorded.trace, config=CFG)
+        fast = TimeTravelSession(
+            racy_bank(), recorded.trace, config=CFG, checkpoints=snapshots
+        )
+        end = recorded.result.cycles
+        fast.goto_cycles(end + 1)
+        for target in _sampled_targets(end):
+            assert fast.goto_cycles(target) == plain.goto_cycles(target)
+            assert machine_digest(fast.session.vm) == machine_digest(
+                plain.session.vm
+            )
+        assert fast.restores >= len(_sampled_targets(end)) - 1
+        assert len(fast._snapshots) == len(snapshots), "a snapshot was dropped"
 
     def test_corrupt_snapshot_falls_back_to_identical_state(self, recorded):
         """Tampering with a captured snapshot must not change where a
